@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::board::{BoardSpec, ClusterId};
+use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
 use crate::clock::ns_to_secs;
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
@@ -44,24 +44,18 @@ impl EnergyMeter {
     pub fn accumulate(&mut self, board: &BoardSpec, freqs: &[FreqKhz], busy: &[f64], dt_ns: u64) {
         let n = board.n_clusters();
         assert!(freqs.len() >= n && busy.len() >= n, "per-cluster slices");
-        let dt = ns_to_secs(dt_ns);
-        if dt <= 0.0 {
-            return;
-        }
-        self.ensure_clusters(n);
+        let mut powers = [0.0f64; MAX_CLUSTERS];
         for cluster in board.cluster_ids() {
             let i = cluster.index();
-            let p = cluster_power(
+            powers[i] = cluster_power(
                 board,
                 cluster,
                 freqs[i],
                 busy[i],
                 board.cluster_size(cluster),
             );
-            self.joules[i] += p * dt;
-            self.busy_core_secs[i] += busy[i] * dt;
         }
-        self.elapsed_secs += dt;
+        self.accumulate_powers(&powers[..n], &busy[..n], dt_ns);
     }
 
     /// Integrates `dt_ns` of fully-idle operation with the per-cluster
@@ -69,15 +63,25 @@ impl EnergyMeter {
     /// idle span — frequencies are frozen and no core is busy, so they
     /// are constant across the span's boundaries).
     ///
-    /// Bit-compatibility contract: this performs exactly the floating-
-    /// point operations [`EnergyMeter::accumulate`] would for
-    /// `busy = [0.0; n]` — same `dt` conversion and guard, one
-    /// `joules[i] += p·dt` per cluster in cluster order, then
-    /// `elapsed_secs += dt`. The `busy_core_secs[i] += 0.0 · dt` adds
-    /// are skipped: the accumulators are never `-0.0` (they start at
-    /// `+0.0` and only ever gain non-negative terms), so adding
-    /// `+0.0` is an exact no-op.
+    /// The `busy_core_secs[i] += 0.0 · dt` adds
+    /// [`EnergyMeter::accumulate`] would make are skipped: the
+    /// accumulators are never `-0.0` (they start at `+0.0` and only
+    /// ever gain non-negative terms), so adding `+0.0` is an exact
+    /// no-op.
     pub(crate) fn accumulate_idle(&mut self, powers: &[f64], dt_ns: u64) {
+        self.accumulate_powers(powers, &[], dt_ns);
+    }
+
+    /// Integrates `dt_ns` at per-cluster powers the caller already
+    /// computed, with `busy[c]` cores busy on cluster `c` (an empty
+    /// `busy` adds no busy time). Every other entry point routes
+    /// through here, so the engine's fast-forward loops — which hoist
+    /// the powers of a span whose frequencies and run queues are
+    /// frozen — perform exactly the floating-point operations the
+    /// stepped path does: the same `dt` conversion and guard, one
+    /// `joules[i] += p·dt` and `busy_core_secs[i] += busy[i]·dt` per
+    /// cluster, then `elapsed_secs += dt`.
+    pub(crate) fn accumulate_powers(&mut self, powers: &[f64], busy: &[f64], dt_ns: u64) {
         let dt = ns_to_secs(dt_ns);
         if dt <= 0.0 {
             return;
@@ -85,6 +89,9 @@ impl EnergyMeter {
         self.ensure_clusters(powers.len());
         for (i, &p) in powers.iter().enumerate() {
             self.joules[i] += p * dt;
+        }
+        for (i, &b) in busy.iter().enumerate() {
+            self.busy_core_secs[i] += b * dt;
         }
         self.elapsed_secs += dt;
     }
@@ -256,6 +263,50 @@ mod tests {
             general.elapsed_secs().to_bits(),
             idle.elapsed_secs().to_bits()
         );
+    }
+
+    #[test]
+    fn hoisted_powers_are_bit_equal_to_the_general_path_when_busy() {
+        for b in [xu3(), BoardSpec::dynamiq_1p_3m_4l()] {
+            let freqs: Vec<FreqKhz> = b.cluster_ids().map(|c| b.ladder(c).min()).collect();
+            let busy: Vec<f64> = b
+                .cluster_ids()
+                .map(|c| b.cluster_size(c).div_ceil(2) as f64)
+                .collect();
+            let powers: Vec<f64> = b
+                .cluster_ids()
+                .map(|c| {
+                    let i = c.index();
+                    crate::power::cluster_power(&b, c, freqs[i], busy[i], b.cluster_size(c))
+                })
+                .collect();
+            let mut general = EnergyMeter::new();
+            let mut hoisted = EnergyMeter::new();
+            // A different busy set first, so the accumulators are
+            // mid-stream when the hoisted span starts.
+            let other: Vec<f64> = b.cluster_ids().map(|_| 1.0).collect();
+            general.accumulate(&b, &max_freqs(&b), &other, 7_123_456);
+            hoisted.accumulate(&b, &max_freqs(&b), &other, 7_123_456);
+            for dt in [4_000_000_u64, 4_000_000, 1, 263_808_000, 0, 999] {
+                general.accumulate(&b, &freqs, &busy, dt);
+                hoisted.accumulate_powers(&powers, &busy, dt);
+            }
+            for c in b.cluster_ids() {
+                assert_eq!(
+                    general.cluster_joules(c).to_bits(),
+                    hoisted.cluster_joules(c).to_bits(),
+                    "hoisted powers must replay the exact fp ops"
+                );
+                assert_eq!(
+                    general.busy_core_secs(c).to_bits(),
+                    hoisted.busy_core_secs(c).to_bits()
+                );
+            }
+            assert_eq!(
+                general.elapsed_secs().to_bits(),
+                hoisted.elapsed_secs().to_bits()
+            );
+        }
     }
 
     #[test]

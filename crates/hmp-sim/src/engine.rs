@@ -13,7 +13,7 @@ use heartbeats::{AppId, HeartbeatMonitor, HeartbeatRegistry, PerfTarget};
 
 use crate::app::{AppState, ModelState};
 use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
-use crate::clock::{completion_ns, ns_to_secs};
+use crate::clock::{completes_within, completion_ns, ns_to_secs};
 use crate::cpuset::{CoreId, CpuSet};
 use crate::energy::EnergyMeter;
 use crate::error::SimError;
@@ -41,12 +41,18 @@ pub enum ExecMode {
     /// Discrete-event scheduling (the default): control events
     /// (actions, ticks, sensor samples, sleep wake-ups) come from a
     /// lazily-invalidated min-heap, per-core thread speeds are
-    /// memoized under run-queue/frequency epochs, and fully-idle spans
+    /// memoized under run-queue/frequency epochs, fully-idle spans
     /// are fast-forwarded boundary-by-boundary at O(1) cost per
-    /// boundary instead of O(threads × cores) per step.
+    /// boundary instead of O(threads × cores) per step, and busy spans
+    /// of pure GTS ticks (no completion, action, sample, fault or
+    /// wake-up in between) are replayed tick by tick in one loop —
+    /// with a tick reduced to its load update while every runnable
+    /// thread is pinned to its core, as HARS and MP-HARS pin them.
     EventHeap,
     /// The pre-heap reference stepper: every step rescans the action
-    /// map, every thread and every run queue for the next event.
+    /// map, every thread and every run queue for the next event, and
+    /// every tick runs the full GTS migration, balance and idle-pull
+    /// passes.
     FixedStep,
 }
 
@@ -169,6 +175,8 @@ pub struct Engine {
     hb_stall_until: u64,
     /// Heartbeats whose emission was swallowed by a stall window.
     stalled_heartbeats: u64,
+    /// GTS ticks applied inside [`Engine::tick_fast_forward`] spans.
+    ticks_fast_forwarded: u64,
 }
 
 /// Memoized per-core thread speeds (parallel to the core's run queue),
@@ -224,6 +232,7 @@ impl Engine {
             sensor_stuck_until: 0,
             hb_stall_until: 0,
             stalled_heartbeats: 0,
+            ticks_fast_forwarded: 0,
         };
         let first_tick = engine.next_tick_ns;
         let first_sample = engine.sensor.next_sample_ns();
@@ -286,6 +295,15 @@ impl Engine {
     /// Total busy time of one core (ns).
     pub fn core_busy_ns(&self, core: CoreId) -> u64 {
         self.cores[core.0].busy_ns
+    }
+
+    /// GTS ticks the event-heap engine replayed inside busy
+    /// fast-forward spans (always 0 under [`ExecMode::FixedStep`]).
+    /// Reporting only, like [`PowerSensor::coalesced_samples`]: the
+    /// simulated timeline is identical either way, so the count sits
+    /// outside every fingerprint.
+    pub fn ticks_fast_forwarded(&self) -> u64 {
+        self.ticks_fast_forwarded
     }
 
     // ------------------------------------------------------------------
@@ -755,7 +773,9 @@ impl Engine {
                     self.idle_fast_forward(deadline_ns);
                 } else {
                     let dt = self.next_event_dt_heap(deadline_ns);
-                    if dt > 0 {
+                    if self.now_ns + dt == self.next_tick_ns {
+                        self.tick_fast_forward(dt, deadline_ns);
+                    } else if dt > 0 {
                         self.advance(dt);
                     }
                 }
@@ -922,18 +942,7 @@ impl Engine {
     /// the stopper instant without processing it, so `process_due`
     /// handles that instant in the engine's canonical event order.
     fn idle_fast_forward(&mut self, deadline_ns: u64) {
-        let mut stop = deadline_ns;
-        if let Some(t) = self.faults.next_due() {
-            stop = stop.min(t);
-        }
-        if let Some((&t, _)) = self.actions.first_key_value() {
-            stop = stop.min(t);
-        }
-        for t in &self.threads {
-            if let RunState::Blocked(BlockReason::Sleep { until_ns }) = t.run {
-                stop = stop.min(until_ns);
-            }
-        }
+        let stop = self.next_wakeup_ns(deadline_ns);
         let n = self.board.n_clusters();
         let mut powers = [0.0f64; MAX_CLUSTERS];
         for cluster in self.board.cluster_ids() {
@@ -994,6 +1003,131 @@ impl Engine {
         let sample = self.sensor.next_sample_ns();
         self.push_event(tick, EventKey::Tick);
         self.push_event(sample, EventKey::Sensor);
+    }
+
+    /// The first instant a fault onset, deferred action or sleep
+    /// wake-up is due, capped at `deadline_ns`: where both fast-forward
+    /// loops hand the clock back to `process_due`.
+    fn next_wakeup_ns(&self, deadline_ns: u64) -> u64 {
+        let mut stop = deadline_ns;
+        if let Some(t) = self.faults.next_due() {
+            stop = stop.min(t);
+        }
+        if let Some((&t, _)) = self.actions.first_key_value() {
+            stop = stop.min(t);
+        }
+        for t in &self.threads {
+            if let RunState::Blocked(BlockReason::Sleep { until_ns }) = t.run {
+                stop = stop.min(until_ns);
+            }
+        }
+        stop
+    }
+
+    /// Fast-forwards a busy span of pure GTS ticks. A step whose next
+    /// event is the tick, `dt_ns` away, calls this in place of
+    /// `advance(dt_ns)`: it integrates to the tick, applies it, and
+    /// repeats tick after tick until a work-item completion, action,
+    /// sensor sample, fault onset, sleep wake-up or the deadline is due
+    /// by the next tick, or a tick moves a thread.
+    ///
+    /// Bit-identity: each boundary is one reference step. The
+    /// integration is `advance`'s arithmetic with the span's constant
+    /// busy counts, cluster powers ([`EnergyMeter::accumulate_powers`])
+    /// and speed caches hoisted. A thread left with
+    /// `work_left <= WORK_EPS` at a tick ends the span before that tick
+    /// (`process_due` completes work before ticking), and the span goes
+    /// on past a tick only when `next_event_dt_heap`'s per-thread
+    /// [`completion_ns`] test (in its exact predicate form,
+    /// [`completes_within`]) puts every completion beyond the next one.
+    ///
+    /// Pinned ticks: while every runnable thread's affinity is exactly
+    /// its current core, the migration pass finds no allowed core on
+    /// another cluster and the balance and idle-pull passes find no
+    /// thread allowed on another core, so a tick is `update_loads`
+    /// alone. Otherwise the full tick runs, and one that moves a thread
+    /// ends the span (its run queues and powers change).
+    fn tick_fast_forward(&mut self, dt_ns: u64, deadline_ns: u64) {
+        let stop = self
+            .next_wakeup_ns(deadline_ns)
+            .min(self.sensor.next_sample_ns());
+        let tick_ns = self.cfg.gts.tick_ns;
+        let n = self.board.n_clusters();
+        let mut busy = [0.0f64; MAX_CLUSTERS];
+        let mut pinned = true;
+        for ci in 0..self.cores.len() {
+            if self.cores[ci].nr_running() == 0 {
+                continue;
+            }
+            self.refresh_speed_cache(ci);
+            let core = &self.cores[ci];
+            busy[core.cluster.index()] += 1.0;
+            let only_here = CpuSet::single(core.id);
+            pinned &= core
+                .runnable
+                .iter()
+                .all(|&tid| self.threads[tid].affinity == only_here);
+        }
+        let mut powers = [0.0f64; MAX_CLUSTERS];
+        for cluster in self.board.cluster_ids() {
+            let i = cluster.index();
+            powers[i] = cluster_power(
+                &self.board,
+                cluster,
+                self.freqs[i],
+                busy[i],
+                self.board.cluster_size(cluster),
+            );
+        }
+        let mut dt_ns = dt_ns;
+        loop {
+            for core in &mut self.cores {
+                if core.nr_running() > 0 {
+                    core.busy_ns += dt_ns;
+                }
+            }
+            self.energy
+                .accumulate_powers(&powers[..n], &busy[..n], dt_ns);
+            let dt_secs = ns_to_secs(dt_ns);
+            // The same pass decides what follows: a work item complete
+            // at this instant, or one completing within the next period.
+            let (mut finishing, mut completes) = (false, false);
+            for ci in 0..self.cores.len() {
+                let k = self.cores[ci].nr_running();
+                if k == 0 {
+                    continue;
+                }
+                let share = 1.0 / k as f64;
+                for i in 0..k {
+                    let tid = self.cores[ci].runnable[i];
+                    let speed = self.speed_cache[ci].speeds[i];
+                    let done = dt_secs * share * speed;
+                    let t = &mut self.threads[tid];
+                    t.work_left = (t.work_left - done).max(0.0);
+                    t.runnable_ns_since_tick = t.runnable_ns_since_tick.saturating_add(dt_ns);
+                    finishing |= t.work_left <= WORK_EPS;
+                    completes |= completes_within(t.work_left * k as f64 / speed, tick_ns);
+                }
+            }
+            self.now_ns += dt_ns;
+            if finishing || self.now_ns >= stop {
+                break; // `process_due` handles this instant in canonical order
+            }
+            let moved = if pinned {
+                update_loads(&self.cfg.gts, &mut self.threads);
+                false
+            } else {
+                self.gts_tick_traced()
+            };
+            self.ticks_fast_forwarded += 1;
+            self.next_tick_ns += tick_ns;
+            if moved || completes || self.next_tick_ns > stop {
+                break;
+            }
+            dt_ns = tick_ns;
+        }
+        let tick = self.next_tick_ns;
+        self.push_event(tick, EventKey::Tick);
     }
 
     /// Advances the clock by `dt_ns`, integrating energy, busy time,
@@ -1079,39 +1213,7 @@ impl Engine {
             }
             // Scheduler tick.
             if self.next_tick_ns <= self.now_ns {
-                let before: Vec<Option<CoreId>> = if self.trace.is_enabled() {
-                    self.threads.iter().map(|t| t.core).collect()
-                } else {
-                    Vec::new()
-                };
-                gts_tick(
-                    &self.cfg.gts,
-                    &self.board,
-                    &mut self.threads,
-                    &mut self.cores,
-                );
-                if self.trace.is_enabled() {
-                    for (tid, prev) in before.iter().enumerate() {
-                        let now_core = self.threads[tid].core;
-                        if let Some(to) = now_core {
-                            if *prev != now_core {
-                                let t = &self.threads[tid];
-                                let local = self.apps[t.app]
-                                    .threads
-                                    .iter()
-                                    .position(|&x| x == tid)
-                                    .unwrap_or(0);
-                                self.trace.record(TraceEvent::Migration {
-                                    time_ns: self.now_ns,
-                                    app: self.apps[t.app].hb_id.0,
-                                    thread: local,
-                                    from: *prev,
-                                    to,
-                                });
-                            }
-                        }
-                    }
-                }
+                self.gts_tick_traced();
                 self.next_tick_ns += self.cfg.gts.tick_ns;
                 let tick = self.next_tick_ns;
                 self.push_event(tick, EventKey::Tick);
@@ -1138,6 +1240,44 @@ impl Engine {
                 break;
             }
         }
+    }
+
+    /// Runs one GTS tick at the current instant, recording each
+    /// migration in the trace when tracing is on. Returns `true` when
+    /// the tick moved a thread; the caller advances the tick schedule.
+    fn gts_tick_traced(&mut self) -> bool {
+        let before: Vec<Option<CoreId>> = if self.trace.is_enabled() {
+            self.threads.iter().map(|t| t.core).collect()
+        } else {
+            Vec::new()
+        };
+        let moved = gts_tick(
+            &self.cfg.gts,
+            &self.board,
+            &mut self.threads,
+            &mut self.cores,
+        );
+        for (tid, prev) in before.iter().enumerate() {
+            let now_core = self.threads[tid].core;
+            if let Some(to) = now_core {
+                if *prev != now_core {
+                    let t = &self.threads[tid];
+                    let local = self.apps[t.app]
+                        .threads
+                        .iter()
+                        .position(|&x| x == tid)
+                        .unwrap_or(0);
+                    self.trace.record(TraceEvent::Migration {
+                        time_ns: self.now_ns,
+                        app: self.apps[t.app].hb_id.0,
+                        thread: local,
+                        from: *prev,
+                        to,
+                    });
+                }
+            }
+        }
+        moved
     }
 
     /// Instantaneous true per-cluster power (W) — what the sensor
@@ -1169,14 +1309,16 @@ impl Engine {
 
     /// Launches an app's threads according to its parallelism model.
     fn start_app(&mut self, app_idx: usize) {
-        match self.apps[app_idx].spec.model.clone() {
+        let n_threads = self.apps[app_idx].threads.len();
+        match self.apps[app_idx].spec.model {
             ParallelismModel::DataParallel => {
                 if self.apps[app_idx].spec.startup_work > 0.0 {
                     // Single-threaded startup: thread 0 runs, others wait.
                     let t0 = self.apps[app_idx].threads[0];
                     self.threads[t0].work_left = self.apps[app_idx].spec.startup_work;
                     self.make_runnable(t0);
-                    for &tid in self.apps[app_idx].threads.clone().iter().skip(1) {
+                    for i in 1..n_threads {
+                        let tid = self.apps[app_idx].threads[i];
                         self.threads[tid].run = RunState::Blocked(BlockReason::Startup);
                     }
                 } else {
@@ -1184,12 +1326,14 @@ impl Engine {
                 }
             }
             ParallelismModel::Pipeline { .. } => {
-                for &tid in self.apps[app_idx].threads.clone().iter() {
+                for i in 0..n_threads {
+                    let tid = self.apps[app_idx].threads[i];
                     self.pipeline_fetch(tid);
                 }
             }
             ParallelismModel::DutyCycle { duty, period_ns } => {
-                for &tid in self.apps[app_idx].threads.clone().iter() {
+                for i in 0..n_threads {
+                    let tid = self.apps[app_idx].threads[i];
                     self.threads[tid].time_based = true;
                     if duty > 0.0 {
                         self.threads[tid].work_left = duty * ns_to_secs(period_ns);
@@ -1219,7 +1363,8 @@ impl Engine {
             let t0 = self.apps[app_idx].threads[0];
             self.threads[t0].work_left = serial;
             self.make_runnable(t0);
-            for &tid in self.apps[app_idx].threads.clone().iter().skip(1) {
+            for i in 1..self.apps[app_idx].threads.len() {
+                let tid = self.apps[app_idx].threads[i];
                 if self.threads[tid].is_runnable() {
                     self.block_thread(tid, BlockReason::SerialWait);
                 } else {
@@ -1235,7 +1380,8 @@ impl Engine {
     /// equal chunk of the parallel work and becomes runnable.
     fn start_parallel_phase(&mut self, app_idx: usize, unit: u64) {
         let chunk = self.apps[app_idx].chunk_work(unit);
-        for &tid in self.apps[app_idx].threads.clone().iter() {
+        for i in 0..self.apps[app_idx].threads.len() {
+            let tid = self.apps[app_idx].threads[i];
             self.threads[tid].work_left = chunk;
             self.make_runnable(tid);
         }
@@ -1289,7 +1435,8 @@ impl Engine {
     /// Terminates an app: all threads stop consuming CPU.
     fn finish_app(&mut self, app_idx: usize) {
         self.apps[app_idx].done = true;
-        for &tid in self.apps[app_idx].threads.clone().iter() {
+        for i in 0..self.apps[app_idx].threads.len() {
+            let tid = self.apps[app_idx].threads[i];
             dequeue_thread(tid, &self.threads, &mut self.cores);
             self.threads[tid].run = RunState::Finished;
             self.threads[tid].work_left = 0.0;
@@ -1303,7 +1450,7 @@ impl Engine {
             self.block_thread(tid, BlockReason::Startup);
             return;
         }
-        match self.apps[app_idx].spec.model.clone() {
+        match self.apps[app_idx].spec.model {
             ParallelismModel::DataParallel => self.data_parallel_complete(tid, app_idx),
             ParallelismModel::Pipeline { .. } => self.pipeline_complete(tid, app_idx),
             ParallelismModel::DutyCycle { duty, period_ns } => {

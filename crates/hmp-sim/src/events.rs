@@ -1,10 +1,10 @@
 //! The engine's event heap: a min-heap of component wake-ups.
 //!
 //! In event-heap mode the engine keeps a `(due_ns, component)` heap
-//! over the four *control* event sources — deferred actions, the GTS
-//! scheduler tick, the power-sensor sample schedule and duty-cycle
-//! sleep wake-ups — so finding the next control event is a heap peek
-//! instead of a rescan of the action map and every thread.
+//! over the *control* event sources — deferred actions, the GTS
+//! scheduler tick, the power-sensor sample schedule, duty-cycle sleep
+//! wake-ups and fault onsets — so finding the next control event is a
+//! heap peek instead of a rescan of the action map and every thread.
 //!
 //! Entries are **scheduling hints, not authority**. The authoritative
 //! state (the action `BTreeMap`, `next_tick_ns`, the sensor schedule,
@@ -29,6 +29,14 @@
 //! which removes the `speed_of` recomputation the per-step scan paid
 //! for, while keeping the completion arithmetic identical to the
 //! reference stepper.
+//!
+//! The heap is not consulted inside the engine's two fast-forward
+//! loops. A fully-idle span and a busy span of pure GTS ticks are each
+//! bounded up front by the earliest non-tick control event (action,
+//! fault onset, sleep wake-up, sensor sample for busy spans, or the
+//! deadline), read from the authoritative state; the loop then walks
+//! tick boundaries without pushing an entry per tick and re-arms the
+//! `Tick` hint once when the span ends.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

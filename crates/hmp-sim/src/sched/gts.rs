@@ -92,19 +92,19 @@ impl GtsConfig {
 
 /// One scheduler tick: update every thread's load average from its
 /// runnable time since the previous tick, then run the GTS migration and
-/// balance passes.
+/// balance passes. Returns `true` when any pass moved a thread.
 pub(crate) fn gts_tick(
     cfg: &GtsConfig,
     board: &BoardSpec,
     threads: &mut [ThreadState],
     cores: &mut [CoreState],
-) {
+) -> bool {
     update_loads(cfg, threads);
-    migration_pass(cfg, board, threads, cores);
+    let mut moved = migration_pass(cfg, board, threads, cores);
     for cluster in board.cluster_ids() {
-        balance_cluster(cfg, cluster, threads, cores);
+        moved |= balance_cluster(cfg, cluster, threads, cores);
     }
-    idle_pull(cfg, threads, cores);
+    moved | idle_pull(cfg, threads, cores)
 }
 
 /// Updates per-thread load EWMAs and resets the per-tick counters.
@@ -123,13 +123,14 @@ pub(crate) fn update_loads(cfg: &GtsConfig, threads: &mut [ThreadState]) {
 /// On an N-cluster board a hot thread climbs one step toward the
 /// next-faster cluster and a cold thread descends one step toward the
 /// next-slower one, so the 2-cluster big.LITTLE behaviour is the
-/// special case.
+/// special case. Returns `true` when it moved a thread.
 fn migration_pass(
     cfg: &GtsConfig,
     board: &BoardSpec,
     threads: &mut [ThreadState],
     cores: &mut [CoreState],
-) {
+) -> bool {
+    let mut moved = false;
     for tid in 0..threads.len() {
         let Some(core) = threads[tid].core else {
             continue;
@@ -157,8 +158,10 @@ fn migration_pass(
                 continue;
             }
             migrate_thread(tid, dest, threads, cores);
+            moved = true;
         }
     }
+    moved
 }
 
 /// The allowed core of `cluster` with the shortest run queue.
@@ -177,23 +180,25 @@ fn least_loaded_core(
 /// Greedy in-cluster balancing: move one thread from the most crowded
 /// run queue to the least crowded as long as the imbalance threshold is
 /// met. Bounded to the cluster's thread count so it always terminates.
+/// Returns `true` when it moved a thread.
 fn balance_cluster(
     cfg: &GtsConfig,
     cluster: ClusterId,
     threads: &mut [ThreadState],
     cores: &mut [CoreState],
-) {
+) -> bool {
     let max_moves = cores
         .iter()
         .filter(|c| c.cluster == cluster)
         .map(|c| c.nr_running())
         .sum::<usize>();
+    let mut moved = false;
     for _ in 0..max_moves {
         let Some((busiest, idlest)) = busiest_idlest(cluster, cores) else {
-            return;
+            break;
         };
         if cores[busiest.0].nr_running() < cores[idlest.0].nr_running() + cfg.balance_imbalance {
-            return;
+            break;
         }
         // Pick a movable thread (affinity must allow the destination).
         let candidate = cores[busiest.0]
@@ -203,18 +208,21 @@ fn balance_cluster(
             .find(|&tid| threads[tid].affinity.contains(idlest));
         match candidate {
             Some(tid) => migrate_thread(tid, idlest, threads, cores),
-            None => return,
+            None => break,
         }
+        moved = true;
     }
+    moved
 }
 
 /// Cross-cluster idle balancing: every idle core pulls one thread from
 /// the longest run queue on the board once that queue reaches the
-/// configured threshold.
-fn idle_pull(cfg: &GtsConfig, threads: &mut [ThreadState], cores: &mut [CoreState]) {
+/// configured threshold. Returns `true` when it moved a thread.
+fn idle_pull(cfg: &GtsConfig, threads: &mut [ThreadState], cores: &mut [CoreState]) -> bool {
     if cfg.idle_pull_min_queue == 0 {
-        return;
+        return false;
     }
+    let mut moved = false;
     for idle_idx in 0..cores.len() {
         if cores[idle_idx].nr_running() > 0 {
             continue;
@@ -235,8 +243,10 @@ fn idle_pull(cfg: &GtsConfig, threads: &mut [ThreadState], cores: &mut [CoreStat
             .find(|&tid| threads[tid].affinity.contains(idle_id));
         if let Some(tid) = candidate {
             migrate_thread(tid, idle_id, threads, cores);
+            moved = true;
         }
     }
+    moved
 }
 
 fn busiest_idlest(cluster: ClusterId, cores: &[CoreState]) -> Option<(CoreId, CoreId)> {

@@ -5,21 +5,25 @@
 //! an *optimization*, not a semantic change: for any workload mix —
 //! barrier apps that drain to full idle, low-duty spinners that sleep
 //! most of every period, deferred frequency actions landing in idle
-//! spans — the heartbeat timeline, final clock, energy integrals and
-//! sensor schedule must match the fixed-step stepper bit for bit.
-//! With sample coalescing disabled the stored sample stream (values
-//! included) matches too; with coalescing on (the default) the stream
-//! thins out but the *count* of scheduled sample instants is conserved.
+//! spans, threads pinned and re-pinned through scheduled affinity
+//! actions — the heartbeat timeline, final clock, energy integrals,
+//! sensor schedule, per-thread GTS loads and per-core busy time must
+//! match the fixed-step stepper bit for bit. With sample coalescing
+//! disabled the stored sample stream (values included) matches too;
+//! with coalescing on (the default) the stream thins out but the
+//! *count* of scheduled sample instants is conserved.
 
 use proptest::prelude::*;
 
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{
-    Action, AppSpec, BoardSpec, ClusterId, Engine, EngineConfig, ExecMode, ParallelismModel,
+    Action, AppId, AppSpec, BoardSpec, ClusterId, CoreId, CpuSet, Engine, EngineConfig, ExecMode,
+    FreqKhz, ParallelismModel,
 };
 
 /// One run: heartbeat timeline, final clock, per-cluster energy bits,
-/// and the sensor's sample accounting.
+/// the sensor's sample accounting, and the scheduler state the busy
+/// tick fast-forward replays.
 struct RunDigest {
     beats: Vec<(u64, u64, u64)>,
     now_ns: u64,
@@ -28,60 +32,44 @@ struct RunDigest {
     busy_bits: Vec<u64>,
     total_samples: u64,
     stored_samples: Vec<(u64, Vec<u64>)>,
+    /// Every thread's GTS load, in app then thread order.
+    load_bits: Vec<u64>,
+    core_busy_ns: Vec<u64>,
+    /// Reporting only: the one number the two modes may differ in.
+    ticks_fast_forwarded: u64,
 }
 
-/// Drives one engine over the workload in driver fashion (pump
-/// heartbeats, then run out the horizon) and digests everything the
-/// equivalence contract covers.
-#[allow(clippy::too_many_arguments)]
-fn run_digest(
-    board: &BoardSpec,
-    mode: ExecMode,
-    coalesce: bool,
-    barrier_threads: usize,
-    unit_work: f64,
-    budget: u64,
-    duty: f64,
-    period_ms: u64,
-    freq_action_at: u64,
-    horizon_ns: u64,
-) -> RunDigest {
+fn engine(board: &BoardSpec, mode: ExecMode, coalesce: bool) -> Engine {
     let cfg = EngineConfig {
         sensor_noise: 0.02,
         exec: mode,
         coalesce_idle_sensor: coalesce,
         ..EngineConfig::default()
     };
-    let mut engine = Engine::new(board.clone(), cfg);
-    let mut barrier = AppSpec::data_parallel("barrier", barrier_threads, unit_work);
-    barrier.max_heartbeats = Some(budget);
-    engine.add_app(barrier).expect("valid spec");
-    let spinner = AppSpec {
+    Engine::new(board.clone(), cfg)
+}
+
+/// A duty-cycle spinner: sleeps most of every period, never finishes.
+fn spinner(duty: f64, period_ms: u64) -> AppSpec {
+    AppSpec {
         model: ParallelismModel::DutyCycle {
             duty,
             period_ns: period_ms * 1_000_000,
         },
         max_heartbeats: None,
         ..AppSpec::data_parallel("spinner", 1, 1.0)
-    };
-    engine.add_app(spinner).expect("valid spec");
-    // A deferred DVFS action lands mid-run (often inside an idle span)
-    // so the Action event source is exercised in both modes.
-    let little = ClusterId(0);
-    engine
-        .schedule_action(
-            freq_action_at,
-            Action::SetClusterFreq {
-                cluster: little,
-                freq: board.ladder(little).min(),
-            },
-        )
-        .expect("on-ladder frequency");
+    }
+}
+
+/// Drives `engine` in driver fashion (pump heartbeats, then run out the
+/// horizon) and digests everything the equivalence contract covers.
+fn digest(mut engine: Engine, apps: &[AppId], horizon_ns: u64) -> RunDigest {
     let mut beats = Vec::new();
     while let Some(hb) = engine.next_heartbeat(horizon_ns) {
         beats.push((hb.app.0, hb.index, hb.time_ns));
     }
     engine.run_until(horizon_ns);
+    let board = engine.board().clone();
     RunDigest {
         beats,
         now_ns: engine.now_ns(),
@@ -106,6 +94,220 @@ fn run_digest(
                 )
             })
             .collect(),
+        load_bits: apps
+            .iter()
+            .flat_map(|&app| {
+                let engine = &engine;
+                (0..engine.app_threads(app)).map(move |t| {
+                    engine
+                        .thread_load(app, t)
+                        .expect("registered thread")
+                        .to_bits()
+                })
+            })
+            .collect(),
+        core_busy_ns: (0..board.n_cores())
+            .map(|c| engine.core_busy_ns(CoreId(c)))
+            .collect(),
+        ticks_fast_forwarded: engine.ticks_fast_forwarded(),
+    }
+}
+
+/// Everything fingerprinted matches bitwise; with `samples` the stored
+/// sample stream (noise values included) matches too.
+fn assert_identical(
+    fixed: &RunDigest,
+    heap: &RunDigest,
+    samples: bool,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&fixed.beats, &heap.beats, "heartbeat timelines diverged");
+    prop_assert_eq!(fixed.now_ns, heap.now_ns);
+    prop_assert_eq!(
+        &fixed.joules_bits,
+        &heap.joules_bits,
+        "energy must be bit-equal"
+    );
+    prop_assert_eq!(fixed.elapsed_bits, heap.elapsed_bits);
+    prop_assert_eq!(&fixed.busy_bits, &heap.busy_bits);
+    prop_assert_eq!(
+        fixed.total_samples,
+        heap.total_samples,
+        "coalescing must count every scheduled sample instant"
+    );
+    prop_assert_eq!(&fixed.load_bits, &heap.load_bits, "GTS loads diverged");
+    prop_assert_eq!(&fixed.core_busy_ns, &heap.core_busy_ns);
+    prop_assert_eq!(
+        fixed.ticks_fast_forwarded,
+        0,
+        "the reference never fast-forwards"
+    );
+    if samples {
+        prop_assert_eq!(
+            &fixed.stored_samples,
+            &heap.stored_samples,
+            "with coalescing off the stored sample stream matches bitwise"
+        );
+    }
+    Ok(())
+}
+
+/// The mixed workload: a barrier app that drains to full idle, a
+/// low-duty spinner, and a deferred DVFS action that often lands inside
+/// an idle span.
+#[allow(clippy::too_many_arguments)]
+fn run_digest(
+    board: &BoardSpec,
+    mode: ExecMode,
+    coalesce: bool,
+    barrier_threads: usize,
+    unit_work: f64,
+    budget: u64,
+    duty: f64,
+    period_ms: u64,
+    freq_action_at: u64,
+    horizon_ns: u64,
+) -> RunDigest {
+    let mut engine = engine(board, mode, coalesce);
+    let mut barrier = AppSpec::data_parallel("barrier", barrier_threads, unit_work);
+    barrier.max_heartbeats = Some(budget);
+    let apps = [
+        engine.add_app(barrier).expect("valid spec"),
+        engine
+            .add_app(spinner(duty, period_ms))
+            .expect("valid spec"),
+    ];
+    let little = ClusterId(0);
+    engine
+        .schedule_action(
+            freq_action_at,
+            Action::SetClusterFreq {
+                cluster: little,
+                freq: board.ladder(little).min(),
+            },
+        )
+        .expect("on-ladder frequency");
+    digest(engine, &apps, horizon_ns)
+}
+
+/// How the pinned workload places its threads over time.
+struct PinPlan {
+    threads: usize,
+    unit_work: f64,
+    budget: u64,
+    /// Cores of a cluster the threads are packed onto, round-robin
+    /// (`span < threads` stacks several threads on one core).
+    span: usize,
+    /// Re-pin every thread onto the last cluster.
+    repin_at: u64,
+    /// Unpin every thread back to all cores (GTS migrates again).
+    unpin_at: u64,
+    /// Drop both end clusters to their ladder floor.
+    dvfs_at: u64,
+    /// Add a duty-cycle spinner pinned to the last core, so sleep
+    /// wake-ups cut the busy spans.
+    spinner: bool,
+    horizon_ns: u64,
+}
+
+/// Pins the app's threads round-robin onto the first `span` cores of
+/// `cluster` at `at_ns`, as one scheduled `SetThreadAffinity` batch.
+fn pin_batch(engine: &mut Engine, app: AppId, plan: &PinPlan, cluster: ClusterId, at_ns: u64) {
+    let cores: Vec<CoreId> = engine.board().cluster_cores(cluster).iter().collect();
+    let span = plan.span.min(cores.len());
+    for thread in 0..plan.threads {
+        let affinity = CpuSet::single(cores[thread % span]);
+        engine
+            .schedule_action(
+                at_ns,
+                Action::SetThreadAffinity {
+                    app,
+                    thread,
+                    affinity,
+                },
+            )
+            .expect("on-board mask");
+    }
+}
+
+/// The HARS-style workload: a data-parallel app whose threads scheduled
+/// affinity actions pin at t = 0, re-pin across clusters and finally
+/// unpin, with DVFS actions landing in between.
+fn run_pinned(board: &BoardSpec, mode: ExecMode, plan: &PinPlan) -> RunDigest {
+    let mut engine = engine(board, mode, false);
+    let mut spec = AppSpec::data_parallel("pinned", plan.threads, plan.unit_work);
+    spec.max_heartbeats = Some(plan.budget);
+    let app = engine.add_app(spec).expect("valid spec");
+    let mut apps = vec![app];
+    let first = ClusterId(0);
+    let last = ClusterId(board.n_clusters() - 1);
+    pin_batch(&mut engine, app, plan, first, 0);
+    pin_batch(&mut engine, app, plan, last, plan.repin_at);
+    for thread in 0..plan.threads {
+        let affinity = board.all_cores();
+        engine
+            .schedule_action(
+                plan.unpin_at,
+                Action::SetThreadAffinity {
+                    app,
+                    thread,
+                    affinity,
+                },
+            )
+            .expect("on-board mask");
+    }
+    for cluster in [first, last] {
+        let freq = board.ladder(cluster).min();
+        engine
+            .schedule_action(plan.dvfs_at, Action::SetClusterFreq { cluster, freq })
+            .expect("on-ladder frequency");
+    }
+    if plan.spinner {
+        let spin = engine.add_app(spinner(0.2, 30)).expect("valid spec");
+        let affinity = CpuSet::single(CoreId(board.n_cores() - 1));
+        engine
+            .schedule_action(
+                0,
+                Action::SetThreadAffinity {
+                    app: spin,
+                    thread: 0,
+                    affinity,
+                },
+            )
+            .expect("on-board mask");
+        apps.push(spin);
+    }
+    digest(engine, &apps, plan.horizon_ns)
+}
+
+/// A work item that ends a few ulps past a tick boundary finishes *at*
+/// that tick: its rounded completion lies 1 ns beyond the tick, yet
+/// after integrating to the tick its `work_left` is inside the
+/// completion epsilon. The reference completes it before running the
+/// tick, whose migration passes then see the new run queues; the busy
+/// fast-forward must stop there too. Round speeds (every cluster at
+/// the 1 GHz base frequency) and unit work a few ulps above a multiple
+/// of the per-tick work land on exactly that case.
+#[test]
+fn work_finishing_on_a_tick_completes_before_the_tick() {
+    let board = BoardSpec::odroid_xu3();
+    let mut unit_work = 60.0_f64;
+    for _ in 0..6 {
+        unit_work = unit_work.next_up();
+        let run = |mode| {
+            let mut engine = engine(&board, mode, false);
+            for cluster in board.cluster_ids() {
+                engine
+                    .set_cluster_freq(cluster, FreqKhz::from_mhz(1_000))
+                    .expect("1 GHz is on every XU3 ladder");
+            }
+            let mut spec = AppSpec::data_parallel("tick-edge", 5, unit_work);
+            spec.max_heartbeats = Some(60);
+            let app = engine.add_app(spec).expect("valid spec");
+            digest(engine, &[app], 20 * NS_PER_SEC)
+        };
+        let (fixed, heap) = (run(ExecMode::FixedStep), run(ExecMode::EventHeap));
+        assert_identical(&fixed, &heap, true).expect("modes agree at the tick edge");
+        assert!(heap.ticks_fast_forwarded > 0);
     }
 }
 
@@ -115,8 +317,9 @@ fn boards() -> Vec<BoardSpec> {
 
 proptest! {
     /// With coalescing off, the two modes are indistinguishable: same
-    /// heartbeats, same clock, same energy bits, same stored samples
-    /// (noise values included — the RNG streams stay aligned).
+    /// heartbeats, same clock, same energy bits, same loads, same
+    /// stored samples (noise values included — the RNG streams stay
+    /// aligned).
     #[test]
     fn heap_mode_matches_fixed_step_exactly(
         board_idx in 0usize..2,
@@ -135,18 +338,7 @@ proptest! {
             board, mode, false, barrier_threads, unit_work, budget,
             duty, period_ms, action_at, horizon_ns,
         );
-        let fixed = run(ExecMode::FixedStep);
-        let heap = run(ExecMode::EventHeap);
-        prop_assert_eq!(&fixed.beats, &heap.beats, "heartbeat timelines diverged");
-        prop_assert_eq!(fixed.now_ns, heap.now_ns);
-        prop_assert_eq!(&fixed.joules_bits, &heap.joules_bits, "energy must be bit-equal");
-        prop_assert_eq!(fixed.elapsed_bits, heap.elapsed_bits);
-        prop_assert_eq!(&fixed.busy_bits, &heap.busy_bits);
-        prop_assert_eq!(fixed.total_samples, heap.total_samples);
-        prop_assert_eq!(
-            &fixed.stored_samples, &heap.stored_samples,
-            "with coalescing off the stored sample stream matches bitwise"
-        );
+        assert_identical(&run(ExecMode::FixedStep), &run(ExecMode::EventHeap), true)?;
     }
 
     /// With coalescing on (the default), everything fingerprinted still
@@ -172,17 +364,51 @@ proptest! {
             board, ExecMode::EventHeap, true, barrier_threads, unit_work,
             budget, duty, period_ms, horizon_ns / 2, horizon_ns,
         );
-        prop_assert_eq!(&fixed.beats, &heap.beats);
-        prop_assert_eq!(fixed.now_ns, heap.now_ns);
-        prop_assert_eq!(&fixed.joules_bits, &heap.joules_bits);
-        prop_assert_eq!(&fixed.busy_bits, &heap.busy_bits);
-        prop_assert_eq!(
-            fixed.total_samples, heap.total_samples,
-            "coalescing must count every scheduled sample instant"
-        );
+        assert_identical(&fixed, &heap, false)?;
         prop_assert!(
             heap.stored_samples.len() as u64 <= heap.total_samples,
             "stored samples are a subset of scheduled instants"
+        );
+    }
+
+    /// Threads pinned through scheduled affinity actions — singleton
+    /// masks, several threads stacked on one core, a re-pin across
+    /// clusters, an unpin back to every core, DVFS steps and optional
+    /// sleep wake-ups — replay bit-identically through the busy tick
+    /// fast-forward, which must actually have run.
+    #[test]
+    fn pinned_spans_fast_forward_bit_identically(
+        board_idx in 0usize..2,
+        threads in 1usize..9,
+        span in 1usize..5,
+        unit_work in 200.0f64..1200.0,
+        budget in 5u64..60,
+        repin_frac in 0.15f64..0.45,
+        unpin_frac in 0.55f64..0.9,
+        dvfs_frac in 0.05f64..0.95,
+        spinner in proptest::bool::ANY,
+        horizon_secs in 2u64..5,
+    ) {
+        let board = &boards()[board_idx];
+        let horizon_ns = horizon_secs * NS_PER_SEC;
+        let at = |frac: f64| (frac * horizon_ns as f64) as u64;
+        let plan = PinPlan {
+            threads,
+            unit_work,
+            budget,
+            span,
+            repin_at: at(repin_frac),
+            unpin_at: at(unpin_frac),
+            dvfs_at: at(dvfs_frac),
+            spinner,
+            horizon_ns,
+        };
+        let fixed = run_pinned(board, ExecMode::FixedStep, &plan);
+        let heap = run_pinned(board, ExecMode::EventHeap, &plan);
+        assert_identical(&fixed, &heap, true)?;
+        prop_assert!(
+            heap.ticks_fast_forwarded > 0,
+            "the busy tick fast-forward never ran"
         );
     }
 }

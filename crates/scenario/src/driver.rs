@@ -1325,6 +1325,7 @@ impl Sim<'_> {
         // event-heap engine elided.
         out.sensor_samples = self.engine.sensor().total_samples();
         out.sensor_samples_coalesced = self.engine.sensor().coalesced_samples();
+        out.ticks_fast_forwarded = self.engine.ticks_fast_forwarded();
         out.sensor_samples_lost = self.engine.sensor().samples_lost();
         out.sensor_samples_stuck = self.engine.sensor().samples_stuck();
         out.faults_injected = self.faults_injected;

@@ -106,6 +106,11 @@ pub struct ScenarioOutcome {
     /// spans (counted, never materialized or charged a noise draw).
     #[serde(default)]
     pub sensor_samples_coalesced: u64,
+    /// GTS ticks the engine replayed inside busy fast-forward spans
+    /// (`Engine::ticks_fast_forwarded`; 0 under `ExecMode::FixedStep`).
+    /// Not fingerprinted (see [`Self::sensor_samples`]).
+    #[serde(default)]
+    pub ticks_fast_forwarded: u64,
     /// The manager's final config version (0 for GTS runs and runs
     /// with no accepted reconfigure). Reporting, like
     /// [`Self::sensor_samples`] — not part of [`Self::fingerprint`]:
@@ -291,6 +296,7 @@ impl ScenarioOutcome {
             manager_busy_ns,
             sensor_samples: 0,
             sensor_samples_coalesced: 0,
+            ticks_fast_forwarded: 0,
             config_version: 0,
             reconfig_accepted: 0,
             reconfig_rejected: 0,
