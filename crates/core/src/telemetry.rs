@@ -631,6 +631,250 @@ impl TelemetrySink for VecSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmp_sim::FreqKhz;
+
+    /// One example per kind (and per wire edge case) with its exact
+    /// bytes: the pin every encoder change must reproduce.
+    fn examples() -> Vec<(TelemetryEvent, &'static str)> {
+        let mhz = FreqKhz::from_mhz;
+        vec![
+            (
+                TelemetryEvent::Decision {
+                    t_ns: 12,
+                    app: 3,
+                    config_version: 4,
+                    stats: SearchStats {
+                        explored: 10,
+                        evaluated: 8,
+                        best_rank_changes: 2,
+                        wall_ns: 12_345,
+                        nodes: 99,
+                        truncated: true,
+                    },
+                },
+                r#"{"event":"decision","t_ns":12,"app":3,"config_version":4,"explored":10,"evaluated":8,"best_rank_changes":2,"wall_ns":12345,"nodes":99,"truncated":true}"#,
+            ),
+            (
+                TelemetryEvent::ConfigApplied {
+                    t_ns: 1,
+                    version: 7,
+                },
+                r#"{"event":"config_applied","t_ns":1,"version":7}"#,
+            ),
+            (
+                TelemetryEvent::ConfigRejected {
+                    t_ns: 2,
+                    reason: "nested-budget".into(),
+                },
+                r#"{"event":"config_rejected","t_ns":2,"reason":"nested-budget"}"#,
+            ),
+            (
+                TelemetryEvent::AdmissionVerdict {
+                    t_ns: 3,
+                    tenant: 1,
+                    verdict: "queue".into(),
+                },
+                r#"{"event":"admission","t_ns":3,"tenant":1,"verdict":"queue"}"#,
+            ),
+            (
+                TelemetryEvent::AdmissionSwapped {
+                    t_ns: 4,
+                    policy: "bounded-queue".into(),
+                },
+                r#"{"event":"admission_swapped","t_ns":4,"policy":"bounded-queue"}"#,
+            ),
+            (
+                TelemetryEvent::GuardChanged {
+                    t_ns: 5,
+                    target_guard: 0.125,
+                },
+                r#"{"event":"guard_changed","t_ns":5,"target_guard":0.125}"#,
+            ),
+            (
+                TelemetryEvent::SatisfactionFlip {
+                    t_ns: 6,
+                    tenant: 2,
+                    satisfied: false,
+                },
+                r#"{"event":"satisfaction","t_ns":6,"tenant":2,"satisfied":false}"#,
+            ),
+            (
+                // `{:?}` keeps the decimal point: "1.0", not "1".
+                TelemetryEvent::ClusterPower {
+                    t_ns: 7,
+                    cluster: 2,
+                    watts: 1.0,
+                },
+                r#"{"event":"cluster_power","t_ns":7,"cluster":2,"watts":1.0}"#,
+            ),
+            (
+                // Shortest round-trip digits, exponent form included.
+                TelemetryEvent::ClusterPower {
+                    t_ns: 7,
+                    cluster: 0,
+                    watts: 0.1 + 0.2,
+                },
+                r#"{"event":"cluster_power","t_ns":7,"cluster":0,"watts":0.30000000000000004}"#,
+            ),
+            (
+                TelemetryEvent::GuardChanged {
+                    t_ns: 5,
+                    target_guard: 1e-7,
+                },
+                r#"{"event":"guard_changed","t_ns":5,"target_guard":1e-7}"#,
+            ),
+            (
+                TelemetryEvent::InitialState {
+                    t_ns: 0,
+                    state: SystemState::big_little(4, 2, mhz(1_600), mhz(1_300)),
+                },
+                r#"{"event":"initial_state","t_ns":0,"state":"4B@1600 MHz + 2L@1300 MHz"}"#,
+            ),
+            (
+                TelemetryEvent::InitialState {
+                    t_ns: 9,
+                    state: SystemState::new(&[
+                        (4, mhz(600)),
+                        (2, mhz(800)),
+                        (1, mhz(2_600)),
+                        (0, FreqKhz::new(1_450_500)),
+                    ]),
+                },
+                r#"{"event":"initial_state","t_ns":9,"state":"4xcluster0@600 MHz + 2xcluster1@800 MHz + 1xcluster2@2600 MHz + 0xcluster3@1450500 kHz"}"#,
+            ),
+            (
+                TelemetryEvent::CacheHit {
+                    t_ns: 8,
+                    bench: "swaptions".into(),
+                    threads: 4,
+                },
+                r#"{"event":"cache_hit","t_ns":8,"bench":"swaptions","threads":4}"#,
+            ),
+            (
+                TelemetryEvent::CacheMiss {
+                    t_ns: 9,
+                    bench: "fluidanimate".into(),
+                    threads: 2,
+                },
+                r#"{"event":"cache_miss","t_ns":9,"bench":"fluidanimate","threads":2}"#,
+            ),
+            (
+                TelemetryEvent::Placement {
+                    t_ns: 10,
+                    tenant: 5,
+                    board: 2,
+                    score: 0.75,
+                },
+                r#"{"event":"placement","t_ns":10,"tenant":5,"board":2,"score":0.75}"#,
+            ),
+            (
+                // A fleet rejection: no board, infinite score as `null`.
+                TelemetryEvent::Placement {
+                    t_ns: 11,
+                    tenant: 6,
+                    board: u64::MAX,
+                    score: f64::INFINITY,
+                },
+                r#"{"event":"placement","t_ns":11,"tenant":6,"board":18446744073709551615,"score":null}"#,
+            ),
+            (
+                TelemetryEvent::TenantAdmitted {
+                    t_ns: 11,
+                    tenant: 5,
+                    bench: "ferret".into(),
+                    threads: 4,
+                    target_min: 6.5,
+                    queue_wait_ns: 250,
+                },
+                r#"{"event":"tenant_admitted","t_ns":11,"tenant":5,"bench":"ferret","threads":4,"target_min":6.5,"queue_wait_ns":250}"#,
+            ),
+            (
+                TelemetryEvent::TenantDeparted {
+                    t_ns: 12,
+                    tenant: 5,
+                    heartbeats: 60,
+                },
+                r#"{"event":"tenant_departed","t_ns":12,"tenant":5,"heartbeats":60}"#,
+            ),
+            (
+                TelemetryEvent::HeartbeatRate {
+                    t_ns: 13,
+                    tenant: 5,
+                    rate_hz: 7.25,
+                    satisfied: true,
+                },
+                r#"{"event":"heartbeat_rate","t_ns":13,"tenant":5,"rate_hz":7.25,"satisfied":true}"#,
+            ),
+            (
+                // Board-scoped and permanent: cluster -1, until u64::MAX.
+                TelemetryEvent::FaultInjected {
+                    t_ns: 14,
+                    fault: "board_fail".into(),
+                    cluster: -1,
+                    until_ns: u64::MAX,
+                },
+                r#"{"event":"fault_injected","t_ns":14,"fault":"board_fail","cluster":-1,"until_ns":18446744073709551615}"#,
+            ),
+            (
+                TelemetryEvent::ClusterQuarantined {
+                    t_ns: 15,
+                    cluster: 1,
+                    mode: "offline".into(),
+                    until_ns: 9_000_000_000,
+                },
+                r#"{"event":"cluster_quarantined","t_ns":15,"cluster":1,"mode":"offline","until_ns":9000000000}"#,
+            ),
+            (
+                TelemetryEvent::ClusterRestored {
+                    t_ns: 16,
+                    cluster: 1,
+                },
+                r#"{"event":"cluster_restored","t_ns":16,"cluster":1}"#,
+            ),
+            (
+                TelemetryEvent::BoardFailed {
+                    t_ns: 17,
+                    tenants_in_flight: 4,
+                },
+                r#"{"event":"board_failed","t_ns":17,"tenants_in_flight":4}"#,
+            ),
+            (
+                TelemetryEvent::DegradedCalibration {
+                    t_ns: 18,
+                    tenant: 6,
+                    bench: "facesim".into(),
+                    age_ns: 250_000_000,
+                },
+                r#"{"event":"degraded_calibration","t_ns":18,"tenant":6,"bench":"facesim","age_ns":250000000}"#,
+            ),
+            (
+                TelemetryEvent::TenantFailedOver {
+                    t_ns: 19,
+                    tenant: 6,
+                    from_board: 1,
+                    to_board: 3,
+                    attempt: 2,
+                },
+                r#"{"event":"tenant_failed_over","t_ns":19,"tenant":6,"from_board":1,"to_board":3,"attempt":2}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_kind_encodes_to_its_pinned_bytes() {
+        let examples = examples();
+        for (ev, json) in &examples {
+            assert_eq!(ev.to_json(), *json);
+        }
+        // A new event kind cannot ship without a pinned example.
+        for row in schema_text().lines().skip(1) {
+            let kind = row.split(':').next().expect("kind: fields");
+            assert!(
+                examples.iter().any(|(ev, _)| ev.kind() == kind),
+                "no pinned example for {kind}"
+            );
+        }
+    }
 
     #[test]
     fn kinds_match_schema() {
