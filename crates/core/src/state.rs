@@ -162,6 +162,41 @@ impl std::fmt::Display for SystemState {
     }
 }
 
+/// The inverse of `Display`: `"{C_B}B@{f_B} + {C_L}L@{f_L}"` for two
+/// clusters, `"{cores}xcluster{i}@{freq}"` terms in cluster order
+/// otherwise, with frequencies as `"{n} MHz"` or `"{n} kHz"`.
+impl std::str::FromStr for SystemState {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let invalid = || format!("invalid system state {s:?}");
+        let terms: Vec<&str> = s.split(" + ").collect();
+        if terms.len() > MAX_CLUSTERS {
+            return Err(invalid());
+        }
+        let mut per = Vec::with_capacity(terms.len());
+        for (i, term) in terms.iter().enumerate() {
+            let (head, freq) = term.split_once('@').ok_or_else(invalid)?;
+            let cores = match terms.len() {
+                2 => head.strip_suffix(["B", "L"][i]),
+                _ => head.strip_suffix(format!("xcluster{i}").as_str()),
+            };
+            let cores: u16 = cores.and_then(|c| c.parse().ok()).ok_or_else(invalid)?;
+            let khz = if let Some(mhz) = freq.strip_suffix(" MHz") {
+                mhz.parse::<u32>().ok().and_then(|m| m.checked_mul(1_000))
+            } else {
+                freq.strip_suffix(" kHz").and_then(|k| k.parse().ok())
+            };
+            per.push((cores as usize, FreqKhz::new(khz.ok_or_else(invalid)?)));
+        }
+        if per.len() == 2 {
+            // The paper's notation lists big (cluster 1) first.
+            per.swap(0, 1);
+        }
+        Ok(Self::new(&per))
+    }
+}
+
 /// A state in index coordinates: per cluster, the core count (already an
 /// index) and the ladder-level index — the `2N`-dimensional space
 /// Algorithm 2's sweep walks.
@@ -540,6 +575,36 @@ mod tests {
             (1, FreqKhz::from_mhz(2_600)),
         ]);
         assert!(tri.to_string().contains("cluster2"));
+    }
+
+    #[test]
+    fn display_round_trips_through_from_str() {
+        let xu3 = space();
+        let tri = StateSpace::from_board(&BoardSpec::dynamiq_1p_3m_4l());
+        let odd = [
+            SystemState::new(&[(3, FreqKhz::new(1_450_500))]),
+            SystemState::new(&[
+                (4, FreqKhz::from_mhz(600)),
+                (0, FreqKhz::from_mhz(800)),
+                (1, FreqKhz::new(999)),
+                (2, FreqKhz::from_mhz(2_600)),
+            ]),
+        ];
+        let states = xu3.iter_all().step_by(7).chain(tri.iter_all().step_by(97));
+        for state in states.chain(odd) {
+            assert_eq!(state.to_string().parse::<SystemState>(), Ok(state));
+        }
+        for bad in [
+            "",
+            "2B@1000 MHz",
+            "2L@1000 MHz + 2B@1000 MHz",
+            "1xcluster1@600 MHz",
+            "1xcluster0@600 GHz",
+            "70000xcluster0@600 MHz",
+            "1xcluster0@5000000 MHz",
+        ] {
+            assert!(bad.parse::<SystemState>().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! safe to ship: adding workers (or racing shards on the shared
 //! calibration cache) must never change a single bit of the outcome.
 
+use std::collections::BTreeSet;
+
 use proptest::prop_assert_eq;
 use proptest::proptest;
 
+use hars_core::telemetry::parse_capture;
 use hars_core::NullSink;
 use hars_fleet::{
     run_fleet, run_fleet_with_metrics, FleetAccum, FleetBoard, FleetCacheMode, FleetFaultSpec,
     FleetOutcome, FleetRuntimeKind, FleetSpec, Placement, PlacementPolicy,
 };
+use hars_obs::{summarize, MetricsConfig, MetricsSink};
 use hars_scenario::{
-    run_scenario, AdmissionSwap, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioRuntime,
-    ScenarioSpec, TemplateSet,
+    run_scenario, AdmissionSwap, AlwaysAdmit, AppTemplate, ArrivalProcess, JsonlSink,
+    ScenarioRuntime, ScenarioSpec, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::BoardSpec;
@@ -215,29 +219,35 @@ proptest! {
     }
 }
 
+/// Board deaths for the 3-board `tiny_fleet(17, ..)`: a fault seed that
+/// kills at least one board but not all of them — deterministic (the
+/// scan order is fixed), and cheap (plan derivation only; no
+/// simulation).
+fn dead_board_faults() -> FleetFaultSpec {
+    let horizon_ns = tiny_fleet(17, 3, PlacementPolicy::LeastLoaded).horizon_ns;
+    let with_seed = |fs| {
+        let mut f = FleetFaultSpec::new(fs);
+        f.board_fail_prob = 0.5;
+        f
+    };
+    (0..500u64)
+        .map(with_seed)
+        .find(|f| {
+            let dead = (0..3)
+                .filter(|&b| !f.plan_for(b, 2, horizon_ns).is_empty())
+                .count();
+            (1..3).contains(&dead)
+        })
+        .expect("some seed under p=0.5 kills 1-2 of 3 boards")
+}
+
 /// With a board guaranteed dead mid-run, the supervisor re-places its
 /// tenants on the survivors: failovers happen, the landings show up in
 /// survivor schedules, and service recovers relative to supervision
 /// switched off — all under the same fault schedule.
 #[test]
 fn failover_recovers_tenants_of_a_dead_board() {
-    // Hunt a fault seed that kills at least one board but not all of
-    // them — deterministic (the scan order is fixed), and cheap (plan
-    // derivation only; no simulation).
-    let spec0 = tiny_fleet(17, 3, PlacementPolicy::LeastLoaded);
-    let fault_seed = (0..500u64)
-        .find(|&fs| {
-            let mut f = FleetFaultSpec::new(fs);
-            f.board_fail_prob = 0.5;
-            let dead = (0..3)
-                .filter(|&b| !f.plan_for(b, 2, spec0.horizon_ns).is_empty())
-                .count();
-            (1..3).contains(&dead)
-        })
-        .expect("some seed under p=0.5 kills 1-2 of 3 boards");
-    let mut faults = FleetFaultSpec::new(fault_seed);
-    faults.board_fail_prob = 0.5;
-
+    let mut faults = dead_board_faults();
     let mut with = tiny_fleet(17, 3, PlacementPolicy::LeastLoaded);
     with.faults = Some(faults);
     let supervised = run_fleet(&with, 4, &mut NullSink).expect("fleet runs");
@@ -263,6 +273,29 @@ fn failover_recovers_tenants_of_a_dead_board() {
         abandoned.service_level
     );
     assert!(supervised.failed_shards.is_empty(), "no worker panicked");
+}
+
+/// The caller-side stream of a chaos fleet (placements and failovers)
+/// replays byte for byte: every line re-encodes to itself and the
+/// replayed summary equals the live fold.
+#[test]
+fn chaos_fleet_stream_replays_byte_for_byte() {
+    let mut spec = tiny_fleet(17, 3, PlacementPolicy::LeastLoaded);
+    spec.faults = Some(dead_board_faults());
+    let mut sink = MetricsSink::wrap(JsonlSink::new(Vec::new()));
+    run_fleet(&spec, 2, &mut sink).expect("fleet runs");
+    let (live, capture) = sink.finish();
+    let text = String::from_utf8(capture.into_inner()).expect("utf8 capture");
+    let events = parse_capture(&text).expect("capture parses against the schema");
+
+    let kinds: BTreeSet<&str> = events.iter().map(|ev| ev.kind()).collect();
+    assert!(kinds.contains("placement"), "{kinds:?}");
+    assert!(kinds.contains("tenant_failed_over"), "{kinds:?}");
+    for (line, ev) in text.lines().zip(&events) {
+        assert_eq!(ev.to_json(), line);
+    }
+    assert_eq!(events.len(), text.lines().count());
+    assert_eq!(live, summarize(MetricsConfig::default(), &events));
 }
 
 /// Absorbing the same shard outcomes in any order yields the identical

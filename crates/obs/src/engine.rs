@@ -476,16 +476,6 @@ impl MetricsEngine {
         self.rollup.events
     }
 
-    /// Counts an event of `kind` without further folding — the path
-    /// for replayed lines whose payload the parser does not
-    /// reconstruct (e.g. `initial_state`). Live observation of the
-    /// same event takes the identical path, so live and replayed
-    /// summaries agree.
-    pub fn observe_kind(&mut self, kind: &str) {
-        self.rollup.events += 1;
-        *self.rollup.by_kind.entry(kind.to_string()).or_insert(0) += 1;
-    }
-
     fn tenant(&mut self, tenant: u64, t_ns: u64) -> &mut TenantTimeline {
         self.tenants
             .entry(tenant)
@@ -509,16 +499,21 @@ impl MetricsEngine {
         ) {
             return;
         }
-        self.observe_kind(ev.kind());
+        self.rollup.events += 1;
+        *self
+            .rollup
+            .by_kind
+            .entry(ev.kind().to_string())
+            .or_insert(0) += 1;
         match ev {
             TelemetryEvent::AdmissionVerdict {
                 t_ns,
                 tenant,
                 verdict,
             } => {
-                let (t_ns, tenant, verdict) = (*t_ns, *tenant, *verdict);
+                let (t_ns, tenant) = (*t_ns, *tenant);
                 self.tenant(tenant, t_ns);
-                match verdict {
+                match verdict.as_ref() {
                     "queue" => {
                         let t = self.tenant(tenant, t_ns);
                         if !t.queued {
@@ -641,7 +636,7 @@ impl MetricsEngine {
             TelemetryEvent::TenantFailedOver { .. } => {
                 self.rollup.tenants_failed_over += 1;
             }
-            // Counter-only kinds: already counted by observe_kind.
+            // Counter-only kinds: already counted above.
             // (CacheHit/CacheMiss returned early above.)
             TelemetryEvent::ConfigApplied { .. }
             | TelemetryEvent::ConfigRejected { .. }
@@ -696,12 +691,12 @@ mod tests {
         engine.observe(&TelemetryEvent::AdmissionVerdict {
             t_ns: t0,
             tenant,
-            verdict: "admit",
+            verdict: "admit".into(),
         });
         engine.observe(&TelemetryEvent::TenantAdmitted {
             t_ns: t0,
             tenant,
-            bench: "swaptions",
+            bench: "swaptions".into(),
             threads: 4,
             target_min: 5.0,
             queue_wait_ns: 0,
@@ -750,13 +745,13 @@ mod tests {
             e.observe(&TelemetryEvent::AdmissionVerdict {
                 t_ns: tenant * 10,
                 tenant,
-                verdict: "queue",
+                verdict: "queue".into(),
             });
         }
         e.observe(&TelemetryEvent::AdmissionVerdict {
             t_ns: 40,
             tenant: 0,
-            verdict: "admit",
+            verdict: "admit".into(),
         });
         let summary = e.finish();
         assert_eq!(summary.rollup.queue_depth_max, 3);

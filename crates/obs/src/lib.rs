@@ -19,10 +19,12 @@
 //!
 //! The mergeable core ([`MetricsRollup`]) is all-integer, so fleet
 //! reduction over shards is commutative and associative bit for bit
-//! (`tests/merge_laws.rs` proptests the laws). The replay half
-//! ([`parse`]) parses captured `telemetry.jsonl` strictly against the
-//! pinned schema and feeds the same engine — a replayed summary is
-//! byte-identical to the live one, which CI asserts.
+//! (`tests/merge_laws.rs` proptests the laws). Replay needs no parser
+//! of its own: [`hars_core::telemetry::parse_capture`] reads a captured
+//! `telemetry.jsonl` strictly against the pinned schema, with the same
+//! event table that encoded it, and [`summarize`] feeds the events to
+//! the same engine — a replayed summary is byte-identical to the live
+//! one, which CI asserts.
 //!
 //! Mirrors the PAPI-style runtime-monitoring surface of Fanni et al.
 //! and the reflective sensing loop of MARS (Mück et al.): metrics as
@@ -33,7 +35,6 @@
 
 mod engine;
 pub mod hist;
-pub mod parse;
 mod sink;
 
 pub use engine::{
@@ -41,39 +42,27 @@ pub use engine::{
     TenantTimeline,
 };
 pub use hist::Log2Histogram;
-pub use parse::{parse_capture, parse_line, Interner, ParseError, ParsedLine};
 pub use sink::MetricsSink;
 
+use hars_core::telemetry::{parse_capture, ParseError};
 use hars_core::TelemetryEvent;
 
-/// Replays parsed capture lines through a fresh engine — the exact
-/// fold a live [`MetricsSink`] performs, so the returned summary is
-/// byte-identical to the live run's.
-pub fn replay(cfg: MetricsConfig, lines: &[ParsedLine]) -> MetricsSummary {
-    let mut engine = MetricsEngine::new(cfg);
-    for line in lines {
-        match line {
-            ParsedLine::Event(ev) => engine.observe(ev),
-            ParsedLine::KindOnly(kind) => engine.observe_kind(kind),
-        }
-    }
-    engine.finish()
-}
-
-/// Convenience: parse a capture's text and replay it at the default
-/// config.
-pub fn replay_capture(text: &str) -> Result<MetricsSummary, ParseError> {
-    Ok(replay(MetricsConfig::default(), &parse_capture(text)?))
-}
-
-/// Folds an in-memory event slice (e.g. a
-/// [`VecSink`](hars_core::VecSink) capture) into a summary.
+/// Folds an event stream (a [`VecSink`](hars_core::VecSink) capture or
+/// a parsed `telemetry.jsonl`) into a summary: the exact fold a live
+/// [`MetricsSink`] performs, so a replayed summary is byte-identical to
+/// the live run's.
 pub fn summarize(cfg: MetricsConfig, events: &[TelemetryEvent]) -> MetricsSummary {
     let mut engine = MetricsEngine::new(cfg);
     for ev in events {
         engine.observe(ev);
     }
     engine.finish()
+}
+
+/// Convenience: parse a capture's text and summarize it at the default
+/// config.
+pub fn replay_capture(text: &str) -> Result<MetricsSummary, ParseError> {
+    Ok(summarize(MetricsConfig::default(), &parse_capture(text)?))
 }
 
 #[cfg(test)]
@@ -87,12 +76,12 @@ mod tests {
             TelemetryEvent::AdmissionVerdict {
                 t_ns: 0,
                 tenant: 0,
-                verdict: "admit",
+                verdict: "admit".into(),
             },
             TelemetryEvent::TenantAdmitted {
                 t_ns: 0,
                 tenant: 0,
-                bench: "swaptions",
+                bench: "swaptions".into(),
                 threads: 4,
                 target_min: 5.5,
                 queue_wait_ns: 0,

@@ -42,13 +42,13 @@ fn tenant_events(seed: u64, tenants: u64) -> Vec<TelemetryEvent> {
             evs.push(TelemetryEvent::AdmissionVerdict {
                 t_ns: t0,
                 tenant,
-                verdict: "queue",
+                verdict: "queue".into(),
             });
         }
         evs.push(TelemetryEvent::AdmissionVerdict {
             t_ns: t0 + 500,
             tenant,
-            verdict: "admit",
+            verdict: "admit".into(),
         });
         evs.push(TelemetryEvent::TenantAdmitted {
             t_ns: t0 + 500,
@@ -57,7 +57,8 @@ fn tenant_events(seed: u64, tenants: u64) -> Vec<TelemetryEvent> {
                 "swaptions"
             } else {
                 "blackscholes"
-            },
+            }
+            .into(),
             threads: 1 + tenant % 4,
             target_min: 4.0 + (tenant % 5) as f64,
             queue_wait_ns: if queued { 500 } else { 0 },

@@ -878,7 +878,7 @@ impl Sim<'_> {
                         self.config_rejected += 1;
                         self.sink.emit(&TelemetryEvent::ConfigRejected {
                             t_ns,
-                            reason: reason.code(),
+                            reason: reason.code().into(),
                         });
                     }
                 }
@@ -889,7 +889,7 @@ impl Sim<'_> {
                     self.config_accepted += 1;
                     self.sink.emit(&TelemetryEvent::AdmissionSwapped {
                         t_ns,
-                        policy: swap.policy_name(),
+                        policy: swap.policy_name().into(),
                     });
                     // A looser policy may admit tenants already waiting.
                     self.drain_queue()?;
@@ -897,7 +897,7 @@ impl Sim<'_> {
                     self.config_rejected += 1;
                     self.sink.emit(&TelemetryEvent::ConfigRejected {
                         t_ns,
-                        reason: "invalid-value",
+                        reason: "invalid-value".into(),
                     });
                 }
             }
@@ -913,7 +913,7 @@ impl Sim<'_> {
                     self.config_rejected += 1;
                     self.sink.emit(&TelemetryEvent::ConfigRejected {
                         t_ns,
-                        reason: "invalid-value",
+                        reason: "invalid-value".into(),
                     });
                 }
             }
@@ -933,7 +933,7 @@ impl Sim<'_> {
             let until_ns = n.kind.until_ns().unwrap_or(u64::MAX);
             self.sink.emit(&TelemetryEvent::FaultInjected {
                 t_ns: n.t_ns,
-                fault: n.kind.name(),
+                fault: n.kind.name().into(),
                 cluster,
                 until_ns,
             });
@@ -999,7 +999,7 @@ impl Sim<'_> {
         self.sink.emit(&TelemetryEvent::ClusterQuarantined {
             t_ns,
             cluster: cluster.index(),
-            mode: mode.name(),
+            mode: mode.name().into(),
             until_ns,
         });
     }
@@ -1085,7 +1085,7 @@ impl Sim<'_> {
         self.sink.emit(&TelemetryEvent::AdmissionVerdict {
             t_ns,
             tenant: ti as u64,
-            verdict,
+            verdict: verdict.into(),
         });
         match decision {
             AdmissionDecision::Admit => self.admit(ti)?,
@@ -1109,7 +1109,7 @@ impl Sim<'_> {
                     self.sink.emit(&TelemetryEvent::AdmissionVerdict {
                         t_ns: self.engine.now_ns(),
                         tenant: head as u64,
-                        verdict: "admit",
+                        verdict: "admit".into(),
                     });
                     self.admit(head)?;
                 }
@@ -1143,7 +1143,7 @@ impl Sim<'_> {
         self.sink.emit(&TelemetryEvent::TenantAdmitted {
             t_ns: now,
             tenant: ti as u64,
-            bench: bench.name(),
+            bench: bench.name().into(),
             threads: threads as u64,
             target_min: target.min(),
             queue_wait_ns: now - self.tenants[ti].arrival_ns,
@@ -1171,7 +1171,7 @@ impl Sim<'_> {
                     self.sink.emit(&TelemetryEvent::DegradedCalibration {
                         t_ns,
                         tenant: ti as u64,
-                        bench: bench.name(),
+                        bench: bench.name().into(),
                         age_ns,
                     });
                     return rate;
@@ -1182,7 +1182,7 @@ impl Sim<'_> {
             self.cache_hits += 1;
             self.sink.emit(&TelemetryEvent::CacheHit {
                 t_ns,
-                bench: bench.name(),
+                bench: bench.name().into(),
                 threads: threads as u64,
             });
             self.last_good_solo.insert((bench, threads), (r, t_ns));
@@ -1191,7 +1191,7 @@ impl Sim<'_> {
         self.cache_misses += 1;
         self.sink.emit(&TelemetryEvent::CacheMiss {
             t_ns,
-            bench: bench.name(),
+            bench: bench.name().into(),
             threads: threads as u64,
         });
         // Calibration always runs in the canonical reference

@@ -172,7 +172,7 @@ mod tests {
         });
         sink.emit(&TelemetryEvent::ConfigRejected {
             t_ns: 2,
-            reason: "zero-budget",
+            reason: "zero-budget".into(),
         });
         assert_eq!(sink.events_written(), 2);
         assert_eq!(sink.events_dropped(), 0);

@@ -2,14 +2,17 @@
 //! perturb the run, and a replay of the captured JSONL reproduces the
 //! live summary byte for byte.
 
+use std::collections::BTreeSet;
+
+use hars_core::telemetry::parse_capture;
 use hars_core::NullSink;
-use hars_obs::replay_capture;
+use hars_obs::{replay_capture, summarize, MetricsConfig};
 use hars_scenario::{
     run_scenario, run_scenario_with_metrics, AlwaysAdmit, AppTemplate, ArrivalProcess,
     BoundedQueue, JsonlSink, ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
-use hmp_sim::{BoardSpec, EngineConfig};
+use hmp_sim::{BoardSpec, ClusterId, EngineConfig, FaultKind, FaultPlan, TimedFault};
 use workloads::Benchmark;
 
 fn bursty_spec(seed: u64) -> ScenarioSpec {
@@ -97,4 +100,84 @@ fn replayed_capture_matches_live_summary_byte_for_byte() {
     assert_eq!(live, replayed);
     assert_eq!(live.render(), replayed.render());
     assert_eq!(live.fingerprint(), replayed.fingerprint());
+}
+
+/// The fault plane's stream end to end: a thermal cap that expires, a
+/// cluster taken offline, a sensor dropout across an admission and a
+/// board death. Every line re-encodes to itself, and the replayed
+/// summary equals the live one.
+#[test]
+fn fault_stream_replays_byte_for_byte() {
+    let board = BoardSpec::odroid_xu3();
+    let mut tenant = AppTemplate::new(Benchmark::Swaptions);
+    tenant.heartbeats = 20;
+    let mut spec = ScenarioSpec::new(
+        ArrivalProcess::Poisson { rate_per_sec: 0.5 },
+        TemplateSet::uniform(vec![tenant]),
+        20 * NS_PER_SEC,
+        5,
+    );
+    spec.solo_budget = 20;
+    // The dropout opens after the first admission calibrated, and
+    // covers the second admission: it resolves from the stale rate.
+    let arrivals: Vec<u64> = spec.tenant_schedule().iter().map(|&(t, _)| t).collect();
+    let (first, second) = (arrivals[0], arrivals[1]);
+    assert!(first < second && second < 12 * NS_PER_SEC, "{arrivals:?}");
+    let fault = |at_ns, kind| TimedFault { at_ns, kind };
+    let spec = spec.with_faults(FaultPlan::new(vec![
+        fault(
+            NS_PER_SEC / 2,
+            FaultKind::ClusterCap {
+                cluster: ClusterId::BIG,
+                until_ns: 3 * NS_PER_SEC,
+            },
+        ),
+        fault(
+            (first + second) / 2,
+            FaultKind::SensorDropout {
+                until_ns: second + NS_PER_SEC,
+            },
+        ),
+        fault(
+            12 * NS_PER_SEC,
+            FaultKind::ClusterOffline {
+                cluster: ClusterId::LITTLE,
+                until_ns: u64::MAX,
+            },
+        ),
+        fault(15 * NS_PER_SEC, FaultKind::BoardFail),
+    ]));
+
+    let mut capture = JsonlSink::new(Vec::new());
+    let out = run_scenario_with_metrics(
+        &board,
+        &EngineConfig::default(),
+        &spec,
+        &mut AlwaysAdmit,
+        ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
+        &mut SoloRateCache::new(),
+        &mut capture,
+    )
+    .expect("runs");
+    let live = out.metrics.expect("filled");
+    let text = String::from_utf8(capture.into_inner()).expect("utf8 capture");
+    let events = parse_capture(&text).expect("capture parses against the schema");
+
+    let kinds: BTreeSet<&str> = events.iter().map(|ev| ev.kind()).collect();
+    for kind in [
+        "fault_injected",
+        "cluster_quarantined",
+        "cluster_restored",
+        "degraded_calibration",
+        "board_failed",
+    ] {
+        assert!(kinds.contains(kind), "no {kind} in {kinds:?}");
+    }
+    for (line, ev) in text.lines().zip(&events) {
+        assert_eq!(ev.to_json(), line);
+    }
+    assert_eq!(events.len(), text.lines().count());
+    let replayed = summarize(MetricsConfig::default(), &events);
+    assert_eq!(live.render(), replayed.render());
+    assert_eq!(live, replayed);
 }

@@ -24,7 +24,7 @@
 //! ```
 
 use hars::hars_core::policy::SearchPolicy;
-use hars::hars_core::telemetry::schema_text;
+use hars::hars_core::telemetry::{parse_capture, schema_text};
 use hars::hars_scenario::ScenarioOutcome;
 use hars::prelude::*;
 use hmp_sim::clock::NS_PER_SEC;
@@ -153,28 +153,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.fingerprint()
     );
 
-    // --- contract 3: the stream is valid JSONL over the published
-    // schema (every line an object whose "event" kind is in the
-    // schema table).
-    let text = String::from_utf8(stream.clone())?;
-    let schema = schema_text();
-    for line in text.lines() {
-        assert!(
-            line.starts_with("{\"event\":\"") && line.ends_with('}'),
-            "{line}"
-        );
-        let kind = line["{\"event\":\"".len()..]
-            .split('"')
-            .next()
-            .expect("kind present");
-        assert!(
-            schema.contains(&format!("\n{kind}: ")) || schema.starts_with(&format!("{kind}: ")),
-            "unknown event kind {kind}"
-        );
-    }
-    let versioned = text
-        .lines()
-        .filter(|l| l.contains("\"event\":\"decision\"") && l.contains("\"config_version\":2"))
+    // --- contract 3: the stream parses strictly against the published
+    // schema, and post-retune decisions carry the final config version.
+    let events = parse_capture(std::str::from_utf8(&stream)?)?;
+    let versioned = events
+        .iter()
+        .filter(|ev| {
+            matches!(
+                ev,
+                TelemetryEvent::Decision {
+                    config_version: 2,
+                    ..
+                }
+            )
+        })
         .count();
     assert!(
         versioned > 0,
@@ -182,7 +174,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     std::fs::write("telemetry.jsonl", &stream)?;
-    std::fs::write("telemetry_schema.txt", &schema)?;
+    std::fs::write("telemetry_schema.txt", schema_text())?;
     println!("wrote telemetry.jsonl and telemetry_schema.txt");
     println!("\nPASS ops surface: hot reload + streaming telemetry, no restart required");
     Ok(())
