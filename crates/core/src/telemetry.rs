@@ -891,16 +891,27 @@ mod tests {
     }
 
     #[test]
-    fn kinds_match_schema() {
+    fn every_reconstructable_event_round_trips() {
         // Every example encodes to its pinned bytes and parses back to
-        // itself.
+        // itself, alone and as one capture.
         let examples = examples();
         for (ev, json) in &examples {
             assert_eq!(ev.to_json(), *json);
             assert_eq!(TelemetryEvent::from_json(json).as_ref(), Ok(ev), "{json}");
         }
+        let capture: String = examples
+            .iter()
+            .map(|(_, json)| format!("{json}\n"))
+            .collect();
+        let events: Vec<TelemetryEvent> = examples.into_iter().map(|(ev, _)| ev).collect();
+        assert_eq!(parse_capture(&capture), Ok(events));
+    }
+
+    #[test]
+    fn kinds_match_schema() {
         // A new event kind cannot ship without a pinned example, and
         // each example's wire keys are its schema row, in order.
+        let examples = examples();
         for row in schema_text().lines().skip(1) {
             let (kind, fields) = row.split_once(": ").expect("kind: fields");
             let Some((ev, json)) = examples.iter().find(|(ev, _)| ev.kind() == kind) else {
