@@ -14,7 +14,8 @@
 //! Self-asserted contracts:
 //!
 //! 1. **bit-identity** — the supervised chaos run produces the
-//!    identical fleet fingerprint on 1, 2 and 8 workers;
+//!    identical fleet fingerprint, service level and cache hit and
+//!    miss counts on 1, 2 and 8 workers;
 //! 2. **off-by-default** — a zero-probability fault model is
 //!    bit-identical to no fault model at all;
 //! 3. **failover win** — under the same fault schedule, failover's
@@ -265,6 +266,12 @@ fn main() {
             r.workers
         );
         assert_eq!(r.out.service_level, runs[2].out.service_level);
+        assert_eq!(
+            (r.out.solo_cache_hits, r.out.solo_cache_misses),
+            (runs[2].out.solo_cache_hits, runs[2].out.solo_cache_misses),
+            "supervised chaos run's cache counts diverged at {} workers",
+            r.workers
+        );
     }
     println!("\nbit-identity: supervised runs share fingerprint {fp:#018x} at 1/2/8 workers");
 

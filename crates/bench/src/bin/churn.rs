@@ -33,9 +33,11 @@
 //! ```
 
 use hars_core::policy::SearchPolicy;
+use hars_core::NullSink;
 use hars_scenario::{
-    run_scenario_cached, AdmissionPolicy, AlwaysAdmit, AppTemplate, ArrivalProcess, BoundedQueue,
-    CapacityGate, ScenarioOutcome, ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
+    run_shard, AdmissionPolicy, AlwaysAdmit, AppTemplate, ArrivalProcess, BoundedQueue,
+    CapacityGate, ScenarioOutcome, ScenarioRuntime, ScenarioSpec, SharedSoloRateCache,
+    SoloCacheHandle, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, EngineConfig};
@@ -197,7 +199,7 @@ fn run_one(
     spec: &ScenarioSpec,
     runtime: ScenarioRuntime,
     admission: &mut dyn AdmissionPolicy,
-    solo_cache: &mut SoloRateCache,
+    solo_cache: &SharedSoloRateCache,
 ) -> ScenarioOutcome {
     // A 10-heartbeat rate window (the tri-cluster bench's setting):
     // the default 20 blends pre- and post-adaptation rates for so long
@@ -209,8 +211,17 @@ fn run_one(
     // One cross-scenario calibration cache for the whole bench: the
     // solo rate of a (board, benchmark, threads) triple is scenario-
     // independent, and this bin runs dozens of scenarios per board.
-    run_scenario_cached(board, &engine_cfg, spec, admission, runtime, solo_cache)
-        .expect("scenario runs")
+    run_shard(
+        board,
+        &engine_cfg,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
+        admission,
+        runtime,
+        SoloCacheHandle::Shared(solo_cache),
+        &mut NullSink,
+    )
+    .expect("scenario runs")
 }
 
 fn print_row(label: &str, out: &ScenarioOutcome) {
@@ -235,7 +246,7 @@ fn main() {
     // Shared across every scenario, runtime and board (keys carry the
     // board/engine-config fingerprint): each (benchmark, threads) solo
     // calibration runs once per board for the whole bench.
-    let mut solo_cache = SoloRateCache::new();
+    let solo_cache = SharedSoloRateCache::new();
 
     for board in &boards {
         let per_core_scale = board.n_cores() as f64 / 8.0;
@@ -257,7 +268,7 @@ fn main() {
                 let is_gts = matches!(runtime, ScenarioRuntime::Gts);
                 let is_mp = !is_gts;
                 let rt_label = runtime.label().to_string();
-                let out = run_one(board, &def.spec, runtime, &mut AlwaysAdmit, &mut solo_cache);
+                let out = run_one(board, &def.spec, runtime, &mut AlwaysAdmit, &solo_cache);
                 print_row(&label, &out);
                 assert_eq!(
                     out.admitted, out.arrivals,
@@ -312,7 +323,7 @@ fn main() {
             &heavy.spec,
             ScenarioRuntime::mp_hars(board, mp_hars_e()),
             policy.as_mut(),
-            &mut solo_cache,
+            &solo_cache,
         );
         println!(
             "{:<16} {:>4} {:>6} {:>4} {:>6} {:>7.1} s {:>6.1}%",
@@ -344,7 +355,7 @@ fn main() {
         &heavy.spec,
         ScenarioRuntime::mp_hars(board, mp_hars_e()),
         &mut AlwaysAdmit,
-        &mut solo_cache,
+        &solo_cache,
     )
     .fingerprint();
     assert_eq!(a, b, "same seed must reproduce the outcome bit for bit");

@@ -42,9 +42,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use hars_core::NullSink;
 use hars_scenario::{
-    run_scenario_cached, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioOutcome,
-    ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
+    run_shard, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioOutcome, ScenarioRuntime,
+    ScenarioSpec, SharedSoloRateCache, SoloCacheHandle, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, EngineConfig, ExecMode};
@@ -116,7 +117,7 @@ fn run_once(
     board: &BoardSpec,
     case: &Case,
     mode: ExecMode,
-    cache: &mut SoloRateCache,
+    cache: &SharedSoloRateCache,
 ) -> (ScenarioOutcome, f64) {
     let cfg = EngineConfig {
         exec: mode,
@@ -135,8 +136,17 @@ fn run_once(
         ScenarioRuntime::Gts
     };
     let t0 = Instant::now();
-    let out = run_scenario_cached(board, &cfg, &spec, &mut AlwaysAdmit, runtime, cache)
-        .expect("scenario runs");
+    let out = run_shard(
+        board,
+        &cfg,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
+        &mut AlwaysAdmit,
+        runtime,
+        SoloCacheHandle::Shared(cache),
+        &mut NullSink,
+    )
+    .expect("scenario runs");
     (out, t0.elapsed().as_secs_f64())
 }
 
@@ -152,14 +162,14 @@ struct Measured {
 /// `[fixed-step, event-heap]`.
 fn measure(board: &BoardSpec, case: &Case, reps: usize) -> [Measured; 2] {
     let modes = [ExecMode::FixedStep, ExecMode::EventHeap];
-    let mut caches = [SoloRateCache::new(), SoloRateCache::new()];
+    let caches = [SharedSoloRateCache::new(), SharedSoloRateCache::new()];
     let mut measured = [0, 1].map(|i| Measured {
-        outcome: run_once(board, case, modes[i], &mut caches[i]).0,
+        outcome: run_once(board, case, modes[i], &caches[i]).0,
         wall_secs: f64::INFINITY,
     });
     for _ in 0..reps {
         for (i, m) in measured.iter_mut().enumerate() {
-            let (again, secs) = run_once(board, case, modes[i], &mut caches[i]);
+            let (again, secs) = run_once(board, case, modes[i], &caches[i]);
             assert_eq!(
                 again.fingerprint(),
                 m.outcome.fingerprint(),

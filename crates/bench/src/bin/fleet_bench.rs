@@ -16,7 +16,9 @@
 //! Self-asserted contracts:
 //!
 //! 1. **bit-identity** — every run (1, 2 or 8 workers; shared or
-//!    private caches) produces the identical fleet fingerprint;
+//!    private caches) produces the identical fleet fingerprint, and
+//!    the shared-cache runs report identical cache hit and miss counts
+//!    (the cache is single-flight: misses equal unique keys);
 //! 2. **cache effectiveness** — the shared cache serves ≥ 90% of solo
 //!    lookups from cache (full fleet; the quick fleet asserts ≥ 75%);
 //! 3. **wall-clock win** — 8 workers + shared cache beat the naive
@@ -262,9 +264,21 @@ fn main() {
             r.label, r.workers
         );
     }
+    let shared = &runs[1];
+    for r in &runs[2..] {
+        assert_eq!(
+            (r.out.solo_cache_hits, r.out.solo_cache_misses),
+            (shared.out.solo_cache_hits, shared.out.solo_cache_misses),
+            "shared-cache hit/miss counts diverged at {} workers",
+            r.workers
+        );
+    }
     println!(
-        "\nbit-identity: all {} runs share fingerprint {fp:#018x}",
-        runs.len()
+        "\nbit-identity: all {} runs share fingerprint {fp:#018x}; shared-cache runs \
+         share {} hits / {} misses",
+        runs.len(),
+        shared.out.solo_cache_hits,
+        shared.out.solo_cache_misses
     );
 
     // Contract 2: the shared cache serves the fleet from few unique

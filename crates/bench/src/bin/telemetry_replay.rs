@@ -29,8 +29,8 @@ use std::process::ExitCode;
 
 use hars_obs::replay_capture;
 use hars_scenario::{
-    run_scenario_with_metrics, AppTemplate, ArrivalProcess, BoundedQueue, JsonlSink,
-    ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
+    run_shard_with_metrics, AppTemplate, ArrivalProcess, BoundedQueue, JsonlSink, ScenarioRuntime,
+    ScenarioSpec, SharedSoloRateCache, SoloCacheHandle, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, EngineConfig};
@@ -69,13 +69,14 @@ fn run_live(seed: u64, capture_path: &str) -> Result<String, String> {
     let file =
         fs::File::create(capture_path).map_err(|e| format!("cannot create {capture_path}: {e}"))?;
     let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-    let out = run_scenario_with_metrics(
+    let out = run_shard_with_metrics(
         &board,
         &EngineConfig::default(),
-        &spec,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
         &mut BoundedQueue::new(0.85, 6),
         ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
         &mut sink,
     )
     .map_err(|e| format!("scenario failed: {e:?}"))?;

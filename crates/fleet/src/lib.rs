@@ -15,14 +15,15 @@
 //!   policy (rejected everywhere ⇒ fleet-rejected), and emits one
 //!   [`hars_core::TelemetryEvent::Placement`] per arrival;
 //! * [`FleetCacheMode::Shared`] — all shards calibrate through one
-//!   [`hars_scenario::SharedSoloRateCache`]: each unique
+//!   single-flight [`hars_scenario::SharedSoloRateCache`]: each unique
 //!   `(board fingerprint, benchmark, threads, target budget)` solo
 //!   calibration runs once *fleet-wide* instead of once per board,
 //!   which is where the fleet-scale wall-clock win comes from;
 //! * [`FleetAccum`] — order-independent reduction: workers absorb
 //!   shard outcomes in completion order, the fleet fingerprint is a
-//!   commutative (wrapping-sum) fold, and [`FleetOutcome`] comes out
-//!   bit-identical for 1, 2 or 8 workers.
+//!   commutative (wrapping-sum) fold, and [`FleetOutcome`] — cache hit
+//!   and miss counts included — comes out bit-identical for 1, 2 or 8
+//!   workers.
 //!
 //! ## Quickstart
 //!
@@ -48,7 +49,7 @@
 //! );
 //! let one = run_fleet(&spec, 1, &mut NullSink)?;
 //! let eight = run_fleet(&spec, 8, &mut NullSink)?;
-//! assert_eq!(one.fingerprint, eight.fingerprint);
+//! assert_eq!(one, eight);
 //! # Ok::<(), hmp_sim::SimError>(())
 //! ```
 

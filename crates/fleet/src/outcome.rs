@@ -88,10 +88,14 @@ pub struct FleetOutcome {
     pub makespan_secs: f64,
     /// Runtime-manager adaptations across all shards.
     pub adaptations: u64,
-    /// Solo calibrations served from cache across all shards
-    /// (reporting only — timing-dependent under a shared cache).
+    /// Solo-rate lookups served from cache across every shard run,
+    /// runs a supervisor re-run superseded included. Not fingerprinted,
+    /// but worker-count invariant — the cache is single-flight — as
+    /// long as no shard worker panics (a panicked shard reports no
+    /// lookups).
     pub solo_cache_hits: u64,
-    /// Solo calibrations computed across all shards (reporting only).
+    /// Solo calibrations computed across every shard run, superseded
+    /// runs included — under the shared cache, one per unique key.
     pub solo_cache_misses: u64,
     /// Per-shard rows, ascending shard id.
     pub shards: Vec<ShardSummary>,

@@ -13,7 +13,9 @@
 //! [`FleetOutcome`], fingerprint included. The only cross-shard
 //! coupling is the shared solo-rate calibration cache, which is
 //! value-transparent by construction (a hit returns exactly what the
-//! miss path would compute).
+//! miss path would compute) and single-flight (each unique key is
+//! calibrated once), so its hit and miss totals are worker-count
+//! invariant too.
 //!
 //! ## Shard supervision and failover
 //!
@@ -50,7 +52,7 @@ use parking_lot::Mutex;
 use hars_core::{NullSink, TelemetryEvent, TelemetrySink};
 use hars_scenario::{
     run_shard, run_shard_with_metrics, ScenarioOutcome, ShardConfig, SharedSoloRateCache,
-    SoloCacheHandle, SoloRateCache, TenantSpec,
+    SoloCacheHandle, TenantSpec,
 };
 use hmp_sim::{EngineConfig, FaultPlan, SimError};
 
@@ -190,6 +192,10 @@ fn run_fleet_inner(
     let mut handled_dead = vec![false; n];
     let mut tenants_failed_over = 0u64;
     let mut failover_lost = 0u64;
+    // Cache lookups of shard runs a re-run supersedes: every run's
+    // lookups count, or which shard calibrated a shared key would leak
+    // into the totals.
+    let (mut superseded_hits, mut superseded_misses) = (0u64, 0u64);
     if let Some(fx) = failover {
         loop {
             let newly: Vec<usize> = (0..n)
@@ -302,7 +308,8 @@ fn run_fleet_inner(
             }
             // Keep destination schedules sorted by arrival (stable, so
             // same-instant entries keep original-then-victim order),
-            // with the global-id map in lockstep.
+            // with the global-id map in lockstep, and bank the cache
+            // lookups of the runs the re-run supersedes.
             for &dest in &rerun {
                 let mut zipped: Vec<((u64, TenantSpec), usize)> = shard_scheds[dest]
                     .drain(..)
@@ -310,6 +317,10 @@ fn run_fleet_inner(
                     .collect();
                 zipped.sort_by_key(|((at, _), _)| *at);
                 (shard_scheds[dest], shard_globals[dest]) = zipped.into_iter().unzip();
+                if let Some(ShardRun::Done(o)) = &results[dest] {
+                    superseded_hits += o.solo_cache_hits;
+                    superseded_misses += o.solo_cache_misses;
+                }
             }
             run_round(
                 spec,
@@ -356,6 +367,8 @@ fn run_fleet_inner(
     out.failed_shards = failed_shards;
     out.tenants_failed_over = tenants_failed_over;
     out.failover_lost = failover_lost;
+    out.solo_cache_hits += superseded_hits;
+    out.solo_cache_misses += superseded_misses;
     Ok(out)
 }
 
@@ -452,14 +465,14 @@ fn run_one_shard(
     };
     let mut admission = fb.build_admission();
     let runtime = fb.runtime.build(&fb.board);
-    let mut local_cache;
-    let cache = match spec.cache {
-        FleetCacheMode::Shared => SoloCacheHandle::Shared(shared_cache),
+    let private_cache;
+    let cache = SoloCacheHandle::Shared(match spec.cache {
+        FleetCacheMode::Shared => shared_cache,
         FleetCacheMode::PerShard => {
-            local_cache = SoloRateCache::new();
-            SoloCacheHandle::Local(&mut local_cache)
+            private_cache = SharedSoloRateCache::new();
+            &private_cache
         }
-    };
+    });
     if with_metrics {
         run_shard_with_metrics(
             &fb.board,

@@ -122,9 +122,10 @@ pub enum FleetCacheMode {
     /// the fleet layer's wall-clock win.
     #[default]
     Shared,
-    /// Every shard calibrates into its own private cache (the naive
-    /// pre-fleet serving baseline). Output-identical to [`Self::Shared`],
-    /// strictly slower; kept for ablation and the equivalence proptest.
+    /// Every shard run calibrates into a fresh private cache (the
+    /// naive pre-fleet serving baseline). Output-identical to
+    /// [`Self::Shared`], strictly slower; kept for ablation and the
+    /// equivalence proptest.
     PerShard,
 }
 

@@ -3,7 +3,8 @@
 //!
 //! These are the properties that make fleet-scale parallel serving
 //! safe to ship: adding workers (or racing shards on the shared
-//! calibration cache) must never change a single bit of the outcome.
+//! calibration cache) must never change a single bit of the outcome,
+//! cache hit and miss counts included.
 
 use std::collections::BTreeSet;
 
@@ -73,8 +74,8 @@ fn placements() -> [PlacementPolicy; 3] {
     ]
 }
 
-/// Cache hit/miss counters are the only timing-dependent fields; zero
-/// them so whole-struct equality checks the deterministic remainder.
+/// Shared and private caches differ only in their hit/miss split; zero
+/// it so whole-struct equality checks everything else.
 fn sans_cache_counts(mut out: FleetOutcome) -> FleetOutcome {
     out.solo_cache_hits = 0;
     out.solo_cache_misses = 0;
@@ -83,13 +84,8 @@ fn sans_cache_counts(mut out: FleetOutcome) -> FleetOutcome {
 
 proptest! {
     /// One worker and many workers produce byte-identical fleet
-    /// outcomes — fingerprint and all — regardless of placement
-    /// policy. (With a shared cache, even the hit/miss *totals* are
-    /// worker-count-invariant here: lookups are sequential within a
-    /// shard and every value is deterministic; only the per-shard
-    /// split of a racing cold key can vary, and these fleets are too
-    /// small to race — so the counters are compared zeroed anyway to
-    /// keep the contract honest.)
+    /// outcomes — fingerprint and cache counts included — regardless
+    /// of placement policy.
     #[test]
     fn worker_count_never_changes_the_outcome(
         seed in 0u64..1_000,
@@ -100,13 +96,8 @@ proptest! {
         let one = run_fleet(&spec, 1, &mut NullSink).expect("fleet runs");
         let two = run_fleet(&spec, 2, &mut NullSink).expect("fleet runs");
         let eight = run_fleet(&spec, 8, &mut NullSink).expect("fleet runs");
-        prop_assert_eq!(one.fingerprint, two.fingerprint);
-        prop_assert_eq!(one.fingerprint, eight.fingerprint);
-        prop_assert_eq!(
-            sans_cache_counts(one.clone()),
-            sans_cache_counts(two)
-        );
-        prop_assert_eq!(sans_cache_counts(one), sans_cache_counts(eight));
+        prop_assert_eq!(&one, &two);
+        prop_assert_eq!(one, eight);
     }
 
     /// The fleet-wide shared calibration cache is value-transparent:
@@ -183,7 +174,8 @@ proptest! {
     /// The supervised fault plane rides the same determinism contract
     /// as fault-free serving: the same fleet spec and fault seed
     /// produce bit-identical outcomes — failover landings, service
-    /// level and all — for 1, 2 and 8 workers.
+    /// level, cache counts of superseded shard runs and all — for 1, 2
+    /// and 8 workers.
     #[test]
     fn faulty_fleets_are_bit_identical_across_worker_counts(
         seed in 0u64..200,
@@ -196,10 +188,8 @@ proptest! {
         let one = run_fleet(&spec, 1, &mut NullSink).expect("fleet runs");
         let two = run_fleet(&spec, 2, &mut NullSink).expect("fleet runs");
         let eight = run_fleet(&spec, 8, &mut NullSink).expect("fleet runs");
-        prop_assert_eq!(one.fingerprint, two.fingerprint);
-        prop_assert_eq!(one.fingerprint, eight.fingerprint);
-        prop_assert_eq!(sans_cache_counts(one.clone()), sans_cache_counts(two));
-        prop_assert_eq!(sans_cache_counts(one), sans_cache_counts(eight));
+        prop_assert_eq!(&one, &two);
+        prop_assert_eq!(one, eight);
     }
 
     /// An installed-but-silent fault model (every probability zero) is
@@ -214,8 +204,49 @@ proptest! {
         let plain = run_fleet(&spec, 2, &mut NullSink).expect("fleet runs");
         spec.faults = Some(FleetFaultSpec::new(1234));
         let silent = run_fleet(&spec, 2, &mut NullSink).expect("fleet runs");
-        prop_assert_eq!(plain.fingerprint, silent.fingerprint);
-        prop_assert_eq!(sans_cache_counts(plain), sans_cache_counts(silent));
+        prop_assert_eq!(plain, silent);
+    }
+}
+
+/// A fleet big enough for eight workers to race on cold cache keys:
+/// 24 boards round-robin over the three presets, serving four tenant
+/// templates.
+fn racing_fleet() -> FleetSpec {
+    let mut spec = tiny_fleet(3, 24, PlacementPolicy::RoundRobin);
+    let template = |bench, threads, target_frac| AppTemplate {
+        threads,
+        heartbeats: 12,
+        target_frac,
+        ..AppTemplate::new(bench)
+    };
+    spec.templates = TemplateSet::uniform(vec![
+        template(Benchmark::Swaptions, 2, 0.5),
+        template(Benchmark::Blackscholes, 4, 0.3),
+        template(Benchmark::Bodytrack, 4, 0.3),
+        template(Benchmark::Fluidanimate, 8, 0.3),
+    ]);
+    spec.arrivals = ArrivalProcess::Poisson { rate_per_sec: 4.0 };
+    spec
+}
+
+/// Shards racing on the single-flight cache leave every count where
+/// one worker puts it: misses equal unique keys, and under board
+/// deaths the lookups of superseded shard runs still count.
+#[test]
+fn racing_shards_agree_on_cache_counts_at_any_worker_count() {
+    let mut faulty = racing_fleet();
+    let mut faults = FleetFaultSpec::new(11);
+    faults.board_fail_prob = 0.3;
+    faulty.faults = Some(faults);
+    for spec in [racing_fleet(), faulty] {
+        let one = run_fleet(&spec, 1, &mut NullSink).expect("fleet runs");
+        let eight = run_fleet(&spec, 8, &mut NullSink).expect("fleet runs");
+        assert_eq!(one, eight);
+        assert_eq!(
+            one.tenants_failed_over > 0,
+            spec.faults.is_some(),
+            "board deaths must trigger supervisor re-runs"
+        );
     }
 }
 

@@ -183,9 +183,10 @@ impl ClusterPowerSeries {
 pub struct MetricsRollup {
     /// The SLO threshold the class rollups were computed at (percent).
     pub slo_pct: u8,
-    /// Events folded. Excludes `cache_hit`/`cache_miss`: their
-    /// per-shard split is scheduling-dependent when shards race the
-    /// shared calibration cache (see [`MetricsEngine::observe`]).
+    /// Events folded. Excludes `cache_hit`/`cache_miss`: which shard
+    /// records a shared key's miss depends on thread timing, and a
+    /// merged fleet rollup keeps only the final run of each shard (see
+    /// [`MetricsEngine::observe`]).
     pub events: u64,
     /// Events per kind (schema discriminator → count; cache-accounting
     /// kinds excluded, as above).
@@ -485,13 +486,16 @@ impl MetricsEngine {
     /// Folds one event.
     ///
     /// Calibration-cache accounting (`cache_hit` / `cache_miss`) is
-    /// excluded from the fold entirely: when shards race a cold key on
-    /// the fleet's shared cache, *which* shard records the miss depends
-    /// on thread scheduling (the cached values themselves are
-    /// canonicalized and bit-equal either way). Folding those events
-    /// would make the rollup worker-count-dependent; the hit/miss
-    /// totals live in `ScenarioOutcome`/`FleetOutcome` counters
-    /// instead, explicitly outside every determinism contract.
+    /// excluded from the fold entirely. The fleet's shared cache is
+    /// single-flight, so it computes each key once at any worker count,
+    /// but *which* shard records that miss still depends on thread
+    /// timing (the cached values are bit-equal either way). Merged
+    /// fleet rollups drop the runs a supervisor re-run superseded, so a
+    /// miss recorded by a superseded run would vanish from the rollup
+    /// at one worker count and not at another. The hit/miss totals
+    /// live in the `ScenarioOutcome` and `FleetOutcome` counters
+    /// instead; the fleet totals include superseded runs and are
+    /// worker-count invariant.
     pub fn observe(&mut self, ev: &TelemetryEvent) {
         if matches!(
             ev,

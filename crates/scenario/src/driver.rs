@@ -12,10 +12,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, Engine, EngineConfig, FaultKind, FaultPlan, SimError};
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -109,6 +110,20 @@ impl ScenarioSpec {
         self
     }
 
+    /// Everything but the arrival process, templates and seed: the
+    /// config that drives this spec through [`run_shard`] together with
+    /// [`Self::tenant_schedule`], for callers that bring their own cache
+    /// or sink.
+    pub fn shard_config(&self) -> ShardConfig {
+        ShardConfig {
+            horizon_ns: self.horizon_ns,
+            solo_budget: self.solo_budget,
+            target_guard: self.target_guard,
+            events: self.events.clone(),
+            faults: self.faults.clone(),
+        }
+    }
+
     /// Materializes the scenario's full tenant schedule: ascending
     /// `(arrival_ns, tenant)` pairs, bit-reproducible for a given spec.
     pub fn tenant_schedule(&self) -> Vec<(u64, TenantSpec)> {
@@ -152,13 +167,15 @@ pub enum ScenarioRuntime {
 
 impl ScenarioRuntime {
     /// MP-HARS with board-nominal estimators and the synthetic monotone
-    /// power model from [`synthetic_power_estimator`] — the zero-setup
-    /// configuration the churn bench uses.
+    /// power model ([`PowerEstimator::synthetic_for_board`]: a linear
+    /// model scaled by each cluster's nominal ratio, good enough to
+    /// rank candidate states without a per-board calibration run) —
+    /// the zero-setup configuration the churn bench uses.
     pub fn mp_hars(board: &BoardSpec, cfg: MpHarsConfig) -> Self {
         ScenarioRuntime::MpHars {
             cfg,
             perf: PerfEstimator::from_board(board),
-            power: synthetic_power_estimator(board),
+            power: PowerEstimator::synthetic_for_board(board),
         }
     }
 
@@ -184,80 +201,99 @@ impl ScenarioRuntime {
     }
 }
 
-/// A monotone linear power model scaled by each cluster's nominal
-/// ratio — good enough to rank candidate states without a per-board
-/// calibration run ([`PowerEstimator::synthetic_for_board`]).
-pub fn synthetic_power_estimator(board: &BoardSpec) -> PowerEstimator {
-    PowerEstimator::synthetic_for_board(board)
-}
-
 /// A solo-rate calibration cache key:
 /// `(environment fingerprint, benchmark, threads, solo budget)`.
 type SoloKey = (u64, Benchmark, usize, u64);
 
-/// A cross-scenario solo-rate calibration cache.
+/// The solo-rate calibration cache, shareable by any number of
+/// scenario runs — one after another (a bench sweeping many scenarios
+/// over one board) or at once (fleet shards on a worker pool).
 ///
 /// Resolving a tenant's target requires its benchmark's *solo* rate —
-/// an isolated simulation at the maximum state — and the driver used
-/// to run one per `(benchmark, threads)` pair *per scenario*. The solo
-/// rate is a pure function of the calibration environment (board +
-/// engine config), the benchmark, its thread count and the heartbeat
-/// budget, so a bench sweeping many scenarios over the same board
-/// (`churn`: 3 arrival patterns × 4 runtimes × 2 boards, plus the
-/// admission table and a determinism re-run) can share one cache and
-/// pay for each calibration exactly once. Keys are
-/// `(environment fingerprint, benchmark, threads, solo budget)` where
-/// the environment fingerprint is an FNV-1a hash of the board's and
-/// the *canonicalized* engine config's full debug representations —
-/// any board or config difference changes the key, so sharing a cache
-/// across boards is safe. (Canonicalized: the engine noise seed is
-/// normalized away, because calibration always runs in the canonical
-/// reference environment — see [`calibration_config`].) Outcomes are
-/// bit-identical with or without a shared cache (the cached value *is*
-/// the value the isolated run would produce).
+/// an isolated simulation at the maximum state. The solo rate is a
+/// pure function of the calibration environment (board + engine
+/// config), the benchmark, its thread count and the heartbeat budget,
+/// so runs sharing one cache pay for each calibration exactly once.
+/// Keys are `(environment fingerprint, benchmark, threads, solo
+/// budget)` where the environment fingerprint is an FNV-1a hash of the
+/// board's and the *canonicalized* engine config's full debug
+/// representations — any board or config difference changes the key,
+/// so sharing a cache across boards is safe. (Canonicalized: the
+/// engine noise seed is normalized away, because calibration always
+/// runs in the canonical reference environment with the default
+/// seed.) Outcomes are bit-identical with or without a shared cache:
+/// the cached value *is* the value the isolated run would produce.
 ///
-/// For sharing one cache across *concurrent* scenario shards — the
-/// fleet layer's regime — see [`SharedSoloRateCache`].
+/// Lookups are single-flight. The first lookup of a key runs the
+/// calibration without holding the map lock, and concurrent lookups of
+/// that key wait for it and count as hits, so [`Self::misses`] equals
+/// the number of unique keys whatever the thread count or timing. A
+/// calibration that panics leaves its key empty, and the next lookup —
+/// a waiter or a later caller — calibrates it afresh.
 #[derive(Debug, Default)]
-pub struct SoloRateCache {
-    map: HashMap<SoloKey, f64>,
-    hits: u64,
-    misses: u64,
+pub struct SharedSoloRateCache {
+    /// One cell per key, created by the key's first lookup and filled
+    /// by its calibration.
+    cells: Mutex<HashMap<SoloKey, Arc<OnceLock<f64>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-impl SoloRateCache {
+impl SharedSoloRateCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Calibration runs already cached.
+    /// Calibration results currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.cells
+            .lock()
+            .values()
+            .filter(|c| c.get().is_some())
+            .count()
     }
 
     /// `true` when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
-    /// Lookups served from the cache so far.
+    /// Lookups served from the cache so far, waits on a running
+    /// calibration included.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that paid for a calibration run so far.
+    /// Lookups that ran a calibration so far.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// The FNV-1a fingerprint of one calibration environment.
-    fn environment_fingerprint(board: &BoardSpec, engine_cfg: &EngineConfig) -> u64 {
-        let mut h = crate::outcome::Fnv1a::new();
-        h.write_bytes(format!("{board:?}").as_bytes());
-        h.write_bytes(format!("{:?}", calibration_config(engine_cfg)).as_bytes());
-        h.finish()
+    /// `key`'s rate and whether the cache served it: a stored rate, the
+    /// rate a concurrent lookup is calibrating (after waiting for it),
+    /// or else `calibrate()`'s result, stored for every later lookup.
+    fn get_or_calibrate(&self, key: SoloKey, calibrate: impl FnOnce() -> f64) -> (f64, bool) {
+        let cell = Arc::clone(self.cells.lock().entry(key).or_default());
+        let mut hit = true;
+        let rate = *cell.get_or_init(|| {
+            hit = false;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            calibrate()
+        });
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        (rate, hit)
     }
+}
+
+/// The FNV-1a fingerprint of one calibration environment.
+fn environment_fingerprint(board: &BoardSpec, engine_cfg: &EngineConfig) -> u64 {
+    let mut h = crate::outcome::Fnv1a::new();
+    h.write_bytes(format!("{board:?}").as_bytes());
+    h.write_bytes(format!("{:?}", calibration_config(engine_cfg)).as_bytes());
+    h.finish()
 }
 
 /// The canonical calibration environment for `engine_cfg`: the same
@@ -279,119 +315,49 @@ fn calibration_config(engine_cfg: &EngineConfig) -> EngineConfig {
     }
 }
 
-/// A `Sync`-shareable [`SoloRateCache`]: one calibration per unique
-/// `(environment, benchmark, threads, budget)` key *fleet-wide*, read
-/// concurrently by every scenario shard on the worker pool.
-///
-/// The map sits behind a `parking_lot::RwLock` — lookups vastly
-/// outnumber inserts, so shards share read access on the hot path and
-/// only a miss takes the write lock (briefly: the calibration run
-/// itself happens *outside* the lock, so a slow calibration never
-/// blocks other shards' lookups). Two shards racing on the same cold
-/// key may both pay for the calibration; both compute the identical
-/// value (the calibration is deterministic), so last-write-wins is
-/// correct and outcomes stay bit-identical regardless of interleaving.
-/// The hit/miss counters are therefore *reporting, not fingerprinted*:
-/// with concurrent shards the split between them depends on timing
-/// (like `ScenarioOutcome::sensor_samples`, they never feed back into
-/// any decision).
-#[derive(Debug, Default)]
-pub struct SharedSoloRateCache {
-    map: RwLock<HashMap<SoloKey, f64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// One solo calibration: `bench` alone on `board` at the maximum state
+/// (GTS, performance governor) for `budget` heartbeats, in the
+/// canonical reference environment (default engine seed) so shards
+/// with different noise seeds resolve — and can share — the same
+/// value. The workload seed is fixed: the solo reference is per
+/// benchmark, not per tenant.
+fn calibrate(
+    board: &BoardSpec,
+    engine_cfg: &EngineConfig,
+    bench: Benchmark,
+    threads: usize,
+    budget: u64,
+) -> f64 {
+    let mut engine = Engine::new(board.clone(), calibration_config(engine_cfg));
+    let app = engine
+        .add_app(bench.spec_with_budget(threads, 0xCAFE, budget))
+        .expect("preset spec validates");
+    engine.run_while_active(u64::MAX);
+    engine
+        .monitor(app)
+        .ok()
+        .and_then(|m| m.global_rate())
+        .map(|r| r.heartbeats_per_sec())
+        .unwrap_or(1.0)
 }
 
-impl SharedSoloRateCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Calibration results currently cached.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the cache so far (reporting only — see the
-    /// type docs).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that paid for a calibration run so far (reporting only).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Hits over total lookups, in `[0, 1]` (1.0 for an unused cache).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
-        if h + m == 0 {
-            1.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-}
-
-/// The solo-rate cache a scenario run reads and fills: a caller's
-/// exclusive [`SoloRateCache`] borrow (the single-board entry points),
-/// or a shared reference to a fleet-wide [`SharedSoloRateCache`]
-/// (concurrent shards on a worker pool). Lookup results are identical
-/// either way — the shared cache only changes *who pays* for each
-/// calibration, never its value.
+/// The solo-rate cache a scenario run reads and fills. A one-variant
+/// wrapper around a [`SharedSoloRateCache`] borrow, kept so that
+/// existing [`run_shard`] callers compile unchanged.
 #[derive(Debug)]
 pub enum SoloCacheHandle<'a> {
-    /// Exclusive access to a caller-owned cache.
-    Local(&'a mut SoloRateCache),
-    /// Shared read-mostly access to a fleet-wide concurrent cache.
+    /// A cache any number of runs may share, concurrently or not.
     Shared(&'a SharedSoloRateCache),
 }
 
-impl SoloCacheHandle<'_> {
-    /// Looks `key` up, counting the hit/miss.
-    fn get(&mut self, key: &SoloKey) -> Option<f64> {
-        match self {
-            SoloCacheHandle::Local(c) => {
-                let v = c.map.get(key).copied();
-                match v {
-                    Some(_) => c.hits += 1,
-                    None => c.misses += 1,
-                }
-                v
-            }
-            SoloCacheHandle::Shared(c) => {
-                let v = c.map.read().get(key).copied();
-                match v {
-                    Some(_) => c.hits.fetch_add(1, Ordering::Relaxed),
-                    None => c.misses.fetch_add(1, Ordering::Relaxed),
-                };
-                v
-            }
-        }
-    }
-
-    /// Inserts a freshly calibrated value.
-    fn insert(&mut self, key: SoloKey, value: f64) {
-        match self {
-            SoloCacheHandle::Local(c) => {
-                c.map.insert(key, value);
-            }
-            SoloCacheHandle::Shared(c) => {
-                c.map.write().insert(key, value);
-            }
-        }
-    }
-}
-
-/// Runs one open-system scenario to completion (or the horizon) and
-/// returns the aggregated outcome.
+/// Runs one open-system scenario to completion (or the horizon) with a
+/// fresh calibration cache and no telemetry, and returns the
+/// aggregated outcome.
+///
+/// To share a cache across scenarios, stream telemetry or fold
+/// metrics, call [`run_shard`] or [`run_shard_with_metrics`] with
+/// [`ScenarioSpec::tenant_schedule`] and [`ScenarioSpec::shard_config`]:
+/// the outcome is the same.
 ///
 /// # Errors
 ///
@@ -404,83 +370,15 @@ pub fn run_scenario(
     admission: &mut dyn AdmissionPolicy,
     runtime: ScenarioRuntime,
 ) -> Result<ScenarioOutcome, SimError> {
-    run_scenario_cached(
-        board,
-        engine_cfg,
-        spec,
-        admission,
-        runtime,
-        &mut SoloRateCache::new(),
-    )
-}
-
-/// [`run_scenario`] with a caller-owned [`SoloRateCache`], so a bench
-/// sweeping many scenarios over the same board pays for each
-/// `(benchmark, threads)` solo calibration once instead of once per
-/// scenario. Outcome-identical to the uncached entry point.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
-pub fn run_scenario_cached(
-    board: &BoardSpec,
-    engine_cfg: &EngineConfig,
-    spec: &ScenarioSpec,
-    admission: &mut dyn AdmissionPolicy,
-    runtime: ScenarioRuntime,
-    solo_cache: &mut SoloRateCache,
-) -> Result<ScenarioOutcome, SimError> {
-    run_scenario_with_sink(
-        board,
-        engine_cfg,
-        spec,
-        admission,
-        runtime,
-        solo_cache,
-        &mut NullSink,
-    )
-}
-
-/// [`run_scenario_cached`] streaming [`TelemetryEvent`]s into a
-/// caller-owned sink as the scenario unfolds: admission verdicts,
-/// per-decision search cost stamped with the manager's config version,
-/// per-tenant satisfaction transitions, config accept/reject
-/// diagnostics and per-cluster power at reconfigure instants and at
-/// the end. The sink is observe-only — with [`NullSink`] the run is
-/// bit-identical to the sink-less entry points.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_with_sink(
-    board: &BoardSpec,
-    engine_cfg: &EngineConfig,
-    spec: &ScenarioSpec,
-    admission: &mut dyn AdmissionPolicy,
-    runtime: ScenarioRuntime,
-    solo_cache: &mut SoloRateCache,
-    sink: &mut dyn TelemetrySink,
-) -> Result<ScenarioOutcome, SimError> {
-    let schedule = spec.tenant_schedule();
-    let shard_cfg = ShardConfig {
-        horizon_ns: spec.horizon_ns,
-        solo_budget: spec.solo_budget,
-        target_guard: spec.target_guard,
-        events: spec.events.clone(),
-        faults: spec.faults.clone(),
-    };
     run_shard(
         board,
         engine_cfg,
-        &schedule,
-        &shard_cfg,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
         admission,
         runtime,
-        SoloCacheHandle::Local(solo_cache),
-        sink,
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
+        &mut NullSink,
     )
 }
 
@@ -530,16 +428,17 @@ impl ShardConfig {
 
 /// Runs one scenario *shard*: an explicit, pre-materialized tenant
 /// schedule (ascending `(arrival_ns, tenant)` pairs, e.g. one board's
-/// slice of a fleet placement) against one board. This is the
-/// shard-able core every `run_scenario*` entry point delegates to; it
-/// differs only in taking the schedule directly instead of deriving it
-/// from an arrival process, and in accepting either cache flavor via
-/// [`SoloCacheHandle`] — pass `SoloCacheHandle::Shared` to share one
-/// fleet-wide calibration cache across concurrent shards.
+/// slice of a fleet placement) against one board, calibrating through
+/// `solo_cache` and streaming [`TelemetryEvent`]s into `sink` as the
+/// run unfolds: admission verdicts, per-decision search cost stamped
+/// with the manager's config version, per-tenant satisfaction
+/// transitions, config accept/reject diagnostics and per-cluster power
+/// at reconfigure instants and at the end. The sink is observe-only —
+/// with [`NullSink`] the run is bit-identical to a sink-less one.
 ///
-/// For a fixed schedule the outcome is bit-identical to the equivalent
-/// [`run_scenario_with_sink`] call: same tenants, same instants, same
-/// engine timeline.
+/// [`run_scenario`] is this with the spec's own schedule and config
+/// ([`ScenarioSpec::tenant_schedule`], [`ScenarioSpec::shard_config`]),
+/// a fresh cache and a [`NullSink`].
 ///
 /// # Errors
 ///
@@ -556,6 +455,7 @@ pub fn run_shard(
     solo_cache: SoloCacheHandle<'_>,
     sink: &mut dyn TelemetrySink,
 ) -> Result<ScenarioOutcome, SimError> {
+    let SoloCacheHandle::Shared(solo_cache) = solo_cache;
     let manager = match runtime {
         ScenarioRuntime::Gts => None,
         ScenarioRuntime::MpHars { cfg, perf, power } => {
@@ -614,7 +514,7 @@ pub fn run_shard(
         queue: VecDeque::new(),
         by_app: HashMap::new(),
         live: 0,
-        env_fp: SoloRateCache::environment_fingerprint(board, engine_cfg),
+        env_fp: environment_fingerprint(board, engine_cfg),
         solo_cache,
         cache_hits: 0,
         cache_misses: 0,
@@ -628,45 +528,14 @@ pub fn run_shard(
     sim.run()
 }
 
-/// [`run_scenario_with_sink`] with the observability fold mounted in
-/// front of the caller's sink: every event is folded into a
+/// [`run_shard`] with the observability fold mounted in front of the
+/// caller's sink: every event is folded into a
 /// [`hars_obs::MetricsEngine`] *and* forwarded to `sink`, and the
 /// resulting [`hars_obs::MetricsSummary`] rides back on
 /// [`ScenarioOutcome::metrics`]. The summary is observe-only and sits
 /// outside [`ScenarioOutcome::fingerprint`], so the run is
-/// bit-identical to the metrics-less entry points.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_with_metrics(
-    board: &BoardSpec,
-    engine_cfg: &EngineConfig,
-    spec: &ScenarioSpec,
-    admission: &mut dyn AdmissionPolicy,
-    runtime: ScenarioRuntime,
-    solo_cache: &mut SoloRateCache,
-    sink: &mut dyn TelemetrySink,
-) -> Result<ScenarioOutcome, SimError> {
-    let mut metrics = hars_obs::MetricsSink::wrap(sink);
-    let mut out = run_scenario_with_sink(
-        board,
-        engine_cfg,
-        spec,
-        admission,
-        runtime,
-        solo_cache,
-        &mut metrics,
-    )?;
-    out.metrics = Some(metrics.into_summary());
-    Ok(out)
-}
-
-/// [`run_shard`] with the observability fold mounted in front of the
-/// caller's sink — the fleet tier's per-shard metrics entry point.
-/// See [`run_scenario_with_metrics`] for the contract.
+/// bit-identical to a metrics-less one. This is the fleet tier's
+/// per-shard metrics entry point, and a single scenario's too.
 ///
 /// # Errors
 ///
@@ -756,7 +625,7 @@ struct Sim<'a> {
     env_fp: u64,
     /// The (possibly cross-scenario, possibly fleet-shared) solo-rate
     /// calibration cache.
-    solo_cache: SoloCacheHandle<'a>,
+    solo_cache: &'a SharedSoloRateCache,
     /// This run's own cache hit/miss counts (reporting only).
     cache_hits: u64,
     cache_misses: u64,
@@ -1154,7 +1023,7 @@ impl Sim<'_> {
     /// The benchmark's isolated rate on this board: a solo run at the
     /// maximum state (GTS, performance governor), cached per
     /// `(environment, benchmark, threads, budget)` — across scenarios
-    /// when the caller shares a [`SoloRateCache`].
+    /// and shards when the caller shares a [`SharedSoloRateCache`].
     fn solo_rate(&mut self, ti: usize, bench: Benchmark, threads: usize) -> f64 {
         let key = (self.env_fp, bench, threads, self.solo_budget);
         let t_ns = self.engine.now_ns();
@@ -1178,39 +1047,26 @@ impl Sim<'_> {
                 }
             }
         }
-        if let Some(r) = self.solo_cache.get(&key) {
+        let (board, engine_cfg, budget) = (self.board, self.engine_cfg, self.solo_budget);
+        let (rate, hit) = self
+            .solo_cache
+            .get_or_calibrate(key, || calibrate(board, engine_cfg, bench, threads, budget));
+        let event = if hit {
             self.cache_hits += 1;
-            self.sink.emit(&TelemetryEvent::CacheHit {
+            TelemetryEvent::CacheHit {
                 t_ns,
                 bench: bench.name().into(),
                 threads: threads as u64,
-            });
-            self.last_good_solo.insert((bench, threads), (r, t_ns));
-            return r;
-        }
-        self.cache_misses += 1;
-        self.sink.emit(&TelemetryEvent::CacheMiss {
-            t_ns,
-            bench: bench.name().into(),
-            threads: threads as u64,
-        });
-        // Calibration always runs in the canonical reference
-        // environment (default engine seed) so shards with different
-        // noise seeds resolve — and can share — the same value.
-        let mut engine = Engine::new(self.board.clone(), calibration_config(self.engine_cfg));
-        // A fixed workload seed: the solo reference is per benchmark,
-        // not per tenant.
-        let app = engine
-            .add_app(bench.spec_with_budget(threads, 0xCAFE, self.solo_budget))
-            .expect("preset spec validates");
-        engine.run_while_active(u64::MAX);
-        let rate = engine
-            .monitor(app)
-            .ok()
-            .and_then(|m| m.global_rate())
-            .map(|r| r.heartbeats_per_sec())
-            .unwrap_or(1.0);
-        self.solo_cache.insert(key, rate);
+            }
+        } else {
+            self.cache_misses += 1;
+            TelemetryEvent::CacheMiss {
+                t_ns,
+                bench: bench.name().into(),
+                threads: threads as u64,
+            }
+        };
+        self.sink.emit(&event);
         self.last_good_solo.insert((bench, threads), (rate, t_ns));
         rate
     }
@@ -1350,5 +1206,94 @@ impl TenantState {
     /// The tenant's absolute target center given the solo rate.
     fn target_frac_center(&self, solo_rate: f64) -> f64 {
         (self.ts.target_frac * solo_rate).max(f64::MIN_POSITIVE)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+    use std::thread;
+    use std::time::Duration;
+
+    use super::*;
+
+    const KEY: SoloKey = (0, Benchmark::Swaptions, 4, 60);
+    const THREADS: usize = 8;
+
+    /// Runs `THREADS` lookups of [`KEY`] released together by a barrier,
+    /// each through `calibrate(call_index)`; returns what each lookup
+    /// produced (`None` for a lookup whose calibration panicked) and
+    /// how many calibrations ran.
+    fn race(
+        cache: &SharedSoloRateCache,
+        calibrate: impl Fn(u64) -> f64 + Sync,
+    ) -> (Vec<Option<(f64, bool)>>, u64) {
+        let calls = AtomicU64::new(0);
+        let start = Barrier::new(THREADS);
+        let results = thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        catch_unwind(AssertUnwindSafe(|| {
+                            cache.get_or_calibrate(KEY, || {
+                                let call = calls.fetch_add(1, Ordering::SeqCst);
+                                // The asserted counts hold under any
+                                // interleaving; the sleep makes the
+                                // contended one, every other lookup
+                                // waiting on this calibration, likely.
+                                thread::sleep(Duration::from_millis(50));
+                                calibrate(call)
+                            })
+                        }))
+                        .ok()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("lookups catch their own panics"))
+                .collect()
+        });
+        (results, calls.into_inner())
+    }
+
+    #[test]
+    fn concurrent_cold_lookups_calibrate_once() {
+        let cache = SharedSoloRateCache::new();
+        let (results, calls) = race(&cache, |_| 42.0);
+        assert_eq!(calls, 1);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), THREADS as u64 - 1);
+        assert_eq!(cache.len(), 1);
+        let lookups: Vec<(f64, bool)> = results.into_iter().map(Option::unwrap).collect();
+        assert!(lookups.iter().all(|&(rate, _)| rate == 42.0));
+        assert_eq!(lookups.iter().filter(|&&(_, hit)| hit).count(), THREADS - 1);
+    }
+
+    #[test]
+    fn a_panicking_calibration_leaves_the_key_to_the_next_lookup() {
+        let cache = SharedSoloRateCache::new();
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_calibrate(KEY, || panic!("calibration failed"))
+        }));
+        assert!(failed.is_err());
+        assert_eq!(cache.len(), 0, "a failed calibration stores nothing");
+        assert_eq!(cache.get_or_calibrate(KEY, || 3.0), (3.0, false));
+
+        // Concurrently: the first calibration panics while the others
+        // wait on it; one waiter calibrates and the rest are served.
+        let cache = SharedSoloRateCache::new();
+        let (results, calls) = race(&cache, |call| {
+            assert!(call > 0, "first calibration fails");
+            7.0
+        });
+        assert_eq!(calls, 2);
+        assert_eq!(results.iter().filter(|r| r.is_none()).count(), 1);
+        assert!(results.iter().flatten().all(|(rate, _)| *rate == 7.0));
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), THREADS as u64 - 2);
+        assert_eq!(cache.len(), 1);
     }
 }

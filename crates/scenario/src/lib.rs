@@ -24,15 +24,18 @@
 //!   run, makespan, energy, search cost);
 //! * [`ScenarioEvent`] — timestamped control-plane actions (hot config
 //!   reloads through the managers' validated `apply_config`, admission
-//!   swaps, guard changes) interleaved with the arrivals, with
-//!   [`run_scenario_with_sink`] streaming the whole run as
-//!   [`hars_core::TelemetryEvent`]s (the [`JsonlSink`] writes one JSON
-//!   object per line for dashboards and replay);
-//! * [`run_shard`] — the shard-able core the fleet layer drives: an
-//!   explicit pre-placed tenant schedule against one board, with
-//!   either a caller-owned [`SoloRateCache`] or a `Sync`-shareable
-//!   [`SharedSoloRateCache`] so concurrent shards pay for each unique
-//!   solo calibration once fleet-wide.
+//!   swaps, guard changes) interleaved with the arrivals;
+//! * [`run_shard`] — the core every run goes through: an explicit tenant
+//!   schedule ([`ScenarioSpec::tenant_schedule`], or one board's slice
+//!   of a fleet placement) and a [`ShardConfig`]
+//!   ([`ScenarioSpec::shard_config`]) against one board, streaming the
+//!   run as [`hars_core::TelemetryEvent`]s into a caller's sink (the
+//!   [`JsonlSink`] writes one JSON object per line for dashboards and
+//!   replay); [`run_shard_with_metrics`] also folds the stream into a
+//!   metrics summary;
+//! * [`SharedSoloRateCache`] — the single-flight solo-rate calibration
+//!   cache: any number of runs, sequential or concurrent, share it and
+//!   pay for each unique solo calibration exactly once.
 //!
 //! Determinism is load-bearing: a `(spec, seed)` pair reproduces the
 //! identical scenario bit for bit ([`ScenarioOutcome::fingerprint`] is
@@ -84,9 +87,8 @@ pub use admission::{
 };
 pub use arrival::ArrivalProcess;
 pub use driver::{
-    run_scenario, run_scenario_cached, run_scenario_with_metrics, run_scenario_with_sink,
-    run_shard, run_shard_with_metrics, synthetic_power_estimator, ScenarioRuntime, ScenarioSpec,
-    ShardConfig, SharedSoloRateCache, SoloCacheHandle, SoloRateCache,
+    run_scenario, run_shard, run_shard_with_metrics, ScenarioRuntime, ScenarioSpec, ShardConfig,
+    SharedSoloRateCache, SoloCacheHandle,
 };
 pub use events::{AdmissionSwap, ScenarioEvent, TimedEvent};
 pub use outcome::{ScenarioOutcome, TenantOutcome};

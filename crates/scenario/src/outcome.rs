@@ -130,8 +130,9 @@ pub struct ScenarioOutcome {
     #[serde(default)]
     pub reconfig_rejected: u64,
     /// Solo-rate calibrations this run served from its cache. Not
-    /// fingerprinted: with a fleet-shared cache the hit/miss split
-    /// depends on shard interleaving (the *values* never do).
+    /// fingerprinted: with a fleet-shared cache, which shard computes a
+    /// key depends on shard interleaving (the *values* and the fleet
+    /// totals never do).
     #[serde(default)]
     pub solo_cache_hits: u64,
     /// Solo-rate calibrations this run had to compute (cache misses).
@@ -174,7 +175,7 @@ pub struct ScenarioOutcome {
     pub search_stats: SearchStats,
     /// The observability fold over this run's telemetry stream, when
     /// the caller used a metrics entry point
-    /// ([`crate::run_scenario_with_metrics`]); `None` otherwise.
+    /// ([`crate::run_shard_with_metrics`]); `None` otherwise.
     /// Deliberately *outside* [`Self::fingerprint`]: metrics observe
     /// the run, they never feed back into it, and a metrics-threaded
     /// run must fingerprint identically to a `NullSink` run.

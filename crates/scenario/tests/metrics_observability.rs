@@ -5,11 +5,12 @@
 use std::collections::BTreeSet;
 
 use hars_core::telemetry::parse_capture;
-use hars_core::NullSink;
+use hars_core::{NullSink, TelemetrySink};
 use hars_obs::{replay_capture, summarize, MetricsConfig};
 use hars_scenario::{
-    run_scenario, run_scenario_with_metrics, AlwaysAdmit, AppTemplate, ArrivalProcess,
-    BoundedQueue, JsonlSink, ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
+    run_scenario, run_shard_with_metrics, AdmissionPolicy, AlwaysAdmit, AppTemplate,
+    ArrivalProcess, BoundedQueue, JsonlSink, ScenarioOutcome, ScenarioRuntime, ScenarioSpec,
+    SharedSoloRateCache, SoloCacheHandle, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, ClusterId, EngineConfig, FaultKind, FaultPlan, TimedFault};
@@ -35,29 +36,45 @@ fn bursty_spec(seed: u64) -> ScenarioSpec {
     spec
 }
 
+/// `spec` on `board` under MP-HARS-I with the metrics fold mounted in
+/// front of `sink`.
+fn run_metered(
+    board: &BoardSpec,
+    spec: &ScenarioSpec,
+    admission: &mut dyn AdmissionPolicy,
+    sink: &mut dyn TelemetrySink,
+) -> ScenarioOutcome {
+    run_shard_with_metrics(
+        board,
+        &EngineConfig::default(),
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
+        admission,
+        ScenarioRuntime::mp_hars(board, mp_hars::mp_hars_i()),
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
+        sink,
+    )
+    .expect("runs")
+}
+
 #[test]
 fn metrics_run_fingerprints_identically_to_null_sink_run() {
     let board = BoardSpec::odroid_xu3();
-    let cfg = EngineConfig::default();
     let spec = bursty_spec(7);
     let plain = run_scenario(
         &board,
-        &cfg,
+        &EngineConfig::default(),
         &spec,
         &mut BoundedQueue::new(0.85, 4),
         ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
     )
     .expect("runs");
-    let metered = run_scenario_with_metrics(
+    let metered = run_metered(
         &board,
-        &cfg,
         &spec,
         &mut BoundedQueue::new(0.85, 4),
-        ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
         &mut NullSink,
-    )
-    .expect("runs");
+    );
     assert_eq!(plain.fingerprint(), metered.fingerprint());
     assert!(plain.metrics.is_none());
     let summary = metered.metrics.expect("metrics entry point fills it");
@@ -71,25 +88,16 @@ fn metrics_run_fingerprints_identically_to_null_sink_run() {
 #[test]
 fn replayed_capture_matches_live_summary_byte_for_byte() {
     let board = BoardSpec::odroid_xu3();
-    let cfg = EngineConfig::default();
     let spec = bursty_spec(11);
     let mut capture = JsonlSink::new(Vec::new());
-    let out = run_scenario_with_metrics(
-        &board,
-        &cfg,
-        &spec,
-        &mut AlwaysAdmit,
-        ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
-        &mut capture,
-    )
-    .expect("runs");
+    let out = run_metered(&board, &spec, &mut AlwaysAdmit, &mut capture);
     let live = out.metrics.expect("filled");
     let (written, dropped, bytes) = capture.finish();
     assert_eq!(dropped, 0);
     // The capture carries every event; the fold excludes only the
-    // cache-accounting kinds (their hit/miss split is scheduling-
-    // dependent under shard races, so they live in outcome counters).
+    // cache-accounting kinds (a merged fleet rollup drops superseded
+    // re-runs, so which shard recorded a shared key's miss would leak
+    // into it; they live in outcome counters).
     assert_eq!(
         written,
         live.rollup.events + out.solo_cache_hits + out.solo_cache_misses,
@@ -149,16 +157,7 @@ fn fault_stream_replays_byte_for_byte() {
     ]));
 
     let mut capture = JsonlSink::new(Vec::new());
-    let out = run_scenario_with_metrics(
-        &board,
-        &EngineConfig::default(),
-        &spec,
-        &mut AlwaysAdmit,
-        ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
-        &mut capture,
-    )
-    .expect("runs");
+    let out = run_metered(&board, &spec, &mut AlwaysAdmit, &mut capture);
     let live = out.metrics.expect("filled");
     let text = String::from_utf8(capture.into_inner()).expect("utf8 capture");
     let events = parse_capture(&text).expect("capture parses against the schema");

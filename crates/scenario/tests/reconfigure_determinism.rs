@@ -21,8 +21,9 @@ use proptest::prelude::*;
 use hars_core::policy::SearchPolicy;
 use hars_core::{ConfigDelta, TelemetrySink, VecSink};
 use hars_scenario::{
-    run_scenario, run_scenario_with_sink, AdmissionSwap, AlwaysAdmit, AppTemplate, ArrivalProcess,
-    ScenarioEvent, ScenarioOutcome, ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
+    run_scenario, run_shard, AdmissionSwap, AlwaysAdmit, AppTemplate, ArrivalProcess,
+    ScenarioEvent, ScenarioOutcome, ScenarioRuntime, ScenarioSpec, SharedSoloRateCache,
+    SoloCacheHandle, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, EngineConfig, ExecMode};
@@ -95,13 +96,14 @@ fn run_mode(
     } else {
         ScenarioRuntime::mp_hars(board, mp_hars_i())
     };
-    run_scenario_with_sink(
+    run_shard(
         board,
         &cfg,
-        spec,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
         &mut AlwaysAdmit,
         runtime,
-        &mut SoloRateCache::new(),
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
         sink,
     )
     .expect("scenario runs")
@@ -218,13 +220,14 @@ fn gts_runs_reject_reconfigures_with_no_manager() {
         ScenarioEvent::Reconfigure(ConfigDelta::none().with_policy(SearchPolicy::Frontier)),
     );
     let mut sink = VecSink::new();
-    let out = run_scenario_with_sink(
+    let out = run_shard(
         &board,
         &EngineConfig::default(),
-        &spec,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
         &mut AlwaysAdmit,
         ScenarioRuntime::Gts,
-        &mut SoloRateCache::new(),
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
         &mut sink,
     )
     .expect("scenario runs");

@@ -55,13 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     spec.solo_budget = 30;
 
-    let out = run_scenario_with_metrics(
+    let out = run_shard_with_metrics(
         &board,
         &EngineConfig::default(),
-        &spec,
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
         &mut BoundedQueue::new(0.85, 5),
         ScenarioRuntime::mp_hars(&board, hars::mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
         &mut NullSink,
     )?;
     let m = out.metrics.as_ref().expect("metrics entry point fills it");

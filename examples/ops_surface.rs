@@ -97,13 +97,15 @@ fn run(exec: ExecMode) -> Result<(ScenarioOutcome, Vec<u8>), Box<dyn std::error:
         ..EngineConfig::default()
     };
     let mut sink = JsonlSink::new(Vec::new());
-    let out = run_scenario_with_sink(
+    let spec = spec();
+    let out = run_shard(
         &board,
         &engine_cfg,
-        &spec(),
+        &spec.tenant_schedule(),
+        &spec.shard_config(),
         &mut AlwaysAdmit,
         ScenarioRuntime::mp_hars(&board, hars::mp_hars::mp_hars_e()),
-        &mut SoloRateCache::new(),
+        SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
         &mut sink,
     )?;
     assert_eq!(sink.events_dropped(), 0, "in-memory writes never fail");

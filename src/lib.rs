@@ -21,9 +21,9 @@
 //!   control-plane events and streaming JSONL telemetry);
 //! * [`hars_fleet`] — fleet-scale parallel serving: a heterogeneous
 //!   board fleet sharded over a worker pool, with a placement tier, a
-//!   shared solo-rate calibration cache, and a seeded fault plane with
-//!   shard supervision and tenant failover — all bit-identical across
-//!   worker counts.
+//!   single-flight shared solo-rate calibration cache, and a seeded
+//!   fault plane with shard supervision and tenant failover — all
+//!   bit-identical across worker counts.
 //!
 //! ## Quickstart
 //!
@@ -82,11 +82,10 @@ pub mod prelude {
         SloClass, TenantTimeline,
     };
     pub use hars_scenario::{
-        run_scenario, run_scenario_cached, run_scenario_with_metrics, run_scenario_with_sink,
-        run_shard, run_shard_with_metrics, AdmissionPolicy, AdmissionSwap, AlwaysAdmit,
-        AppTemplate, ArrivalProcess, BoundedQueue, CapacityGate, JsonlSink, ScenarioEvent,
-        ScenarioRuntime, ScenarioSpec, ShardConfig, SharedSoloRateCache, SoloCacheHandle,
-        SoloRateCache, TemplateSet, TimedEvent,
+        run_scenario, run_shard, run_shard_with_metrics, AdmissionPolicy, AdmissionSwap,
+        AlwaysAdmit, AppTemplate, ArrivalProcess, BoundedQueue, CapacityGate, JsonlSink,
+        ScenarioEvent, ScenarioRuntime, ScenarioSpec, ShardConfig, SharedSoloRateCache,
+        SoloCacheHandle, TemplateSet, TimedEvent,
     };
     pub use heartbeats::{AppId, HeartbeatMonitor, PerfTarget};
     pub use hmp_sim::microbench::CalibrationConfig;
