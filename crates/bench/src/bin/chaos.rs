@@ -14,8 +14,8 @@
 //! Self-asserted contracts:
 //!
 //! 1. **bit-identity** — the supervised chaos run produces the
-//!    identical fleet fingerprint, service level and cache hit and
-//!    miss counts on 1, 2 and 8 workers;
+//!    identical fleet fingerprint, service level, cache hit and miss
+//!    counts and shard-run count on 1, 2 and 8 workers;
 //! 2. **off-by-default** — a zero-probability fault model is
 //!    bit-identical to no fault model at all;
 //! 3. **failover win** — under the same fault schedule, failover's
@@ -108,8 +108,7 @@ fn chaos_model(spec: &FleetSpec) -> FleetFaultSpec {
     let n = spec.boards.len();
     let kills = |f: &FleetFaultSpec, b: usize| {
         f.plan_for(b, spec.boards[b].board.n_clusters(), spec.horizon_ns)
-            .iter()
-            .any(|t| t.kind == hmp_sim::FaultKind::BoardFail)
+            .kills_board()
     };
     let seed = (0..10_000u64)
         .find(|&s| {
@@ -134,13 +133,14 @@ fn measure(spec: &FleetSpec, label: &'static str, workers: usize) -> Run {
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "{label:<22} {workers:>2} workers  {:>8.0} ms  fp {:#018x}  service {:>6.4}  \
-         (boards dead {}, failed over {}, lost {})",
+         (boards dead {}, failed over {}, lost {}, shard runs {})",
         wall_ms,
         out.fingerprint,
         out.service_level,
         out.boards_failed,
         out.tenants_failed_over,
         out.failover_lost,
+        out.shard_runs,
     );
     Run {
         label,
@@ -162,6 +162,11 @@ fn render_json(runs: &[Run], spec: &FleetSpec, faults: &FleetFaultSpec, quick: b
         if quick { "quick" } else { "full" }
     );
     let _ = writeln!(s, "  \"boards\": {},", spec.boards.len());
+    let _ = writeln!(
+        s,
+        "  \"available_cores\": {},",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     let _ = writeln!(s, "  \"fault_seed\": {},", faults.seed);
     let _ = writeln!(s, "  \"arrivals\": {},", failover.arrivals);
     let _ = writeln!(s, "  \"faults_injected\": {},", failover.faults_injected);
@@ -194,12 +199,13 @@ fn render_json(runs: &[Run], spec: &FleetSpec, faults: &FleetFaultSpec, quick: b
         let _ = writeln!(
             s,
             "    {{ \"label\": \"{}\", \"workers\": {}, \"wall_ms\": {:.0}, \
-             \"service_level\": {:.4}, \"completed\": {} }}{}",
+             \"service_level\": {:.4}, \"completed\": {}, \"shard_runs\": {} }}{}",
             r.label,
             r.workers,
             r.wall_ms,
             r.out.service_level,
             r.out.completed,
+            r.out.shard_runs,
             if i + 1 == runs.len() { "" } else { "," }
         );
     }
@@ -270,6 +276,11 @@ fn main() {
             (r.out.solo_cache_hits, r.out.solo_cache_misses),
             (runs[2].out.solo_cache_hits, runs[2].out.solo_cache_misses),
             "supervised chaos run's cache counts diverged at {} workers",
+            r.workers
+        );
+        assert_eq!(
+            r.out.shard_runs, runs[2].out.shard_runs,
+            "supervised chaos run's shard-run count diverged at {} workers",
             r.workers
         );
     }

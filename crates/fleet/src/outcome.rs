@@ -148,6 +148,13 @@ pub struct FleetOutcome {
     /// fingerprinted.
     #[serde(default)]
     pub service_level: f64,
+    /// Shard runs the pool executed: one per board, plus one each time
+    /// a supervisor pass lands failed-over tenants on a board that has
+    /// already run. Boards whose fault plan cannot kill them run only
+    /// after failover settles, so without worker panics they run once.
+    /// Not fingerprinted, and the same at any worker count.
+    #[serde(default)]
+    pub shard_runs: u64,
 }
 
 impl FleetOutcome {
@@ -291,6 +298,7 @@ impl FleetAccum {
             tenants_failed_over: 0,
             failover_lost: 0,
             service_level: 0.0,
+            shard_runs: 0,
         }
     }
 }

@@ -19,29 +19,38 @@
 //!
 //! ## Shard supervision and failover
 //!
-//! With a fault model installed ([`crate::FleetSpec::faults`]) the
-//! pool runs in *barrier rounds*: a round runs a fixed set of shards
-//! in parallel, then a sequential supervisor pass on the calling
-//! thread inspects the results. A shard can fail two ways — its
-//! simulated board dies to a [`hmp_sim::FaultKind::BoardFail`]
-//! (a normal truncated outcome with
+//! A shard can fail two ways — its simulated board dies to a
+//! [`hmp_sim::FaultKind::BoardFail`] (a normal truncated outcome with
 //! [`hars_scenario::ScenarioOutcome::board_failed_at`] set), or its
 //! worker panics (caught per shard, reported as a
 //! [`crate::ShardFailure`] row instead of tearing down the pool).
-//! Either way, when failover is on the supervisor collects the dead
-//! shard's *victims* — admitted-but-unfinished tenants (with their
-//! remaining heartbeat budget) and arrivals the board never processed
-//! (full budget) — and re-places them through the same placement tier
-//! restricted to surviving boards, with dead boards' ledger claims
-//! expired. Each victim re-arrives at
-//! `max(arrival, failure) + backoff · 2^(attempt-1)`, capped at
-//! [`crate::FleetFaultSpec::max_retries`] attempts; destination shards
-//! are re-run with their extended schedules and the loop repeats until
-//! no new shard fails. Because fault plans are fixed per board, a
-//! board that survived round one survives every re-run, so the loop
-//! terminates — and because every supervisor pass is sequential and
-//! every shard result is a pure function of its inputs, the whole
-//! supervised run stays bit-identical across worker counts.
+//! Either way, when failover is on ([`crate::FleetSpec::faults`]) the
+//! supervisor collects the dead shard's *victims* — admitted-but-
+//! unfinished tenants (with their remaining heartbeat budget) and
+//! arrivals the board never processed (full budget) — and re-places
+//! them through the same placement tier restricted to boards not known
+//! dead, with dead boards' ledger claims expired. Each victim
+//! re-arrives at `max(arrival, failure) + backoff · 2^(attempt-1)`,
+//! capped at [`crate::FleetFaultSpec::max_retries`] attempts.
+//!
+//! The pool runs in *waves*: each runs the *stale* shards — those not
+//! yet run with their current schedule — in parallel, then a
+//! sequential supervisor pass on the calling thread fails over the
+//! shards that died, making their victims' destinations stale. Fault
+//! plans are fixed up front, so while any shard whose plan holds a
+//! `BoardFail` is stale a wave runs only those; the others run after
+//! failover has settled, once each, with their final schedules. The
+//! supervisor reads only dead shards' results and every shard's
+//! schedule, so the wave order changes no outcome: each shard's result
+//! is the run of its final schedule.
+//!
+//! A board that can die re-runs whenever victims land on it: it may
+//! have drained before its death instant and die in the re-run. A
+//! panicked shard is failed over after its wave, and boards that take
+//! its tenants re-run even if they ran already. Only a pass that marks
+//! at least one more board dead makes a shard stale again, so the loop
+//! ends after at most `n` such passes for `n` boards; sequential over
+//! pure shard results, it is bit-identical across worker counts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,7 +77,7 @@ use crate::spec::{shard_seed, FleetCacheMode, FleetSpec};
 /// sequentially before any shard starts, and — under a fault model
 /// with failover — the supervisor's
 /// [`hars_core::TelemetryEvent::TenantFailedOver`] and re-placement
-/// events between rounds; shard-internal telemetry is discarded (sinks
+/// events between waves; shard-internal telemetry is discarded (sinks
 /// are exclusive-borrow consumers, and shards run concurrently — drive
 /// [`hars_scenario::run_shard`] directly to stream one shard).
 ///
@@ -168,25 +177,14 @@ fn run_fleet_inner(
         }
     }
     let plans: Vec<FaultPlan> = (0..n).map(|s| spec.fault_plan(s)).collect();
+    let can_die: Vec<bool> = plans.iter().map(FaultPlan::kills_board).collect();
 
     let shared_cache = SharedSoloRateCache::new();
     let mut results: Vec<Option<ShardRun>> = (0..n).map(|_| None).collect();
+    // A shard is stale until it has run with its current schedule.
+    let mut stale = vec![true; n];
+    let mut shard_runs = 0u64;
 
-    // Round zero: every shard.
-    let all: Vec<usize> = (0..n).collect();
-    run_round(
-        spec,
-        &all,
-        &shard_scheds,
-        &plans,
-        &shared_cache,
-        workers,
-        with_metrics,
-        &mut results,
-    )?;
-
-    // Supervision: detect dead shards, fail their tenants over onto
-    // survivors, re-run the destinations, repeat until stable.
     let failover = spec.faults.as_ref().filter(|f| f.failover);
     let mut attempts: Vec<u32> = vec![0; schedule.len()];
     let mut handled_dead = vec![false; n];
@@ -196,142 +194,157 @@ fn run_fleet_inner(
     // lookups count, or which shard calibrated a shared key would leak
     // into the totals.
     let (mut superseded_hits, mut superseded_misses) = (0u64, 0u64);
-    if let Some(fx) = failover {
-        loop {
-            let newly: Vec<usize> = (0..n)
-                .filter(|&s| !handled_dead[s] && results[s].as_ref().is_some_and(ShardRun::is_dead))
-                .collect();
-            if newly.is_empty() {
-                break;
+    loop {
+        // Each wave runs the stale shards whose boards can die; only
+        // when none is left do the others run, with final schedules.
+        let deaths_pending = (0..n).any(|s| stale[s] && can_die[s]);
+        let wave: Vec<usize> = (0..n)
+            .filter(|&s| stale[s] && (can_die[s] || !deaths_pending))
+            .collect();
+        if wave.is_empty() {
+            break;
+        }
+        for &s in &wave {
+            stale[s] = false;
+            if let Some(ShardRun::Done(o)) = &results[s] {
+                superseded_hits += o.solo_cache_hits;
+                superseded_misses += o.solo_cache_misses;
             }
-            // Collect victims deterministically: dead shards ascending,
-            // then local schedule order within each.
-            let mut victims: Vec<(u64, TenantSpec, usize, usize, u32)> = Vec::new();
-            for &s in &newly {
-                handled_dead[s] = true;
-                let run = results[s].as_ref().expect("ran in a previous round");
-                let fail_ns = run.fail_ns();
-                for (li, &g) in shard_globals[s].iter().enumerate() {
-                    let (arrival_ns, ts) = &shard_scheds[s][li];
-                    let served = match run {
-                        ShardRun::Done(o) => {
-                            let t = &o.tenants[li];
-                            if t.rejected || t.finished_ns.is_some() {
-                                continue; // resolved before the failure
-                            }
-                            t.heartbeats
-                        }
-                        ShardRun::Panicked(_) => 0,
-                    };
-                    let remaining = ts.budget.saturating_sub(served);
-                    if remaining == 0 {
-                        continue;
-                    }
-                    let attempt = attempts[g] + 1;
-                    attempts[g] = attempt;
-                    let retry_at = arrival_ns
-                        .max(&fail_ns)
-                        .saturating_add(fx.backoff_ns << (attempt - 1).min(16));
-                    if attempt > fx.max_retries || retry_at >= spec.horizon_ns {
-                        failover_lost += 1;
-                        sink.emit(&TelemetryEvent::TenantFailedOver {
-                            t_ns: fail_ns,
-                            tenant: g as u64,
-                            from_board: s as u64,
-                            to_board: u64::MAX,
-                            attempt: attempt as u64,
-                        });
-                        continue;
-                    }
-                    let mut retry_ts = ts.clone();
-                    retry_ts.budget = remaining;
-                    victims.push((retry_at, retry_ts, g, s, attempt));
-                }
-            }
-            victims.sort_by_key(|(at, _, g, ..)| (*at, *g));
+        }
+        shard_runs += wave.len() as u64;
+        run_wave(
+            spec,
+            &wave,
+            &shard_scheds,
+            &plans,
+            &shared_cache,
+            workers,
+            with_metrics,
+            &mut results,
+        )?;
 
-            // Re-place victims on the survivors: dead boards' ledger
-            // claims expire, survivors are charged their current
-            // schedules so the failover wave spreads by load.
-            let eligible: Vec<bool> = (0..n).map(|s| !handled_dead[s]).collect();
-            let mut ledgers = LedgerSet::new(n);
-            for (s, ok) in eligible.iter().enumerate() {
-                if !ok {
+        // Supervision: fail the tenants of newly dead shards over onto
+        // the boards still in service, whose shards go stale.
+        let Some(fx) = failover else { continue };
+        let newly: Vec<usize> = (0..n)
+            .filter(|&s| !handled_dead[s] && results[s].as_ref().is_some_and(ShardRun::is_dead))
+            .collect();
+        if newly.is_empty() {
+            continue;
+        }
+        // Collect victims deterministically: dead shards ascending,
+        // then local schedule order within each.
+        let mut victims: Vec<(u64, TenantSpec, usize, usize, u32)> = Vec::new();
+        for &s in &newly {
+            handled_dead[s] = true;
+            let run = results[s].as_ref().expect("a dead shard has run");
+            let fail_ns = run.fail_ns();
+            for (li, &g) in shard_globals[s].iter().enumerate() {
+                let (arrival_ns, ts) = &shard_scheds[s][li];
+                let served = match run {
+                    ShardRun::Done(o) => {
+                        let t = &o.tenants[li];
+                        if t.rejected || t.finished_ns.is_some() {
+                            continue; // resolved before the failure
+                        }
+                        t.heartbeats
+                    }
+                    ShardRun::Panicked(_) => 0,
+                };
+                let remaining = ts.budget.saturating_sub(served);
+                if remaining == 0 {
                     continue;
                 }
-                let cores = spec.boards[s].board.n_cores();
-                for (arrival_ns, ts) in &shard_scheds[s] {
-                    ledgers.charge(
-                        s,
-                        arrival_ns.saturating_add(ts.budget.saturating_mul(EST_NS_PER_HEARTBEAT)),
-                        ts.threads.min(cores),
-                    );
+                let attempt = attempts[g] + 1;
+                attempts[g] = attempt;
+                let retry_at = arrival_ns
+                    .max(&fail_ns)
+                    .saturating_add(fx.backoff_ns << (attempt - 1).min(16));
+                if attempt > fx.max_retries || retry_at >= spec.horizon_ns {
+                    failover_lost += 1;
+                    sink.emit(&TelemetryEvent::TenantFailedOver {
+                        t_ns: fail_ns,
+                        tenant: g as u64,
+                        from_board: s as u64,
+                        to_board: u64::MAX,
+                        attempt: attempt as u64,
+                    });
+                    continue;
                 }
+                let mut retry_ts = ts.clone();
+                retry_ts.budget = remaining;
+                victims.push((retry_at, retry_ts, g, s, attempt));
             }
-            let vsched: Vec<(u64, TenantSpec)> = victims
-                .iter()
-                .map(|(at, ts, ..)| (*at, ts.clone()))
-                .collect();
-            let vids: Vec<u64> = victims.iter().map(|v| v.2 as u64).collect();
-            let vplace = place_masked(spec, &vsched, &vids, &eligible, ledgers, sink);
+        }
+        victims.sort_by_key(|(at, _, g, ..)| (*at, *g));
 
-            let mut rerun: Vec<usize> = Vec::new();
-            for (v, assignment) in victims.iter().zip(&vplace.assignments) {
-                let &(retry_at, ref ts, g, from, attempt) = v;
-                match assignment {
-                    Some(dest) => {
-                        shard_scheds[*dest].push((retry_at, ts.clone()));
-                        shard_globals[*dest].push(g);
-                        if !rerun.contains(dest) {
-                            rerun.push(*dest);
-                        }
-                        tenants_failed_over += 1;
-                        sink.emit(&TelemetryEvent::TenantFailedOver {
-                            t_ns: retry_at,
-                            tenant: g as u64,
-                            from_board: from as u64,
-                            to_board: *dest as u64,
-                            attempt: attempt as u64,
-                        });
+        // Re-place victims on the boards not known dead: dead boards'
+        // ledger claims expire, the others are charged their current
+        // schedules so the failover wave spreads by load.
+        let eligible: Vec<bool> = (0..n).map(|s| !handled_dead[s]).collect();
+        let mut ledgers = LedgerSet::new(n);
+        for (s, ok) in eligible.iter().enumerate() {
+            if !ok {
+                continue;
+            }
+            let cores = spec.boards[s].board.n_cores();
+            for (arrival_ns, ts) in &shard_scheds[s] {
+                ledgers.charge(
+                    s,
+                    arrival_ns.saturating_add(ts.budget.saturating_mul(EST_NS_PER_HEARTBEAT)),
+                    ts.threads.min(cores),
+                );
+            }
+        }
+        let vsched: Vec<(u64, TenantSpec)> = victims
+            .iter()
+            .map(|(at, ts, ..)| (*at, ts.clone()))
+            .collect();
+        let vids: Vec<u64> = victims.iter().map(|v| v.2 as u64).collect();
+        let vplace = place_masked(spec, &vsched, &vids, &eligible, ledgers, sink);
+
+        let mut landed: Vec<usize> = Vec::new();
+        for (v, assignment) in victims.iter().zip(&vplace.assignments) {
+            let &(retry_at, ref ts, g, from, attempt) = v;
+            match assignment {
+                Some(dest) => {
+                    shard_scheds[*dest].push((retry_at, ts.clone()));
+                    shard_globals[*dest].push(g);
+                    if !landed.contains(dest) {
+                        landed.push(*dest);
                     }
-                    None => {
-                        failover_lost += 1;
-                        sink.emit(&TelemetryEvent::TenantFailedOver {
-                            t_ns: retry_at,
-                            tenant: g as u64,
-                            from_board: from as u64,
-                            to_board: u64::MAX,
-                            attempt: attempt as u64,
-                        });
-                    }
+                    tenants_failed_over += 1;
+                    sink.emit(&TelemetryEvent::TenantFailedOver {
+                        t_ns: retry_at,
+                        tenant: g as u64,
+                        from_board: from as u64,
+                        to_board: *dest as u64,
+                        attempt: attempt as u64,
+                    });
+                }
+                None => {
+                    failover_lost += 1;
+                    sink.emit(&TelemetryEvent::TenantFailedOver {
+                        t_ns: retry_at,
+                        tenant: g as u64,
+                        from_board: from as u64,
+                        to_board: u64::MAX,
+                        attempt: attempt as u64,
+                    });
                 }
             }
-            // Keep destination schedules sorted by arrival (stable, so
-            // same-instant entries keep original-then-victim order),
-            // with the global-id map in lockstep, and bank the cache
-            // lookups of the runs the re-run supersedes.
-            for &dest in &rerun {
-                let mut zipped: Vec<((u64, TenantSpec), usize)> = shard_scheds[dest]
-                    .drain(..)
-                    .zip(shard_globals[dest].drain(..))
-                    .collect();
-                zipped.sort_by_key(|((at, _), _)| *at);
-                (shard_scheds[dest], shard_globals[dest]) = zipped.into_iter().unzip();
-                if let Some(ShardRun::Done(o)) = &results[dest] {
-                    superseded_hits += o.solo_cache_hits;
-                    superseded_misses += o.solo_cache_misses;
-                }
-            }
-            run_round(
-                spec,
-                &rerun,
-                &shard_scheds,
-                &plans,
-                &shared_cache,
-                workers,
-                with_metrics,
-                &mut results,
-            )?;
+        }
+        // Keep destination schedules sorted by arrival (stable, so
+        // same-instant entries keep original-then-victim order), with
+        // the global-id map in lockstep.
+        for &dest in &landed {
+            let mut zipped: Vec<((u64, TenantSpec), usize)> = shard_scheds[dest]
+                .drain(..)
+                .zip(shard_globals[dest].drain(..))
+                .collect();
+            zipped.sort_by_key(|((at, _), _)| *at);
+            (shard_scheds[dest], shard_globals[dest]) = zipped.into_iter().unzip();
+            stale[dest] = true;
         }
     }
 
@@ -354,7 +367,7 @@ fn run_fleet_inner(
                 board: fb.board.name.clone(),
                 reason: reason.clone(),
             }),
-            None => unreachable!("round zero runs every shard"),
+            None => unreachable!("every shard starts stale, so every shard runs"),
         }
     }
     let mut out = accum.finish(&placement, schedule.len());
@@ -369,19 +382,20 @@ fn run_fleet_inner(
     out.failover_lost = failover_lost;
     out.solo_cache_hits += superseded_hits;
     out.solo_cache_misses += superseded_misses;
+    out.shard_runs = shard_runs;
     Ok(out)
 }
 
-/// Runs the `round` shard set on up to `workers` threads, writing each
+/// Runs the `wave` shard set on up to `workers` threads, writing each
 /// shard's result (outcome or caught panic) into `results`. Shards are
 /// claimed off an atomic cursor; each result slot is written by
 /// exactly one worker, then applied sequentially after the scope — the
 /// per-shard values are pure functions of their inputs, so the
 /// interleaving never shows.
 #[allow(clippy::too_many_arguments)]
-fn run_round(
+fn run_wave(
     spec: &FleetSpec,
-    round: &[usize],
+    wave: &[usize],
     shard_scheds: &[Vec<(u64, TenantSpec)>],
     plans: &[FaultPlan],
     shared_cache: &SharedSoloRateCache,
@@ -389,21 +403,18 @@ fn run_round(
     with_metrics: bool,
     results: &mut [Option<ShardRun>],
 ) -> Result<(), SimError> {
-    if round.is_empty() {
-        return Ok(());
-    }
     let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, ShardRun)>> = Mutex::new(Vec::with_capacity(round.len()));
+    let done: Mutex<Vec<(usize, ShardRun)>> = Mutex::new(Vec::with_capacity(wave.len()));
     let first_err: Mutex<Option<SimError>> = Mutex::new(None);
 
     thread::scope(|scope| {
-        for _ in 0..workers.min(round.len()).max(1) {
+        for _ in 0..workers.min(wave.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= round.len() || first_err.lock().is_some() {
+                if i >= wave.len() || first_err.lock().is_some() {
                     break;
                 }
-                let shard = round[i];
+                let shard = wave[i];
                 let run = catch_unwind(AssertUnwindSafe(|| {
                     run_one_shard(
                         spec,

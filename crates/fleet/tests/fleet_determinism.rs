@@ -7,15 +7,17 @@
 //! cache hit and miss counts included.
 
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 
 use proptest::prop_assert_eq;
 use proptest::proptest;
 
+use hars_core::fnv::FnvHasher;
 use hars_core::telemetry::parse_capture;
-use hars_core::NullSink;
+use hars_core::{NullSink, TelemetryEvent};
 use hars_fleet::{
     run_fleet, run_fleet_with_metrics, FleetAccum, FleetBoard, FleetCacheMode, FleetFaultSpec,
-    FleetOutcome, FleetRuntimeKind, FleetSpec, Placement, PlacementPolicy,
+    FleetOutcome, FleetRuntimeKind, FleetSpec, Placement, PlacementPolicy, ShardFailure,
 };
 use hars_obs::{summarize, MetricsConfig, MetricsSink};
 use hars_scenario::{
@@ -23,7 +25,7 @@ use hars_scenario::{
     ScenarioRuntime, ScenarioSpec, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
-use hmp_sim::BoardSpec;
+use hmp_sim::{BoardSpec, FreqKhz};
 use workloads::Benchmark;
 
 /// A small, fast, mixed fleet: edge boards next to a big server,
@@ -306,6 +308,99 @@ fn failover_recovers_tenants_of_a_dead_board() {
     assert!(supervised.failed_shards.is_empty(), "no worker panicked");
 }
 
+/// Boards whose fault plan holds no `BoardFail` run exactly once, with
+/// their final schedules: a fleet whose failed-over tenants all land on
+/// such boards — like a fault-free fleet — makes one shard run per
+/// board, and every other re-run belongs to a board that can die and
+/// took failed-over tenants after an earlier run.
+#[test]
+fn boards_that_cannot_die_run_once() {
+    let fault_free = tiny_fleet(17, 3, PlacementPolicy::LeastLoaded);
+    let one_death = faulty(fault_free.clone(), dead_board_faults());
+    let drained = faulty(
+        tiny_fleet(29, 6, PlacementPolicy::RoundRobin),
+        chaos_faults(7),
+    );
+    let racing = faulty(racing_fleet(), chaos_faults(11));
+    let cases = [
+        (fault_free, false),
+        (one_death, false),
+        (drained, true),
+        (racing, false),
+    ];
+    for (spec, reruns_expected) in cases {
+        let n = spec.boards.len();
+        let mut sink = JsonlSink::new(Vec::new());
+        let out = run_fleet(&spec, 2, &mut sink).expect("fleet runs");
+        let mortal_destinations = failover_destinations(&sink.into_inner())
+            .into_iter()
+            .filter(|&b| spec.fault_plan(b).kills_board())
+            .count() as u64;
+        assert!(out.failed_shards.is_empty());
+        assert_eq!(mortal_destinations > 0, reruns_expected);
+        if spec.faults.is_some() {
+            assert!(out.tenants_failed_over > 0, "survivors must take victims");
+        }
+        // One run per board, plus at least one re-run per board that
+        // can die and took victims and at most one per such board and
+        // failover pass (each pass follows a wave in which at least one
+        // more board died): with no such board, exactly one per board.
+        let reruns = out.shard_runs - n as u64;
+        assert!(
+            (mortal_destinations..=mortal_destinations * out.boards_failed).contains(&reruns),
+            "{reruns} re-runs, {mortal_destinations} boards that can die took victims"
+        );
+    }
+}
+
+/// `tiny_fleet(17, 3, ..)` with a zero base frequency on board 2, a GTS
+/// board whose shard worker therefore panics in `Engine::new`, under
+/// `faults`.
+fn panicking_fleet(faults: FleetFaultSpec) -> FleetSpec {
+    let mut spec = faulty(tiny_fleet(17, 3, PlacementPolicy::LeastLoaded), faults);
+    spec.boards[2].board.base_freq = FreqKhz::new(0);
+    spec
+}
+
+/// A shard worker that panics fails its shard, not the fleet: the pool
+/// reports a row with the panic message and fails the shard's tenants
+/// over like a dead board's — also when a board dies in the same fleet
+/// — and the outcome stays bit-identical across worker counts.
+#[test]
+fn a_panicking_shard_fails_over_like_a_dead_board() {
+    let board_dies = (0..500u64)
+        .map(|fs| FleetFaultSpec {
+            board_fail_prob: 0.5,
+            ..FleetFaultSpec::new(fs)
+        })
+        .find(|&f| {
+            let spec = panicking_fleet(f);
+            let kills = |b| spec.fault_plan(b).kills_board();
+            (kills(0) || kills(1)) && !kills(2)
+        })
+        .expect("some seed under p=0.5 kills board 0 or 1 but not board 2");
+    for faults in [FleetFaultSpec::new(5), board_dies] {
+        let spec = panicking_fleet(faults);
+        let one = run_fleet(&spec, 1, &mut NullSink).expect("a worker panic is no error");
+        let eight = run_fleet(&spec, 8, &mut NullSink).expect("a worker panic is no error");
+        assert_eq!(one, eight);
+        assert_eq!(
+            one.failed_shards,
+            vec![ShardFailure {
+                shard: 2,
+                board: spec.boards[2].board.name.clone(),
+                reason: "base frequency must be positive".to_string(),
+            }]
+        );
+        assert!(one.shards.iter().all(|row| row.shard != 2));
+        assert!(
+            one.tenants_failed_over > 0,
+            "the panicked shard's tenants fail over"
+        );
+        assert_eq!(one.boards_failed > 0, faults.board_fail_prob > 0.0);
+    }
+}
+
 /// The caller-side stream of a chaos fleet (placements and failovers)
 /// replays byte for byte: every line re-encodes to itself and the
 /// replayed summary equals the live fold.
@@ -327,6 +422,194 @@ fn chaos_fleet_stream_replays_byte_for_byte() {
     }
     assert_eq!(events.len(), text.lines().count());
     assert_eq!(live, summarize(MetricsConfig::default(), &events));
+}
+
+/// A fleet spec with `faults` installed.
+fn faulty(mut spec: FleetSpec, faults: FleetFaultSpec) -> FleetSpec {
+    spec.faults = Some(faults);
+    spec
+}
+
+/// FNV-1a over a byte stream.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = FnvHasher::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// The boards a fleet's JSONL stream shows tenants failing over onto.
+fn failover_destinations(stream: &[u8]) -> BTreeSet<usize> {
+    let text = std::str::from_utf8(stream).expect("utf8 capture");
+    parse_capture(text)
+        .expect("capture parses against the schema")
+        .iter()
+        .filter_map(|ev| match ev {
+            TelemetryEvent::TenantFailedOver { to_board, .. } if *to_board != u64::MAX => {
+                Some(*to_board as usize)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The figures a supervised fleet run is pinned by.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    fingerprint: u64,
+    service_level_bits: u64,
+    tenants_failed_over: u64,
+    failover_lost: u64,
+    /// FNV-1a of the caller's JSONL stream (placements and failovers).
+    stream_fnv: u64,
+    /// FNV-1a of the rendered metrics rollup (metrics runs only).
+    rollup_fnv: Option<u64>,
+    /// Boards that died although tenants had failed over onto them:
+    /// they drained before their death instant in an earlier run and
+    /// died in the re-run that served their new tenants.
+    drained_then_died: usize,
+}
+
+/// Runs `spec` on two workers with a JSONL sink and reads off its
+/// [`Pinned`] figures.
+fn pinned_run(spec: &FleetSpec, metrics: bool) -> Pinned {
+    let run = if metrics {
+        run_fleet_with_metrics
+    } else {
+        run_fleet
+    };
+    let mut sink = JsonlSink::new(Vec::new());
+    let out = run(spec, 2, &mut sink).expect("fleet runs");
+    let stream = sink.into_inner();
+    let landed = failover_destinations(&stream);
+    Pinned {
+        fingerprint: out.fingerprint,
+        service_level_bits: out.service_level.to_bits(),
+        tenants_failed_over: out.tenants_failed_over,
+        failover_lost: out.failover_lost,
+        stream_fnv: fnv(&stream),
+        rollup_fnv: out.metrics.map(|m| fnv(m.render().as_bytes())),
+        drained_then_died: out
+            .shards
+            .iter()
+            .filter(|row| row.board_failed_at.is_some() && landed.contains(&row.shard))
+            .count(),
+    }
+}
+
+/// Six supervised fleets pinned with the figures the barrier-round
+/// supervisor produced, which ran every shard in round zero and re-ran
+/// failover destinations from t = 0. Running boards that can die first
+/// and survivors once, after failover settles, must not move a bit.
+#[test]
+fn supervised_fleets_match_pinned_outcomes() {
+    let no_failover = FleetFaultSpec {
+        failover: false,
+        ..dead_board_faults()
+    };
+    let mut per_shard = faulty(
+        tiny_fleet(5, 4, PlacementPolicy::RoundRobin),
+        chaos_faults(3),
+    );
+    per_shard.cache = FleetCacheMode::PerShard;
+    let drained = FleetFaultSpec {
+        board_fail_prob: 0.5,
+        ..FleetFaultSpec::new(4)
+    };
+    let cases = [
+        (
+            "failover",
+            faulty(
+                tiny_fleet(17, 3, PlacementPolicy::LeastLoaded),
+                dead_board_faults(),
+            ),
+            false,
+            Pinned {
+                fingerprint: 0x0796_1616_c86f_9ee2,
+                service_level_bits: 0x3fe5_853d_614f_5854,
+                tenants_failed_over: 1,
+                failover_lost: 0,
+                stream_fnv: 0x13ac_7eb6_1d6b_5555,
+                rollup_fnv: None,
+                drained_then_died: 0,
+            },
+        ),
+        (
+            "no failover",
+            faulty(tiny_fleet(17, 3, PlacementPolicy::LeastLoaded), no_failover),
+            false,
+            Pinned {
+                fingerprint: 0x6cf3_a79b_6fa4_a588,
+                service_level_bits: 0x3fe4_65cd_1973_465d,
+                tenants_failed_over: 0,
+                failover_lost: 0,
+                stream_fnv: 0xcfc7_74f9_468b_ae12,
+                rollup_fnv: None,
+                drained_then_died: 0,
+            },
+        ),
+        (
+            "per-shard caches",
+            per_shard,
+            false,
+            Pinned {
+                fingerprint: 0x2d19_3131_9b5f_593a,
+                service_level_bits: 0x3fe8_4dc5_abbf_309c,
+                tenants_failed_over: 1,
+                failover_lost: 0,
+                stream_fnv: 0x1209_154f_d92a_493b,
+                rollup_fnv: None,
+                drained_then_died: 0,
+            },
+        ),
+        (
+            "metrics",
+            faulty(tiny_fleet(9, 4, PlacementPolicy::FirstFit), chaos_faults(7)),
+            true,
+            Pinned {
+                fingerprint: 0x0585_4bb5_963b_7174,
+                service_level_bits: 0x3fb4_49fe_ce78_8a72,
+                tenants_failed_over: 3,
+                failover_lost: 1,
+                stream_fnv: 0xc898_59df_915e_d009,
+                rollup_fnv: Some(0x097d_c49a_11dc_dbb6),
+                drained_then_died: 0,
+            },
+        ),
+        (
+            "drained board dies in its re-run",
+            faulty(tiny_fleet(0, 3, PlacementPolicy::RoundRobin), drained),
+            false,
+            Pinned {
+                fingerprint: 0x56f0_37eb_7a32_3c70,
+                service_level_bits: 0x3ff4_0000_0000_0000,
+                tenants_failed_over: 2,
+                failover_lost: 0,
+                stream_fnv: 0x213d_bdb6_39ad_1cb4,
+                rollup_fnv: None,
+                drained_then_died: 1,
+            },
+        ),
+        (
+            "six boards round-robin",
+            faulty(
+                tiny_fleet(29, 6, PlacementPolicy::RoundRobin),
+                chaos_faults(7),
+            ),
+            false,
+            Pinned {
+                fingerprint: 0x1fd9_85a0_5ba5_71fd,
+                service_level_bits: 0x3fdf_a7e9_fa7e_9fa8,
+                tenants_failed_over: 3,
+                failover_lost: 1,
+                stream_fnv: 0x6fd2_ad05_df1a_a0ec,
+                rollup_fnv: None,
+                drained_then_died: 1,
+            },
+        ),
+    ];
+    for (name, spec, metrics, want) in cases {
+        assert_eq!(pinned_run(&spec, metrics), want, "{name}");
+    }
 }
 
 /// Absorbing the same shard outcomes in any order yields the identical

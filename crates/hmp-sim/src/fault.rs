@@ -157,6 +157,12 @@ impl FaultPlan {
         self.faults.iter()
     }
 
+    /// `true` when the plan schedules a [`FaultKind::BoardFail`]: the
+    /// board can die (it may still drain before the death instant).
+    pub fn kills_board(&self) -> bool {
+        self.faults.iter().any(|f| f.kind == FaultKind::BoardFail)
+    }
+
     /// Onset instant of the earliest not-yet-applied fault.
     pub fn next_due(&self) -> Option<u64> {
         self.faults.get(self.next).map(|f| f.at_ns)

@@ -72,8 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let kills = |f: &FleetFaultSpec, b: usize| {
         f.plan_for(b, spec.boards[b].board.n_clusters(), spec.horizon_ns)
-            .iter()
-            .any(|t| t.kind == FaultKind::BoardFail)
+            .kills_board()
     };
     let fault_seed = (0..1_000u64)
         .find(|&s| {
