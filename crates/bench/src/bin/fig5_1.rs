@@ -3,7 +3,7 @@
 //! for Baseline / SO / HARS-I / HARS-E / HARS-EI, normalized to the
 //! baseline, with the geometric-mean bar.
 
-use hars_bench::table::{render_table, results_dir, write_csv};
+use hars_bench::table::{relative, render_table, results_dir, write_csv};
 use hars_bench::{figure_perf_per_watt, parse_args, Lab, Version};
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     if let Err(e) = write_csv(&csv, &headers, &rows) {
         eprintln!("warning: could not write {}: {e}", csv.display());
     } else {
-        println!("wrote {}", csv.display());
+        println!("wrote {}", relative(&csv).display());
     }
     // Supporting detail: raw rates/watts per cell.
     println!("\nRaw measurements:");

@@ -1,7 +1,7 @@
 //! Reproduces **Figure 5.2** — performance/watt under the high
 //! performance target (75% ± 5% of maximum).
 
-use hars_bench::table::{render_table, results_dir, write_csv};
+use hars_bench::table::{relative, render_table, results_dir, write_csv};
 use hars_bench::{figure_perf_per_watt, parse_args, Lab, Version};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     if let Err(e) = write_csv(&csv, &headers, &rows) {
         eprintln!("warning: could not write {}: {e}", csv.display());
     } else {
-        println!("wrote {}", csv.display());
+        println!("wrote {}", relative(&csv).display());
     }
     println!("\nRaw measurements:");
     for (bench, results) in &fig.raw {

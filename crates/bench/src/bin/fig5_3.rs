@@ -3,7 +3,7 @@
 //! `d = 1` and (b) manager CPU utilization, for `d ∈ {1,3,5,7,9}` under
 //! both targets.
 
-use hars_bench::table::{render_table, results_dir, write_csv};
+use hars_bench::table::{relative, render_table, results_dir, write_csv};
 use hars_bench::{figure_distance_sweep, parse_args, Lab};
 
 fn main() {
@@ -50,5 +50,5 @@ fn main() {
     let dir = results_dir();
     let _ = write_csv(&dir.join("fig5_3a.csv"), &["d", "default", "high"], &rows_a);
     let _ = write_csv(&dir.join("fig5_3b.csv"), &["d", "default", "high"], &rows_b);
-    println!("wrote {}", dir.join("fig5_3{a,b}.csv").display());
+    println!("wrote {}", relative(&dir.join("fig5_3{a,b}.csv")).display());
 }

@@ -2,7 +2,7 @@
 //! the six benchmark pairings for Baseline / CONS-I / MP-HARS-I /
 //! MP-HARS-E, normalized to the baseline, with the geometric mean.
 
-use hars_bench::table::{render_table, results_dir, write_csv};
+use hars_bench::table::{relative, render_table, results_dir, write_csv};
 use hars_bench::{figure_multi_app, parse_args, Lab, MpVersionKind};
 
 fn main() {
@@ -41,6 +41,6 @@ fn main() {
     if let Err(e) = write_csv(&csv, &headers, &rows) {
         eprintln!("warning: could not write {}: {e}", csv.display());
     } else {
-        println!("wrote {}", csv.display());
+        println!("wrote {}", relative(&csv).display());
     }
 }

@@ -2,7 +2,7 @@
 //! (bodytrack + fluidanimate) under CONS-I, MP-HARS-I and MP-HARS-E:
 //! per-heartbeat HPS, allocated core counts and cluster frequencies.
 
-use hars_bench::table::{render_series, render_table, results_dir, write_csv};
+use hars_bench::table::{relative, render_series, render_table, results_dir, write_csv};
 use hars_bench::{behavior_trace, parse_args, Lab, MpVersionKind};
 use hars_core::driver::BehaviorSample;
 
@@ -96,7 +96,7 @@ fn main() {
             if let Err(e) = write_csv(&path, &headers, &rows) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             } else {
-                println!("  wrote {}", path.display());
+                println!("  wrote {}", relative(&path).display());
             }
         }
         // ASCII behavior graphs (HPS vs heartbeat index, target band

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Renders an aligned table: one label column plus numeric columns.
 pub fn render_table(title: &str, headers: &[&str], rows: &[(String, Vec<f64>)]) -> String {
@@ -145,11 +145,22 @@ pub fn render_series(
     out
 }
 
+/// The workspace root, the base of [`results_dir`] and of
+/// [`relative`].
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// The directory experiment binaries write their CSVs to.
-pub fn results_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
+pub fn results_dir() -> PathBuf {
+    workspace_root().join("results")
+}
+
+/// `path` relative to the workspace root (unchanged if it lies
+/// elsewhere), so printed paths do not depend on where the checkout
+/// lives.
+pub fn relative(path: &Path) -> &Path {
+    path.strip_prefix(workspace_root()).unwrap_or(path)
 }
 
 #[cfg(test)]
