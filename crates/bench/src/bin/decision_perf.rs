@@ -30,8 +30,7 @@
 //! recovers the measured per-evaluation and per-node costs. The fit is
 //! printed and written to the JSON report; its rounded values back the
 //! `hars_core::config::CALIBRATED_COST_PER_STATE_NS` /
-//! `CALIBRATED_COST_PER_NODE_NS` constants (and
-//! `RuntimeConfig::with_calibrated_costs`).
+//! `CALIBRATED_COST_PER_NODE_NS` constants.
 //!
 //! ```sh
 //! cargo run --release -p hars-bench --bin decision_perf [-- --quick] [--out BENCH_search.json]

@@ -151,9 +151,9 @@ pub fn run_mode(
         }
     }
     ScenarioOutcome {
-        mid_estimate: manager.assumed_ratio_of(ClusterId(1)),
-        prediction_error: manager.recent_prediction_error(),
-        informative_error: manager.recent_informative_prediction_error(),
+        mid_estimate: manager.core().perf.ratio_of(ClusterId(1)),
+        prediction_error: manager.core().learner().mean_recent_error(),
+        informative_error: manager.core().learner().mean_recent_informative_error(),
         adaptations: manager.adaptations(),
     }
 }

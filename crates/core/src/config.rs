@@ -9,15 +9,19 @@
 //! `MpHarsConfig`. Everything an operator may retune mid-run lives in
 //! the [`RuntimeConfig`] snapshot: the search policy and its anytime
 //! budget, the modeled search-cost coefficients, ratio learning, the
-//! exploration bonus and the tabu length. Both managers apply changes
-//! through `apply_config(&ConfigDelta) -> Result<ConfigVersion,
-//! RejectReason>`: the delta is validated *in full* against the current
-//! snapshot before anything mutates, so a rejected delta leaves the
-//! manager bit-identical — the contract the reconfigure-determinism
-//! proptests pin down. Every accepted delta bumps the manager's
-//! [`ConfigVersion`], which telemetry stamps on each decision so a
-//! replayed stream attributes every decision to the config that made
-//! it.
+//! exploration bonus and the tabu length. The snapshot and its
+//! version live in the one component both managers share,
+//! [`DecisionCore`](crate::manager::DecisionCore), and change only
+//! through [`DecisionCore::apply`](crate::manager::DecisionCore::apply),
+//! which each manager's `apply_config(&ConfigDelta) ->
+//! Result<ConfigVersion, RejectReason>` calls after rejecting the
+//! fields it does not accept. The delta is validated *in full* against
+//! the current snapshot before anything mutates, so a rejected delta
+//! leaves the manager bit-identical — the contract the
+//! reconfigure-determinism proptests pin down. Every accepted delta
+//! bumps the [`ConfigVersion`], which telemetry stamps on each decision
+//! so a replayed stream attributes every decision to the config that
+//! made it.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,8 +39,8 @@ use crate::ratio_learn::RatioLearning;
 /// mostly cache hits, while each walk node still pays its enumeration
 /// bookkeeping. The config *default* stays at the paper's modeled
 /// `3_000 ns` — the bit-identity goldens pin the historical overhead
-/// model — so calibrated costs are opt-in via
-/// [`RuntimeConfig::with_calibrated_costs`] or a [`ConfigDelta`].
+/// model — so calibrated costs are opt-in, through a [`ConfigDelta`]
+/// that sets both coefficients.
 pub const CALIBRATED_COST_PER_STATE_NS: u64 = 50;
 
 /// Calibrated per-enumeration-node walk cost (ns), from the same
@@ -96,15 +100,6 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// This snapshot with the measured (rather than the paper-modeled)
-    /// search-cost coefficients — see [`CALIBRATED_COST_PER_STATE_NS`].
-    #[must_use]
-    pub fn with_calibrated_costs(mut self) -> Self {
-        self.cost_per_state_ns = CALIBRATED_COST_PER_STATE_NS;
-        self.cost_per_node_ns = CALIBRATED_COST_PER_NODE_NS;
-        self
-    }
-
     /// Validates `delta` against this snapshot and returns the updated
     /// snapshot. Pure: `self` is never mutated, and an `Err` means no
     /// observable change anywhere — the all-or-nothing contract
@@ -523,15 +518,5 @@ mod tests {
         assert_eq!(v.next(), ConfigVersion(1));
         assert_eq!(v.next().to_string(), "v1");
         assert!(v < v.next());
-    }
-
-    #[test]
-    fn calibrated_costs_are_opt_in() {
-        let cfg = snapshot().with_calibrated_costs();
-        assert_eq!(cfg.cost_per_state_ns, CALIBRATED_COST_PER_STATE_NS);
-        assert_eq!(cfg.cost_per_node_ns, CALIBRATED_COST_PER_NODE_NS);
-        // The defaults the goldens pin are untouched.
-        assert_eq!(snapshot().cost_per_state_ns, 3_000);
-        assert_eq!(snapshot().cost_per_node_ns, 0);
     }
 }

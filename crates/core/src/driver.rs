@@ -206,9 +206,9 @@ pub(crate) fn summarize(
         adaptations: manager.adaptations(),
         search_stats: manager.search_stats(),
         assumed_ratios: (0..engine.board().n_clusters())
-            .map(|c| manager.assumed_ratio_of(hmp_sim::ClusterId(c)))
+            .map(|c| manager.core().perf.ratio_of(hmp_sim::ClusterId(c)))
             .collect(),
-        prediction_error: manager.recent_prediction_error(),
+        prediction_error: manager.core().learner().mean_recent_error(),
         trace,
     }
 }

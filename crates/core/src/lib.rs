@@ -91,7 +91,7 @@ pub mod telemetry;
 pub use assign::{assign_threads, ThreadAssignment};
 pub use config::{BudgetChange, ConfigDelta, ConfigVersion, RejectReason, RuntimeConfig};
 pub use driver::{run_single_app, BehaviorSample, RunOutcome};
-pub use manager::{Decision, HarsConfig, RuntimeManager};
+pub use manager::{Decision, DecisionCore, HarsConfig, RuntimeManager};
 pub use perf_est::{PerfEstimator, UnitTimes};
 pub use power_est::PowerEstimator;
 pub use predictor::{Kalman1D, Predictor};

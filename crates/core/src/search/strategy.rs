@@ -469,7 +469,9 @@ impl<'a> BestTracker<'a> {
 /// ordering behave exactly like the shipped strategies. Plug one into a
 /// running manager with a [`SearchStrategyFactory`]
 /// (`RuntimeManager::set_search_strategy_factory` /
-/// `MpHarsManager::set_search_strategy_factory`).
+/// `MpHarsManager::set_search_strategy_factory`). Both managers run it
+/// through one shared step,
+/// [`DecisionCore::decide`](crate::manager::DecisionCore::decide).
 pub trait SearchStrategy {
     /// Short display name ("exhaustive", "beam(8,7)", ...).
     fn name(&self) -> &'static str;
@@ -490,7 +492,9 @@ pub trait SearchStrategy {
 }
 
 /// The manager-level hook for out-of-crate search policies: installed
-/// with `set_search_strategy_factory`, it is consulted *instead of*
+/// with `set_search_strategy_factory`, it is held by the managers'
+/// shared [`DecisionCore`](crate::manager::DecisionCore) and consulted
+/// *instead of*
 /// [`SearchPolicy::strategy_for`](crate::policy::SearchPolicy::strategy_for)
 /// at every decision, with the manager's current over/under-performance
 /// verdict and the live
@@ -499,7 +503,7 @@ pub trait SearchStrategy {
 /// way the shipped strategies do.
 ///
 /// `Send + Sync` because managers are `Send`-shareable across scenario
-/// shards; `Debug` because the managers derive it. The factory itself
+/// shards; `Debug` because the core derives it. The factory itself
 /// must be deterministic (same inputs → same strategy) or scenario
 /// fingerprint stability is forfeit.
 pub trait SearchStrategyFactory: std::fmt::Debug + Send + Sync {

@@ -67,23 +67,23 @@ fn wild_rates(n: usize) -> impl Iterator<Item = f64> {
 fn fast_only_cannot_move_the_mid_ratio() {
     let m = driven(RatioLearning::FastOnly, wild_rates(300));
     assert_eq!(
-        m.assumed_ratio_of(ClusterId(1)),
+        m.core().perf.ratio_of(ClusterId(1)),
         ASSUMED_MID,
         "FastOnly must leave middle clusters at their nominal ratios"
     );
     // It does track prediction errors, though.
-    assert!(m.recent_prediction_error().is_some());
+    assert!(m.core().learner().mean_recent_error().is_some());
 }
 
 /// Off learns nothing at all and reports no prediction errors.
 #[test]
 fn off_keeps_every_ratio_nominal() {
     let m = driven(RatioLearning::Off, wild_rates(300));
-    assert_eq!(m.assumed_ratio_of(ClusterId(0)), 1.0);
-    assert_eq!(m.assumed_ratio_of(ClusterId(1)), ASSUMED_MID);
-    assert_eq!(m.assumed_ratio_of(ClusterId(2)), 2.0);
-    assert_eq!(m.recent_prediction_error(), None);
-    assert_eq!(m.recent_informative_prediction_error(), None);
+    assert_eq!(m.core().perf.ratio_of(ClusterId(0)), 1.0);
+    assert_eq!(m.core().perf.ratio_of(ClusterId(1)), ASSUMED_MID);
+    assert_eq!(m.core().perf.ratio_of(ClusterId(2)), 2.0);
+    assert_eq!(m.core().learner().mean_recent_error(), None);
+    assert_eq!(m.core().learner().mean_recent_informative_error(), None);
 }
 
 /// Learned ratios always respect the per-cluster clamps, even under
@@ -92,15 +92,15 @@ fn off_keeps_every_ratio_nominal() {
 fn learned_ratios_stay_inside_clamps() {
     let m = driven(RatioLearning::PerCluster, wild_rates(300));
     // Default clamps: nominal / 3 .. nominal * 3.
-    let mid = m.assumed_ratio_of(ClusterId(1));
-    let prime = m.assumed_ratio_of(ClusterId(2));
+    let mid = m.core().perf.ratio_of(ClusterId(1));
+    let prime = m.core().perf.ratio_of(ClusterId(2));
     assert!(
         (ASSUMED_MID / 3.0..=ASSUMED_MID * 3.0).contains(&mid),
         "mid {mid}"
     );
     assert!((2.0 / 3.0..=2.0 * 3.0).contains(&prime), "prime {prime}");
     assert_eq!(
-        m.assumed_ratio_of(ClusterId(0)),
+        m.core().perf.ratio_of(ClusterId(0)),
         1.0,
         "the reference cluster is never learned"
     );
@@ -133,7 +133,7 @@ fn retargets_between_every_heartbeat_never_learn_garbage() {
         let rate = if hb % 2 == 0 { 80.0 } else { 1.0 };
         let _ = m.on_heartbeat(hb, Some(rate));
     }
-    assert_eq!(m.assumed_ratio_of(ClusterId(1)), ASSUMED_MID);
-    assert_eq!(m.assumed_ratio_of(ClusterId(2)), 2.0);
-    assert_eq!(m.recent_prediction_error(), None);
+    assert_eq!(m.core().perf.ratio_of(ClusterId(1)), ASSUMED_MID);
+    assert_eq!(m.core().perf.ratio_of(ClusterId(2)), 2.0);
+    assert_eq!(m.core().learner().mean_recent_error(), None);
 }

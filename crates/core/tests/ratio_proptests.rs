@@ -136,8 +136,8 @@ proptest! {
                 // exactly 1 and the nudge is the identity.
                 rate = perf.estimate_rate(rate, 8, &before, &d.state);
             }
-            prop_assert_eq!(fast.assumed_ratio(), 1.5);
-            prop_assert_eq!(off.assumed_ratio(), 1.5);
+            prop_assert_eq!(fast.core().perf.r0(), 1.5);
+            prop_assert_eq!(off.core().perf.r0(), 1.5);
         }
     }
 }

@@ -599,7 +599,10 @@ fn exploration_bonus_feeds_evidence_to_understated_clusters() {
                 allocated_mid |= d.state.cores(ClusterId(1)) > 0;
             }
         }
-        (allocated_mid, m.recent_informative_prediction_error())
+        (
+            allocated_mid,
+            m.core().learner().mean_recent_informative_error(),
+        )
     };
     let (plain_mid, plain_evidence) = run(0.0);
     assert!(

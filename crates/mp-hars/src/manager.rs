@@ -3,7 +3,7 @@
 //!
 //! One manager supervises every registered application. Each application
 //! keeps its own HARS-style adaptation loop (same estimators, same
-//! search), but:
+//! search — the [`DecisionCore`] single-app HARS uses too), but:
 //!
 //! * candidate core counts are capped by the per-cluster **free-core**
 //!   counts (resource partitioning: apps never take each other's cores);
@@ -20,13 +20,10 @@ use std::sync::Arc;
 
 use hars_core::config::{ConfigDelta, ConfigVersion, RejectReason, RuntimeConfig};
 use hars_core::policy::SearchPolicy;
-use hars_core::ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
+use hars_core::ratio_learn::RatioLearning;
 use hars_core::sched::plan_affinities;
-use hars_core::search::{
-    ExplorationBonus, FreqChange, SearchConstraints, SearchContext, SearchStats, SearchStrategy,
-    SearchStrategyFactory,
-};
-use hars_core::{PerfEstimator, PowerEstimator, SchedulerKind, StateSpace, SystemState};
+use hars_core::search::{FreqChange, SearchConstraints, SearchStats, SearchStrategyFactory};
+use hars_core::{DecisionCore, PerfEstimator, PowerEstimator, SchedulerKind, SystemState};
 
 use crate::app_data::{AppData, PerfClass};
 use crate::cluster_data::ClusterData;
@@ -95,19 +92,6 @@ impl Default for MpHarsConfig {
 }
 
 impl MpHarsConfig {
-    /// This config with the measured search-cost coefficients
-    /// (`hars_core::config::CALIBRATED_COST_PER_STATE_NS` /
-    /// `CALIBRATED_COST_PER_NODE_NS`, fit by the `decision_perf`
-    /// bench) instead of the paper's modeled `3000 ns / 0 ns`. Opt-in:
-    /// [`MpHarsConfig::default`] keeps the modeled costs so the
-    /// `ci/golden_quick.sha256` bit-identity goldens stay valid.
-    #[must_use]
-    pub fn calibrated(mut self) -> Self {
-        self.cost_per_state_ns = hars_core::config::CALIBRATED_COST_PER_STATE_NS;
-        self.cost_per_node_ns = hars_core::config::CALIBRATED_COST_PER_NODE_NS;
-        self
-    }
-
     /// The hot-reloadable half of this config — the manager's version-0
     /// [`RuntimeConfig`] snapshot. MP-HARS runs without tabu
     /// (`tabu_len` is 0 and deltas setting it are rejected); the
@@ -196,41 +180,20 @@ impl QuarantineMode {
 /// The multi-application runtime manager.
 #[derive(Debug, Clone)]
 pub struct MpHarsManager {
-    /// Construction-time identity: the thread scheduler.
-    scheduler: SchedulerKind,
-    /// Construction-time identity: the adaptation period (heartbeats).
-    adapt_every: u64,
-    /// Construction-time identity: fixed cost per heartbeat (ns).
-    cost_per_heartbeat_ns: u64,
+    /// The decision machinery shared with single-app HARS. Its
+    /// estimator and ratio learner are shared by every app: each app's
+    /// consumed predictions refine the one estimator.
+    core: DecisionCore,
     /// Hot manager knob: freezing-count value armed on decreases.
     freeze_heartbeats: u32,
     /// Hot manager knob: overflow parking.
     park_overflow: bool,
-    /// The hot-reloadable config snapshot (see
-    /// [`MpHarsManager::apply_config`]).
-    runtime: RuntimeConfig,
-    /// The snapshot's version: 0 at construction, +1 per accepted delta.
-    version: ConfigVersion,
-    /// Out-of-crate strategy override (code-level hook; `None` resolves
-    /// through `runtime.policy` as usual).
-    strategy_factory: Option<Arc<dyn SearchStrategyFactory>>,
-    board: BoardSpec,
-    space: StateSpace,
-    perf: PerfEstimator,
-    power: PowerEstimator,
     apps: Vec<AppData>,
     /// Per-cluster partitioning state, indexed by cluster.
     clusters: Vec<ClusterData>,
     /// Per-cluster quarantine state (fault-plane reaction), indexed by
     /// cluster; `None` everywhere in fault-free runs.
     quarantine: Vec<Option<QuarantineMode>>,
-    /// The per-cluster online ratio learner (shared estimator, shared
-    /// learner: every app's consumed predictions contribute evidence).
-    learner: RatioLearner,
-    busy_ns: u64,
-    adaptations: u64,
-    /// Cumulative search cost across all apps' searches.
-    search_stats: SearchStats,
 }
 
 impl MpHarsManager {
@@ -242,28 +205,29 @@ impl MpHarsManager {
         power: PowerEstimator,
         cfg: MpHarsConfig,
     ) -> Self {
-        let learner = RatioLearner::new(cfg.ratio_learning, &perf);
         Self {
-            scheduler: cfg.scheduler,
-            adapt_every: cfg.adapt_every,
-            cost_per_heartbeat_ns: cfg.cost_per_heartbeat_ns,
+            core: DecisionCore::new(
+                board,
+                perf,
+                power,
+                cfg.scheduler,
+                cfg.adapt_every,
+                cfg.cost_per_heartbeat_ns,
+                cfg.runtime(),
+            ),
             freeze_heartbeats: cfg.freeze_heartbeats,
             park_overflow: cfg.park_overflow,
-            runtime: cfg.runtime(),
-            version: ConfigVersion::default(),
-            strategy_factory: None,
-            board: board.clone(),
-            space: StateSpace::from_board(board),
-            perf,
-            power,
             apps: Vec::new(),
             clusters: ClusterData::for_board(board),
             quarantine: vec![None; board.n_clusters()],
-            learner,
-            busy_ns: 0,
-            adaptations: 0,
-            search_stats: SearchStats::default(),
         }
+    }
+
+    /// The shared decision machinery: the config snapshot and version,
+    /// the shared estimator and its assumed ratios, the learner's
+    /// prediction-error diagnostics.
+    pub fn core(&self) -> &DecisionCore {
+        &self.core
     }
 
     /// Registers an application. It owns no cores until its first
@@ -297,16 +261,6 @@ impl MpHarsManager {
         }
     }
 
-    /// The current hot-reloadable config snapshot.
-    pub fn runtime_config(&self) -> &RuntimeConfig {
-        &self.runtime
-    }
-
-    /// The current config version (0 until the first accepted delta).
-    pub fn config_version(&self) -> ConfigVersion {
-        self.version
-    }
-
     /// The freezing-count value armed on frequency decreases (hot —
     /// [`ConfigDelta::freeze_heartbeats`]).
     pub fn freeze_heartbeats(&self) -> u32 {
@@ -320,15 +274,12 @@ impl MpHarsManager {
     }
 
     /// Applies a validated config delta to the *running* manager — the
-    /// hot-reload hook, identical in contract to the single-app
-    /// `RuntimeManager::apply_config`: all-or-nothing validation, a
-    /// rejection leaves the manager bit-identical, an acceptance swaps
-    /// the snapshot and bumps the version. MP-specific semantics: a
-    /// ratio-learning mode change rebuilds the *shared* learner and
-    /// drops every app's pending prediction; `freeze_heartbeats` /
-    /// `park_overflow` apply from the next decision (armed freezing
-    /// counts keep draining at their armed values); `tabu_len` is
-    /// rejected — the multi-app manager runs without tabu.
+    /// hot-reload hook (see [`DecisionCore::apply`]). MP-specific
+    /// semantics: a ratio-learning mode change drops every app's
+    /// pending prediction; `freeze_heartbeats` / `park_overflow` apply
+    /// from the next decision (armed freezing counts keep draining at
+    /// their armed values); `tabu_len` is rejected — the multi-app
+    /// manager runs without tabu.
     ///
     /// # Errors
     ///
@@ -337,58 +288,53 @@ impl MpHarsManager {
         if delta.tabu_len.is_some() {
             return Err(RejectReason::Unsupported { field: "tabu_len" });
         }
-        let next = self.runtime.apply(delta)?;
-        if next.ratio_learning != self.runtime.ratio_learning {
-            self.learner = RatioLearner::new(next.ratio_learning, &self.perf);
+        if self.core.apply(delta)? {
             for a in &mut self.apps {
                 a.pending_prediction = None;
             }
         }
-        self.runtime = next;
         if let Some(fh) = delta.freeze_heartbeats {
             self.freeze_heartbeats = fh;
         }
         if let Some(park) = delta.park_overflow {
             self.park_overflow = park;
         }
-        self.version = self.version.next();
-        Ok(self.version)
+        Ok(self.core.config_version())
     }
 
-    /// Installs an out-of-crate [`SearchStrategy`] source consulted for
-    /// every app's decisions instead of the configured policy. A
-    /// code-level hook (no version bump); determinism is the factory's
-    /// responsibility.
+    /// Installs an out-of-crate strategy source consulted for every
+    /// app's decisions instead of the configured policy (see
+    /// [`DecisionCore::strategy_factory`]).
     pub fn set_search_strategy_factory(&mut self, factory: Arc<dyn SearchStrategyFactory>) {
-        self.strategy_factory = Some(factory);
+        self.core.strategy_factory = Some(factory);
     }
 
     /// Removes the strategy factory, returning decisions to the
     /// configured [`SearchPolicy`].
     pub fn clear_search_strategy_factory(&mut self) {
-        self.strategy_factory = None;
+        self.core.strategy_factory = None;
     }
 
     /// Total modeled manager CPU time (ns).
     pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
+        self.core.busy_ns
     }
 
     /// State changes applied across all applications.
     pub fn adaptations(&self) -> u64 {
-        self.adaptations
+        self.core.adaptations
     }
 
     /// Cumulative search cost across all applications' searches.
     pub fn search_stats(&self) -> SearchStats {
-        self.search_stats
+        self.core.search_stats
     }
 
     /// One application's current state view, if registered.
     pub fn app_state(&self, app: AppId) -> Option<SystemState> {
         self.apps.iter().find(|a| a.app == app).map(|a| {
             let mut s = a.state;
-            for c in self.board.cluster_ids() {
+            for c in self.core.board.cluster_ids() {
                 s.set_freq(c, self.clusters[c.index()].freq);
             }
             s
@@ -422,18 +368,6 @@ impl MpHarsManager {
         &self.apps
     }
 
-    /// The shared estimator's assumed ratio of `cluster` (changes only
-    /// under ratio learning).
-    pub fn assumed_ratio_of(&self, cluster: ClusterId) -> f64 {
-        self.perf.ratio_of(cluster)
-    }
-
-    /// Mean `|ln(observed/predicted)|` over the recently consumed rate
-    /// predictions across all apps (`None` with learning off).
-    pub fn recent_prediction_error(&self) -> Option<f64> {
-        self.learner.mean_recent_error()
-    }
-
     /// Quarantines `cluster` (fault-plane reaction): its shared
     /// frequency is pinned at the DVFS floor and — under
     /// [`QuarantineMode::Offline`] — searches must vacate it, so owned
@@ -443,7 +377,7 @@ impl MpHarsManager {
     /// outrank a fault reaction.
     pub fn set_cluster_quarantine(&mut self, cluster: ClusterId, mode: QuarantineMode) {
         self.unfreeze(cluster);
-        let floor = self.board.ladder(cluster).min();
+        let floor = self.core.board.ladder(cluster).min();
         self.clusters[cluster.index()].freq = floor;
         // Every app's view of the shared frequency, and any pending
         // rate prediction armed against the old frequency, are stale.
@@ -475,7 +409,7 @@ impl MpHarsManager {
         hb_index: u64,
         rate: Option<f64>,
     ) -> Option<MpDecision> {
-        self.busy_ns += self.cost_per_heartbeat_ns;
+        let adapt_period = self.core.heartbeat(hb_index);
         let ai = self.apps.iter().position(|a| a.app == app)?;
         // Lines 7–11: tick this app's freezing counts.
         self.apps[ai].tick_freezing_counts();
@@ -493,7 +427,7 @@ impl MpHarsManager {
             }
         }
         // Line 16: adaptation period?
-        if !(hb_index > 0 && hb_index.is_multiple_of(self.adapt_every)) {
+        if !adapt_period {
             // The initial allocation happens at the very first heartbeat.
             if hb_index == 0 && !self.apps[ai].allocated {
                 return self.initial_allocation(ai);
@@ -509,9 +443,7 @@ impl MpHarsManager {
         // it to pair with a much later observation.
         let pending = self.apps[ai].pending_prediction.take();
         let rate = rate?;
-        if let Some(p) = &pending {
-            self.learner.observe(p, rate, &mut self.perf);
-        }
+        self.core.learn(pending, rate);
         // Line 17: target check.
         if !self.apps[ai].target.needs_adaptation(rate) {
             return None;
@@ -520,7 +452,7 @@ impl MpHarsManager {
         // frozen state can be unfreezed ... if the system performance
         // needs to be increased").
         if PerfClass::of(&self.apps[ai].target, rate) == PerfClass::Underperf {
-            for cluster in self.board.cluster_ids() {
+            for cluster in self.core.board.cluster_ids() {
                 if self.apps[ai].uses_cluster(cluster) {
                     self.unfreeze(cluster);
                 }
@@ -529,81 +461,23 @@ impl MpHarsManager {
         // Lines 18–19: free cores and controllable clusters.
         let constraints = self.constraints_for(ai);
         // Refresh the app's view of the shared frequencies.
-        for c in self.board.cluster_ids() {
+        for c in self.core.board.cluster_ids() {
             let freq = self.clusters[c.index()].freq;
             self.apps[ai].state.set_freq(c, freq);
         }
-        let current = self.apps[ai].state;
-        let overperforming = rate > self.apps[ai].target.avg();
-        // Line 20: the HARS search, bounded by the constraints, through
-        // the policy's strategy (sweep, beam, frontier or a budgeted
-        // wrapper around any of them).
-        // Resolve the decision strategy: the installed factory wins,
-        // otherwise the configured policy maps onto a shipped strategy.
-        let external;
-        let resolved;
-        let strategy: &dyn SearchStrategy = match &self.strategy_factory {
-            Some(f) => {
-                external = f.strategy_for(overperforming, self.runtime.cost_per_state_ns);
-                &*external
-            }
-            None => {
-                resolved = self
-                    .runtime
-                    .policy
-                    .strategy_for(overperforming, self.runtime.cost_per_state_ns);
-                &resolved
-            }
-        };
-        let ctx = SearchContext {
-            space: &self.space,
-            current: &current,
-            observed_rate: rate,
-            threads: self.apps[ai].threads,
-            target: &self.apps[ai].target,
-            constraints: &constraints,
-            perf: &self.perf,
-            power: &self.power,
-            tabu: &[],
-            exploration: self.exploration(),
-            eval_limit: None,
-        };
-        let mut outcome = strategy.next_state(&ctx);
-        // The modeled decision time is stamped on the stats once;
-        // `busy_ns`, the decision's apply latency and run totals all
-        // read `wall_ns` from there. Evaluations pay the estimator
-        // cost, enumeration nodes the (default-0) walk micro-cost.
-        outcome.stats.wall_ns = outcome.stats.evaluated as u64 * self.runtime.cost_per_state_ns
-            + outcome.stats.nodes * self.runtime.cost_per_node_ns;
-        self.search_stats.merge(outcome.stats);
-        self.busy_ns += outcome.stats.wall_ns;
-        if outcome.state == current {
-            return None;
-        }
-        self.adaptations += 1;
-        if self.runtime.ratio_learning != RatioLearning::Off {
-            let threads = self.apps[ai].threads;
-            let new_a = self.perf.assignment(threads, &outcome.state);
-            let old_a = self.perf.assignment(threads, &current);
-            self.apps[ai].pending_prediction = Some(PendingPrediction::from_assignments(
-                outcome.eval.est_rate,
-                &old_a,
-                &new_a,
-            ));
-        }
+        // Line 20: the HARS search, bounded by the constraints.
+        let app = &self.apps[ai];
+        let (outcome, pending) = self.core.decide(
+            &app.state,
+            rate,
+            app.threads,
+            &app.target,
+            &constraints,
+            &[],
+        )?;
+        self.apps[ai].pending_prediction = pending;
         // Lines 21–26: allocate cores, apply frequencies, arm freezes.
-        Some(self.apply_state(ai, outcome.state, outcome.stats.wall_ns, outcome.stats))
-    }
-
-    /// The exploration bonus for the next search: active only when
-    /// configured and the shared learner still has evidence-starved
-    /// clusters.
-    fn exploration(&self) -> ExplorationBonus {
-        ExplorationBonus::from_learner(
-            self.runtime.exploration_bonus,
-            &self.learner,
-            self.board.cluster_ids(),
-        )
+        Some(self.apply_state(ai, outcome.state, outcome.stats))
     }
 
     /// Initial fair-share allocation at an app's first heartbeat: claim
@@ -661,7 +535,7 @@ impl MpHarsManager {
             .collect();
         let state = SystemState::new(&per);
         self.apps[ai].allocated = true;
-        Some(self.apply_state(ai, state, 0, SearchStats::default()))
+        Some(self.apply_state(ai, state, SearchStats::default()))
     }
 
     /// The explicit drain off offline-quarantined clusters: vacate
@@ -711,8 +585,8 @@ impl MpHarsManager {
             .map(|(&w, c)| (w, c.freq))
             .collect();
         let state = SystemState::new(&per);
-        self.adaptations += 1;
-        Some(self.apply_state(ai, state, 0, SearchStats::default()))
+        self.core.adaptations += 1;
+        Some(self.apply_state(ai, state, SearchStats::default()))
     }
 
     /// The holding pattern for a tenant that arrived with every core
@@ -734,8 +608,8 @@ impl MpHarsManager {
     /// The search constraints for app `ai` (Algorithm 3 lines 18–19).
     fn constraints_for(&self, ai: usize) -> SearchConstraints {
         let app = &self.apps[ai];
-        let mut constraints = SearchConstraints::unrestricted(&self.space);
-        for c in self.board.cluster_ids() {
+        let mut constraints = SearchConstraints::unrestricted(&self.core.space);
+        for c in self.core.board.cluster_ids() {
             // A quarantined cluster's frequency is pinned at the floor;
             // an offline one is additionally evicted from the search
             // space, so the search must propose states that vacate it.
@@ -799,14 +673,9 @@ impl MpHarsManager {
 
     /// Applies a chosen state: partitions cores (Algorithm 4), updates
     /// the shared frequencies, arms freezing counts on decreases
-    /// (Algorithm 3 lines 23–26), and plans the app's thread pinning.
-    fn apply_state(
-        &mut self,
-        ai: usize,
-        new_state: SystemState,
-        overhead_ns: u64,
-        stats: SearchStats,
-    ) -> MpDecision {
+    /// (Algorithm 3 lines 23–26), and plans the app's thread pinning,
+    /// applied after the search's modeled `wall_ns`.
+    fn apply_state(&mut self, ai: usize, new_state: SystemState, stats: SearchStats) -> MpDecision {
         // Pending decrements for the allocator.
         {
             let app = &mut self.apps[ai];
@@ -822,13 +691,13 @@ impl MpHarsManager {
             get_allocatable_core_set(&mut self.apps[ai], &mut self.clusters);
         // Clamp to what was actually granted (never differs when the
         // constraints were honored).
-        for c in self.board.cluster_ids() {
+        for c in self.core.board.cluster_ids() {
             let granted = alloc.cores(c).len();
             self.apps[ai].state.set_cores(c, granted);
         }
         // Frequency changes are cluster-wide; walk clusters highest
         // index (fastest) first, like the paper's big-then-little order.
-        for c in self.board.cluster_ids().rev() {
+        for c in self.core.board.cluster_ids().rev() {
             let new_freq = new_state.freq(c);
             let cur = self.cluster_freq(c);
             if new_freq == cur {
@@ -867,13 +736,13 @@ impl MpHarsManager {
             }
         }
         let app = &self.apps[ai];
-        let assignment = self.perf.assignment(app.threads, &app.state);
-        let affinities = plan_affinities(self.scheduler, &assignment, &alloc.per_cluster);
+        let assignment = self.core.perf.assignment(app.threads, &app.state);
+        let affinities = plan_affinities(self.core.scheduler, &assignment, &alloc.per_cluster);
         MpDecision {
             app: app.app,
             affinities,
             freqs: self.clusters.iter().map(|c| c.freq).collect(),
-            overhead_ns,
+            overhead_ns: stats.wall_ns,
             stats,
         }
     }
@@ -886,26 +755,13 @@ mod tests {
     use hmp_sim::FreqLadder;
 
     /// The golden contract behind `ci/golden_quick.sha256`: default
-    /// presets keep the modeled overhead costs; `calibrated()` is an
-    /// explicit opt-in that changes only the cost coefficients.
+    /// presets keep the modeled overhead costs — calibrated
+    /// coefficients are an explicit opt-in delta, never the default.
     #[test]
     fn calibrated_preset_is_opt_in_and_default_matches_goldens() {
         for base in [MpHarsConfig::default(), mp_hars_i(), mp_hars_e()] {
             assert_eq!(base.cost_per_state_ns, 3_000);
             assert_eq!(base.cost_per_node_ns, 0);
-            let cal = base.clone().calibrated();
-            assert_eq!(
-                cal.cost_per_state_ns,
-                hars_core::config::CALIBRATED_COST_PER_STATE_NS
-            );
-            assert_eq!(
-                cal.cost_per_node_ns,
-                hars_core::config::CALIBRATED_COST_PER_NODE_NS
-            );
-            assert_eq!(cal.runtime(), base.runtime().with_calibrated_costs());
-            assert_eq!(cal.policy, base.policy);
-            assert_eq!(cal.adapt_every, base.adapt_every);
-            assert_eq!(cal.freeze_heartbeats, base.freeze_heartbeats);
         }
     }
 
@@ -1189,7 +1045,7 @@ mod tests {
         let mut m = manager(mp_hars_e());
         m.register_app(AppId(0), 8, target(9.0, 11.0));
         let _ = m.on_heartbeat(AppId(0), 0, None);
-        assert_eq!(m.config_version(), ConfigVersion(0));
+        assert_eq!(m.core().config_version(), ConfigVersion(0));
         let v = m
             .apply_config(
                 &ConfigDelta::none()
@@ -1215,8 +1071,8 @@ mod tests {
             m.apply_config(&ConfigDelta::none().with_tabu_len(4)),
             Err(RejectReason::Unsupported { field: "tabu_len" })
         );
-        assert_eq!(m.config_version(), ConfigVersion(0));
-        assert_eq!(m.runtime_config(), before.runtime_config());
+        assert_eq!(m.core().config_version(), ConfigVersion(0));
+        assert_eq!(m.core().runtime_config(), before.core().runtime_config());
         let mut before = before;
         assert_eq!(
             m.on_heartbeat(AppId(0), 10, Some(40.0)),
@@ -1284,21 +1140,21 @@ mod tests {
             }
         }
         assert_eq!(
-            off.assumed_ratio_of(ClusterId::BIG),
+            off.core().perf.ratio_of(ClusterId::BIG),
             1.5,
             "Off never learns"
         );
-        assert_eq!(off.recent_prediction_error(), None);
-        let big = learning.assumed_ratio_of(ClusterId::BIG);
+        assert_eq!(off.core().learner().mean_recent_error(), None);
+        let big = learning.core().perf.ratio_of(ClusterId::BIG);
         assert!(big.is_finite() && big > 0.0);
         // Default clamps around the nominal 1.5: [0.5, 4.5].
         assert!((0.5..=4.5).contains(&big), "big ratio {big} escaped clamps");
         assert_eq!(
-            learning.assumed_ratio_of(ClusterId::LITTLE),
+            learning.core().perf.ratio_of(ClusterId::LITTLE),
             1.0,
             "the reference cluster is never learned"
         );
-        assert!(learning.recent_prediction_error().is_some());
+        assert!(learning.core().learner().mean_recent_error().is_some());
     }
 
     #[test]

@@ -920,7 +920,7 @@ impl Sim<'_> {
                 self.sink.emit(&TelemetryEvent::Decision {
                     t_ns: time_ns,
                     app: app.0,
-                    config_version: m.config_version().0,
+                    config_version: m.core().config_version().0,
                     stats: d.stats,
                 });
                 apply_mp_decision(&mut self.engine, &d, time_ns + d.overhead_ns)?;
@@ -1192,7 +1192,7 @@ impl Sim<'_> {
         out.config_version = self
             .manager
             .as_ref()
-            .map(|m| m.config_version().0)
+            .map(|m| m.core().config_version().0)
             .unwrap_or(0);
         out.reconfig_accepted = self.config_accepted;
         out.reconfig_rejected = self.config_rejected;

@@ -1,6 +1,5 @@
-//! Offline stand-in for `parking_lot`: wraps `std::sync` primitives
-//! behind parking_lot's non-poisoning API (the only part the workspace
-//! uses).
+//! Offline stand-in for `parking_lot`: wraps `std::sync::Mutex` behind
+//! parking_lot's non-poisoning API (the only part the workspace uses).
 
 use std::fmt;
 use std::sync::{self, MutexGuard as StdMutexGuard};
@@ -65,97 +64,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (non-poisoning facade over
-/// `std::sync::RwLock`): any number of concurrent readers or one
-/// writer. The fleet layer's shared solo-rate calibration cache is the
-/// workspace's primary user — lookups vastly outnumber inserts, so
-/// read-mostly sharing matters.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a reader-writer lock holding `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until no writer holds the
-    /// lock. Unlike `std`, a panic while holding the lock does not
-    /// poison it.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(match self.inner.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        })
-    }
-
-    /// Acquires exclusive write access, blocking until all readers and
-    /// writers release. Non-poisoning, like [`RwLock::read`].
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(match self.inner.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        })
-    }
-
-    /// Mutable access through a unique reference (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_read() {
-            Ok(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            Err(_) => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-/// Shared-access RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(sync::RwLockReadGuard<'a, T>);
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// Exclusive-access RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(sync::RwLockWriteGuard<'a, T>);
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,46 +82,5 @@ mod tests {
         let _g = m.lock();
         let s = format!("{m:?}");
         assert!(s.contains("locked"));
-    }
-
-    #[test]
-    fn rwlock_allows_concurrent_readers() {
-        let l = RwLock::new(7);
-        let a = l.read();
-        let b = l.read();
-        assert_eq!((*a, *b), (7, 7));
-    }
-
-    #[test]
-    fn rwlock_write_mutates() {
-        let l = RwLock::new(1);
-        *l.write() += 1;
-        assert_eq!(*l.read(), 2);
-        let mut l = l;
-        *l.get_mut() += 1;
-        assert_eq!(l.into_inner(), 3);
-    }
-
-    #[test]
-    fn rwlock_is_shareable_across_threads() {
-        let l = RwLock::new(0u64);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        *l.write() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(*l.read(), 400);
-    }
-
-    #[test]
-    fn rwlock_debug_reports_lock_state() {
-        let l = RwLock::new(3);
-        assert!(format!("{l:?}").contains('3'));
-        let _w = l.write();
-        assert!(format!("{l:?}").contains("locked"));
     }
 }

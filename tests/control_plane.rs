@@ -76,21 +76,29 @@ fn both_managers_share_one_control_plane() {
         ),
     ];
     let (mut hars, mut mp) = managers();
-    assert_eq!(hars.runtime_config(), mp.runtime_config());
+    assert_eq!(hars.core().runtime_config(), mp.core().runtime_config());
     for (i, (delta, want)) in steps.iter().enumerate() {
         let want = want.map(ConfigVersion);
         assert_eq!(hars.apply_config(delta), want, "HARS, step {i}");
         assert_eq!(mp.apply_config(delta), want, "MP-HARS, step {i}");
-        assert_eq!(hars.config_version(), mp.config_version(), "step {i}");
-        assert_eq!(hars.runtime_config(), mp.runtime_config(), "step {i}");
+        assert_eq!(
+            hars.core().config_version(),
+            mp.core().config_version(),
+            "step {i}"
+        );
+        assert_eq!(
+            hars.core().runtime_config(),
+            mp.core().runtime_config(),
+            "step {i}"
+        );
     }
-    assert_eq!(hars.config_version(), ConfigVersion(10));
+    assert_eq!(hars.core().config_version(), ConfigVersion(10));
 }
 
 #[test]
 fn each_manager_rejects_its_unsupported_fields_without_a_bump() {
     let (mut hars, mut mp) = managers();
-    let before = hars.runtime_config().clone();
+    let before = hars.core().runtime_config().clone();
     for (delta, field) in [
         (
             ConfigDelta::none().with_freeze_heartbeats(3),
@@ -111,8 +119,8 @@ fn each_manager_rejects_its_unsupported_fields_without_a_bump() {
             hars.apply_config(&delta),
             Err(RejectReason::Unsupported { field })
         );
-        assert_eq!(hars.config_version(), ConfigVersion(0));
-        assert_eq!(hars.runtime_config(), &before);
+        assert_eq!(hars.core().config_version(), ConfigVersion(0));
+        assert_eq!(hars.core().runtime_config(), &before);
     }
     for delta in [
         ConfigDelta::none().with_tabu_len(4),
@@ -124,7 +132,7 @@ fn each_manager_rejects_its_unsupported_fields_without_a_bump() {
             mp.apply_config(&delta),
             Err(RejectReason::Unsupported { field: "tabu_len" })
         );
-        assert_eq!(mp.config_version(), ConfigVersion(0));
-        assert_eq!(mp.runtime_config(), &before);
+        assert_eq!(mp.core().config_version(), ConfigVersion(0));
+        assert_eq!(mp.core().runtime_config(), &before);
     }
 }
