@@ -535,7 +535,6 @@ impl RuntimeManager {
             return None;
         }
         let constraints = SearchConstraints::unrestricted(&self.core.space);
-        let tabu: Vec<SystemState> = self.tabu.iter().copied().collect();
         self.searches += 1;
         let (outcome, pending) = self.core.decide(
             &self.state,
@@ -543,13 +542,11 @@ impl RuntimeManager {
             self.threads,
             &self.target,
             &constraints,
-            &tabu,
+            self.tabu.make_contiguous(),
         )?;
         self.pending_prediction = pending;
-        if self.core.runtime_config().tabu_len > 0 {
-            self.tabu.push_back(self.state);
-            self.truncate_tabu();
-        }
+        self.tabu.push_back(self.state);
+        self.truncate_tabu();
         self.predictor.on_state_change();
         self.state = outcome.state;
         Some(self.decision_for(outcome.state, outcome.stats))
