@@ -20,7 +20,8 @@
 //!    bit-identical to no fault model at all;
 //! 3. **failover win** — under the same fault schedule, failover's
 //!    service level (satisfaction-weighted heartbeats served over
-//!    heartbeats requested) strictly beats no-failover's.
+//!    heartbeats requested) strictly beats no-failover's;
+//! 4. **conservation** — every run's service level lies in [0, 1].
 //!
 //! ```sh
 //! cargo run --release -p hars-bench --bin chaos [-- --quick] [--out BENCH_chaos.json]
@@ -127,10 +128,22 @@ struct Run {
     out: FleetOutcome,
 }
 
+/// Service level is satisfaction-weighted heartbeats served over
+/// heartbeats requested: outside [0, 1], some tenant was served past
+/// its budget.
+fn assert_service_level_in_range(out: &FleetOutcome, label: &str) {
+    assert!(
+        (0.0..=1.0).contains(&out.service_level),
+        "{label}: service level {} outside [0, 1]",
+        out.service_level
+    );
+}
+
 fn measure(spec: &FleetSpec, label: &'static str, workers: usize) -> Run {
     let start = Instant::now();
     let out = run_fleet(spec, workers, &mut NullSink).expect("fleet runs");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_service_level_in_range(&out, label);
     println!(
         "{label:<22} {workers:>2} workers  {:>8.0} ms  fp {:#018x}  service {:>6.4}  \
          (boards dead {}, failed over {}, lost {}, shard runs {})",
@@ -291,6 +304,7 @@ fn main() {
     let mut silent = base.clone();
     silent.faults = Some(FleetFaultSpec::new(faults.seed));
     let silent_out = run_fleet(&silent, 8, &mut NullSink).expect("fleet runs");
+    assert_service_level_in_range(&silent_out, "zero-probability faults");
     assert_eq!(
         silent_out.fingerprint, runs[0].out.fingerprint,
         "zero-probability faults must be bit-identical to the fault-free baseline"

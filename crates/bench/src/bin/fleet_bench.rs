@@ -23,7 +23,8 @@
 //!    lookups from cache (full fleet; the quick fleet asserts ≥ 75%);
 //! 3. **wall-clock win** — 8 workers + shared cache beat the naive
 //!    path by ≥ 4× (full mode only; quick CI timings are too noisy to
-//!    gate on).
+//!    gate on);
+//! 4. **conservation** — every run's service level lies in [0, 1].
 //!
 //! ```sh
 //! cargo run --release -p hars-bench --bin fleet_bench [-- --quick] [--out BENCH_fleet.json]
@@ -143,6 +144,11 @@ fn measure(spec: &FleetSpec, label: &'static str, workers: usize, cache: FleetCa
     let start = Instant::now();
     let out = run_fleet(&spec, workers, &mut NullSink).expect("fleet runs");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert!(
+        (0.0..=1.0).contains(&out.service_level),
+        "{label} @ {workers} workers: service level {} outside [0, 1]",
+        out.service_level
+    );
     println!(
         "{label:<22} {workers:>2} workers  {:>9.0} ms  fp {:#018x}  hit rate {:>5.1}%  \
          ({} adm / {} arr)",

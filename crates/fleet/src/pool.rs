@@ -353,13 +353,23 @@ fn run_fleet_inner(
     let mut accum = FleetAccum::new();
     let mut failed_shards = Vec::new();
     let mut served = 0.0f64;
+    // Heartbeats per global tenant over every board it ran on: a
+    // failed-over tenant carries only its remaining budget.
+    let mut delivered = vec![0u64; schedule.len()];
     for (s, run) in results.iter().enumerate() {
         let fb = &spec.boards[s];
         match run {
             Some(ShardRun::Done(out)) => {
                 accum.absorb(s, fb.board.name.clone(), fb.runtime.label(), out);
-                for t in &out.tenants {
+                for (t, &g) in out.tenants.iter().zip(&shard_globals[s]) {
                     served += t.satisfaction * t.heartbeats as f64;
+                    delivered[g] += t.heartbeats;
+                    debug_assert!(
+                        delivered[g] <= schedule[g].1.budget,
+                        "tenant {g} was served {} heartbeats, past its budget of {}",
+                        delivered[g],
+                        schedule[g].1.budget
+                    );
                 }
             }
             Some(ShardRun::Panicked(reason)) => failed_shards.push(ShardFailure {

@@ -9,8 +9,8 @@
 use std::collections::BTreeSet;
 use std::hash::Hasher;
 
-use proptest::prop_assert_eq;
 use proptest::proptest;
+use proptest::{prop_assert, prop_assert_eq};
 
 use hars_core::fnv::FnvHasher;
 use hars_core::telemetry::parse_capture;
@@ -177,7 +177,7 @@ proptest! {
     /// as fault-free serving: the same fleet spec and fault seed
     /// produce bit-identical outcomes — failover landings, service
     /// level, cache counts of superseded shard runs and all — for 1, 2
-    /// and 8 workers.
+    /// and 8 workers, and the service level stays in [0, 1].
     #[test]
     fn faulty_fleets_are_bit_identical_across_worker_counts(
         seed in 0u64..200,
@@ -190,6 +190,11 @@ proptest! {
         let one = run_fleet(&spec, 1, &mut NullSink).expect("fleet runs");
         let two = run_fleet(&spec, 2, &mut NullSink).expect("fleet runs");
         let eight = run_fleet(&spec, 8, &mut NullSink).expect("fleet runs");
+        prop_assert!(
+            (0.0..=1.0).contains(&one.service_level),
+            "service level {} outside [0, 1]",
+            one.service_level
+        );
         prop_assert_eq!(&one, &two);
         prop_assert_eq!(one, eight);
     }
@@ -608,7 +613,13 @@ fn supervised_fleets_match_pinned_outcomes() {
         ),
     ];
     for (name, spec, metrics, want) in cases {
-        assert_eq!(pinned_run(&spec, metrics), want, "{name}");
+        let got = pinned_run(&spec, metrics);
+        let service_level = f64::from_bits(got.service_level_bits);
+        assert!(
+            (0.0..=1.0).contains(&service_level),
+            "{name}: service level {service_level} outside [0, 1]"
+        );
+        assert_eq!(got, want, "{name}");
     }
 }
 
