@@ -141,6 +141,9 @@ pub struct FleetOutcome {
     /// Fleet service level in `[0, 1]`: satisfaction-weighted
     /// heartbeats served over heartbeats requested,
     /// `Σ(satisfaction·heartbeats) / Σ(budget)` across every arrival.
+    /// It cannot exceed 1 because a failed-over tenant resumes with only
+    /// the heartbeats it has left, so its heartbeats over every board it
+    /// ran on stay within its budget.
     /// Unlike [`Self::mean_satisfaction`] (which averages over tenants
     /// that ran), this charges the fleet for work it never served —
     /// dead boards, lost tenants, rejections — making it the honest

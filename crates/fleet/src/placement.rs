@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use hars_core::{TelemetryEvent, TelemetrySink};
 use hars_scenario::{AdmissionDecision, LoadEstimate, TenantSpec};
+use hmp_sim::BoardSpec;
 
 use crate::spec::FleetSpec;
 
@@ -53,12 +54,32 @@ impl PlacementPolicy {
     }
 }
 
+/// A tenant's heartbeat budget: its spec's `max_heartbeats`, the one
+/// copy the engine obeys. Failover rewrites it to the heartbeats left.
+pub(crate) fn budget(ts: &TenantSpec) -> u64 {
+    ts.spec
+        .max_heartbeats
+        .expect("a tenant's spec carries its heartbeat budget")
+}
+
 /// One board's outstanding-work ledger entry: a claim of `cores` until
 /// the estimated completion instant.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Claim {
     pub(crate) expires_ns: u64,
     pub(crate) cores: usize,
+}
+
+impl Claim {
+    /// The claim `ts`, arriving at `arrival_ns`, makes on `board`: its
+    /// threads' cores (at most the board's) until the ledger's service-
+    /// time proxy says its budget is served.
+    pub(crate) fn new(arrival_ns: u64, ts: &TenantSpec, board: &BoardSpec) -> Self {
+        Self {
+            expires_ns: arrival_ns.saturating_add(budget(ts).saturating_mul(EST_NS_PER_HEARTBEAT)),
+            cores: ts.spec.threads.min(board.n_cores()),
+        }
+    }
 }
 
 /// The per-board outstanding-work ledgers, shared between the initial
@@ -76,10 +97,10 @@ impl LedgerSet {
         }
     }
 
-    /// Charges `cores` on `shard` until `expires_ns` — how the
-    /// supervisor seeds survivors' load before re-placing victims.
-    pub(crate) fn charge(&mut self, shard: usize, expires_ns: u64, cores: usize) {
-        self.claims[shard].push(Claim { expires_ns, cores });
+    /// Charges `claim` on `shard` — also how the supervisor seeds
+    /// survivors' load before re-placing victims.
+    pub(crate) fn charge(&mut self, shard: usize, claim: Claim) {
+        self.claims[shard].push(claim);
     }
 
     /// Expires every claim held by a dead board: the work it was
@@ -182,7 +203,7 @@ pub(crate) fn place_masked(
         }
         // Candidate order encodes the policy's preference; the first
         // candidate whose admission policy does not reject wins.
-        let candidates = rank(spec, &ledgers.claims, ts, rr_cursor, &usable);
+        let candidates = rank(spec, &ledgers.claims, *arrival_ns, ts, rr_cursor, &usable);
         let mut placed: Option<(usize, f64)> = None;
         for (shard, score) in candidates {
             let ledger = &ledgers.claims[shard];
@@ -194,11 +215,9 @@ pub(crate) fn place_masked(
         }
         match placed {
             Some((shard, score)) => {
-                let cores = ts.threads.min(spec.boards[shard].board.n_cores());
                 ledgers.charge(
                     shard,
-                    arrival_ns.saturating_add(ts.budget.saturating_mul(EST_NS_PER_HEARTBEAT)),
-                    cores,
+                    Claim::new(*arrival_ns, ts, &spec.boards[shard].board),
                 );
                 per_board[shard] += 1;
                 rr_cursor = (shard + 1) % n;
@@ -237,6 +256,7 @@ pub(crate) fn place_masked(
 fn rank(
     spec: &FleetSpec,
     ledgers: &[Vec<Claim>],
+    arrival_ns: u64,
     ts: &TenantSpec,
     rr_cursor: usize,
     usable: &[bool],
@@ -245,9 +265,9 @@ fn rank(
     let projected = |shard: usize| -> f64 {
         let board = &spec.boards[shard].board;
         let claimed: usize = ledgers[shard].iter().map(|c| c.cores).sum();
-        (claimed + ts.threads.min(board.n_cores())) as f64 / board.n_cores() as f64
+        (claimed + Claim::new(arrival_ns, ts, board).cores) as f64 / board.n_cores() as f64
     };
-    let feasible = |shard: usize| spec.boards[shard].board.n_cores() >= ts.threads;
+    let feasible = |shard: usize| spec.boards[shard].board.n_cores() >= ts.spec.threads;
     let pool = || (0..n).filter(|&s| usable[s]);
     match spec.placement {
         PlacementPolicy::LeastLoaded => {
@@ -288,7 +308,7 @@ fn rank(
 /// Synthesizes the [`LoadEstimate`] a board's admission policy sees at
 /// placement time from the ledger (uniform across clusters — the
 /// ledger tracks whole-board claims).
-fn load_estimate(board: &hmp_sim::BoardSpec, ledger: &[Claim]) -> LoadEstimate {
+fn load_estimate(board: &BoardSpec, ledger: &[Claim]) -> LoadEstimate {
     let claimed: usize = ledger.iter().map(|c| c.cores).sum();
     let total = claimed as f64 / board.n_cores() as f64;
     LoadEstimate {
@@ -304,7 +324,6 @@ mod tests {
     use crate::spec::{FleetBoard, FleetSpec};
     use hars_core::NullSink;
     use hars_scenario::{AppTemplate, ArrivalProcess, TemplateSet};
-    use hmp_sim::BoardSpec;
     use workloads::Benchmark;
 
     /// A degenerate board with no clusters at all — zero feasible
@@ -358,7 +377,13 @@ mod tests {
         // Board 0 is dead and still holds stale claims; placement must
         // expire them and route everything to board 1.
         let mut ledgers = LedgerSet::new(2);
-        ledgers.charge(0, u64::MAX, 8);
+        ledgers.charge(
+            0,
+            Claim {
+                expires_ns: u64::MAX,
+                cores: 8,
+            },
+        );
         let ids: Vec<u64> = (10..14).collect();
         let p = place_masked(&spec, &sched, &ids, &[false, true], ledgers, &mut NullSink);
         assert!(

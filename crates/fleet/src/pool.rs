@@ -66,7 +66,7 @@ use hars_scenario::{
 use hmp_sim::{EngineConfig, FaultPlan, SimError};
 
 use crate::outcome::{FleetAccum, FleetOutcome, ShardFailure};
-use crate::placement::{place, place_masked, LedgerSet, EST_NS_PER_HEARTBEAT};
+use crate::placement::{budget, place, place_masked, Claim, LedgerSet};
 use crate::spec::{shard_seed, FleetCacheMode, FleetSpec};
 
 /// Runs the whole fleet described by `spec` on `workers` threads and
@@ -251,7 +251,7 @@ fn run_fleet_inner(
                     }
                     ShardRun::Panicked(_) => 0,
                 };
-                let remaining = ts.budget.saturating_sub(served);
+                let remaining = budget(ts).saturating_sub(served);
                 if remaining == 0 {
                     continue;
                 }
@@ -271,8 +271,10 @@ fn run_fleet_inner(
                     });
                     continue;
                 }
+                // The engine obeys the spec's budget, so the victim
+                // resumes with the heartbeats it has left.
                 let mut retry_ts = ts.clone();
-                retry_ts.budget = remaining;
+                retry_ts.spec.max_heartbeats = Some(remaining);
                 victims.push((retry_at, retry_ts, g, s, attempt));
             }
         }
@@ -287,13 +289,8 @@ fn run_fleet_inner(
             if !ok {
                 continue;
             }
-            let cores = spec.boards[s].board.n_cores();
             for (arrival_ns, ts) in &shard_scheds[s] {
-                ledgers.charge(
-                    s,
-                    arrival_ns.saturating_add(ts.budget.saturating_mul(EST_NS_PER_HEARTBEAT)),
-                    ts.threads.min(cores),
-                );
+                ledgers.charge(s, Claim::new(*arrival_ns, ts, &spec.boards[s].board));
             }
         }
         let vsched: Vec<(u64, TenantSpec)> = victims
@@ -365,10 +362,10 @@ fn run_fleet_inner(
                     served += t.satisfaction * t.heartbeats as f64;
                     delivered[g] += t.heartbeats;
                     debug_assert!(
-                        delivered[g] <= schedule[g].1.budget,
+                        delivered[g] <= budget(&schedule[g].1),
                         "tenant {g} was served {} heartbeats, past its budget of {}",
                         delivered[g],
-                        schedule[g].1.budget
+                        budget(&schedule[g].1)
                     );
                 }
             }
@@ -381,7 +378,7 @@ fn run_fleet_inner(
         }
     }
     let mut out = accum.finish(&placement, schedule.len());
-    let requested: f64 = schedule.iter().map(|(_, ts)| ts.budget as f64).sum();
+    let requested: f64 = schedule.iter().map(|(_, ts)| budget(ts) as f64).sum();
     out.service_level = if requested > 0.0 {
         served / requested
     } else {

@@ -989,7 +989,7 @@ impl Sim<'_> {
     }
 
     fn admit(&mut self, ti: usize) -> Result<(), SimError> {
-        let (bench, threads) = (self.tenants[ti].ts.bench, self.tenants[ti].ts.threads);
+        let (bench, threads) = (self.tenants[ti].ts.bench, self.tenants[ti].ts.spec.threads);
         let solo = self.solo_rate(ti, bench, threads);
         let t = &mut self.tenants[ti];
         let target = PerfTarget::from_center(t.target_frac_center(solo), t.ts.target_tolerance)

@@ -79,7 +79,8 @@ impl AppTemplate {
 
     /// Instantiates one tenant from this template. `draw_seed` folds the
     /// scenario seed and the tenant index, so tenant `i` of a scenario
-    /// is reproducible in isolation.
+    /// is reproducible in isolation. The jittered heartbeat budget
+    /// always lands in the spec's `max_heartbeats`.
     pub fn instantiate(&self, draw_seed: u64) -> TenantSpec {
         self.assert_valid();
         let mut rng = StdRng::seed_from_u64(draw_seed);
@@ -92,16 +93,9 @@ impl AppTemplate {
         let spec = self
             .bench
             .spec_with_budget(self.threads, rng.next_u64(), budget);
-        // The spec's OS thread count, not the template's `-n` parameter:
-        // for ferret they differ (`4n + 2` pipeline threads), and the
-        // runtime manager must be registered with what the engine
-        // actually spawns or its decisions pin only a prefix of them.
-        let threads = spec.threads;
         TenantSpec {
             spec,
             bench: self.bench,
-            threads,
-            budget,
             target_frac,
             target_tolerance: self.target_tolerance,
         }
@@ -162,16 +156,19 @@ impl TemplateSet {
 
 /// One concrete tenant: a validated [`AppSpec`] plus the target recipe
 /// the driver resolves against the benchmark's isolated rate.
+///
+/// The spec is the only copy of the tenant's size: `spec.threads` is
+/// the OS thread count the engine spawns and the manager registers
+/// (for ferret, `4n + 2` pipeline threads, not the template's `n`),
+/// and `spec.max_heartbeats` is the heartbeat budget after jitter. A
+/// tenant failed over to another board carries only the heartbeats it
+/// has left there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// The application the engine will run.
     pub spec: AppSpec,
     /// The source benchmark (for solo-rate caching and reporting).
     pub bench: Benchmark,
-    /// Thread count registered with the manager.
-    pub threads: usize,
-    /// Heartbeat budget after jitter.
-    pub budget: u64,
     /// Target rate as a fraction of the isolated rate, after jitter.
     pub target_frac: f64,
     /// Target band half-width relative to the center.
@@ -190,7 +187,7 @@ mod tests {
         assert_eq!(a, b);
         let c = t.instantiate(12);
         assert!(
-            a.budget != c.budget || a.target_frac != c.target_frac || a.spec != c.spec,
+            a.target_frac != c.target_frac || a.spec != c.spec,
             "different draws must differ somewhere"
         );
     }
@@ -202,13 +199,13 @@ mod tests {
             let ts = t.instantiate(seed);
             let lo = (t.heartbeats as f64 * (1.0 - t.size_jitter)).floor() as u64;
             let hi = (t.heartbeats as f64 * (1.0 + t.size_jitter)).ceil() as u64;
-            assert!((lo..=hi).contains(&ts.budget), "budget {}", ts.budget);
+            let budget = ts.spec.max_heartbeats.expect("tenants have a budget");
+            assert!((lo..=hi).contains(&budget), "budget {budget}");
             assert!(
                 (t.target_frac - t.target_jitter..=t.target_frac + t.target_jitter)
                     .contains(&ts.target_frac)
             );
             assert!(ts.spec.validate().is_ok());
-            assert_eq!(ts.spec.max_heartbeats, Some(ts.budget));
         }
     }
 
@@ -223,7 +220,6 @@ mod tests {
         };
         let ts = t.instantiate(3);
         assert_eq!(ts.spec.threads, 18);
-        assert_eq!(ts.threads, ts.spec.threads);
     }
 
     #[test]

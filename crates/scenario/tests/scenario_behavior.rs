@@ -241,7 +241,10 @@ fn bursty_process_produces_distinct_tenants() {
     let schedule = s.tenant_schedule();
     assert!(schedule.len() >= 3, "got {} arrivals", schedule.len());
     // Tenants are jittered draws, not clones.
-    let budgets: std::collections::HashSet<u64> = schedule.iter().map(|(_, t)| t.budget).collect();
+    let budgets: std::collections::HashSet<Option<u64>> = schedule
+        .iter()
+        .map(|(_, t)| t.spec.max_heartbeats)
+        .collect();
     assert!(budgets.len() > 1, "size jitter must differentiate tenants");
     assert_eq!(s.tenant_schedule(), schedule, "schedule is reproducible");
 }
