@@ -34,7 +34,9 @@ use hars_core::search::{
     count_sweep_candidates, ExplorationBonus, SearchConstraints, SearchContext, SearchParams,
     SearchStrategy,
 };
-use hars_core::{run_single_app, HarsConfig, PerfEstimator, RuntimeManager, StateSpace};
+use hars_core::{
+    run_single_app, HarsConfig, PerfEstimator, PowerEstimator, RuntimeManager, StateSpace,
+};
 use heartbeats::PerfTarget;
 use hmp_sim::clock::secs_to_ns;
 use hmp_sim::microbench::CalibrationConfig;
@@ -76,7 +78,7 @@ fn cost_section(quick: bool) -> (u128, Vec<(String, Vec<CostRow>)>) {
         let n = board.n_clusters();
         let space = StateSpace::from_board(&board);
         let perf = PerfEstimator::from_board(&board);
-        let power = hars_bench::synthetic_power(&board);
+        let power = PowerEstimator::synthetic_for_board(&board);
         let constraints = SearchConstraints::unrestricted(&space);
         let target = PerfTarget::new(9.0, 11.0).expect("valid band");
         // An interior state (half the cores, mid ladder levels): the

@@ -40,5 +40,5 @@ pub use experiments::{
     behavior_trace, figure_distance_sweep, figure_multi_app, figure_perf_per_watt,
 };
 pub use multi::{hb_budget, run_case, MpScale, MpVersionKind, CASES};
-pub use setup::{measure_max_rate, seed_for, synthetic_power, target_for, Lab};
+pub use setup::{measure_max_rate, seed_for, target_for, Lab};
 pub use single::{run_version, RunScale, SingleResult, Version};

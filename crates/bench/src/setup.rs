@@ -94,38 +94,9 @@ pub fn target_for(max_rate: f64, frac: f64) -> PerfTarget {
         .expect("valid band for positive rates")
 }
 
-/// The paper's default performance target (50% ± 5% of maximum).
-pub const DEFAULT_TARGET_FRAC: f64 = 0.50;
-/// The paper's high performance target (75% ± 5% of maximum).
-pub const HIGH_TARGET_FRAC: f64 = 0.75;
-
 /// Workload seed per benchmark (fixed: experiments are deterministic).
 pub fn seed_for(bench: Benchmark) -> u64 {
     0xB10B + Benchmark::ALL.iter().position(|b| *b == bench).unwrap() as u64
-}
-
-/// A synthetic but monotone linear power model for arbitrary boards
-/// (per-cluster α scaled by the nominal ratio, growing with the ladder
-/// level) — enough for ranking candidate states in decision-cost
-/// benches without a per-board calibration run. Shared by the
-/// `search_scaling` and `decision_perf` bins.
-pub fn synthetic_power(board: &BoardSpec) -> PowerEstimator {
-    PowerEstimator::from_clusters(
-        board
-            .cluster_ids()
-            .map(|c| {
-                let ladder = board.ladder(c).clone();
-                let ratio = board.perf_ratio(c);
-                let table: Vec<hars_core::power_est::LinearCoeff> = (0..ladder.len())
-                    .map(|i| hars_core::power_est::LinearCoeff {
-                        alpha: 0.12 * ratio + 0.03 * i as f64,
-                        beta: 0.08,
-                    })
-                    .collect();
-                (ladder, table)
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
