@@ -9,8 +9,7 @@
 use std::collections::BTreeSet;
 use std::hash::Hasher;
 
-use proptest::proptest;
-use proptest::{prop_assert, prop_assert_eq};
+use proptest::{prop_assert, prop_assert_eq, proptest};
 
 use hars_core::fnv::FnvHasher;
 use hars_core::telemetry::parse_capture;
@@ -505,9 +504,8 @@ fn pinned_run(spec: &FleetSpec, metrics: bool) -> Pinned {
 /// supervisor produced, which ran every shard in round zero and re-ran
 /// failover destinations from t = 0. Running boards that can die first
 /// and survivors once, after failover settles, must not move a bit.
-/// The drained-board fleet is pinned where a failed-over tenant runs
-/// only the heartbeats it has left (service level 0.975; rerunning its
-/// whole budget reported 1.25). Every service level lies in [0, 1].
+/// In the drained-board fleet, failed-over tenants run only the
+/// heartbeats they have left. Every service level lies in [0, 1].
 #[test]
 fn supervised_fleets_match_pinned_outcomes() {
     let no_failover = FleetFaultSpec {
