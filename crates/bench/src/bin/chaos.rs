@@ -129,8 +129,8 @@ struct Run {
 }
 
 /// Service level is satisfaction-weighted heartbeats served over
-/// heartbeats requested: outside [0, 1], some tenant was served past
-/// its budget.
+/// heartbeats requested, so it lies in [0, 1] unless some tenant was
+/// served past its budget.
 fn assert_service_level_in_range(out: &FleetOutcome, label: &str) {
     assert!(
         (0.0..=1.0).contains(&out.service_level),
