@@ -28,9 +28,10 @@
 //! `(evaluated, nodes, wall_ns)` point, and a non-negative
 //! least-squares fit of `wall_ns ≈ evaluated·c_state + nodes·c_node`
 //! recovers the measured per-evaluation and per-node costs. The fit is
-//! printed and written to the JSON report; its rounded values back the
-//! `hars_core::config::CALIBRATED_COST_PER_STATE_NS` /
-//! `CALIBRATED_COST_PER_NODE_NS` constants.
+//! printed and written to the JSON report. Its rounded per-evaluation
+//! cost backs `hars_core::config::CALIBRATED_COST_PER_STATE_NS`; the
+//! managers charge evaluations only, so the per-node cost is reported
+//! as a measurement and backs no constant.
 //!
 //! ```sh
 //! cargo run --release -p hars-bench --bin decision_perf [-- --quick] [--out BENCH_search.json]
@@ -41,8 +42,8 @@ use std::time::Instant;
 
 use hars_core::policy::SearchPolicy;
 use hars_core::search::{
-    count_enumeration_nodes, count_sweep_candidates, ExplorationBonus, SearchConstraints,
-    SearchContext, SearchParams, SearchStrategy,
+    count_enumeration_nodes, count_sweep_candidates, SearchConstraints, SearchContext,
+    SearchParams, SearchStrategy,
 };
 use hars_core::{PerfEstimator, PowerEstimator, StateSpace, SystemState};
 use heartbeats::PerfTarget;
@@ -184,7 +185,6 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
         perf: &perf,
         power: &power,
         tabu: &[],
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     let exhaustive_candidates = count_sweep_candidates(&interior_ctx, params);
@@ -210,7 +210,6 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
                 perf: &perf,
                 power: &power,
                 tabu: &[],
-                exploration: ExplorationBonus::none(),
                 eval_limit: None,
             };
             let strategy = policy.strategy_for(*rate > target.avg(), COST_PER_STATE_NS);

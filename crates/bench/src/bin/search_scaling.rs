@@ -31,8 +31,7 @@ use std::time::Instant;
 use hars_core::calibrate::run_power_calibration;
 use hars_core::policy::SearchPolicy;
 use hars_core::search::{
-    count_sweep_candidates, ExplorationBonus, SearchConstraints, SearchContext, SearchParams,
-    SearchStrategy,
+    count_sweep_candidates, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
 };
 use hars_core::{
     run_single_app, HarsConfig, PerfEstimator, PowerEstimator, RuntimeManager, StateSpace,
@@ -108,7 +107,6 @@ fn cost_section(quick: bool) -> (u128, Vec<(String, Vec<CostRow>)>) {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let exhaustive_count = count_sweep_candidates(&ctx, SearchParams::exhaustive());

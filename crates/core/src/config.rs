@@ -3,21 +3,19 @@
 //! manager without restart.
 //!
 //! Construction-time knobs (scheduler, adaptation period, initial
-//! state, predictor) are the manager's *identity* — changing them means
-//! a different experiment, so they stay fixed in
-//! [`HarsConfig`](crate::manager::HarsConfig) /
+//! state, predictor, tabu length, freeze count) are the manager's
+//! *identity* — changing them means a different experiment, so they
+//! stay fixed in [`HarsConfig`](crate::manager::HarsConfig) /
 //! `MpHarsConfig`. Everything an operator may retune mid-run lives in
-//! the [`RuntimeConfig`] snapshot: the search policy and its anytime
-//! budget, the modeled search-cost coefficients, ratio learning, the
-//! exploration bonus and the tabu length. The snapshot and its
-//! version live in the one component both managers share,
+//! the [`RuntimeConfig`] snapshot both managers share: the search
+//! policy and its anytime budget, the modeled per-evaluation search
+//! cost and ratio learning. The snapshot and its version live in
 //! [`DecisionCore`](crate::manager::DecisionCore), and change only
 //! through [`DecisionCore::apply`](crate::manager::DecisionCore::apply),
 //! which each manager's `apply_config(&ConfigDelta) ->
-//! Result<ConfigVersion, RejectReason>` calls after rejecting the
-//! fields it does not accept. The delta is validated *in full* against
-//! the current snapshot before anything mutates, so a rejected delta
-//! leaves the manager bit-identical — the contract the
+//! Result<ConfigVersion, RejectReason>` calls. The delta is validated
+//! *in full* against the current snapshot before anything mutates, so a
+//! rejected delta leaves the manager bit-identical — the contract the
 //! reconfigure-determinism proptests pin down. Every accepted delta
 //! bumps the [`ConfigVersion`], which telemetry stamps on each decision
 //! so a replayed stream attributes every decision to the config that
@@ -33,22 +31,13 @@ use crate::ratio_learn::RatioLearning;
 /// squares of `wall_ns ≈ evaluated·c_state + nodes·c_node` over every
 /// measured `(policy, center, board)` decision (84 points across the
 /// 2/3/4/5-cluster boards, release build, best-of-9 timings; the fit
-/// landed at ≈ 49 ns/evaluation and ≈ 121 ns/node, rounded here).
-/// The per-node share dominating the per-evaluation share is the
-/// delta-evaluation overhaul working as intended: an evaluation is
-/// mostly cache hits, while each walk node still pays its enumeration
-/// bookkeeping. The config *default* stays at the paper's modeled
-/// `3_000 ns` — the bit-identity goldens pin the historical overhead
-/// model — so calibrated costs are opt-in, through a [`ConfigDelta`]
-/// that sets both coefficients.
+/// landed at ≈ 49 ns/evaluation, rounded here). The managers charge
+/// evaluations only, so the fit's per-node coefficient is reported by
+/// the bench but not charged. The config *default* stays at the
+/// paper's modeled `3_000 ns` — the bit-identity goldens pin the
+/// historical overhead model — so the calibrated cost is opt-in,
+/// through a [`ConfigDelta`] that sets it.
 pub const CALIBRATED_COST_PER_STATE_NS: u64 = 50;
-
-/// Calibrated per-enumeration-node walk cost (ns), from the same
-/// `decision_perf` fit (nodes ≈ candidates under ball enumeration, so
-/// the per-node cost is the walk bookkeeping plus the delta-factored
-/// evaluation residue left after the per-evaluation charge). Opt-in,
-/// like [`CALIBRATED_COST_PER_STATE_NS`].
-pub const CALIBRATED_COST_PER_NODE_NS: u64 = 120;
 
 /// A monotonically increasing configuration version. Version 0 is the
 /// construction-time snapshot; every accepted [`ConfigDelta`] bumps it
@@ -84,28 +73,18 @@ pub struct RuntimeConfig {
     pub policy: SearchPolicy,
     /// Modeled CPU cost per candidate state evaluated (ns).
     pub cost_per_state_ns: u64,
-    /// Modeled CPU cost per enumeration node walked (ns).
-    pub cost_per_node_ns: u64,
     /// Online refinement of the assumed per-cluster ratios. Changing
     /// the mode mid-run rebuilds the learner from the estimator's
     /// *current* (possibly already-refined) ratios and drops pending
     /// predictions — they were armed under the old learning regime.
     pub ratio_learning: RatioLearning,
-    /// Ratio-learning exploration bonus weight (0 disables).
-    pub exploration_bonus: f64,
-    /// Tabu-list length (0 disables tabu search). Shrinking it mid-run
-    /// drops the oldest entries. The multi-app manager runs without
-    /// tabu and rejects deltas that set it.
-    pub tabu_len: usize,
 }
 
 impl RuntimeConfig {
     /// Validates `delta` against this snapshot and returns the updated
     /// snapshot. Pure: `self` is never mutated, and an `Err` means no
     /// observable change anywhere — the all-or-nothing contract
-    /// `apply_config` relies on. Manager-specific fields
-    /// (`freeze_heartbeats`, `park_overflow`) are ignored here; each
-    /// manager gates them *before* calling.
+    /// `apply_config` relies on.
     ///
     /// # Errors
     ///
@@ -113,13 +92,6 @@ impl RuntimeConfig {
     pub fn apply(&self, delta: &ConfigDelta) -> Result<RuntimeConfig, RejectReason> {
         if delta.is_empty() {
             return Err(RejectReason::EmptyDelta);
-        }
-        if let Some(b) = delta.exploration_bonus {
-            if !b.is_finite() || b < 0.0 {
-                return Err(RejectReason::InvalidValue {
-                    field: "exploration_bonus",
-                });
-            }
         }
         let mut policy = match &delta.policy {
             Some(p) => {
@@ -150,10 +122,7 @@ impl RuntimeConfig {
         Ok(RuntimeConfig {
             policy,
             cost_per_state_ns: delta.cost_per_state_ns.unwrap_or(self.cost_per_state_ns),
-            cost_per_node_ns: delta.cost_per_node_ns.unwrap_or(self.cost_per_node_ns),
             ratio_learning: delta.ratio_learning.unwrap_or(self.ratio_learning),
-            exploration_bonus: delta.exploration_bonus.unwrap_or(self.exploration_bonus),
-            tabu_len: delta.tabu_len.unwrap_or(self.tabu_len),
         })
     }
 }
@@ -202,22 +171,9 @@ pub struct ConfigDelta {
     pub budget: Option<BudgetChange>,
     /// Replace the modeled per-evaluation cost (ns).
     pub cost_per_state_ns: Option<u64>,
-    /// Replace the modeled per-enumeration-node cost (ns).
-    pub cost_per_node_ns: Option<u64>,
     /// Switch the ratio-learning mode (rebuilds the learner, drops
     /// pending predictions).
     pub ratio_learning: Option<RatioLearning>,
-    /// Replace the exploration bonus weight (finite, ≥ 0).
-    pub exploration_bonus: Option<f64>,
-    /// Replace the tabu-list length. Single-app manager only — the
-    /// multi-app manager rejects it as
-    /// [`RejectReason::Unsupported`].
-    pub tabu_len: Option<usize>,
-    /// Replace the freeze-count armed on frequency decreases.
-    /// Multi-app manager only.
-    pub freeze_heartbeats: Option<u32>,
-    /// Toggle overflow parking. Multi-app manager only.
-    pub park_overflow: Option<bool>,
 }
 
 impl ConfigDelta {
@@ -260,45 +216,10 @@ impl ConfigDelta {
         self
     }
 
-    /// Sets the modeled per-enumeration-node cost.
-    #[must_use]
-    pub fn with_cost_per_node_ns(mut self, ns: u64) -> Self {
-        self.cost_per_node_ns = Some(ns);
-        self
-    }
-
     /// Sets the ratio-learning mode.
     #[must_use]
     pub fn with_ratio_learning(mut self, mode: RatioLearning) -> Self {
         self.ratio_learning = Some(mode);
-        self
-    }
-
-    /// Sets the exploration bonus weight.
-    #[must_use]
-    pub fn with_exploration_bonus(mut self, weight: f64) -> Self {
-        self.exploration_bonus = Some(weight);
-        self
-    }
-
-    /// Sets the tabu-list length.
-    #[must_use]
-    pub fn with_tabu_len(mut self, len: usize) -> Self {
-        self.tabu_len = Some(len);
-        self
-    }
-
-    /// Sets the freeze-count armed on frequency decreases.
-    #[must_use]
-    pub fn with_freeze_heartbeats(mut self, heartbeats: u32) -> Self {
-        self.freeze_heartbeats = Some(heartbeats);
-        self
-    }
-
-    /// Toggles overflow parking.
-    #[must_use]
-    pub fn with_park_overflow(mut self, park: bool) -> Self {
-        self.park_overflow = Some(park);
         self
     }
 }
@@ -317,19 +238,6 @@ pub enum RejectReason {
     NestedBudget,
     /// [`BudgetChange::Remove`] against an unbudgeted policy.
     NoBudgetToRemove,
-    /// A field value outside its domain (non-finite or negative
-    /// exploration bonus, malformed guard band, ...).
-    InvalidValue {
-        /// The offending field.
-        field: &'static str,
-    },
-    /// The field is not tunable on this manager (`tabu_len` on the
-    /// multi-app manager; `freeze_heartbeats`/`park_overflow` on the
-    /// single-app manager).
-    Unsupported {
-        /// The offending field.
-        field: &'static str,
-    },
     /// No manager to reconfigure (a GTS baseline scenario).
     NoManager,
 }
@@ -342,8 +250,6 @@ impl RejectReason {
             RejectReason::ZeroBudget => "zero-budget",
             RejectReason::NestedBudget => "nested-budget",
             RejectReason::NoBudgetToRemove => "no-budget-to-remove",
-            RejectReason::InvalidValue { .. } => "invalid-value",
-            RejectReason::Unsupported { .. } => "unsupported",
             RejectReason::NoManager => "no-manager",
         }
     }
@@ -351,12 +257,7 @@ impl RejectReason {
 
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RejectReason::InvalidValue { field } | RejectReason::Unsupported { field } => {
-                write!(f, "{} ({field})", self.code())
-            }
-            _ => f.write_str(self.code()),
-        }
+        f.write_str(self.code())
     }
 }
 
@@ -368,10 +269,7 @@ mod tests {
         RuntimeConfig {
             policy: SearchPolicy::exhaustive_default(),
             cost_per_state_ns: 3_000,
-            cost_per_node_ns: 0,
             ratio_learning: RatioLearning::Off,
-            exploration_bonus: 0.0,
-            tabu_len: 0,
         }
     }
 
@@ -462,32 +360,14 @@ mod tests {
     }
 
     #[test]
-    fn invalid_exploration_is_rejected_before_any_change() {
-        let cfg = snapshot();
-        for bad in [f64::NAN, f64::INFINITY, -0.5] {
-            assert_eq!(
-                cfg.apply(
-                    &ConfigDelta::none()
-                        .with_exploration_bonus(bad)
-                        .with_tabu_len(9)
-                ),
-                Err(RejectReason::InvalidValue {
-                    field: "exploration_bonus"
-                })
-            );
-        }
-    }
-
-    #[test]
     fn unset_fields_keep_their_values() {
         let cfg = snapshot();
         let next = cfg
-            .apply(&ConfigDelta::none().with_cost_per_node_ns(25))
+            .apply(&ConfigDelta::none().with_cost_per_state_ns(25))
             .unwrap();
-        assert_eq!(next.cost_per_node_ns, 25);
-        assert_eq!(next.cost_per_state_ns, cfg.cost_per_state_ns);
+        assert_eq!(next.cost_per_state_ns, 25);
         assert_eq!(next.policy, cfg.policy);
-        assert_eq!(next.tabu_len, cfg.tabu_len);
+        assert_eq!(next.ratio_learning, cfg.ratio_learning);
     }
 
     #[test]
@@ -496,19 +376,8 @@ mod tests {
         assert_eq!(RejectReason::ZeroBudget.code(), "zero-budget");
         assert_eq!(RejectReason::NestedBudget.code(), "nested-budget");
         assert_eq!(RejectReason::NoBudgetToRemove.code(), "no-budget-to-remove");
-        assert_eq!(
-            RejectReason::InvalidValue { field: "x" }.code(),
-            "invalid-value"
-        );
-        assert_eq!(
-            RejectReason::Unsupported { field: "x" }.code(),
-            "unsupported"
-        );
         assert_eq!(RejectReason::NoManager.code(), "no-manager");
-        assert_eq!(
-            RejectReason::Unsupported { field: "tabu_len" }.to_string(),
-            "unsupported (tabu_len)"
-        );
+        assert_eq!(RejectReason::NoManager.to_string(), "no-manager");
     }
 
     #[test]

@@ -95,10 +95,10 @@ pub use manager::{Decision, DecisionCore, HarsConfig, RuntimeManager};
 pub use perf_est::{PerfEstimator, UnitTimes};
 pub use power_est::PowerEstimator;
 pub use predictor::{Kalman1D, Predictor};
-pub use ratio_learn::{PendingPrediction, RatioLearner, RatioLearnerConfig, RatioLearning};
+pub use ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
 pub use sched::SchedulerKind;
 pub use search::{
-    AnyStrategy, BeamSearch, BestTracker, ExhaustiveSweep, FreqChange, GreedyFrontier, RankedEval,
+    AnyStrategy, BeamSearch, BestTracker, ExhaustiveSweep, FreqChange, GreedyFrontier,
     SearchConstraints, SearchContext, SearchOutcome, SearchParams, SearchStats, SearchStrategy,
     SearchStrategyFactory,
 };

@@ -29,7 +29,7 @@ use crate::predictor::Predictor;
 use crate::ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
 use crate::sched::{default_core_allocation, plan_affinities, SchedulerKind};
 use crate::search::{
-    ExplorationBonus, SearchConstraints, SearchContext, SearchOutcome, SearchStats, SearchStrategy,
+    SearchConstraints, SearchContext, SearchOutcome, SearchStats, SearchStrategy,
     SearchStrategyFactory,
 };
 use crate::state::{StateSpace, SystemState};
@@ -46,14 +46,6 @@ pub struct HarsConfig {
     /// Modeled CPU cost per candidate state evaluated (ns) — drives the
     /// runtime-overhead results of Figure 5.3(b).
     pub cost_per_state_ns: u64,
-    /// Modeled CPU cost per enumeration node walked (ns) — the
-    /// micro-cost of generating a candidate before any estimator runs
-    /// (ball-walk bookkeeping, index arithmetic). Default 0: the
-    /// historical overhead model charged evaluations only, and the
-    /// bit-identity goldens pin that behaviour. Decision time is
-    /// `evaluated × cost_per_state_ns + nodes × cost_per_node_ns`.
-    #[serde(default)]
-    pub cost_per_node_ns: u64,
     /// Fixed CPU cost per heartbeat observation (ns).
     pub cost_per_heartbeat_ns: u64,
     /// Starting system state (`None` = the board's maximum state, i.e.
@@ -73,16 +65,6 @@ pub struct HarsConfig {
     /// Tabu-list length for the Section 3.1.4 local-optimum escape
     /// (0 disables tabu search).
     pub tabu_len: usize,
-    /// Ratio-learning exploration bonus weight (0 disables — the
-    /// default). With [`RatioLearning::PerCluster`], candidates whose
-    /// modeled thread assignment moves share onto a cluster that has
-    /// not yet filled its learning-evidence window get their ranking keys multiplied
-    /// by `1 + exploration_bonus`, so understated clusters win
-    /// near-ties and eventually produce the prediction evidence that
-    /// corrects their assumed ratios. Keep it tiny (a few percent): it
-    /// also bounds how much estimated quality a nudged decision may
-    /// give up.
-    pub exploration_bonus: f64,
 }
 
 impl Default for HarsConfig {
@@ -92,13 +74,11 @@ impl Default for HarsConfig {
             scheduler: SchedulerKind::Chunk,
             adapt_every: 10,
             cost_per_state_ns: 3_000,
-            cost_per_node_ns: 0,
             cost_per_heartbeat_ns: 500,
             initial_state: None,
             ratio_learning: RatioLearning::Off,
             predictor: Predictor::LastValue,
             tabu_len: 0,
-            exploration_bonus: 0.0,
         }
     }
 }
@@ -115,16 +95,14 @@ impl HarsConfig {
 
     /// The hot-reloadable half of this config — the manager's version-0
     /// [`RuntimeConfig`] snapshot. The rest (scheduler, adaptation
-    /// period, initial state, predictor) is construction-time identity
-    /// and stays fixed for the manager's lifetime.
+    /// period, initial state, predictor, tabu length) is
+    /// construction-time identity and stays fixed for the manager's
+    /// lifetime.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             policy: self.policy.clone(),
             cost_per_state_ns: self.cost_per_state_ns,
-            cost_per_node_ns: self.cost_per_node_ns,
             ratio_learning: self.ratio_learning,
-            exploration_bonus: self.exploration_bonus,
-            tabu_len: self.tabu_len,
         }
     }
 }
@@ -262,10 +240,8 @@ impl DecisionCore {
 
     /// One search from `current` (Algorithm 1 line 8, Algorithm 3 line
     /// 20). The installed factory, else the configured policy, supplies
-    /// the strategy, which runs with the exploration bonus. The search
-    /// is priced per estimator evaluation (cache hits are free) plus a
-    /// per-node micro-cost for the enumeration walk (default 0, the
-    /// historical model). The charge is stamped on the stats as
+    /// the strategy. The search is priced per estimator evaluation
+    /// (cache hits are free). The charge is stamped on the stats as
     /// `wall_ns` once, and every downstream consumer — `busy_ns`, the
     /// decision's apply latency, run-level totals — reads it from
     /// there.
@@ -306,18 +282,10 @@ impl DecisionCore {
             perf: &self.perf,
             power: &self.power,
             tabu,
-            // Active only when configured and the learner still has
-            // evidence-starved clusters.
-            exploration: ExplorationBonus::from_learner(
-                self.runtime.exploration_bonus,
-                &self.learner,
-                self.space.cluster_ids(),
-            ),
             eval_limit: None,
         };
         let mut outcome = strategy.next_state(&ctx);
-        outcome.stats.wall_ns = outcome.stats.evaluated as u64 * cost
-            + outcome.stats.nodes * self.runtime.cost_per_node_ns;
+        outcome.stats.wall_ns = outcome.stats.evaluated as u64 * cost;
         self.search_stats.merge(outcome.stats);
         self.busy_ns += outcome.stats.wall_ns;
         if outcome.state == *current {
@@ -365,8 +333,9 @@ pub struct RuntimeManager {
     pending_prediction: Option<PendingPrediction>,
     /// Workload predictor state.
     predictor: Predictor,
-    /// Recently visited states (newest last), bounded by the
-    /// snapshot's `tabu_len`.
+    /// Construction-time identity: the tabu-list length.
+    tabu_len: usize,
+    /// Recently visited states (newest last), at most `tabu_len`.
     tabu: VecDeque<SystemState>,
 }
 
@@ -408,6 +377,7 @@ impl RuntimeManager {
             searches: 0,
             pending_prediction: None,
             predictor: cfg.predictor,
+            tabu_len: cfg.tabu_len,
             tabu: VecDeque::new(),
         }
     }
@@ -426,29 +396,15 @@ impl RuntimeManager {
 
     /// Applies a validated config delta to the *running* manager — the
     /// hot-reload hook (see [`DecisionCore::apply`]). A ratio-learning
-    /// mode change also drops the pending prediction; a shrunken tabu
-    /// length drops the oldest entries.
+    /// mode change also drops the pending prediction.
     ///
     /// # Errors
     ///
-    /// Reason-coded — see [`RejectReason`]. `freeze_heartbeats` and
-    /// `park_overflow` are multi-app knobs and rejected here as
-    /// [`RejectReason::Unsupported`].
+    /// Reason-coded — see [`RejectReason`].
     pub fn apply_config(&mut self, delta: &ConfigDelta) -> Result<ConfigVersion, RejectReason> {
-        if delta.freeze_heartbeats.is_some() {
-            return Err(RejectReason::Unsupported {
-                field: "freeze_heartbeats",
-            });
-        }
-        if delta.park_overflow.is_some() {
-            return Err(RejectReason::Unsupported {
-                field: "park_overflow",
-            });
-        }
         if self.core.apply(delta)? {
             self.pending_prediction = None;
         }
-        self.truncate_tabu();
         Ok(self.core.config_version())
     }
 
@@ -546,17 +502,12 @@ impl RuntimeManager {
         )?;
         self.pending_prediction = pending;
         self.tabu.push_back(self.state);
-        self.truncate_tabu();
+        if self.tabu.len() > self.tabu_len {
+            self.tabu.pop_front();
+        }
         self.predictor.on_state_change();
         self.state = outcome.state;
         Some(self.decision_for(outcome.state, outcome.stats))
-    }
-
-    /// Drops the oldest tabu entries beyond the snapshot's `tabu_len`.
-    fn truncate_tabu(&mut self) {
-        while self.tabu.len() > self.core.runtime_config().tabu_len {
-            self.tabu.pop_front();
-        }
     }
 
     /// Builds the decision realizing `state` with the configured
@@ -587,7 +538,6 @@ mod tests {
     fn calibrated_preset_is_opt_in_and_default_matches_goldens() {
         let default = HarsConfig::default();
         assert_eq!(default.cost_per_state_ns, 3_000);
-        assert_eq!(default.cost_per_node_ns, 0);
     }
 
     fn power() -> PowerEstimator {
@@ -673,7 +623,7 @@ mod tests {
         assert_eq!(
             d.overhead_ns,
             d.stats.evaluated as u64 * m.core().runtime_config().cost_per_state_ns,
-            "default cost_per_node_ns = 0 keeps the historical charge"
+            "the search is charged per evaluation"
         );
         assert_eq!(
             d.stats.wall_ns, d.overhead_ns,
@@ -681,22 +631,7 @@ mod tests {
         );
         assert_eq!(m.search_stats().wall_ns, d.overhead_ns);
         assert!(m.busy_ns() >= d.overhead_ns);
-    }
-
-    #[test]
-    fn node_micro_cost_adds_enumeration_overhead() {
-        let mut m = manager(HarsConfig {
-            cost_per_node_ns: 10,
-            ..HarsConfig::default()
-        });
-        let d = m.on_heartbeat(10, Some(30.0)).expect("must adapt");
         assert!(d.stats.nodes > 0, "the sweep must report its walk nodes");
-        assert_eq!(
-            d.overhead_ns,
-            d.stats.evaluated as u64 * m.core().runtime_config().cost_per_state_ns
-                + d.stats.nodes * 10,
-            "wall_ns must charge evaluations plus enumeration nodes"
-        );
         assert_eq!(m.search_stats().nodes, d.stats.nodes);
     }
 
@@ -919,16 +854,12 @@ mod tests {
             Err(RejectReason::EmptyDelta)
         );
         assert_eq!(
-            m.apply_config(&ConfigDelta::none().with_freeze_heartbeats(3)),
-            Err(RejectReason::Unsupported {
-                field: "freeze_heartbeats"
-            })
-        );
-        assert_eq!(
-            m.apply_config(&ConfigDelta::none().with_park_overflow(true)),
-            Err(RejectReason::Unsupported {
-                field: "park_overflow"
-            })
+            m.apply_config(
+                &ConfigDelta::none()
+                    .with_cost_per_state_ns(10)
+                    .with_budget_ns(0)
+            ),
+            Err(RejectReason::ZeroBudget)
         );
         assert_eq!(m.core().config_version(), ConfigVersion(0));
         assert_eq!(m.core().runtime_config(), before.core().runtime_config());
@@ -958,23 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_tabu_len_drops_oldest_entries() {
-        use crate::config::ConfigDelta;
-        let mut m = manager(HarsConfig {
-            tabu_len: 4,
-            adapt_every: 1,
-            ..HarsConfig::default()
-        });
-        // Bounce the manager around to fill the tabu list.
-        for (hb, rate) in (1..).zip([30.0, 1.0, 30.0, 1.0, 30.0, 1.0]) {
-            let _ = m.on_heartbeat(hb, Some(rate));
-        }
-        m.apply_config(&ConfigDelta::none().with_tabu_len(1))
-            .expect("valid delta");
-        assert!(m.tabu.len() <= 1, "tabu must shrink with the new length");
-    }
-
-    #[test]
     fn strategy_factory_overrides_the_configured_policy() {
         use crate::search::{BestTracker, EvalCache, SearchStrategyFactory};
 
@@ -992,8 +906,8 @@ mod tests {
             ) -> SearchOutcome {
                 let mut cache = EvalCache::new();
                 let idx = ctx.space.index_of(ctx.current).expect("valid state");
-                let ranked = ctx.evaluate(&idx, ctx.current, &mut cache);
-                BestTracker::new(*ctx.current, ranked, ctx.tabu).finish(1, cache.evaluated())
+                let eval = ctx.evaluate(&idx, &mut cache);
+                BestTracker::new(*ctx.current, eval, ctx.tabu).finish(1, cache.evaluated())
             }
         }
         #[derive(Debug)]

@@ -185,25 +185,6 @@ pub fn hars_ei_with_distance(d: i64) -> HarsVariant {
     }
 }
 
-/// HARS-B: beam-limited search (`width=8, d=7`), chunk scheduler — the
-/// many-cluster variant the `search_scaling` bench evaluates.
-pub fn hars_beam() -> HarsVariant {
-    HarsVariant {
-        name: "HARS-B",
-        policy: SearchPolicy::beam_default(),
-        scheduler: SchedulerKind::Chunk,
-    }
-}
-
-/// HARS-F: greedy-frontier search, chunk scheduler.
-pub fn hars_frontier() -> HarsVariant {
-    HarsVariant {
-        name: "HARS-F",
-        policy: SearchPolicy::Frontier,
-        scheduler: SchedulerKind::Chunk,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,8 +248,6 @@ mod tests {
             SearchPolicy::Frontier.strategy_for(true, 3_000).name(),
             "frontier"
         );
-        assert_eq!(hars_beam().policy, SearchPolicy::beam_default());
-        assert_eq!(hars_frontier().policy, SearchPolicy::Frontier);
     }
 
     #[test]

@@ -51,6 +51,45 @@ const MIN_RATIO: f64 = 0.05;
 /// Bound on the diagnostic window of recent prediction errors.
 const ERROR_WINDOW: usize = 32;
 
+/// Bound on each cluster's sliding window of `(Δs, e)` pairs.
+const WINDOW: usize = 16;
+
+/// Minimum samples in a cluster's window before its ratio may move.
+const MIN_EVIDENCE: usize = 3;
+
+/// Transitions moving less than this much thread share on a cluster
+/// carry no ratio information and are not recorded (the legacy nudge
+/// used the same threshold).
+const MIN_SHARE_DELTA: f64 = 0.05;
+
+/// Share move treated as "full effect": the regression abscissa is
+/// `sign(Δs) · min(|Δs| / SHARE_SATURATION, 1)`. Once a transition
+/// moves at least this much share onto (or off) a cluster, the cluster
+/// tends to bind the barrier time and the observed log error is the
+/// *full* ratio log-error — so with the saturating feature the fitted
+/// slope reads directly as `Δln r_c`, instead of overshooting by
+/// `1/|Δs|`.
+const SHARE_SATURATION: f64 = 0.25;
+
+/// Damping factor on each multiplicative update
+/// (`r ← r · exp(GAIN · slope)`); 1.0 would jump to the regression
+/// estimate in one step.
+const GAIN: f64 = 0.5;
+
+/// Bound on one update's log-ratio step (`|GAIN·slope|` is clamped to
+/// this), so a window of noisy evidence — short-window OLS slopes can
+/// be wild — moves the estimate by a bounded factor and convergence
+/// happens over several damped steps.
+const MAX_STEP: f64 = 0.10;
+
+/// Fitted slopes below this magnitude are treated as "model is fine"
+/// and apply no update.
+const MIN_SLOPE: f64 = 0.02;
+
+/// Per-cluster clamp: a learned ratio stays within
+/// `[nominal / MAX_DRIFT, nominal · MAX_DRIFT]`.
+const MAX_DRIFT: f64 = 3.0;
+
 /// Online refinement mode of the assumed per-cluster ratios.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RatioLearning {
@@ -65,57 +104,6 @@ pub enum RatioLearning {
     /// cluster's ratio is refined from the observed
     /// `(Δ thread-share, log rate-error)` pairs.
     PerCluster,
-}
-
-/// Tunables of the per-cluster regression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RatioLearnerConfig {
-    /// Bound on each cluster's sliding window of `(Δs, e)` pairs.
-    pub window: usize,
-    /// Minimum samples in a cluster's window before its ratio may move.
-    pub min_evidence: usize,
-    /// Transitions moving less than this much thread share on a cluster
-    /// carry no ratio information and are not recorded (the legacy
-    /// nudge used the same threshold).
-    pub min_share_delta: f64,
-    /// Share move treated as "full effect": the regression abscissa is
-    /// `sign(Δs) · min(|Δs| / share_saturation, 1)`. Once a transition
-    /// moves at least this much share onto (or off) a cluster, the
-    /// cluster tends to bind the barrier time and the observed log
-    /// error is the *full* ratio log-error — so with the saturating
-    /// feature the fitted slope reads directly as `Δln r_c`, instead of
-    /// overshooting by `1/|Δs|`.
-    pub share_saturation: f64,
-    /// Damping factor on each multiplicative update
-    /// (`r ← r · exp(gain · slope)`); 1.0 would jump to the regression
-    /// estimate in one step.
-    pub gain: f64,
-    /// Bound on one update's log-ratio step (`|gain·slope|` is clamped
-    /// to this), so a window of noisy evidence — short-window OLS
-    /// slopes can be wild — moves the estimate by a bounded factor and
-    /// convergence happens over several damped steps.
-    pub max_step: f64,
-    /// Fitted slopes below this magnitude are treated as "model is
-    /// fine" and apply no update.
-    pub min_slope: f64,
-    /// Per-cluster clamp: a learned ratio stays within
-    /// `[nominal / max_drift, nominal · max_drift]`.
-    pub max_drift: f64,
-}
-
-impl Default for RatioLearnerConfig {
-    fn default() -> Self {
-        Self {
-            window: 16,
-            min_evidence: 3,
-            min_share_delta: 0.05,
-            share_saturation: 0.25,
-            gain: 0.5,
-            max_step: 0.10,
-            min_slope: 0.02,
-            max_drift: 3.0,
-        }
-    }
 }
 
 /// The bookkeeping armed when a state change is decided: the rate the
@@ -233,24 +221,18 @@ pub fn legacy_fast_nudge(r0: f64, predicted: f64, observed: f64, delta_share: f6
 #[derive(Debug, Clone)]
 pub struct RatioLearner {
     mode: RatioLearning,
-    cfg: RatioLearnerConfig,
     n: usize,
     /// The ratios at construction time — the clamp anchors.
     nominal: [f64; MAX_CLUSTERS],
     /// Per-cluster sliding windows of `(x_c, log rate-error)` pairs,
     /// with `x_c` the saturating share feature derived from `Δs_c`
-    /// (see [`RatioLearnerConfig::share_saturation`]).
+    /// (see `SHARE_SATURATION`).
     windows: Vec<VecDeque<(f64, f64)>>,
-    /// Cumulative informative samples ever recorded per cluster —
-    /// unlike the windows (cleared when an update spends them), this
-    /// only grows; it backs the search's exploration bonus
-    /// ([`RatioLearner::needs_evidence`]).
-    seen: [u32; MAX_CLUSTERS],
     /// Recent `|ln(observed/predicted)|` of consumed predictions — the
     /// steady-state prediction-error diagnostic.
     recent_errors: VecDeque<f64>,
     /// The same diagnostic restricted to *share-moving* transitions
-    /// (some non-reference cluster moved at least `min_share_delta` of
+    /// (some non-reference cluster moved at least `MIN_SHARE_DELTA` of
     /// thread share) — the transitions where the ratio model matters.
     recent_informative_errors: VecDeque<f64>,
 }
@@ -258,33 +240,6 @@ pub struct RatioLearner {
 impl RatioLearner {
     /// Creates a learner anchored at `est`'s current (nominal) ratios.
     pub fn new(mode: RatioLearning, est: &PerfEstimator) -> Self {
-        Self::with_config(mode, est, RatioLearnerConfig::default())
-    }
-
-    /// Creates a learner with explicit tunables.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive window/evidence/gain/drift settings.
-    pub fn with_config(mode: RatioLearning, est: &PerfEstimator, cfg: RatioLearnerConfig) -> Self {
-        assert!(cfg.window >= 2, "window must hold at least two pairs");
-        assert!(
-            cfg.min_evidence >= 2 && cfg.min_evidence <= cfg.window,
-            "min_evidence must be 2..=window"
-        );
-        assert!(
-            cfg.gain > 0.0 && cfg.gain.is_finite(),
-            "gain must be positive"
-        );
-        assert!(
-            cfg.max_step > 0.0 && cfg.max_step.is_finite(),
-            "max_step must be positive"
-        );
-        assert!(
-            cfg.share_saturation > 0.0 && cfg.share_saturation.is_finite(),
-            "share_saturation must be positive"
-        );
-        assert!(cfg.max_drift >= 1.0, "max_drift must be >= 1");
         let n = est.n_clusters();
         let mut nominal = [0.0; MAX_CLUSTERS];
         for c in (0..n).map(ClusterId) {
@@ -292,11 +247,9 @@ impl RatioLearner {
         }
         Self {
             mode,
-            cfg,
             n,
             nominal,
             windows: vec![VecDeque::new(); n],
-            seen: [0; MAX_CLUSTERS],
             recent_errors: VecDeque::new(),
             recent_informative_errors: VecDeque::new(),
         }
@@ -307,47 +260,15 @@ impl RatioLearner {
         self.mode
     }
 
-    /// The tunables.
-    pub fn config(&self) -> &RatioLearnerConfig {
-        &self.cfg
-    }
-
     /// The clamp range of `cluster`'s learned ratio.
     pub fn clamp_range(&self, cluster: ClusterId) -> (f64, f64) {
         let nominal = self.nominal[cluster.index()];
-        (
-            (nominal / self.cfg.max_drift).max(MIN_RATIO),
-            nominal * self.cfg.max_drift,
-        )
+        ((nominal / MAX_DRIFT).max(MIN_RATIO), nominal * MAX_DRIFT)
     }
 
     /// Samples currently held in `cluster`'s evidence window.
     pub fn evidence(&self, cluster: ClusterId) -> usize {
         self.windows[cluster.index()].len()
-    }
-
-    /// Informative samples ever recorded for `cluster` (never reset —
-    /// spent windows still count as collected evidence).
-    pub fn samples_seen(&self, cluster: ClusterId) -> usize {
-        self.seen[cluster.index()] as usize
-    }
-
-    /// `true` when `cluster` has not yet collected a *full window* of
-    /// informative samples under [`RatioLearning::PerCluster`] — the
-    /// clusters the search's exploration bonus nudges candidates
-    /// toward. The gate is the window capacity, not `min_evidence`: a
-    /// noisy minimum-size fit can decline to update
-    /// (`|slope| < min_slope`), and ending exploration there would
-    /// freeze a wrong ratio with no way to gather the evidence that
-    /// corrects it. After a full window the regression has had its
-    /// fair chance at the achievable signal-to-noise. The reference
-    /// cluster never needs evidence (its ratio is the unit of
-    /// measurement), and the other modes never collect any.
-    pub fn needs_evidence(&self, cluster: ClusterId) -> bool {
-        self.mode == RatioLearning::PerCluster
-            && cluster.index() != 0
-            && cluster.index() < self.n
-            && self.samples_seen(cluster) < self.cfg.window
     }
 
     /// Mean `|ln(observed/predicted)|` over the recent consumed
@@ -393,7 +314,7 @@ impl RatioLearner {
             self.recent_errors.pop_front();
         }
         let informative = (1..self.n.min(pending.n_clusters()))
-            .any(|c| pending.delta_share(ClusterId(c)).abs() >= self.cfg.min_share_delta);
+            .any(|c| pending.delta_share(ClusterId(c)).abs() >= MIN_SHARE_DELTA);
         if informative {
             self.recent_informative_errors.push_back(log_err.abs());
             while self.recent_informative_errors.len() > ERROR_WINDOW {
@@ -428,17 +349,16 @@ impl RatioLearner {
         // identifiable error.
         for c in (1..self.n.min(pending.n_clusters())).map(ClusterId) {
             let ds = pending.delta_share(c);
-            if ds.abs() < self.cfg.min_share_delta {
+            if ds.abs() < MIN_SHARE_DELTA {
                 continue;
             }
-            let x = (ds / self.cfg.share_saturation).clamp(-1.0, 1.0);
-            self.seen[c.index()] = self.seen[c.index()].saturating_add(1);
+            let x = (ds / SHARE_SATURATION).clamp(-1.0, 1.0);
             let w = &mut self.windows[c.index()];
             w.push_back((x, e));
-            while w.len() > self.cfg.window {
+            while w.len() > WINDOW {
                 w.pop_front();
             }
-            if w.len() < self.cfg.min_evidence {
+            if w.len() < MIN_EVIDENCE {
                 continue;
             }
             let pts: Vec<(f64, f64)> = w.iter().copied().collect();
@@ -447,7 +367,7 @@ impl RatioLearner {
                 // Degenerate share spread (every recorded Δs is the
                 // same transition): fall back to the through-origin
                 // estimate Σxy/Σxx, which is well-defined because every
-                // recorded |Δs| >= min_share_delta. The bias-absorbing
+                // recorded |Δs| >= MIN_SHARE_DELTA. The bias-absorbing
                 // intercept is lost, but evidence is not thrown away.
                 None => {
                     let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
@@ -455,10 +375,10 @@ impl RatioLearner {
                     sxy / sxx
                 }
             };
-            if slope.abs() < self.cfg.min_slope || !slope.is_finite() {
+            if slope.abs() < MIN_SLOPE || !slope.is_finite() {
                 continue;
             }
-            let step = (self.cfg.gain * slope).clamp(-self.cfg.max_step, self.cfg.max_step);
+            let step = (GAIN * slope).clamp(-MAX_STEP, MAX_STEP);
             let (lo, hi) = self.clamp_range(c);
             let refined = (est.ratio_of(c) * step.exp()).clamp(lo, hi);
             est.set_ratio(c, refined);
@@ -547,8 +467,7 @@ mod tests {
                 observed,
             )
         };
-        let min_evidence = l.config().min_evidence;
-        for i in 0..min_evidence - 1 {
+        for i in 0..MIN_EVIDENCE - 1 {
             // Informative pairs below the evidence threshold: nothing
             // moves yet.
             let (p, observed) = sample(0.20 + 0.03 * i as f64);
@@ -559,7 +478,7 @@ mod tests {
         l.observe(&p, observed, &mut est);
         assert!(
             est.ratio_of(ClusterId(1)) > 1.2,
-            "the min_evidence-th sample must update"
+            "the MIN_EVIDENCE-th sample must update"
         );
     }
 

@@ -21,10 +21,8 @@ use std::collections::HashSet;
 use crate::state::{StateIndex, SystemState};
 
 use super::ball::for_each_unit_step;
-use super::strategy::{
-    BestTracker, EvalCache, FnvBuild, RankedEval, SearchContext, SearchStrategy,
-};
-use super::{SearchOutcome, SearchParams};
+use super::strategy::{BestTracker, EvalCache, FnvBuild, SearchContext, SearchStrategy};
+use super::{CandidateEval, SearchOutcome, SearchParams};
 
 /// The beam strategy: expand the best `width` frontier states per
 /// Manhattan-distance ring, up to distance `params.d`, with per-dim
@@ -112,8 +110,8 @@ impl SearchStrategy for BeamSearch {
             .index_of(ctx.current)
             .expect("current state must be on the board's ladders");
         let mut cache = EvalCache::new();
-        let current_ranked = ctx.evaluate(&cur_idx, ctx.current, &mut cache);
-        let mut tracker = BestTracker::new(*ctx.current, current_ranked, ctx.tabu);
+        let current_eval = ctx.evaluate(&cur_idx, &mut cache);
+        let mut tracker = BestTracker::new(*ctx.current, current_eval, ctx.tabu);
         let mut explored = 1usize;
 
         let mut visited: HashSet<StateIndex, FnvBuild> = HashSet::default();
@@ -123,7 +121,7 @@ impl SearchStrategy for BeamSearch {
         let mut truncated = false;
         'rings: for ring in 1..=self.params.d {
             let mut ring_improved = false;
-            let mut next: Vec<(StateIndex, RankedEval)> = Vec::new();
+            let mut next: Vec<(StateIndex, CandidateEval)> = Vec::new();
             for &idx in &frontier {
                 // Single index steps through the shared walk
                 // ([`for_each_unit_step`]): dimensions in the sweep's
@@ -168,11 +166,11 @@ impl SearchStrategy for BeamSearch {
                         truncated = true;
                         return;
                     }
-                    let ranked = ctx.evaluate(&nidx, &cand, &mut cache);
+                    let eval = ctx.evaluate(&nidx, &mut cache);
                     explored += 1;
                     observer(cand);
-                    ring_improved |= tracker.offer(cand, ranked);
-                    next.push((nidx, ranked));
+                    ring_improved |= tracker.offer(cand, eval);
+                    next.push((nidx, eval));
                 });
                 if truncated {
                     break 'rings;

@@ -78,7 +78,6 @@ impl SearchStrategy for BudgetedSearch {
 
 #[cfg(test)]
 mod tests {
-    use super::super::strategy::ExplorationBonus;
     use super::super::{BeamSearch, ExhaustiveSweep, SearchConstraints, SearchParams};
     use super::*;
     use crate::perf_est::PerfEstimator;
@@ -111,7 +110,6 @@ mod tests {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let inner = AnyStrategy::Exhaustive(ExhaustiveSweep::new(SearchParams::exhaustive()));
@@ -151,7 +149,6 @@ mod tests {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         for inner in [

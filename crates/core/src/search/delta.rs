@@ -181,7 +181,6 @@ impl PartialEvaluator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::strategy::ExplorationBonus;
     use super::super::{evaluate_state, SearchConstraints};
     use super::*;
     use crate::perf_est::PerfEstimator;
@@ -213,7 +212,6 @@ mod tests {
                     perf: &perf,
                     power: &power,
                     tabu: &[],
-                    exploration: ExplorationBonus::none(),
                     eval_limit: None,
                 };
                 let pe = PartialEvaluator::new(&ctx);
@@ -293,7 +291,6 @@ mod tests {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let pe = PartialEvaluator::new(&ctx);
@@ -367,7 +364,6 @@ mod tests {
                 perf: &perf,
                 power: &power,
                 tabu: &[],
-                exploration: ExplorationBonus::none(),
                 eval_limit: None,
             };
             let pe = PartialEvaluator::new(&ctx);

@@ -113,8 +113,8 @@ impl SearchStrategy for ExhaustiveSweep {
             .index_of(ctx.current)
             .expect("current state must be on the board's ladders");
         let mut cache = EvalCache::new();
-        let current_ranked = ctx.evaluate(&cur_idx, ctx.current, &mut cache);
-        let mut tracker = BestTracker::new(*ctx.current, current_ranked, ctx.tabu);
+        let current_eval = ctx.evaluate(&cur_idx, &mut cache);
+        let mut tracker = BestTracker::new(*ctx.current, current_eval, ctx.tabu);
         let mut explored = 1usize; // the current state itself
 
         // Distance-ball enumeration over the 2N dimensions in the
@@ -149,10 +149,10 @@ impl SearchStrategy for ExhaustiveSweep {
             }
             // The ball visits each index exactly once: skip the
             // memoization map (see `evaluate_uncached`).
-            let ranked = ctx.evaluate_uncached(&cand_idx, &cand, &mut cache);
+            let eval = ctx.evaluate_uncached(&cand_idx, &mut cache);
             explored += 1;
             observer(cand);
-            tracker.offer(cand, ranked);
+            tracker.offer(cand, eval);
             true
         });
         let mut out = tracker.finish(explored, cache.evaluated());
@@ -258,7 +258,6 @@ pub fn count_sweep_candidates(ctx: &SearchContext<'_>, params: SearchParams) -> 
 
 #[cfg(test)]
 mod tests {
-    use super::super::strategy::ExplorationBonus;
     use super::super::SearchConstraints;
     use super::*;
     use crate::perf_est::PerfEstimator;
@@ -324,7 +323,6 @@ mod tests {
                             perf: &perf,
                             power: &power,
                             tabu: &[],
-                            exploration: ExplorationBonus::none(),
                             eval_limit: None,
                         };
                         let out = ExhaustiveSweep::new(params).next_state(&ctx);
@@ -334,9 +332,8 @@ mod tests {
                             "{} m={m} n={n} d={d} variant={variant} cur={cur}",
                             board.name
                         );
-                        // The walk-node count stamped on the stats (the
-                        // per-node overhead unit) must agree with the
-                        // standalone counter.
+                        // The walk-node count stamped on the stats must
+                        // agree with the standalone counter.
                         assert_eq!(
                             out.stats.nodes,
                             count_enumeration_nodes(&ctx, params),

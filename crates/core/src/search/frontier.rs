@@ -27,8 +27,8 @@ use hmp_sim::ClusterId;
 
 use crate::state::{StateIndex, SystemState};
 
-use super::strategy::{BestTracker, EvalCache, RankedEval, SearchContext, SearchStrategy};
-use super::{FreqChange, SearchOutcome};
+use super::strategy::{BestTracker, EvalCache, SearchContext, SearchStrategy};
+use super::{CandidateEval, FreqChange, SearchOutcome};
 
 /// The coordinate-descent strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,15 +62,15 @@ impl SearchStrategy for GreedyFrontier {
             .index_of(ctx.current)
             .expect("current state must be on the board's ladders");
         let mut cache = EvalCache::new();
-        let current_ranked = ctx.evaluate(&cur_idx, ctx.current, &mut cache);
-        let mut tracker = BestTracker::new(*ctx.current, current_ranked, ctx.tabu);
+        let current_eval = ctx.evaluate(&cur_idx, &mut cache);
+        let mut tracker = BestTracker::new(*ctx.current, current_eval, ctx.tabu);
         let mut explored = 1usize;
 
         let mut pos_idx = cur_idx;
-        let mut pos_ranked = current_ranked;
+        let mut pos_eval = current_eval;
         let mut truncated = false;
         'descent: for _ in 0..self.max_steps {
-            let mut best_move: Option<(StateIndex, SystemState, RankedEval)> = None;
+            let mut best_move: Option<(StateIndex, SystemState, CandidateEval)> = None;
             for i in (0..n).rev() {
                 let c = ClusterId(i);
                 // The two coordinate lines of this cluster: core counts
@@ -111,32 +111,32 @@ impl SearchStrategy for GreedyFrontier {
                             break 'descent;
                         }
                         let first_visit = cache.evaluated();
-                        let ranked = ctx.evaluate(&nidx, &cand, &mut cache);
+                        let eval = ctx.evaluate(&nidx, &mut cache);
                         explored += 1;
                         if cache.evaluated() > first_visit {
                             observer(cand);
                         }
                         // A tabu state may not be moved to (unless it
                         // aspires past the incumbent best).
-                        if !tracker.admits(&cand, &ranked) {
+                        if !tracker.admits(&cand, &eval) {
                             continue;
                         }
-                        if ranked.better_than(&pos_ranked)
+                        if eval.better_than(&pos_eval)
                             && best_move
                                 .as_ref()
-                                .is_none_or(|(_, _, b)| ranked.better_than(b))
+                                .is_none_or(|(_, _, b)| eval.better_than(b))
                         {
-                            best_move = Some((nidx, cand, ranked));
+                            best_move = Some((nidx, cand, eval));
                         }
                     }
                 }
             }
-            let Some((nidx, cand, ranked)) = best_move else {
+            let Some((nidx, cand, eval)) = best_move else {
                 break; // coordinate-wise optimum: no dimension improves
             };
-            tracker.offer(cand, ranked);
+            tracker.offer(cand, eval);
             pos_idx = nidx;
-            pos_ranked = ranked;
+            pos_eval = eval;
         }
         let mut out = tracker.finish(explored, cache.evaluated());
         out.stats.truncated = truncated;

@@ -46,9 +46,8 @@
 //! The current state participates in the comparison
 //! (`getBetterState(cs, ns)`), so no strategy ever moves to a state its
 //! own estimators consider worse. Tabu and aspiration (Section 3.1.4's
-//! local-optimum escape) are applied identically across strategies, as
-//! is the optional ratio-learning [`ExplorationBonus`]. Every strategy
-//! evaluates through a per-period [`EvalCache`] keyed by
+//! local-optimum escape) are applied identically across strategies.
+//! Every strategy evaluates through a per-period [`EvalCache`] keyed by
 //! [`StateIndex`](crate::state::StateIndex) and reports its cost as
 //! [`SearchStats`].
 //!
@@ -71,8 +70,8 @@ pub use budget::BudgetedSearch;
 pub use exhaustive::{count_enumeration_nodes, count_sweep_candidates, ExhaustiveSweep};
 pub use frontier::GreedyFrontier;
 pub use strategy::{
-    AnyStrategy, BestTracker, EvalCache, ExplorationBonus, RankedEval, SearchContext, SearchStats,
-    SearchStrategy, SearchStrategyFactory,
+    AnyStrategy, BestTracker, EvalCache, SearchContext, SearchStats, SearchStrategy,
+    SearchStrategyFactory,
 };
 
 use heartbeats::PerfTarget;
@@ -218,6 +217,33 @@ pub struct CandidateEval {
     pub satisfies: bool,
 }
 
+impl CandidateEval {
+    /// Algorithm 2's ordering: satisfying beats non-satisfying; among
+    /// satisfying, higher perf/watt; among non-satisfying, higher
+    /// estimated rate.
+    pub fn better_than(&self, other: &CandidateEval) -> bool {
+        match (self.satisfies, other.satisfies) {
+            (true, false) => true,
+            (false, true) => false,
+            (true, true) => self.perf_per_watt > other.perf_per_watt,
+            (false, false) => self.est_rate > other.est_rate,
+        }
+    }
+
+    /// Total order for beam-frontier sorting: better states first, ties
+    /// kept in visit order by the caller's stable sort.
+    pub fn cmp_better_first(&self, other: &CandidateEval) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        if self.better_than(other) {
+            Ordering::Less
+        } else if other.better_than(self) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    }
+}
+
 /// The search result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SearchOutcome {
@@ -327,7 +353,6 @@ pub fn get_next_sys_state_tabu(
         perf,
         power,
         tabu,
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     ExhaustiveSweep::new(params).next_state(&ctx)

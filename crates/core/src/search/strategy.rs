@@ -2,9 +2,9 @@
 //! [`SearchStrategy`] trait every decision policy implements, the
 //! [`SearchContext`] bundle the managers hand to it, the per-period
 //! [`EvalCache`] memoizing [`super::evaluate_state`] by [`StateIndex`],
-//! and the shared candidate-ranking machinery (Algorithm 2's
-//! satisfaction-first ordering, the tabu/aspiration rules, and the
-//! optional ratio-learning [`ExplorationBonus`]).
+//! and the shared incumbent tracker (the tabu/aspiration rules over
+//! Algorithm 2's satisfaction-first ordering,
+//! [`CandidateEval::better_than`]).
 //!
 //! Strategies differ only in *which* states they enumerate; how a
 //! candidate is evaluated, ranked against the incumbent, and gated by
@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 
 use heartbeats::PerfTarget;
-use hmp_sim::MAX_CLUSTERS;
 use serde::{Deserialize, Serialize};
 
 use crate::perf_est::PerfEstimator;
@@ -53,11 +52,9 @@ pub struct SearchStats {
     pub wall_ns: u64,
     /// Enumeration nodes walked to *produce* the candidates — the
     /// distance-ball tree nodes (or sweep lattice points) visited,
-    /// including interior nodes that never became candidates. This is
-    /// the per-node micro-cost unit of the overhead model: `wall_ns`
-    /// charges `evaluated × cost_per_state_ns + nodes ×
-    /// cost_per_node_ns`, so enumeration work the evaluation cache
-    /// absorbs still costs decision time. (`serde(default)` for stats
+    /// including interior nodes that never became candidates. A
+    /// measured count, reported in telemetry and by the benchmarks;
+    /// `wall_ns` does not charge it. (`serde(default)` for stats
     /// serialized before this field existed.)
     #[serde(default)]
     pub nodes: u64,
@@ -83,97 +80,6 @@ impl SearchStats {
     }
 }
 
-/// The ratio-learning exploration bonus: a tiny multiplicative tiebreak
-/// on the ranking keys of candidates whose modeled thread assignment
-/// moves share onto a cluster that has not yet collected a full window
-/// of learning evidence.
-///
-/// Rationale (the ROADMAP's learning caveat): a cluster whose assumed
-/// ratio is *under*stated loses every close call against the clusters
-/// the estimator believes in, so the search never routes threads there
-/// and no prediction evidence ever arrives to correct the ratio.
-/// Nudging near-ties toward evidence-starved clusters closes that
-/// loop. The bonus keys on the *assignment* (threads placed), not on
-/// core allocation alone — allocating cores the waterfill leaves idle
-/// moves no share and teaches the learner nothing. The bounded
-/// `weight` (a few percent) caps how much ranking quality a nudged
-/// decision may give up, so clearly-worse states keep losing.
-///
-/// With `weight == 0` (the default) every ranking key is multiplied by
-/// exactly `1.0`, so the search is bit-identical to the bonus-free
-/// implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExplorationBonus {
-    weight: f64,
-    needy: [bool; MAX_CLUSTERS],
-}
-
-impl ExplorationBonus {
-    /// No bonus: ranking is exactly Algorithm 2's.
-    pub fn none() -> Self {
-        Self {
-            weight: 0.0,
-            needy: [false; MAX_CLUSTERS],
-        }
-    }
-
-    /// A bonus of `weight` for growing any cluster flagged in `needy`
-    /// (indexed by cluster).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-finite or negative `weight` (it is a tiebreak,
-    /// not a penalty).
-    pub fn new(weight: f64, needy: [bool; MAX_CLUSTERS]) -> Self {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "bonus weight must be finite and non-negative"
-        );
-        Self { weight, needy }
-    }
-
-    /// The bonus a manager should run its next search with: `weight`
-    /// on every cluster `learner` still flags evidence-starved, or
-    /// [`ExplorationBonus::none`] when the weight is zero or no cluster
-    /// needs evidence.
-    pub fn from_learner(
-        weight: f64,
-        learner: &crate::ratio_learn::RatioLearner,
-        clusters: impl Iterator<Item = hmp_sim::ClusterId>,
-    ) -> Self {
-        if weight <= 0.0 {
-            return Self::none();
-        }
-        let mut needy = [false; MAX_CLUSTERS];
-        let mut any = false;
-        for c in clusters {
-            if learner.needs_evidence(c) {
-                needy[c.index()] = true;
-                any = true;
-            }
-        }
-        if !any {
-            return Self::none();
-        }
-        Self::new(weight, needy)
-    }
-
-    /// Whether any candidate can receive a bonus at all.
-    pub fn is_active(&self) -> bool {
-        self.weight > 0.0 && self.needy.iter().any(|&b| b)
-    }
-
-    /// The bonus weight.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Whether `cluster` is flagged evidence-starved.
-    pub fn is_needy(&self, cluster: hmp_sim::ClusterId) -> bool {
-        self.needy[cluster.index()]
-    }
-}
-
 /// Everything a [`SearchStrategy`] needs to make one decision — the
 /// managers build one per adaptation period.
 #[derive(Debug, Clone, Copy)]
@@ -196,9 +102,6 @@ pub struct SearchContext<'a> {
     pub power: &'a PowerEstimator,
     /// Recently visited states to avoid (empty disables tabu).
     pub tabu: &'a [SystemState],
-    /// The ratio-learning exploration tiebreak
-    /// ([`ExplorationBonus::none`] outside learning runs).
-    pub exploration: ExplorationBonus,
     /// Anytime evaluation limit (`None` = unlimited): strategies check
     /// it *before* each estimator evaluation and stop with
     /// [`SearchStats::truncated`] set once `evaluated` reaches it. Set
@@ -208,32 +111,22 @@ pub struct SearchContext<'a> {
 }
 
 impl SearchContext<'_> {
-    /// Evaluates `state` through the per-period cache and wraps it with
-    /// its ranking keys. Both the estimator verdict and the exploration
-    /// factor are pure functions of the state, so cache hits pay for
-    /// neither. Cache misses go through the period's
-    /// [`PartialEvaluator`] — the factored, table-driven equivalent of
+    /// Evaluates the state at `idx` through the per-period cache. The
+    /// estimator verdict is a pure function of the state, so cache hits
+    /// are free. Cache misses go through the period's
+    /// `PartialEvaluator` — the factored, table-driven equivalent of
     /// [`evaluate_state`], bit-identical by construction (and by
     /// proptest).
     ///
     /// [`evaluate_state`]: super::evaluate_state
-    pub fn evaluate(
-        &self,
-        idx: &StateIndex,
-        state: &SystemState,
-        cache: &mut EvalCache,
-    ) -> RankedEval {
-        if let Some(&(eval, factor)) = cache.map.get(idx) {
+    pub fn evaluate(&self, idx: &StateIndex, cache: &mut EvalCache) -> CandidateEval {
+        if let Some(&eval) = cache.map.get(idx) {
             cache.hits += 1;
-            return RankedEval::new(eval, factor);
+            return eval;
         }
-        if cache.partial.is_none() {
-            cache.partial = Some(PartialEvaluator::new(self));
-        }
-        let eval = cache.partial.as_ref().expect("just built").evaluate(idx);
-        let factor = self.bonus_factor(state, cache);
-        cache.map.insert(*idx, (eval, factor));
-        RankedEval::new(eval, factor)
+        let eval = self.evaluate_fresh(idx, cache);
+        cache.map.insert(*idx, eval);
+        eval
     }
 
     /// [`SearchContext::evaluate`] without the memoization map — for
@@ -242,19 +135,18 @@ impl SearchContext<'_> {
     /// is pure overhead. The evaluation still counts toward
     /// [`EvalCache::evaluated`] and still goes through the shared
     /// `PartialEvaluator`, so stats and results are identical.
-    pub fn evaluate_uncached(
-        &self,
-        idx: &StateIndex,
-        state: &SystemState,
-        cache: &mut EvalCache,
-    ) -> RankedEval {
-        if cache.partial.is_none() {
-            cache.partial = Some(PartialEvaluator::new(self));
-        }
-        let eval = cache.partial.as_ref().expect("just built").evaluate(idx);
-        let factor = self.bonus_factor(state, cache);
+    pub fn evaluate_uncached(&self, idx: &StateIndex, cache: &mut EvalCache) -> CandidateEval {
         cache.uncached += 1;
-        RankedEval::new(eval, factor)
+        self.evaluate_fresh(idx, cache)
+    }
+
+    /// One estimator evaluation through the period's `PartialEvaluator`,
+    /// built at the first miss.
+    fn evaluate_fresh(&self, idx: &StateIndex, cache: &mut EvalCache) -> CandidateEval {
+        cache
+            .partial
+            .get_or_insert_with(|| PartialEvaluator::new(self))
+            .evaluate(idx)
     }
 
     /// `true` once the anytime evaluation limit is exhausted — checked
@@ -275,28 +167,6 @@ impl SearchContext<'_> {
     pub fn out_of_budget_for(&self, idx: &StateIndex, cache: &EvalCache) -> bool {
         self.out_of_budget(cache) && !cache.map.contains_key(idx)
     }
-
-    /// The exploration ranking factor of `cand`: `1 + weight` when its
-    /// modeled thread assignment places more threads on some
-    /// evidence-starved cluster than the current state's does, `1.0`
-    /// otherwise (always `1.0` with the bonus inactive — the default).
-    /// The current state's assignment is invariant across the search,
-    /// so it is computed once and kept in the per-period cache.
-    fn bonus_factor(&self, cand: &SystemState, cache: &mut EvalCache) -> f64 {
-        if !self.exploration.is_active() {
-            return 1.0;
-        }
-        let cur_a = cache
-            .current_assignment
-            .get_or_insert_with(|| self.perf.assignment(self.threads, self.current));
-        let cand_a = self.perf.assignment(self.threads, cand);
-        for c in self.space.cluster_ids() {
-            if self.exploration.is_needy(c) && cand_a.threads(c) > cur_a.threads(c) {
-                return 1.0 + self.exploration.weight();
-            }
-        }
-        1.0
-    }
 }
 
 /// The search containers' build hasher ([`crate::fnv`]: deterministic,
@@ -307,22 +177,18 @@ pub(crate) type FnvBuild = crate::fnv::FnvBuildHasher;
 /// A per-adaptation-period memoization cache for candidate
 /// evaluations, keyed by [`StateIndex`]. Beam rings and greedy-frontier
 /// walks re-derive the same neighbors along different paths; the
-/// estimator verdict and the exploration factor are identical, so only
-/// the first visit pays for them. The cache also owns the period's
-/// [`PartialEvaluator`] — the hoisted current-state barrier time and
-/// the per-cluster speed/power partial-term tables delta evaluation
-/// recombines per candidate.
+/// estimator verdict is identical, so only the first visit pays for
+/// it. The cache also owns the period's `PartialEvaluator` — the
+/// hoisted current-state barrier time and the per-cluster speed/power
+/// partial-term tables delta evaluation recombines per candidate.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    /// `(estimator verdict, exploration factor)` per visited state.
-    map: HashMap<StateIndex, (CandidateEval, f64), FnvBuild>,
+    /// The estimator verdict per visited state.
+    map: HashMap<StateIndex, CandidateEval, FnvBuild>,
     hits: usize,
     /// Evaluations taken through the map-free path
     /// ([`SearchContext::evaluate_uncached`]).
     uncached: usize,
-    /// The current state's thread assignment, computed once on demand
-    /// for the exploration bonus (see `SearchContext::bonus_factor`).
-    current_assignment: Option<crate::assign::ThreadAssignment>,
     /// The period's factored evaluator, built lazily at the first miss.
     partial: Option<PartialEvaluator>,
 }
@@ -345,54 +211,6 @@ impl EvalCache {
     }
 }
 
-/// A candidate evaluation paired with its (bonus-adjusted) ranking
-/// keys. With no bonus the keys equal the raw evaluation exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct RankedEval {
-    /// The estimators' raw verdict about the state.
-    pub eval: CandidateEval,
-    key_pp: f64,
-    key_rate: f64,
-}
-
-impl RankedEval {
-    /// Wraps an evaluation with its ranking keys scaled by the
-    /// exploration `factor` (`1.0` outside learning runs —
-    /// [`SearchContext::evaluate`] computes the right factor for you).
-    pub fn new(eval: CandidateEval, factor: f64) -> Self {
-        Self {
-            eval,
-            key_pp: eval.perf_per_watt * factor,
-            key_rate: eval.est_rate * factor,
-        }
-    }
-
-    /// Algorithm 2's ordering on the ranking keys: satisfying beats
-    /// non-satisfying; among satisfying, higher perf/watt; among
-    /// non-satisfying, higher estimated rate.
-    pub fn better_than(&self, other: &RankedEval) -> bool {
-        match (self.eval.satisfies, other.eval.satisfies) {
-            (true, false) => true,
-            (false, true) => false,
-            (true, true) => self.key_pp > other.key_pp,
-            (false, false) => self.key_rate > other.key_rate,
-        }
-    }
-
-    /// Total order for beam-frontier sorting: better states first, ties
-    /// kept in visit order by the caller's stable sort.
-    pub fn cmp_better_first(&self, other: &RankedEval) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        if self.better_than(other) {
-            Ordering::Less
-        } else if other.better_than(self) {
-            Ordering::Greater
-        } else {
-            Ordering::Equal
-        }
-    }
-}
-
 /// The shared incumbent tracker: holds the best admitted state, applies
 /// the tabu/aspiration rules identically across strategies, and counts
 /// rank changes. Public so out-of-crate [`SearchStrategy`] impls rank,
@@ -401,18 +219,18 @@ impl RankedEval {
 pub struct BestTracker<'a> {
     tabu: &'a [SystemState],
     best_state: SystemState,
-    best: RankedEval,
+    best: CandidateEval,
     rank_changes: usize,
 }
 
 impl<'a> BestTracker<'a> {
     /// Starts with the current state as incumbent (`getBetterState`:
     /// the search never moves to a state its estimators rank worse).
-    pub fn new(current: SystemState, current_ranked: RankedEval, tabu: &'a [SystemState]) -> Self {
+    pub fn new(current: SystemState, current_eval: CandidateEval, tabu: &'a [SystemState]) -> Self {
         Self {
             tabu,
             best_state: current,
-            best: current_ranked,
+            best: current_eval,
             rank_changes: 0,
         }
     }
@@ -421,18 +239,18 @@ impl<'a> BestTracker<'a> {
     /// it is not tabu, or it aspires — a target-satisfying candidate
     /// strictly dominating the best seen so far (the classic aspiration
     /// criterion, >5% better perf/watt).
-    pub fn admits(&self, cand: &SystemState, ranked: &RankedEval) -> bool {
+    pub fn admits(&self, cand: &SystemState, eval: &CandidateEval) -> bool {
         if !self.tabu.contains(cand) {
             return true;
         }
-        ranked.eval.satisfies && self.best.eval.satisfies && ranked.key_pp > self.best.key_pp * 1.05
+        eval.satisfies && self.best.satisfies && eval.perf_per_watt > self.best.perf_per_watt * 1.05
     }
 
     /// Offers a candidate; returns `true` when it became the new best.
-    pub fn offer(&mut self, cand: SystemState, ranked: RankedEval) -> bool {
-        if self.admits(&cand, &ranked) && ranked.better_than(&self.best) {
+    pub fn offer(&mut self, cand: SystemState, eval: CandidateEval) -> bool {
+        if self.admits(&cand, &eval) && eval.better_than(&self.best) {
             self.best_state = cand;
-            self.best = ranked;
+            self.best = eval;
             self.rank_changes += 1;
             return true;
         }
@@ -443,7 +261,7 @@ impl<'a> BestTracker<'a> {
     pub fn finish(self, explored: usize, evaluated: usize) -> SearchOutcome {
         SearchOutcome {
             state: self.best_state,
-            eval: self.best.eval,
+            eval: self.best,
             stats: SearchStats {
                 explored,
                 evaluated,
@@ -570,10 +388,10 @@ mod tests {
 
     #[test]
     fn ranking_matches_algorithm_2() {
-        let sat_low = RankedEval::new(eval(true, 1.0, 5.0), 1.0);
-        let sat_high = RankedEval::new(eval(true, 2.0, 4.0), 1.0);
-        let unsat_fast = RankedEval::new(eval(false, 9.0, 8.0), 1.0);
-        let unsat_slow = RankedEval::new(eval(false, 9.0, 7.0), 1.0);
+        let sat_low = eval(true, 1.0, 5.0);
+        let sat_high = eval(true, 2.0, 4.0);
+        let unsat_fast = eval(false, 9.0, 8.0);
+        let unsat_slow = eval(false, 9.0, 7.0);
         assert!(sat_low.better_than(&unsat_fast));
         assert!(sat_high.better_than(&sat_low));
         assert!(unsat_fast.better_than(&unsat_slow));
@@ -585,43 +403,19 @@ mod tests {
         let current = state(1);
         let tabu_state = state(2);
         let tabu = [tabu_state];
-        let incumbent = RankedEval::new(eval(true, 1.0, 10.0), 1.0);
+        let incumbent = eval(true, 1.0, 10.0);
         let tracker = BestTracker::new(current, incumbent, &tabu);
         // 4% better: under the 5% aspiration bar -> rejected.
-        let close = RankedEval::new(eval(true, 1.04, 10.0), 1.0);
+        let close = eval(true, 1.04, 10.0);
         assert!(!tracker.admits(&tabu_state, &close));
         // 6% better and satisfying -> aspires.
-        let dominating = RankedEval::new(eval(true, 1.06, 10.0), 1.0);
+        let dominating = eval(true, 1.06, 10.0);
         assert!(tracker.admits(&tabu_state, &dominating));
         // Non-satisfying never aspires.
-        let unsat = RankedEval::new(eval(false, 99.0, 99.0), 1.0);
+        let unsat = eval(false, 99.0, 99.0);
         assert!(!tracker.admits(&tabu_state, &unsat));
         // Non-tabu states are always admissible.
         assert!(tracker.admits(&state(3), &close));
-    }
-
-    #[test]
-    fn unit_factor_ranking_keys_are_exact_identity() {
-        // The inactive bonus yields factor 1.0, and `x * 1.0` is exact:
-        // the keys are bit-identical to the raw evaluation — the
-        // invariant the sweep's bit-compatibility rests on.
-        let e = eval(true, 0.123456789, 7.654321);
-        let r = RankedEval::new(e, 1.0);
-        assert_eq!(r.key_pp.to_bits(), e.perf_per_watt.to_bits());
-        assert_eq!(r.key_rate.to_bits(), e.est_rate.to_bits());
-    }
-
-    #[test]
-    fn bonus_activation_and_flags() {
-        assert!(!ExplorationBonus::none().is_active());
-        assert!(!ExplorationBonus::new(0.05, [false; MAX_CLUSTERS]).is_active());
-        let mut needy = [false; MAX_CLUSTERS];
-        needy[1] = true;
-        let bonus = ExplorationBonus::new(0.05, needy);
-        assert!(bonus.is_active());
-        assert!(bonus.is_needy(hmp_sim::ClusterId(1)));
-        assert!(!bonus.is_needy(hmp_sim::ClusterId(0)));
-        assert_eq!(bonus.weight(), 0.05);
     }
 
     #[test]

@@ -21,8 +21,7 @@ use proptest::prelude::*;
 use hars_core::policy::SearchPolicy;
 use hars_core::power_est::{LinearCoeff, PowerEstimator};
 use hars_core::search::{
-    ExhaustiveSweep, ExplorationBonus, FreqChange, SearchConstraints, SearchContext, SearchParams,
-    SearchStrategy,
+    ExhaustiveSweep, FreqChange, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
 };
 use hars_core::{PerfEstimator, StateSpace, SystemState};
 use hmp_sim::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder};
@@ -181,7 +180,6 @@ fn check_ball_matches_legacy(
         perf: &perf,
         power: &power,
         tabu: &[],
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     let mut visited = Vec::new();
@@ -257,7 +255,6 @@ proptest! {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let inner = match which {
@@ -309,7 +306,6 @@ proptest! {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let inner = match which {

@@ -1,6 +1,6 @@
 //! Tests for the pluggable search subsystem.
 //!
-//! Four families:
+//! Three families:
 //!
 //! 1. **beam/exhaustive equivalence** — with unbounded width,
 //!    [`BeamSearch`] visits exactly the exhaustive sweep's candidate
@@ -10,11 +10,7 @@
 //!    [`SearchConstraints`] (free-core caps, [`FreqChange`] gating) for
 //!    every candidate it evaluates, not just the final state;
 //! 3. **tabu** — every strategy avoids tabu states (the shared
-//!    aspiration rule is unit-tested in the strategy module);
-//! 4. **exploration bonus** — the ratio-learning tiebreak steers
-//!    near-ties toward evidence-starved clusters, at the search level
-//!    (all strategies) and end to end through the manager on
-//!    `dynamiq_1p_3m_4l()`.
+//!    aspiration rule is unit-tested in the strategy module).
 
 use std::collections::HashSet;
 
@@ -22,15 +18,12 @@ use heartbeats::PerfTarget;
 use proptest::prelude::*;
 
 use hars_core::power_est::{LinearCoeff, PowerEstimator};
-use hars_core::ratio_learn::RatioLearning;
 use hars_core::search::{
-    BeamSearch, ExhaustiveSweep, ExplorationBonus, FreqChange, GreedyFrontier, SearchConstraints,
-    SearchContext, SearchParams, SearchStrategy,
+    BeamSearch, ExhaustiveSweep, FreqChange, GreedyFrontier, SearchConstraints, SearchContext,
+    SearchParams, SearchStrategy,
 };
-use hars_core::{HarsConfig, PerfEstimator, RuntimeManager, StateSpace, SystemState};
-use hmp_sim::{
-    BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder, MAX_CLUSTERS,
-};
+use hars_core::{PerfEstimator, StateSpace, SystemState};
+use hmp_sim::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder};
 
 // ---------------------------------------------------------------------
 // Randomized board construction (same generator family as the
@@ -160,7 +153,6 @@ proptest! {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let (ex_state, ex_set) = observed_candidates(&ExhaustiveSweep::new(params), &ctx);
@@ -232,7 +224,6 @@ proptest! {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let cur_idx = space.index_of(&cur).unwrap();
@@ -319,7 +310,6 @@ fn every_strategy_avoids_tabu_states() {
             perf: &perf,
             power: &power,
             tabu: &[],
-            exploration: ExplorationBonus::none(),
             eval_limit: None,
         };
         let free = strategy.next_state(&ctx);
@@ -363,7 +353,6 @@ fn frontier_cache_avoids_re_evaluating_revisited_neighbors() {
         perf: &perf,
         power: &power,
         tabu: &[],
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     let out = GreedyFrontier::default().next_state(&ctx);
@@ -395,7 +384,6 @@ fn beam_width_bounds_exploration() {
         perf: &perf,
         power: &power,
         tabu: &[],
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     let narrow = BeamSearch::new(2, 7).next_state(&ctx);
@@ -438,7 +426,6 @@ fn adaptive_beam_matches_plain_beam_when_the_incumbent_is_stable() {
         perf: &perf,
         power: &power,
         tabu: &[],
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     let plain = BeamSearch::new(8, 7).next_state(&ctx);
@@ -478,7 +465,6 @@ fn adaptive_beam_still_finds_a_satisfying_state_under_churn_of_rings() {
         perf: &perf,
         power: &power,
         tabu: &[],
-        exploration: ExplorationBonus::none(),
         eval_limit: None,
     };
     let plain = BeamSearch::new(8, 7).next_state(&ctx);
@@ -493,127 +479,5 @@ fn adaptive_beam_still_finds_a_satisfying_state_under_churn_of_rings() {
         "adaptive {} vs plain {}",
         adaptive.eval.perf_per_watt,
         plain.eval.perf_per_watt
-    );
-}
-
-// ---------------------------------------------------------------------
-// Exploration bonus
-// ---------------------------------------------------------------------
-
-/// On the DynamIQ board with the mid cluster's ratio understated
-/// (0.70 of the reference instead of the true 1.6): at that ratio mid's
-/// top-frequency speed exactly equals little's (0.70 · 2.0 GHz and
-/// 1.0 · 1.4 GHz are bit-identical doublings), so giving mid a core
-/// reshuffles a thread onto it without changing the modeled finish
-/// time — an exact rate tie. Without a bonus no strategy ever moves
-/// off the current state (ties lose to the incumbent), so mid never
-/// sees a thread; with a bonus, every strategy routes share there.
-#[test]
-fn exploration_bonus_moves_share_toward_needy_clusters() {
-    let board = BoardSpec::dynamiq_1p_3m_4l();
-    let space = StateSpace::from_board(&board);
-    let perf = PerfEstimator::from_ratios(&[1.0, 0.70, 2.0], board.base_freq);
-    let power = flat_power(&board);
-    // Little and prime are maxed out: the only way up is through mid.
-    let cur = SystemState::new(&[
-        (4, FreqKhz::from_mhz(1_400)),
-        (0, FreqKhz::from_mhz(2_000)),
-        (1, FreqKhz::from_mhz(2_600)),
-    ]);
-    let target = PerfTarget::new(45.0, 55.0).unwrap(); // unreachable
-    let constraints = SearchConstraints::unrestricted(&space);
-    let mut needy = [false; MAX_CLUSTERS];
-    needy[1] = true;
-    let strategies: Vec<Box<dyn SearchStrategy>> = vec![
-        Box::new(ExhaustiveSweep::new(SearchParams::exhaustive())),
-        Box::new(BeamSearch::new(8, 7)),
-        Box::new(GreedyFrontier::default()),
-    ];
-    for strategy in &strategies {
-        let mut ctx = SearchContext {
-            space: &space,
-            current: &cur,
-            observed_rate: 5.0,
-            threads: 6,
-            target: &target,
-            constraints: &constraints,
-            perf: &perf,
-            power: &power,
-            tabu: &[],
-            exploration: ExplorationBonus::none(),
-            eval_limit: None,
-        };
-        let plain = strategy.next_state(&ctx);
-        let plain_assignment = perf.assignment(6, &plain.state);
-        assert_eq!(
-            plain_assignment.threads(ClusterId(1)),
-            0,
-            "{}: without a bonus no thread moves onto mid (chose {})",
-            strategy.name(),
-            plain.state
-        );
-        ctx.exploration = ExplorationBonus::new(0.05, needy);
-        let nudged = strategy.next_state(&ctx);
-        let nudged_assignment = perf.assignment(6, &nudged.state);
-        assert!(
-            nudged_assignment.threads(ClusterId(1)) > 0,
-            "{}: the bonus must route a thread onto the needy cluster (chose {})",
-            strategy.name(),
-            nudged.state
-        );
-    }
-}
-
-/// End to end through the manager (the ROADMAP caveat's regression
-/// test): with the mid ratio understated, the plain manager never
-/// moves threads onto mid and the learner never sees evidence; with
-/// the (off-by-default) bonus flag the tie flips, a thread share moves
-/// onto mid, and an informative prediction is consumed.
-#[test]
-fn exploration_bonus_feeds_evidence_to_understated_clusters() {
-    let board = BoardSpec::dynamiq_1p_3m_4l();
-    let initial = SystemState::new(&[
-        (4, FreqKhz::from_mhz(1_400)),
-        (0, FreqKhz::from_mhz(2_000)),
-        (1, FreqKhz::from_mhz(2_600)),
-    ]);
-    let run = |bonus: f64| {
-        let perf = PerfEstimator::from_ratios(&[1.0, 0.70, 2.0], board.base_freq);
-        let mut m = RuntimeManager::new(
-            &board,
-            PerfTarget::new(45.0, 55.0).unwrap(), // unreachable: always grows
-            perf,
-            flat_power(&board),
-            6,
-            HarsConfig {
-                ratio_learning: RatioLearning::PerCluster,
-                exploration_bonus: bonus,
-                adapt_every: 1,
-                initial_state: Some(initial),
-                ..HarsConfig::default()
-            },
-        );
-        let mut allocated_mid = false;
-        for hb in 1..=10u64 {
-            if let Some(d) = m.on_heartbeat(hb, Some(5.0)) {
-                allocated_mid |= d.state.cores(ClusterId(1)) > 0;
-            }
-        }
-        (
-            allocated_mid,
-            m.core().learner().mean_recent_informative_error(),
-        )
-    };
-    let (plain_mid, plain_evidence) = run(0.0);
-    assert!(
-        !plain_mid,
-        "control: without the bonus the understated mid cluster is never allocated"
-    );
-    assert_eq!(plain_evidence, None, "control: no share move, no evidence");
-    let (nudged_mid, nudged_evidence) = run(0.05);
-    assert!(nudged_mid, "the bonus must win mid an allocation");
-    assert!(
-        nudged_evidence.is_some(),
-        "the share move onto mid must produce an informative consumed prediction"
     );
 }

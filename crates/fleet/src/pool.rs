@@ -353,6 +353,9 @@ fn run_fleet_inner(
     // Heartbeats per global tenant over every board it ran on: a
     // failed-over tenant carries only its remaining budget.
     let mut delivered = vec![0u64; schedule.len()];
+    // Whether a global tenant already completed or was shard-rejected
+    // in some shard outcome: it may do either on one board only.
+    let mut resolved = vec![false; schedule.len()];
     for (s, run) in results.iter().enumerate() {
         let fb = &spec.boards[s];
         match run {
@@ -367,6 +370,13 @@ fn run_fleet_inner(
                         delivered[g],
                         budget(&schedule[g].1)
                     );
+                    if t.rejected || t.completed() {
+                        debug_assert!(
+                            !resolved[g],
+                            "tenant {g} completed or was rejected on more than one board"
+                        );
+                        resolved[g] = true;
+                    }
                 }
             }
             Some(ShardRun::Panicked(reason)) => failed_shards.push(ShardFailure {
@@ -377,6 +387,12 @@ fn run_fleet_inner(
             None => unreachable!("every shard starts stale, so every shard runs"),
         }
     }
+    // Every arrival is fleet-rejected or placed on exactly one board.
+    debug_assert_eq!(
+        placement.fleet_rejected + placement.assignments.iter().flatten().count(),
+        schedule.len(),
+        "fleet-rejected plus placed arrivals must equal arrivals"
+    );
     let mut out = accum.finish(&placement, schedule.len());
     let requested: f64 = schedule.iter().map(|(_, ts)| budget(ts) as f64).sum();
     out.service_level = if requested > 0.0 {

@@ -18,7 +18,7 @@ use hars_fleet::{
     run_fleet, run_fleet_with_metrics, FleetAccum, FleetBoard, FleetCacheMode, FleetFaultSpec,
     FleetOutcome, FleetRuntimeKind, FleetSpec, Placement, PlacementPolicy, ShardFailure,
 };
-use hars_obs::{summarize, MetricsConfig, MetricsSink};
+use hars_obs::{summarize, MetricsSink};
 use hars_scenario::{
     run_scenario, AdmissionSwap, AlwaysAdmit, AppTemplate, ArrivalProcess, JsonlSink,
     ScenarioRuntime, ScenarioSpec, TemplateSet,
@@ -425,7 +425,7 @@ fn chaos_fleet_stream_replays_byte_for_byte() {
         assert_eq!(ev.to_json(), line);
     }
     assert_eq!(events.len(), text.lines().count());
-    assert_eq!(live, summarize(MetricsConfig::default(), &events));
+    assert_eq!(live, summarize(&events));
 }
 
 /// A fleet spec with `faults` installed.

@@ -42,10 +42,10 @@ pub fn secs_to_ns(secs: f64) -> u64 {
 /// with a 1 ns floor (time always advances).
 ///
 /// Both the fixed-step reference stepper and the event-heap fast path
-/// must call this one function (or its exact predicate form,
-/// [`completes_within`]): the ceil-and-floor is part of the engine's
-/// bit-exact event timeline, and two copies of the expression would be
-/// an invitation for them to drift apart.
+/// must call this one function (or its exact predicate form, the
+/// crate-private `completes_within`): the ceil-and-floor is part of
+/// the engine's bit-exact event timeline, and two copies of the
+/// expression would be an invitation for them to drift apart.
 pub fn completion_ns(secs: f64) -> u64 {
     ((secs * 1e9).ceil()).max(1.0) as u64
 }

@@ -560,8 +560,8 @@ impl Engine {
 
     /// Installs a fault schedule. Onsets become first-class engine
     /// events: both executor modes stop exactly at each onset instant
-    /// and apply the fault in [`Engine::process_due`]'s canonical
-    /// order. Call before running; an empty plan is a no-op.
+    /// and apply the fault in the engine's canonical due-event order.
+    /// Call before running; an empty plan is a no-op.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         for at_ns in plan.onsets() {
             self.push_event(at_ns, EventKey::Fault);

@@ -17,7 +17,7 @@ use crate::error::SimError;
 /// R(Little) = 1,  R(Big) = big_little_ratio
 /// ```
 ///
-/// where `base` is [`crate::BoardSpec::little_units_per_sec`], `φ` the
+/// where `base` is [`crate::BoardSpec::units_per_sec`], `φ` the
 /// memory-bound fraction (insensitive to frequency) and `f0` the board's
 /// base frequency. HARS's estimator *assumes* `R(Big) = 1.5` and `φ = 0`;
 /// per-application deviations are the paper's model-error story

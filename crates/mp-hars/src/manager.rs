@@ -46,32 +46,11 @@ pub struct MpHarsConfig {
     pub freeze_heartbeats: u32,
     /// Modeled CPU cost per candidate state evaluated (ns).
     pub cost_per_state_ns: u64,
-    /// Modeled CPU cost per enumeration node walked (ns) — charged on
-    /// top of the per-evaluation cost for the ball-walk bookkeeping
-    /// that generates candidates. Default 0 (the historical model; the
-    /// bit-identity goldens pin it).
-    #[serde(default)]
-    pub cost_per_node_ns: u64,
     /// Modeled CPU cost per heartbeat observation (ns).
     pub cost_per_heartbeat_ns: u64,
     /// Online refinement of the shared estimator's assumed per-cluster
     /// ratios, fed by every app's consumed rate predictions.
     pub ratio_learning: RatioLearning,
-    /// Ratio-learning exploration bonus weight (0 disables — the
-    /// default): with [`RatioLearning::PerCluster`], candidates whose
-    /// thread assignment moves share onto an evidence-starved cluster
-    /// win near-ties so the shared learner eventually sees every
-    /// cluster (see `hars_core::search::ExplorationBonus`).
-    pub exploration_bonus: f64,
-    /// Open-system overflow handling: when a tenant registers with
-    /// every core owned, confine ("park") its threads to the slowest
-    /// cluster until a departure frees cores, instead of letting them
-    /// roam the whole board and time-share every owner's partition.
-    /// Parking preserves the partitions' isolation (protecting tenants
-    /// with tight targets) at the cost of aggregate throughput under
-    /// sustained overload — off by default, matching the paper's
-    /// closed-system behavior.
-    pub park_overflow: bool,
 }
 
 impl Default for MpHarsConfig {
@@ -82,30 +61,21 @@ impl Default for MpHarsConfig {
             adapt_every: 10,
             freeze_heartbeats: 10,
             cost_per_state_ns: 3_000,
-            cost_per_node_ns: 0,
             cost_per_heartbeat_ns: 500,
             ratio_learning: RatioLearning::Off,
-            exploration_bonus: 0.0,
-            park_overflow: false,
         }
     }
 }
 
 impl MpHarsConfig {
     /// The hot-reloadable half of this config — the manager's version-0
-    /// [`RuntimeConfig`] snapshot. MP-HARS runs without tabu
-    /// (`tabu_len` is 0 and deltas setting it are rejected); the
-    /// manager-level hot knobs `freeze_heartbeats` and `park_overflow`
-    /// ride the same [`ConfigDelta`] but live outside the core
-    /// snapshot.
+    /// [`RuntimeConfig`] snapshot. The rest (scheduler, adaptation
+    /// period, freeze count) is construction-time identity.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             policy: self.policy.clone(),
             cost_per_state_ns: self.cost_per_state_ns,
-            cost_per_node_ns: self.cost_per_node_ns,
             ratio_learning: self.ratio_learning,
-            exploration_bonus: self.exploration_bonus,
-            tabu_len: 0,
         }
     }
 }
@@ -184,10 +154,9 @@ pub struct MpHarsManager {
     /// estimator and ratio learner are shared by every app: each app's
     /// consumed predictions refine the one estimator.
     core: DecisionCore,
-    /// Hot manager knob: freezing-count value armed on decreases.
+    /// Construction-time identity: freezing-count value armed on
+    /// decreases.
     freeze_heartbeats: u32,
-    /// Hot manager knob: overflow parking.
-    park_overflow: bool,
     apps: Vec<AppData>,
     /// Per-cluster partitioning state, indexed by cluster.
     clusters: Vec<ClusterData>,
@@ -216,7 +185,6 @@ impl MpHarsManager {
                 cfg.runtime(),
             ),
             freeze_heartbeats: cfg.freeze_heartbeats,
-            park_overflow: cfg.park_overflow,
             apps: Vec::new(),
             clusters: ClusterData::for_board(board),
             quarantine: vec![None; board.n_clusters()],
@@ -261,43 +229,18 @@ impl MpHarsManager {
         }
     }
 
-    /// The freezing-count value armed on frequency decreases (hot —
-    /// [`ConfigDelta::freeze_heartbeats`]).
-    pub fn freeze_heartbeats(&self) -> u32 {
-        self.freeze_heartbeats
-    }
-
-    /// Whether over-capacity arrivals are parked on the slowest cluster
-    /// (hot — [`ConfigDelta::park_overflow`]).
-    pub fn park_overflow(&self) -> bool {
-        self.park_overflow
-    }
-
     /// Applies a validated config delta to the *running* manager — the
-    /// hot-reload hook (see [`DecisionCore::apply`]). MP-specific
-    /// semantics: a ratio-learning mode change drops every app's
-    /// pending prediction; `freeze_heartbeats` / `park_overflow` apply
-    /// from the next decision (armed freezing counts keep draining at
-    /// their armed values); `tabu_len` is rejected — the multi-app
-    /// manager runs without tabu.
+    /// hot-reload hook (see [`DecisionCore::apply`]). A ratio-learning
+    /// mode change drops every app's pending prediction.
     ///
     /// # Errors
     ///
     /// Reason-coded — see [`RejectReason`].
     pub fn apply_config(&mut self, delta: &ConfigDelta) -> Result<ConfigVersion, RejectReason> {
-        if delta.tabu_len.is_some() {
-            return Err(RejectReason::Unsupported { field: "tabu_len" });
-        }
         if self.core.apply(delta)? {
             for a in &mut self.apps {
                 a.pending_prediction = None;
             }
-        }
-        if let Some(fh) = delta.freeze_heartbeats {
-            self.freeze_heartbeats = fh;
-        }
-        if let Some(park) = delta.park_overflow {
-            self.park_overflow = park;
         }
         Ok(self.core.config_version())
     }
@@ -516,16 +459,10 @@ impl MpHarsManager {
                     && self.clusters[ci].free_count() > 0
             }) {
                 Some(ci) => wants[ci] = 1,
-                // Truly nothing free. With `park_overflow`, confine
-                // the app to the slowest cluster instead of leaving
-                // its threads spread over the whole board (an unpinned
-                // over-capacity tenant time-shares every owner's
-                // partition, silently breaking the isolation the
-                // partitioner promises). Either way the app stays
+                // Truly nothing free: the app stays GTS-scheduled and
                 // unallocated, so every following adaptation period
                 // retries the claim and the next departure lets it in.
-                None if self.park_overflow => return Some(self.park_decision(ai)),
-                None => return None, // paper behavior: stay GTS-scheduled
+                None => return None,
             }
         }
         let per: Vec<(usize, FreqKhz)> = wants
@@ -587,22 +524,6 @@ impl MpHarsManager {
         let state = SystemState::new(&per);
         self.core.adaptations += 1;
         Some(self.apply_state(ai, state, SearchStats::default()))
-    }
-
-    /// The holding pattern for a tenant that arrived with every core
-    /// owned: all threads confined to the slowest cluster, frequencies
-    /// untouched, no cores claimed.
-    fn park_decision(&self, ai: usize) -> MpDecision {
-        let slowest = ClusterId(0);
-        let start = self.clusters[slowest.index()].start_core;
-        let mask = CpuSet::from_range(start..start + self.clusters[slowest.index()].len());
-        MpDecision {
-            app: self.apps[ai].app,
-            affinities: vec![mask; self.apps[ai].threads],
-            freqs: self.clusters.iter().map(|c| c.freq).collect(),
-            overhead_ns: 0,
-            stats: SearchStats::default(),
-        }
     }
 
     /// The search constraints for app `ai` (Algorithm 3 lines 18–19).
@@ -761,7 +682,6 @@ mod tests {
     fn calibrated_preset_is_opt_in_and_default_matches_goldens() {
         for base in [MpHarsConfig::default(), mp_hars_i(), mp_hars_e()] {
             assert_eq!(base.cost_per_state_ns, 3_000);
-            assert_eq!(base.cost_per_node_ns, 0);
         }
     }
 
@@ -985,47 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn over_capacity_tenant_is_parked_on_the_slowest_cluster_then_admitted() {
-        let mut m = manager(MpHarsConfig {
-            park_overflow: true,
-            ..mp_hars_e()
-        });
-        m.register_app(AppId(0), 8, target(9.0, 11.0));
-        m.register_app(AppId(1), 8, target(9.0, 11.0));
-        let _ = m.on_heartbeat(AppId(0), 0, None).expect("initial alloc");
-        let _ = m.on_heartbeat(AppId(1), 0, None).expect("initial alloc");
-        // Both clusters are fully owned (2+2 each): a third tenant is
-        // parked on the little cluster instead of roaming the board.
-        m.register_app(AppId(2), 8, target(9.0, 11.0));
-        let d = m.on_heartbeat(AppId(2), 0, None).expect("park decision");
-        assert_eq!(d.affinities.len(), 8);
-        let little = CpuSet::from_range(0..4);
-        assert!(
-            d.affinities.iter().all(|&a| a == little),
-            "parked on little"
-        );
-        assert!(!m.apps()[2].allocated, "parked, not allocated");
-        assert_eq!(m.apps()[2].owned(ClusterId::LITTLE), 0, "owns nothing");
-        // A departure frees cores; the parked tenant's next adaptation
-        // period claims them.
-        m.unregister_app(AppId(0));
-        let d = m
-            .on_heartbeat(AppId(2), 10, Some(5.0))
-            .expect("claims freed cores");
-        assert!(
-            m.apps()
-                .iter()
-                .find(|a| a.app == AppId(2))
-                .unwrap()
-                .allocated
-        );
-        assert!(
-            d.affinities.iter().any(|&a| a != little),
-            "allocation must re-pin off the parking lane"
-        );
-    }
-
-    #[test]
     fn default_config_keeps_overflow_gts_scheduled() {
         let mut m = manager(mp_hars_e());
         m.register_app(AppId(0), 8, target(9.0, 11.0));
@@ -1047,29 +926,26 @@ mod tests {
         let _ = m.on_heartbeat(AppId(0), 0, None);
         assert_eq!(m.core().config_version(), ConfigVersion(0));
         let v = m
-            .apply_config(
-                &ConfigDelta::none()
-                    .with_policy(SearchPolicy::Incremental)
-                    .with_freeze_heartbeats(2)
-                    .with_park_overflow(true),
-            )
+            .apply_config(&ConfigDelta::none().with_policy(SearchPolicy::Incremental))
             .expect("valid delta");
         assert_eq!(v, ConfigVersion(1));
-        assert_eq!(m.freeze_heartbeats(), 2);
-        assert!(m.park_overflow());
         let d = m.on_heartbeat(AppId(0), 10, Some(40.0)).expect("adapts");
         assert!(d.stats.explored < 20, "incremental after the hot swap");
     }
 
     #[test]
-    fn mp_manager_rejects_tabu_and_stays_bit_identical() {
+    fn rejected_delta_leaves_the_mp_manager_bit_identical() {
         let mut m = manager(mp_hars_e());
         m.register_app(AppId(0), 8, target(9.0, 11.0));
         let _ = m.on_heartbeat(AppId(0), 0, None);
         let before = m.clone();
         assert_eq!(
-            m.apply_config(&ConfigDelta::none().with_tabu_len(4)),
-            Err(RejectReason::Unsupported { field: "tabu_len" })
+            m.apply_config(
+                &ConfigDelta::none()
+                    .with_cost_per_state_ns(10)
+                    .with_budget_ns(0)
+            ),
+            Err(RejectReason::ZeroBudget)
         );
         assert_eq!(m.core().config_version(), ConfigVersion(0));
         assert_eq!(m.core().runtime_config(), before.core().runtime_config());

@@ -209,9 +209,9 @@ mod churn {
         /// ownership, free lists, freeze state and per-app records
         /// consistent, on the XU3 and on a tri-cluster board.
         ///
-        /// Ops are encoded as tuples: `kind` 0 = register (threads,
-        /// park from the shared bits), 1 = unregister, 2.. = heartbeat
-        /// (rate decoded from `rate_bits`; 0 means a rate-less beat).
+        /// Ops are encoded as tuples: `kind` 0 = register (`threads`
+        /// threads), 1 = unregister, 2.. = heartbeat (rate decoded from
+        /// `rate_bits`; 0 means a rate-less beat).
         #[test]
         fn any_churn_interleaving_keeps_manager_state_consistent(
             ops in proptest::collection::vec(
@@ -219,7 +219,6 @@ mod churn {
                 1..60,
             ),
             tri in proptest::bool::ANY,
-            park in proptest::bool::ANY,
             freeze_heartbeats in 0u32..4,
         ) {
             let board = if tri {
@@ -236,7 +235,6 @@ mod churn {
                     adapt_every: 2,
                     freeze_heartbeats,
                     ratio_learning: RatioLearning::PerCluster,
-                    park_overflow: park,
                     ..mp_hars_e()
                 },
             );

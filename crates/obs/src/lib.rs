@@ -38,8 +38,8 @@ pub mod hist;
 mod sink;
 
 pub use engine::{
-    ClusterPowerSeries, MetricsConfig, MetricsEngine, MetricsRollup, MetricsSummary, SloClass,
-    TenantTimeline,
+    ClusterPowerSeries, MetricsEngine, MetricsRollup, MetricsSummary, SloClass, TenantTimeline,
+    SLO_PCT,
 };
 pub use hist::Log2Histogram;
 pub use sink::MetricsSink;
@@ -51,18 +51,17 @@ use hars_core::TelemetryEvent;
 /// a parsed `telemetry.jsonl`) into a summary: the exact fold a live
 /// [`MetricsSink`] performs, so a replayed summary is byte-identical to
 /// the live run's.
-pub fn summarize(cfg: MetricsConfig, events: &[TelemetryEvent]) -> MetricsSummary {
-    let mut engine = MetricsEngine::new(cfg);
+pub fn summarize(events: &[TelemetryEvent]) -> MetricsSummary {
+    let mut engine = MetricsEngine::new();
     for ev in events {
         engine.observe(ev);
     }
     engine.finish()
 }
 
-/// Convenience: parse a capture's text and summarize it at the default
-/// config.
+/// Convenience: parse a capture's text and summarize it.
 pub fn replay_capture(text: &str) -> Result<MetricsSummary, ParseError> {
-    Ok(summarize(MetricsConfig::default(), &parse_capture(text)?))
+    Ok(summarize(&parse_capture(text)?))
 }
 
 #[cfg(test)]

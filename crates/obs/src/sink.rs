@@ -10,7 +10,7 @@
 
 use hars_core::{NullSink, TelemetryEvent, TelemetrySink};
 
-use crate::engine::{MetricsConfig, MetricsEngine, MetricsSummary};
+use crate::engine::{MetricsEngine, MetricsSummary};
 
 /// A [`TelemetrySink`] that folds every event into a
 /// [`MetricsEngine`] and tees it to `inner`.
@@ -29,23 +29,17 @@ impl Default for MetricsSink<NullSink> {
 impl MetricsSink<NullSink> {
     /// A metrics-only sink (inner events are dropped).
     pub fn observer() -> Self {
-        Self::new(MetricsConfig::default(), NullSink)
+        Self::wrap(NullSink)
     }
 }
 
 impl<S: TelemetrySink> MetricsSink<S> {
-    /// Wraps `inner`, folding metrics at `cfg` while forwarding every
-    /// event.
-    pub fn new(cfg: MetricsConfig, inner: S) -> Self {
+    /// Wraps `inner`, folding metrics while forwarding every event.
+    pub fn wrap(inner: S) -> Self {
         Self {
-            engine: MetricsEngine::new(cfg),
+            engine: MetricsEngine::new(),
             inner,
         }
-    }
-
-    /// Wraps `inner` with the default [`MetricsConfig`].
-    pub fn wrap(inner: S) -> Self {
-        Self::new(MetricsConfig::default(), inner)
     }
 
     /// The engine's running event count.

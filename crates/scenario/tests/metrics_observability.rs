@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use hars_core::telemetry::parse_capture;
 use hars_core::{NullSink, TelemetrySink};
-use hars_obs::{replay_capture, summarize, MetricsConfig};
+use hars_obs::{replay_capture, summarize};
 use hars_scenario::{
     run_scenario, run_shard_with_metrics, AdmissionPolicy, AlwaysAdmit, AppTemplate,
     ArrivalProcess, BoundedQueue, JsonlSink, ScenarioOutcome, ScenarioRuntime, ScenarioSpec,
@@ -176,7 +176,7 @@ fn fault_stream_replays_byte_for_byte() {
         assert_eq!(ev.to_json(), line);
     }
     assert_eq!(events.len(), text.lines().count());
-    let replayed = summarize(MetricsConfig::default(), &events);
+    let replayed = summarize(&events);
     assert_eq!(live.render(), replayed.render());
     assert_eq!(live, replayed);
 }

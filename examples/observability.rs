@@ -109,10 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!(
-        "\nSLO rollup (threshold {}% of rated heartbeats):",
-        m.rollup.slo_pct
-    );
+    println!("\nSLO rollup (threshold {SLO_PCT}% of rated heartbeats):");
     println!(
         "  {:<13} {:>8} {:>8} {:>8} {:>16}",
         "class", "tenants", "met", "met%", "heartbeats"

@@ -10,7 +10,7 @@
 //!    under a 0.3 ms anytime budget (load grew; decisions must stay
 //!    cheap) and installs a bounded admission queue;
 //! 2. at t = 65 s drops the budget and switches the overhead model to
-//!    the measured (calibrated) costs for the quiet tail.
+//!    the measured (calibrated) per-evaluation cost for the quiet tail.
 //!
 //! The run self-asserts the control-plane contracts: every delta is
 //! accepted and versioned, the run is bit-identical across executor
@@ -81,8 +81,7 @@ fn spec() -> ScenarioSpec {
             ScenarioEvent::Reconfigure(
                 ConfigDelta::none()
                     .without_budget()
-                    .with_cost_per_state_ns(hars::hars_core::config::CALIBRATED_COST_PER_STATE_NS)
-                    .with_cost_per_node_ns(hars::hars_core::config::CALIBRATED_COST_PER_NODE_NS),
+                    .with_cost_per_state_ns(hars::hars_core::config::CALIBRATED_COST_PER_STATE_NS),
             ),
         ),
     ];

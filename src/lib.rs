@@ -78,8 +78,8 @@ pub mod prelude {
         FleetOutcome, FleetRuntimeKind, FleetSpec, PlacementPolicy, ShardFailure,
     };
     pub use hars_obs::{
-        replay_capture, Log2Histogram, MetricsConfig, MetricsRollup, MetricsSink, MetricsSummary,
-        SloClass, TenantTimeline,
+        replay_capture, Log2Histogram, MetricsRollup, MetricsSink, MetricsSummary, SloClass,
+        TenantTimeline, SLO_PCT,
     };
     pub use hars_scenario::{
         run_scenario, run_shard, run_shard_with_metrics, AdmissionPolicy, AdmissionSwap,

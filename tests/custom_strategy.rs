@@ -31,8 +31,8 @@ impl SearchStrategy for StayPut {
     ) -> SearchOutcome {
         let mut cache = EvalCache::new();
         let idx = ctx.space.index_of(ctx.current).expect("current is valid");
-        let ranked = ctx.evaluate(&idx, ctx.current, &mut cache);
-        BestTracker::new(*ctx.current, ranked, ctx.tabu).finish(1, cache.evaluated())
+        let eval = ctx.evaluate(&idx, &mut cache);
+        BestTracker::new(*ctx.current, eval, ctx.tabu).finish(1, cache.evaluated())
     }
 }
 
