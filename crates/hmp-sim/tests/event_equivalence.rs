@@ -11,19 +11,21 @@
 //! match the fixed-step stepper bit for bit. With sample coalescing
 //! disabled the stored sample stream (values included) matches too;
 //! with coalescing on (the default) the stream thins out but the
-//! *count* of scheduled sample instants is conserved.
+//! *count* of scheduled sample instants is conserved. Under an
+//! installed [`FaultPlan`] the applied-fault notices, the board-death
+//! instant and the stalled, lost and stuck counts match as well.
 
 use proptest::prelude::*;
 
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{
     Action, AppId, AppSpec, BoardSpec, ClusterId, CoreId, CpuSet, Engine, EngineConfig, ExecMode,
-    FreqKhz, ParallelismModel,
+    FaultKind, FaultNotice, FaultPlan, FreqKhz, ParallelismModel, TimedFault,
 };
 
 /// One run: heartbeat timeline, final clock, per-cluster energy bits,
-/// the sensor's sample accounting, and the scheduler state the busy
-/// tick fast-forward replays.
+/// the sensor's sample accounting, the scheduler state the busy tick
+/// fast-forward replays, and what the fault plane applied.
 struct RunDigest {
     beats: Vec<(u64, u64, u64)>,
     now_ns: u64,
@@ -35,6 +37,11 @@ struct RunDigest {
     /// Every thread's GTS load, in app then thread order.
     load_bits: Vec<u64>,
     core_busy_ns: Vec<u64>,
+    fault_notices: Vec<FaultNotice>,
+    board_failed: Option<u64>,
+    stalled_heartbeats: u64,
+    samples_lost: u64,
+    samples_stuck: u64,
     /// Reporting only: the one number the two modes may differ in.
     ticks_fast_forwarded: u64,
 }
@@ -109,6 +116,11 @@ fn digest(mut engine: Engine, apps: &[AppId], horizon_ns: u64) -> RunDigest {
         core_busy_ns: (0..board.n_cores())
             .map(|c| engine.core_busy_ns(CoreId(c)))
             .collect(),
+        fault_notices: engine.drain_fault_notices(),
+        board_failed: engine.board_failed(),
+        stalled_heartbeats: engine.stalled_heartbeats(),
+        samples_lost: engine.sensor().samples_lost(),
+        samples_stuck: engine.sensor().samples_stuck(),
         ticks_fast_forwarded: engine.ticks_fast_forwarded(),
     }
 }
@@ -137,6 +149,15 @@ fn assert_identical(
     prop_assert_eq!(&fixed.load_bits, &heap.load_bits, "GTS loads diverged");
     prop_assert_eq!(&fixed.core_busy_ns, &heap.core_busy_ns);
     prop_assert_eq!(
+        &fixed.fault_notices,
+        &heap.fault_notices,
+        "faults applied at different instants"
+    );
+    prop_assert_eq!(fixed.board_failed, heap.board_failed);
+    prop_assert_eq!(fixed.stalled_heartbeats, heap.stalled_heartbeats);
+    prop_assert_eq!(fixed.samples_lost, heap.samples_lost);
+    prop_assert_eq!(fixed.samples_stuck, heap.samples_stuck);
+    prop_assert_eq!(
         fixed.ticks_fast_forwarded,
         0,
         "the reference never fast-forwards"
@@ -151,9 +172,70 @@ fn assert_identical(
     Ok(())
 }
 
+/// Generated fault onsets, each a fraction of the horizon: (cap on the
+/// first cluster, offline window on the last, sensor dropout), (sensor
+/// stuck-at, heartbeat stall, board death), the window length, and
+/// whether the board dies at all.
+type FaultDraw = ((f64, f64, f64), (f64, f64, f64), f64, bool);
+
+/// Every fault kind at a generated onset: a cap on the first cluster,
+/// an offline window on the last, sensor dropout and stuck-at windows,
+/// a heartbeat stall and, when drawn, a board death.
+fn fault_plan(board: &BoardSpec, horizon_ns: u64, draw: FaultDraw) -> FaultPlan {
+    let ((cap, offline, dropout), (stuck, stall, death), window, dies) = draw;
+    let at = |frac: f64| (frac * horizon_ns as f64) as u64;
+    let until = |frac: f64| at(frac) + at(window);
+    let mut faults = vec![
+        (
+            cap,
+            FaultKind::ClusterCap {
+                cluster: ClusterId(0),
+                until_ns: until(cap),
+            },
+        ),
+        (
+            offline,
+            FaultKind::ClusterOffline {
+                cluster: ClusterId(board.n_clusters() - 1),
+                until_ns: until(offline),
+            },
+        ),
+        (
+            dropout,
+            FaultKind::SensorDropout {
+                until_ns: until(dropout),
+            },
+        ),
+        (
+            stuck,
+            FaultKind::SensorStuck {
+                until_ns: until(stuck),
+            },
+        ),
+        (
+            stall,
+            FaultKind::HeartbeatStall {
+                until_ns: until(stall),
+            },
+        ),
+    ];
+    if dies {
+        faults.push((death, FaultKind::BoardFail));
+    }
+    FaultPlan::new(
+        faults
+            .into_iter()
+            .map(|(frac, kind)| TimedFault {
+                at_ns: at(frac),
+                kind,
+            })
+            .collect(),
+    )
+}
+
 /// The mixed workload: a barrier app that drains to full idle, a
 /// low-duty spinner, and a deferred DVFS action that often lands inside
-/// an idle span.
+/// an idle span, under `faults`.
 #[allow(clippy::too_many_arguments)]
 fn run_digest(
     board: &BoardSpec,
@@ -166,8 +248,10 @@ fn run_digest(
     period_ms: u64,
     freq_action_at: u64,
     horizon_ns: u64,
+    faults: &FaultPlan,
 ) -> RunDigest {
     let mut engine = engine(board, mode, coalesce);
+    engine.install_faults(faults.clone());
     let mut barrier = AppSpec::data_parallel("barrier", barrier_threads, unit_work);
     barrier.max_heartbeats = Some(budget);
     let apps = [
@@ -316,10 +400,11 @@ fn boards() -> Vec<BoardSpec> {
 }
 
 proptest! {
-    /// With coalescing off, the two modes are indistinguishable: same
-    /// heartbeats, same clock, same energy bits, same loads, same
-    /// stored samples (noise values included — the RNG streams stay
-    /// aligned).
+    /// With coalescing off, the two modes are indistinguishable under
+    /// every fault kind: same heartbeats, same clock, same energy bits,
+    /// same loads, same stored samples (noise values included — the RNG
+    /// streams stay aligned), and the same faults applied at the same
+    /// instants.
     #[test]
     fn heap_mode_matches_fixed_step_exactly(
         board_idx in 0usize..2,
@@ -330,15 +415,28 @@ proptest! {
         period_ms in 20u64..200,
         action_frac in 0.1f64..0.9,
         horizon_secs in 2u64..6,
+        faults in (
+            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            0.02f64..0.4,
+            proptest::bool::ANY,
+        ),
     ) {
         let board = &boards()[board_idx];
         let horizon_ns = horizon_secs * NS_PER_SEC;
         let action_at = (action_frac * horizon_ns as f64) as u64;
+        let plan = fault_plan(board, horizon_ns, faults);
         let run = |mode| run_digest(
             board, mode, false, barrier_threads, unit_work, budget,
-            duty, period_ms, action_at, horizon_ns,
+            duty, period_ms, action_at, horizon_ns, &plan,
         );
-        assert_identical(&run(ExecMode::FixedStep), &run(ExecMode::EventHeap), true)?;
+        let (fixed, heap) = (run(ExecMode::FixedStep), run(ExecMode::EventHeap));
+        assert_identical(&fixed, &heap, true)?;
+        prop_assert_eq!(
+            heap.fault_notices.len(),
+            plan.len(),
+            "every onset lies inside the horizon"
+        );
     }
 
     /// With coalescing on (the default), everything fingerprinted still
@@ -356,13 +454,14 @@ proptest! {
     ) {
         let board = &boards()[board_idx];
         let horizon_ns = horizon_secs * NS_PER_SEC;
+        let no_faults = FaultPlan::empty();
         let fixed = run_digest(
             board, ExecMode::FixedStep, false, barrier_threads, unit_work,
-            budget, duty, period_ms, horizon_ns / 2, horizon_ns,
+            budget, duty, period_ms, horizon_ns / 2, horizon_ns, &no_faults,
         );
         let heap = run_digest(
             board, ExecMode::EventHeap, true, barrier_threads, unit_work,
-            budget, duty, period_ms, horizon_ns / 2, horizon_ns,
+            budget, duty, period_ms, horizon_ns / 2, horizon_ns, &no_faults,
         );
         assert_identical(&fixed, &heap, false)?;
         prop_assert!(
