@@ -41,7 +41,7 @@ pub fn secs_to_ns(secs: f64) -> u64 {
 /// nanosecond delta, rounding *up* (an item is never complete early)
 /// with a 1 ns floor (time always advances).
 ///
-/// Both the fixed-step reference stepper and the event-heap fast path
+/// Both the fixed-step reference stepper and the default fast path
 /// must call this one function (or its exact predicate form, the
 /// crate-private `completes_within`): the ceil-and-floor is part of
 /// the engine's bit-exact event timeline, and two copies of the

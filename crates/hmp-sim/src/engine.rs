@@ -17,7 +17,6 @@ use crate::clock::{completes_within, completion_ns, ns_to_secs};
 use crate::cpuset::{CoreId, CpuSet};
 use crate::energy::EnergyMeter;
 use crate::error::SimError;
-use crate::events::{EventHeap, EventKey};
 use crate::fault::{FaultKind, FaultNotice, FaultPlan};
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
@@ -35,24 +34,25 @@ const WORK_EPS: f64 = 1e-9;
 /// advancement methods). Both modes produce bit-identical simulation
 /// timelines — the equivalence proptests in
 /// `tests/event_equivalence.rs` pin it — so `FixedStep` exists as the
-/// reference stepper the event-heap hot path is verified against.
+/// reference stepper the fast path is verified against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Discrete-event scheduling (the default): control events
-    /// (actions, ticks, sensor samples, sleep wake-ups) come from a
-    /// lazily-invalidated min-heap, per-core thread speeds are
-    /// memoized under run-queue/frequency epochs, fully-idle spans
-    /// are fast-forwarded boundary-by-boundary at O(1) cost per
-    /// boundary instead of O(threads × cores) per step, and busy spans
-    /// of pure GTS ticks (no completion, action, sample, fault or
-    /// wake-up in between) are replayed tick by tick in one loop —
-    /// with a tick reduced to its load update while every runnable
-    /// thread is pinned to its core, as HARS and MP-HARS pin them.
+    /// The fast discrete-event stepper (the default): each step reads
+    /// the next control event (action, fault onset, sleep wake-up,
+    /// tick, sensor sample) from the state that owns it once, per-core
+    /// thread speeds are memoized under run-queue/frequency epochs,
+    /// fully-idle spans are fast-forwarded boundary-by-boundary at O(1)
+    /// cost per boundary instead of O(threads × cores) per step, and
+    /// busy spans of pure GTS ticks (no completion, action, sample,
+    /// fault or wake-up in between) are replayed tick by tick in one
+    /// loop — with a tick reduced to its load update while every
+    /// runnable thread is pinned to its core, as HARS and MP-HARS pin
+    /// them.
     EventHeap,
-    /// The pre-heap reference stepper: every step rescans the action
-    /// map, every thread and every run queue for the next event, and
-    /// every tick runs the full GTS migration, balance and idle-pull
-    /// passes.
+    /// The reference stepper: every step rescans the control state and
+    /// recomputes every runnable thread's speed for the next event, no
+    /// span is fast-forwarded, and every tick runs the full GTS
+    /// migration, balance and idle-pull passes.
     FixedStep,
 }
 
@@ -148,9 +148,6 @@ pub struct Engine {
     cur_items: Vec<Option<u64>>,
     /// Optional event trace (disabled by default).
     trace: TraceLog,
-    /// Control-event wake-up heap ([`ExecMode::EventHeap`] only; see
-    /// `crate::events` for the lazy-deletion protocol).
-    event_heap: EventHeap,
     /// Per-cluster frequency-change epochs (stamp for `speed_cache`).
     freq_epochs: Vec<u64>,
     /// Per-core memoized thread speeds, parallel to each core's run
@@ -205,7 +202,7 @@ impl Engine {
         let registry = HeartbeatRegistry::new(cfg.hb_window);
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
-        let mut engine = Self {
+        Self {
             board,
             cfg,
             now_ns: 0,
@@ -221,7 +218,6 @@ impl Engine {
             events: VecDeque::new(),
             cur_items: Vec::new(),
             trace: TraceLog::disabled(),
-            event_heap: EventHeap::new(),
             freq_epochs: vec![0; n_clusters],
             speed_cache: vec![SpeedCache::default(); n_cores],
             faults: FaultPlan::empty(),
@@ -233,20 +229,6 @@ impl Engine {
             hb_stall_until: 0,
             stalled_heartbeats: 0,
             ticks_fast_forwarded: 0,
-        };
-        let first_tick = engine.next_tick_ns;
-        let first_sample = engine.sensor.next_sample_ns();
-        engine.push_event(first_tick, EventKey::Tick);
-        engine.push_event(first_sample, EventKey::Sensor);
-        engine
-    }
-
-    /// Queues a control-event wake-up hint (event-heap mode only; the
-    /// fixed-step reference never consults the heap, so feeding it
-    /// would only grow memory).
-    fn push_event(&mut self, due_ns: u64, key: EventKey) {
-        if self.cfg.exec == ExecMode::EventHeap {
-            self.event_heap.push(due_ns, key);
         }
     }
 
@@ -425,24 +407,9 @@ impl Engine {
     /// Returns [`SimError::InvalidFrequency`] when `freq` is not an
     /// operating point of the cluster's ladder.
     pub fn set_cluster_freq(&mut self, cluster: ClusterId, freq: FreqKhz) -> Result<(), SimError> {
-        if !self.board.ladder(cluster).contains(freq) {
-            return Err(SimError::InvalidFrequency {
-                freq,
-                cluster: self.board.cluster_name(cluster).to_string(),
-            });
-        }
-        let freq = self.clamp_quarantined(cluster, freq);
-        let from = self.freqs[cluster.index()];
-        if from != freq {
-            self.trace.record(TraceEvent::FreqChange {
-                time_ns: self.now_ns,
-                cluster,
-                from,
-                to: freq,
-            });
-            self.freq_epochs[cluster.index()] += 1;
-        }
-        self.freqs[cluster.index()] = freq;
+        let action = Action::SetClusterFreq { cluster, freq };
+        self.validate_action(&action)?;
+        self.apply_action(action);
         Ok(())
     }
 
@@ -459,22 +426,13 @@ impl Engine {
         thread: usize,
         affinity: CpuSet,
     ) -> Result<(), SimError> {
-        self.validate_cpuset(affinity)?;
-        let tid = self.thread_id(app, thread)?;
-        self.threads[tid].affinity = affinity;
-        let needs_move = self.threads[tid]
-            .core
-            .map(|c| !affinity.contains(c))
-            .unwrap_or(false);
-        if needs_move {
-            if self.threads[tid].is_runnable() {
-                dequeue_thread(tid, &self.threads, &mut self.cores);
-                self.threads[tid].core = None;
-                place_thread(tid, &mut self.threads, &mut self.cores);
-            } else {
-                self.threads[tid].core = None; // re-placed at wake-up
-            }
-        }
+        let action = Action::SetThreadAffinity {
+            app,
+            thread,
+            affinity,
+        };
+        self.validate_action(&action)?;
+        self.apply_action(action);
         Ok(())
     }
 
@@ -487,12 +445,22 @@ impl Engine {
     /// Validates the action's arguments immediately (same errors as the
     /// direct setters) so a rejected action is reported at schedule time.
     pub fn schedule_action(&mut self, at_ns: u64, action: Action) -> Result<(), SimError> {
-        match &action {
+        self.validate_action(&action)?;
+        let due = at_ns.max(self.now_ns);
+        self.actions.entry(due).or_default().push(action);
+        Ok(())
+    }
+
+    /// Checks an action's arguments: the frequency is an operating
+    /// point of the cluster's ladder; the affinity mask is non-empty
+    /// and on-board, and names a registered thread.
+    fn validate_action(&self, action: &Action) -> Result<(), SimError> {
+        match *action {
             Action::SetClusterFreq { cluster, freq } => {
-                if !self.board.ladder(*cluster).contains(*freq) {
+                if !self.board.ladder(cluster).contains(freq) {
                     return Err(SimError::InvalidFrequency {
-                        freq: *freq,
-                        cluster: self.board.cluster_name(*cluster).to_string(),
+                        freq,
+                        cluster: self.board.cluster_name(cluster).to_string(),
                     });
                 }
             }
@@ -501,35 +469,27 @@ impl Engine {
                 thread,
                 affinity,
             } => {
-                self.validate_cpuset(*affinity)?;
-                self.thread_id(*app, *thread)?;
-            }
-        }
-        let due = at_ns.max(self.now_ns);
-        self.actions.entry(due).or_default().push(action);
-        self.push_event(due, EventKey::Action);
-        Ok(())
-    }
-
-    fn validate_cpuset(&self, set: CpuSet) -> Result<(), SimError> {
-        if set.is_empty() {
-            return Err(SimError::EmptyCpuSet);
-        }
-        if let Some(worst) = set.iter().max_by_key(|c| c.0) {
-            if worst.0 >= self.board.n_cores() {
-                return Err(SimError::CoreOutOfRange {
-                    core: worst,
-                    ncores: self.board.n_cores(),
-                });
+                if affinity.is_empty() {
+                    return Err(SimError::EmptyCpuSet);
+                }
+                if let Some(worst) = affinity.iter().max_by_key(|c| c.0) {
+                    if worst.0 >= self.board.n_cores() {
+                        return Err(SimError::CoreOutOfRange {
+                            core: worst,
+                            ncores: self.board.n_cores(),
+                        });
+                    }
+                }
+                self.thread_id(app, thread)?;
             }
         }
         Ok(())
     }
 
+    /// Applies a validated action now.
     fn apply_action(&mut self, action: Action) {
         match action {
             Action::SetClusterFreq { cluster, freq } => {
-                // Validated at schedule time.
                 let freq = self.clamp_quarantined(cluster, freq);
                 let from = self.freqs[cluster.index()];
                 if from != freq {
@@ -548,8 +508,29 @@ impl Engine {
                 thread,
                 affinity,
             } => {
-                // Validated at schedule time; the thread cannot vanish.
-                let _ = self.set_thread_affinity(app, thread, affinity);
+                let tid = self
+                    .thread_id(app, thread)
+                    .expect("validated, and threads never vanish");
+                self.set_affinity(tid, affinity);
+            }
+        }
+    }
+
+    /// Sets one thread's affinity mask, migrating it if its current
+    /// core is no longer allowed.
+    fn set_affinity(&mut self, tid: usize, affinity: CpuSet) {
+        self.threads[tid].affinity = affinity;
+        let needs_move = self.threads[tid]
+            .core
+            .map(|c| !affinity.contains(c))
+            .unwrap_or(false);
+        if needs_move {
+            if self.threads[tid].is_runnable() {
+                dequeue_thread(tid, &self.threads, &mut self.cores);
+                self.threads[tid].core = None;
+                place_thread(tid, &mut self.threads, &mut self.cores);
+            } else {
+                self.threads[tid].core = None; // re-placed at wake-up
             }
         }
     }
@@ -563,9 +544,6 @@ impl Engine {
     /// and apply the fault in the engine's canonical due-event order.
     /// Call before running; an empty plan is a no-op.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        for at_ns in plan.onsets() {
-            self.push_event(at_ns, EventKey::Fault);
-        }
         self.faults = plan;
     }
 
@@ -642,9 +620,11 @@ impl Engine {
                 self.quarantined_until[i] = self.quarantined_until[i].max(until_ns);
                 let floor = self.ladder_floor(cluster);
                 if self.freqs[i] != floor {
-                    // Validated by construction: the floor is on the
-                    // ladder.
-                    let _ = self.set_cluster_freq(cluster, floor);
+                    // The floor is on the ladder by construction.
+                    self.apply_action(Action::SetClusterFreq {
+                        cluster,
+                        freq: floor,
+                    });
                 }
                 if matches!(kind, FaultKind::ClusterOffline { .. }) {
                     self.evacuate_cluster(cluster);
@@ -689,22 +669,8 @@ impl Engine {
             let cur = self.threads[tid].affinity;
             let masked = cur.difference(offline);
             let new = if masked.is_empty() { fallback } else { masked };
-            if new == cur {
-                continue;
-            }
-            self.threads[tid].affinity = new;
-            let needs_move = self.threads[tid]
-                .core
-                .map(|c| !new.contains(c))
-                .unwrap_or(false);
-            if needs_move {
-                if self.threads[tid].is_runnable() {
-                    dequeue_thread(tid, &self.threads, &mut self.cores);
-                    self.threads[tid].core = None;
-                    place_thread(tid, &mut self.threads, &mut self.cores);
-                } else {
-                    self.threads[tid].core = None; // re-placed at wake-up
-                }
+            if new != cur {
+                self.set_affinity(tid, new);
             }
         }
     }
@@ -768,13 +734,14 @@ impl Engine {
                 }
             }
             ExecMode::EventHeap => {
+                let wakeup_ns = self.next_wakeup_ns(deadline_ns);
                 if self.cores.iter().all(|c| c.runnable.is_empty()) {
                     // Zero runnable threads: jump the whole lull.
-                    self.idle_fast_forward(deadline_ns);
+                    self.idle_fast_forward(wakeup_ns);
                 } else {
-                    let dt = self.next_event_dt_heap(deadline_ns);
+                    let dt = self.next_event_dt_cached(wakeup_ns);
                     if self.now_ns + dt == self.next_tick_ns {
-                        self.tick_fast_forward(dt, deadline_ns);
+                        self.tick_fast_forward(dt, wakeup_ns);
                     } else if dt > 0 {
                         self.advance(dt);
                     }
@@ -822,9 +789,10 @@ impl Engine {
     /// being strictly after `now` (guaranteed by `process_due`).
     ///
     /// This is the [`ExecMode::FixedStep`] reference: a full rescan of
-    /// the action map, every thread's sleep state and every run queue
-    /// on every step. [`Engine::next_event_dt_heap`] must return the
-    /// identical value from the heap + speed caches.
+    /// the control state and of every run queue, recomputing every
+    /// runnable thread's speed, on every step.
+    /// [`Engine::next_event_dt_cached`] must return the identical value
+    /// from one wake-up scan and the speed caches.
     fn next_event_dt(&self, deadline_ns: u64) -> u64 {
         let mut next = deadline_ns
             .min(self.next_tick_ns)
@@ -855,18 +823,18 @@ impl Engine {
         dt
     }
 
-    /// Event-heap variant of [`Engine::next_event_dt`]: the earliest
-    /// control event comes from one validated heap peek, and per-core
-    /// completion deltas reuse the epoch-stamped speed caches instead
-    /// of recomputing `speed_of` per thread per step. The completion
+    /// Fast variant of [`Engine::next_event_dt`]: the earliest control
+    /// event is the step's [`Engine::next_wakeup_ns`] (`wakeup_ns`)
+    /// against the tick and sensor clocks, and per-core completion
+    /// deltas reuse the epoch-stamped speed caches instead of
+    /// recomputing `speed_of` per thread per step. The completion
     /// arithmetic is the reference expression verbatim (same memoized
     /// speed bits, same [`completion_ns`] rounding), so both modes
     /// step to identical instants.
-    fn next_event_dt_heap(&mut self, deadline_ns: u64) -> u64 {
-        let mut next = deadline_ns;
-        if let Some(due) = self.peek_control_due() {
-            next = next.min(due);
-        }
+    fn next_event_dt_cached(&mut self, wakeup_ns: u64) -> u64 {
+        let next = wakeup_ns
+            .min(self.next_tick_ns)
+            .min(self.sensor.next_sample_ns());
         let mut dt = next.saturating_sub(self.now_ns);
         for ci in 0..self.cores.len() {
             let k = self.cores[ci].nr_running();
@@ -882,29 +850,6 @@ impl Engine {
             }
         }
         dt
-    }
-
-    /// The due time of the earliest still-valid control event, lazily
-    /// dropping stale heap entries (superseded tick/sensor schedules,
-    /// fired actions, woken or finished sleepers).
-    fn peek_control_due(&mut self) -> Option<u64> {
-        loop {
-            let (due, key) = self.event_heap.peek()?;
-            let valid = match key {
-                EventKey::Action => self.actions.contains_key(&due),
-                EventKey::Tick => due == self.next_tick_ns,
-                EventKey::Sensor => due == self.sensor.next_sample_ns(),
-                EventKey::Sleep { tid } => matches!(
-                    self.threads.get(tid).map(|t| t.run),
-                    Some(RunState::Blocked(BlockReason::Sleep { until_ns })) if until_ns == due
-                ),
-                EventKey::Fault => self.faults.next_due() == Some(due),
-            };
-            if valid {
-                return Some(due);
-            }
-            self.event_heap.pop();
-        }
     }
 
     /// Rebuilds one core's memoized speed vector iff its run queue or
@@ -932,8 +877,9 @@ impl Engine {
     /// only state that evolves is the tick/sensor schedules and the
     /// energy clock, so the engine jumps boundary-to-boundary at a few
     /// arithmetic ops each — no run-queue scans, no allocations — until
-    /// the first instant thread state can change again (a deferred
-    /// action, a sleep wake-up, or the caller's deadline).
+    /// `stop`, the step's [`Engine::next_wakeup_ns`]: the first instant
+    /// thread state can change again (a fault onset, a deferred action,
+    /// a sleep wake-up, or the caller's deadline).
     ///
     /// Bit-identity: the boundary sequence (every tick and sensor
     /// instant) and its energy-integration op sequence are exactly the
@@ -941,8 +887,7 @@ impl Engine {
     /// hoisted ([`EnergyMeter::accumulate_idle`]). The span stops *at*
     /// the stopper instant without processing it, so `process_due`
     /// handles that instant in the engine's canonical event order.
-    fn idle_fast_forward(&mut self, deadline_ns: u64) {
-        let stop = self.next_wakeup_ns(deadline_ns);
+    fn idle_fast_forward(&mut self, stop: u64) {
         let n = self.board.n_clusters();
         let mut powers = [0.0f64; MAX_CLUSTERS];
         for cluster in self.board.cluster_ids() {
@@ -982,32 +927,18 @@ impl Engine {
                 self.next_tick_ns += self.cfg.gts.tick_ns;
             }
             if self.sensor.next_sample_ns() <= self.now_ns {
-                if self.now_ns < self.sensor_dropout_until {
-                    self.sensor.drop_sample();
-                } else if self.now_ns < self.sensor_stuck_until {
-                    let now = self.now_ns;
-                    self.sensor.stuck_sample(now, n);
-                } else if self.cfg.coalesce_idle_sensor {
-                    self.sensor.skip_sample();
-                } else {
-                    // Idle truth equals the hoisted powers bit-for-bit
-                    // (same `cluster_power` arguments), so the sample
-                    // stream matches the reference stepper's exactly.
-                    let now = self.now_ns;
-                    self.sensor.sample(now, &powers[..n]);
-                }
+                // Idle truth equals the hoisted powers bit-for-bit
+                // (same `cluster_power` arguments), so the sample
+                // stream matches the reference stepper's exactly.
+                self.take_sample(&powers[..n], self.cfg.coalesce_idle_sensor);
             }
         }
-        // Re-arm heap hints for the schedules the span advanced past.
-        let tick = self.next_tick_ns;
-        let sample = self.sensor.next_sample_ns();
-        self.push_event(tick, EventKey::Tick);
-        self.push_event(sample, EventKey::Sensor);
     }
 
     /// The first instant a fault onset, deferred action or sleep
-    /// wake-up is due, capped at `deadline_ns`: where both fast-forward
-    /// loops hand the clock back to `process_due`.
+    /// wake-up is due, capped at `deadline_ns`. A default-mode step
+    /// reads it once: it bounds the step's next event and is where both
+    /// fast-forward loops hand the clock back to `process_due`.
     fn next_wakeup_ns(&self, deadline_ns: u64) -> u64 {
         let mut stop = deadline_ns;
         if let Some(t) = self.faults.next_due() {
@@ -1027,9 +958,10 @@ impl Engine {
     /// Fast-forwards a busy span of pure GTS ticks. A step whose next
     /// event is the tick, `dt_ns` away, calls this in place of
     /// `advance(dt_ns)`: it integrates to the tick, applies it, and
-    /// repeats tick after tick until a work-item completion, action,
-    /// sensor sample, fault onset, sleep wake-up or the deadline is due
-    /// by the next tick, or a tick moves a thread.
+    /// repeats tick after tick until a work-item completion, a sensor
+    /// sample or the step's `wakeup_ns` ([`Engine::next_wakeup_ns`]:
+    /// action, fault onset, sleep wake-up or the deadline) is due by
+    /// the next tick, or a tick moves a thread.
     ///
     /// Bit-identity: each boundary is one reference step. The
     /// integration is `advance`'s arithmetic with the span's constant
@@ -1037,7 +969,7 @@ impl Engine {
     /// and speed caches hoisted. A thread left with
     /// `work_left <= WORK_EPS` at a tick ends the span before that tick
     /// (`process_due` completes work before ticking), and the span goes
-    /// on past a tick only when `next_event_dt_heap`'s per-thread
+    /// on past a tick only when `next_event_dt_cached`'s per-thread
     /// [`completion_ns`] test (in its exact predicate form,
     /// [`completes_within`]) puts every completion beyond the next one.
     ///
@@ -1047,10 +979,8 @@ impl Engine {
     /// thread allowed on another core, so a tick is `update_loads`
     /// alone. Otherwise the full tick runs, and one that moves a thread
     /// ends the span (its run queues and powers change).
-    fn tick_fast_forward(&mut self, dt_ns: u64, deadline_ns: u64) {
-        let stop = self
-            .next_wakeup_ns(deadline_ns)
-            .min(self.sensor.next_sample_ns());
+    fn tick_fast_forward(&mut self, dt_ns: u64, wakeup_ns: u64) {
+        let stop = wakeup_ns.min(self.sensor.next_sample_ns());
         let tick_ns = self.cfg.gts.tick_ns;
         let n = self.board.n_clusters();
         let mut busy = [0.0f64; MAX_CLUSTERS];
@@ -1126,8 +1056,6 @@ impl Engine {
             }
             dt_ns = tick_ns;
         }
-        let tick = self.next_tick_ns;
-        self.push_event(tick, EventKey::Tick);
     }
 
     /// Advances the clock by `dt_ns`, integrating energy, busy time,
@@ -1215,30 +1143,33 @@ impl Engine {
             if self.next_tick_ns <= self.now_ns {
                 self.gts_tick_traced();
                 self.next_tick_ns += self.cfg.gts.tick_ns;
-                let tick = self.next_tick_ns;
-                self.push_event(tick, EventKey::Tick);
                 progressed = true;
             }
-            // Sensor sample (dropout and stuck-at windows intercept).
+            // Sensor sample.
             if self.sensor.next_sample_ns() <= self.now_ns {
-                if self.now_ns < self.sensor_dropout_until {
-                    self.sensor.drop_sample();
-                } else if self.now_ns < self.sensor_stuck_until {
-                    let now = self.now_ns;
-                    let n = self.board.n_clusters();
-                    self.sensor.stuck_sample(now, n);
-                } else {
-                    let truth = self.instant_power();
-                    self.sensor
-                        .sample(self.now_ns, &truth[..self.board.n_clusters()]);
-                }
-                let sample = self.sensor.next_sample_ns();
-                self.push_event(sample, EventKey::Sensor);
+                let truth = self.instant_power();
+                self.take_sample(&truth[..self.board.n_clusters()], false);
                 progressed = true;
             }
             if !progressed {
                 break;
             }
+        }
+    }
+
+    /// Takes the sample due now, given the true per-cluster powers:
+    /// dropout and stuck-at windows intercept it, and outside them a
+    /// `coalesce`d sample is counted without being stored.
+    fn take_sample(&mut self, truth: &[f64], coalesce: bool) {
+        let now = self.now_ns;
+        if now < self.sensor_dropout_until {
+            self.sensor.drop_sample();
+        } else if now < self.sensor_stuck_until {
+            self.sensor.stuck_sample(now, truth.len());
+        } else if coalesce {
+            self.sensor.skip_sample();
+        } else {
+            self.sensor.sample(now, truth);
         }
     }
 
@@ -1341,7 +1272,6 @@ impl Engine {
                     } else {
                         let until_ns = self.now_ns + period_ns;
                         self.threads[tid].run = RunState::Blocked(BlockReason::Sleep { until_ns });
-                        self.push_event(until_ns, EventKey::Sleep { tid });
                     }
                 }
             }
@@ -1460,7 +1390,6 @@ impl Engine {
                     let idle = ((1.0 - duty) * period_ns as f64) as u64;
                     let until_ns = self.now_ns + idle.max(1);
                     self.block_thread(tid, BlockReason::Sleep { until_ns });
-                    self.push_event(until_ns, EventKey::Sleep { tid });
                 }
             }
         }
@@ -1475,7 +1404,6 @@ impl Engine {
             } else {
                 let until_ns = self.now_ns + period_ns;
                 self.threads[tid].run = RunState::Blocked(BlockReason::Sleep { until_ns });
-                self.push_event(until_ns, EventKey::Sleep { tid });
             }
         }
     }

@@ -3,11 +3,11 @@
 //!
 //! A [`FaultPlan`] is a time-sorted schedule of [`TimedFault`]s handed
 //! to [`crate::Engine::install_faults`]. Fault onsets are engine events
-//! like ticks and sensor samples: both executor modes stop *at* the
-//! onset instant (the event heap carries a `Fault` wake-up hint, the
-//! fixed-step reference rescans [`FaultPlan::next_due`], and the idle
-//! fast-forward treats the next onset as a span stopper), so a faulty
-//! run is bit-identical across [`crate::ExecMode`]s and worker counts.
+//! like ticks and sensor samples: both executor modes read the plan's
+//! cursor ([`FaultPlan::next_due`]) when they look for the next event,
+//! and both fast-forward loops stop at it, so every step ends *at* the
+//! onset instant and a faulty run is bit-identical across
+//! [`crate::ExecMode`]s and worker counts.
 //!
 //! The plane is **off by default**: an empty plan adds no events, no
 //! state changes and no behavioral difference, so every fault-free
@@ -145,11 +145,6 @@ impl FaultPlan {
     /// Total scheduled faults (consumed or not).
     pub fn len(&self) -> usize {
         self.faults.len()
-    }
-
-    /// Every scheduled onset instant (for seeding event-heap hints).
-    pub fn onsets(&self) -> impl Iterator<Item = u64> + '_ {
-        self.faults.iter().map(|f| f.at_ns)
     }
 
     /// Every scheduled fault in onset order (consumed or not).

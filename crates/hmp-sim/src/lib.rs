@@ -48,7 +48,6 @@ mod cpuset;
 mod energy;
 mod engine;
 mod error;
-mod events;
 mod fault;
 mod freq;
 pub mod microbench;
