@@ -284,80 +284,6 @@ pub fn evaluate_state(
     }
 }
 
-/// Algorithm 2: sweeps the `(m, n, d)`-bounded neighborhood of
-/// `current`, ranks candidates, and returns the better of the best
-/// candidate and the current state. A thin wrapper over
-/// [`ExhaustiveSweep`]; kept for the callers (and equivalence tests)
-/// that predate the strategy trait.
-///
-/// # Panics
-///
-/// Panics if `current` is not a valid state of `space` (programmer
-/// error — the manager only ever holds valid states).
-#[allow(clippy::too_many_arguments)]
-pub fn get_next_sys_state(
-    space: &StateSpace,
-    current: &SystemState,
-    observed_rate: f64,
-    threads: usize,
-    target: &PerfTarget,
-    params: SearchParams,
-    constraints: &SearchConstraints,
-    perf: &PerfEstimator,
-    power: &PowerEstimator,
-) -> SearchOutcome {
-    get_next_sys_state_tabu(
-        space,
-        current,
-        observed_rate,
-        threads,
-        target,
-        params,
-        constraints,
-        perf,
-        power,
-        &[],
-    )
-}
-
-/// [`get_next_sys_state`] with a **tabu list** — the paper's Section
-/// 3.1.4 escape hatch for local optima ("it can be overcome by another
-/// algorithms (e.g., Tabu search)"). Recently visited states are
-/// skipped, except under the classic aspiration criterion: a tabu
-/// candidate that satisfies the target with a strictly better
-/// perf/watt than anything seen so far is admitted anyway.
-///
-/// # Panics
-///
-/// Panics if `current` is not a valid state of `space`.
-#[allow(clippy::too_many_arguments)]
-pub fn get_next_sys_state_tabu(
-    space: &StateSpace,
-    current: &SystemState,
-    observed_rate: f64,
-    threads: usize,
-    target: &PerfTarget,
-    params: SearchParams,
-    constraints: &SearchConstraints,
-    perf: &PerfEstimator,
-    power: &PowerEstimator,
-    tabu: &[SystemState],
-) -> SearchOutcome {
-    let ctx = SearchContext {
-        space,
-        current,
-        observed_rate,
-        threads,
-        target,
-        constraints,
-        perf,
-        power,
-        tabu,
-        eval_limit: None,
-    };
-    ExhaustiveSweep::new(params).next_state(&ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,10 +321,36 @@ mod tests {
         SystemState::big_little(cb, cl, FreqKhz::from_mhz(fb), FreqKhz::from_mhz(fl))
     }
 
+    /// One decision's context for 8 threads, without a tabu list or
+    /// an evaluation limit.
+    fn ctx<'a>(
+        space: &'a StateSpace,
+        current: &'a SystemState,
+        observed_rate: f64,
+        target: &'a PerfTarget,
+        constraints: &'a SearchConstraints,
+        perf: &'a PerfEstimator,
+        power: &'a PowerEstimator,
+    ) -> SearchContext<'a> {
+        SearchContext {
+            space,
+            current,
+            observed_rate,
+            threads: 8,
+            target,
+            constraints,
+            perf,
+            power,
+            tabu: &[],
+            eval_limit: None,
+        }
+    }
+
     fn run(cur: SystemState, rate: f64, target: PerfTarget, params: SearchParams) -> SearchOutcome {
         let sp = space();
         let c = SearchConstraints::unrestricted(&sp);
-        get_next_sys_state(&sp, &cur, rate, 8, &target, params, &c, &perf(), &power())
+        let (perf, power) = (perf(), power());
+        ExhaustiveSweep::new(params).next_state(&ctx(&sp, &cur, rate, &target, &c, &perf, &power))
     }
 
     #[test]
@@ -478,17 +430,9 @@ mod tests {
         let target = PerfTarget::new(90.0, 110.0).unwrap(); // unreachable
         let mut c = SearchConstraints::unrestricted(&sp);
         c.set_max_cores(hmp_sim::ClusterId::BIG, 1); // no free big cores
-        let out = get_next_sys_state(
-            &sp,
-            &cur,
-            1.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf(),
-            &power(),
-        );
+        let (perf, power) = (perf(), power());
+        let out = ExhaustiveSweep::new(SearchParams::exhaustive())
+            .next_state(&ctx(&sp, &cur, 1.0, &target, &c, &perf, &power));
         assert!(out.state.big_cores() <= 1, "grew past the free-core bound");
     }
 
@@ -507,17 +451,9 @@ mod tests {
         let mut c = SearchConstraints::unrestricted(&sp);
         c.set_freq_change(hmp_sim::ClusterId::BIG, FreqChange::Fixed);
         c.set_freq_change(hmp_sim::ClusterId::LITTLE, FreqChange::Fixed);
-        let out = get_next_sys_state(
-            &sp,
-            &cur,
-            30.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf(),
-            &power(),
-        );
+        let (perf, power) = (perf(), power());
+        let out = ExhaustiveSweep::new(SearchParams::exhaustive())
+            .next_state(&ctx(&sp, &cur, 30.0, &target, &c, &perf, &power));
         assert_eq!(out.state.big_freq(), cur.big_freq());
         assert_eq!(out.state.little_freq(), cur.little_freq());
     }
@@ -562,67 +498,19 @@ mod tests {
         let cur = st(4, 4, 1600, 1300);
         let target = PerfTarget::new(9.0, 11.0).unwrap();
         let c = SearchConstraints::unrestricted(&sp);
-        let free = get_next_sys_state(
-            &sp,
-            &cur,
-            30.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf(),
-            &power(),
-        );
+        let (perf, power) = (perf(), power());
+        let sweep = ExhaustiveSweep::new(SearchParams::exhaustive());
+        let free_ctx = ctx(&sp, &cur, 30.0, &target, &c, &perf, &power);
+        let free = sweep.next_state(&free_ctx);
         assert_ne!(free.state, cur);
         // Forbid the free search's favourite: the tabu run must land
         // somewhere else (or stay put).
         let tabu = [free.state];
-        let redirected = get_next_sys_state_tabu(
-            &sp,
-            &cur,
-            30.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf(),
-            &power(),
-            &tabu,
-        );
+        let redirected = sweep.next_state(&SearchContext {
+            tabu: &tabu,
+            ..free_ctx
+        });
         assert_ne!(redirected.state, free.state, "tabu state must be avoided");
-    }
-
-    #[test]
-    fn empty_tabu_matches_plain_search() {
-        let sp = space();
-        let cur = st(2, 2, 1200, 1000);
-        let target = PerfTarget::new(9.0, 11.0).unwrap();
-        let c = SearchConstraints::unrestricted(&sp);
-        let a = get_next_sys_state(
-            &sp,
-            &cur,
-            14.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf(),
-            &power(),
-        );
-        let b = get_next_sys_state_tabu(
-            &sp,
-            &cur,
-            14.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf(),
-            &power(),
-            &[],
-        );
-        assert_eq!(a.state, b.state);
-        assert_eq!(a.stats.explored, b.stats.explored);
     }
 
     #[test]
@@ -649,17 +537,8 @@ mod tests {
         };
         let cur = sp.max_state();
         let target = PerfTarget::new(9.0, 11.0).unwrap();
-        let out = get_next_sys_state(
-            &sp,
-            &cur,
-            30.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &c,
-            &perf,
-            &power,
-        );
+        let out = ExhaustiveSweep::new(SearchParams::exhaustive())
+            .next_state(&ctx(&sp, &cur, 30.0, &target, &c, &perf, &power));
         // 6-dimensional sweep: the result stays on the board.
         assert!(sp.contains(&out.state));
         let d = sp

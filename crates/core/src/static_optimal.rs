@@ -3,21 +3,12 @@
 //! The paper's SO version "runs with the optimal number of cores and
 //! frequency level determined by the offline simulations ... that sweep
 //! all available system states and estimate the performance/watt", then
-//! executes under the stock Linux HMP scheduler. Two sweep flavors are
-//! provided:
-//!
-//! * [`estimator_sweep`] — rank all states with HARS's own estimators
-//!   (cheap, but inherits their modeling errors);
-//! * [`oracle_sweep`] — measure each state with a caller-supplied
-//!   evaluation (e.g. a short simulation run) and keep the best; this is
-//!   the offline-profiling interpretation and is what the evaluation
-//!   harness uses.
+//! executes under the stock Linux HMP scheduler. [`oracle_sweep`]
+//! measures each state with a caller-supplied evaluation (e.g. a short
+//! simulation run) and keeps the best: the offline-profiling
+//! interpretation the evaluation harness uses.
 
-use heartbeats::PerfTarget;
-
-use crate::perf_est::PerfEstimator;
-use crate::power_est::PowerEstimator;
-use crate::search::{evaluate_state, CandidateEval};
+use crate::search::CandidateEval;
 use crate::state::{StateSpace, SystemState};
 
 /// Result of a static-optimal sweep.
@@ -25,57 +16,11 @@ use crate::state::{StateSpace, SystemState};
 pub struct StaticOptimal {
     /// The chosen state.
     pub state: SystemState,
-    /// Its score: estimator evaluation (estimator sweep) or the measured
-    /// objective (oracle sweep, packed into `perf_per_watt`).
+    /// Its measured objective: normalized performance in `est_rate`,
+    /// perf/watt in `perf_per_watt`.
     pub eval: CandidateEval,
     /// States considered.
     pub considered: usize,
-}
-
-/// Offline full-space sweep with HARS's estimators, anchored on a
-/// reference observation (a baseline run's rate under `reference_state`).
-/// Ranking follows Algorithm 2's satisfaction-first ordering.
-pub fn estimator_sweep(
-    space: &StateSpace,
-    target: &PerfTarget,
-    reference_rate: f64,
-    reference_state: &SystemState,
-    threads: usize,
-    perf: &PerfEstimator,
-    power: &PowerEstimator,
-) -> StaticOptimal {
-    let mut best: Option<(SystemState, CandidateEval)> = None;
-    let mut considered = 0;
-    for cand in space.iter_all() {
-        let eval = evaluate_state(
-            &cand,
-            reference_rate,
-            threads,
-            reference_state,
-            target,
-            perf,
-            power,
-        );
-        considered += 1;
-        let replace = match &best {
-            None => true,
-            Some((_, b)) => match (eval.satisfies, b.satisfies) {
-                (true, false) => true,
-                (false, true) => false,
-                (true, true) => eval.perf_per_watt > b.perf_per_watt,
-                (false, false) => eval.est_rate > b.est_rate,
-            },
-        };
-        if replace {
-            best = Some((cand, eval));
-        }
-    }
-    let (state, eval) = best.expect("state space is never empty");
-    StaticOptimal {
-        state,
-        eval,
-        considered,
-    }
 }
 
 /// Offline oracle sweep: `measure` returns the *measured*
@@ -126,66 +71,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power_est::LinearCoeff;
-    use hmp_sim::{BoardSpec, FreqKhz, FreqLadder};
+    use hmp_sim::{BoardSpec, FreqKhz};
 
     fn space() -> StateSpace {
         StateSpace::from_board(&BoardSpec::odroid_xu3())
-    }
-
-    fn perf() -> PerfEstimator {
-        PerfEstimator::paper_default(FreqKhz::from_mhz(1_000))
-    }
-
-    fn power() -> PowerEstimator {
-        let little_ladder = FreqLadder::from_mhz_range(800, 1_300, 100);
-        let big_ladder = FreqLadder::from_mhz_range(800, 1_600, 100);
-        let little = (0..little_ladder.len())
-            .map(|i| LinearCoeff {
-                alpha: 0.10 + 0.015 * i as f64,
-                beta: 0.10,
-            })
-            .collect();
-        let big = (0..big_ladder.len())
-            .map(|i| LinearCoeff {
-                alpha: 0.45 + 0.11 * i as f64,
-                beta: 0.55,
-            })
-            .collect();
-        PowerEstimator::new(little_ladder, big_ladder, little, big)
-    }
-
-    #[test]
-    fn estimator_sweep_covers_whole_space_and_satisfies() {
-        let sp = space();
-        let target = PerfTarget::new(9.0, 11.0).unwrap();
-        let so = estimator_sweep(&sp, &target, 30.0, &sp.max_state(), 8, &perf(), &power());
-        assert_eq!(so.considered, sp.len());
-        assert!(so.eval.satisfies, "a reachable target must be satisfied");
-        // The chosen state must be cheaper than the baseline max state.
-        assert!(so.state != sp.max_state());
-    }
-
-    #[test]
-    fn estimator_sweep_unreachable_target_maximizes_perf() {
-        let sp = space();
-        let target = PerfTarget::new(900.0, 1100.0).unwrap();
-        let so = estimator_sweep(&sp, &target, 30.0, &sp.max_state(), 8, &perf(), &power());
-        assert!(!so.eval.satisfies);
-        // Nothing satisfies, so SO maximizes estimated performance. Note
-        // several states tie for the maximum rate (the barrier time is
-        // bound by one dedicated little-core thread in each), so compare
-        // rates, not states.
-        let max_eval = evaluate_state(
-            &sp.max_state(),
-            30.0,
-            8,
-            &sp.max_state(),
-            &target,
-            &perf(),
-            &power(),
-        );
-        assert!(so.eval.est_rate >= max_eval.est_rate - 1e-9);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use heartbeats::PerfTarget;
 use proptest::prelude::*;
 
 use hars_core::power_est::{LinearCoeff, PowerEstimator};
-use hars_core::search::{get_next_sys_state, CandidateEval, SearchConstraints, SearchParams};
+use hars_core::search::{
+    CandidateEval, ExhaustiveSweep, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
+};
 use hars_core::{assign_threads, PerfEstimator, StateSpace, SystemState};
 use hmp_sim::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder};
 
@@ -121,17 +123,19 @@ proptest! {
         let perf = PerfEstimator::from_board(&board);
         let power = flat_power(&board);
         let target = PerfTarget::from_center(center, 0.1).unwrap();
-        let out = get_next_sys_state(
-            &space,
-            &cur,
-            rate,
+        let ctx = SearchContext {
+            space: &space,
+            current: &cur,
+            observed_rate: rate,
             threads,
-            &target,
-            SearchParams::new(m, n, d),
-            &SearchConstraints::unrestricted(&space),
-            &perf,
-            &power,
-        );
+            target: &target,
+            constraints: &SearchConstraints::unrestricted(&space),
+            perf: &perf,
+            power: &power,
+            tabu: &[],
+            eval_limit: None,
+        };
+        let out = ExhaustiveSweep::new(SearchParams::new(m, n, d)).next_state(&ctx);
         // Bound safety, per cluster.
         prop_assert!(space.contains(&out.state));
         for c in board.cluster_ids() {
@@ -180,17 +184,19 @@ proptest! {
         let mut constraints = SearchConstraints::unrestricted(&space);
         constraints.set_max_cores(capped, cur.cores(capped));
         let target = PerfTarget::new(500.0, 600.0).unwrap(); // unreachable: wants growth
-        let out = get_next_sys_state(
-            &space,
-            &cur,
-            1.0,
-            8,
-            &target,
-            SearchParams::exhaustive(),
-            &constraints,
-            &perf,
-            &power,
-        );
+        let ctx = SearchContext {
+            space: &space,
+            current: &cur,
+            observed_rate: 1.0,
+            threads: 8,
+            target: &target,
+            constraints: &constraints,
+            perf: &perf,
+            power: &power,
+            tabu: &[],
+            eval_limit: None,
+        };
+        let out = ExhaustiveSweep::new(SearchParams::exhaustive()).next_state(&ctx);
         prop_assert!(
             out.state.cores(capped) <= cur.cores(capped),
             "grew the capped cluster: {} -> {}",
@@ -392,7 +398,7 @@ mod legacy {
 
     /// The original 4-nested-loop Algorithm 2 on the ODROID-XU3.
     #[allow(clippy::too_many_arguments)]
-    pub fn get_next_sys_state(
+    pub fn next_sys_state(
         board: &BoardSpec,
         r0: f64,
         power: &PowerEstimator,
@@ -506,18 +512,20 @@ proptest! {
         let power = xu3_power();
         let perf = PerfEstimator::paper_default(board.base_freq);
         let params = SearchParams::new(m, n, d);
-        let new = get_next_sys_state(
-            &space,
-            &cur,
-            rate,
+        let ctx = SearchContext {
+            space: &space,
+            current: &cur,
+            observed_rate: rate,
             threads,
-            &target,
-            params,
-            &SearchConstraints::unrestricted(&space),
-            &perf,
-            &power,
-        );
-        let (legacy_state, legacy_eval, legacy_explored) = legacy::get_next_sys_state(
+            target: &target,
+            constraints: &SearchConstraints::unrestricted(&space),
+            perf: &perf,
+            power: &power,
+            tabu: &[],
+            eval_limit: None,
+        };
+        let new = ExhaustiveSweep::new(params).next_state(&ctx);
+        let (legacy_state, legacy_eval, legacy_explored) = legacy::next_sys_state(
             &board, 1.5, &power, &cur, rate, threads, &target, params,
         );
         prop_assert_eq!(new.state, legacy_state, "state diverged");

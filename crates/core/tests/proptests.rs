@@ -4,7 +4,9 @@ use heartbeats::PerfTarget;
 use proptest::prelude::*;
 
 use hars_core::power_est::LinearCoeff;
-use hars_core::search::{get_next_sys_state, SearchConstraints, SearchParams};
+use hars_core::search::{
+    ExhaustiveSweep, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
+};
 use hars_core::{assign_threads, PerfEstimator, PowerEstimator, StateSpace, SystemState};
 use hmp_sim::{BoardSpec, FreqKhz, FreqLadder};
 
@@ -137,17 +139,19 @@ proptest! {
         );
         let target = PerfTarget::from_center(target_center, 0.1).unwrap();
         let perf = PerfEstimator::paper_default(FreqKhz::from_mhz(1_000));
-        let out = get_next_sys_state(
-            &space,
-            &cur,
-            rate,
-            8,
-            &target,
-            SearchParams::new(m, n, d),
-            &SearchConstraints::unrestricted(&space),
-            &perf,
-            &test_power(),
-        );
+        let ctx = SearchContext {
+            space: &space,
+            current: &cur,
+            observed_rate: rate,
+            threads: 8,
+            target: &target,
+            constraints: &SearchConstraints::unrestricted(&space),
+            perf: &perf,
+            power: &test_power(),
+            tabu: &[],
+            eval_limit: None,
+        };
+        let out = ExhaustiveSweep::new(SearchParams::new(m, n, d)).next_state(&ctx);
         prop_assert!(space.contains(&out.state));
         let dist = space
             .index_of(&out.state)

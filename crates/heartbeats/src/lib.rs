@@ -40,7 +40,7 @@ mod target;
 mod window;
 
 pub use error::HeartbeatError;
-pub use monitor::{HeartbeatMonitor, SharedMonitor};
+pub use monitor::HeartbeatMonitor;
 pub use record::{HeartbeatRate, HeartbeatRecord};
 pub use registry::{AppId, HeartbeatRegistry};
 pub use target::PerfTarget;

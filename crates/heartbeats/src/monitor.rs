@@ -1,7 +1,3 @@
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use crate::{HeartbeatError, HeartbeatRate, HeartbeatRecord, PerfTarget, RateWindow};
 
 /// Monitors the heartbeats of one application: accepts emissions, tracks
@@ -140,86 +136,6 @@ impl HeartbeatMonitor {
     }
 }
 
-/// A cheaply clonable, thread-safe handle to a [`HeartbeatMonitor`].
-///
-/// Applications (possibly running on other threads) emit through one
-/// clone while the runtime manager observes through another — mirroring
-/// the shared-memory channel of the original framework.
-///
-/// ```
-/// use heartbeats::SharedMonitor;
-/// let shared = SharedMonitor::new(8);
-/// let emitter = shared.clone();
-/// emitter.emit(0);
-/// emitter.emit(1_000_000_000);
-/// assert_eq!(shared.total_heartbeats(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SharedMonitor {
-    inner: Arc<Mutex<HeartbeatMonitor>>,
-}
-
-impl SharedMonitor {
-    /// Creates a shared monitor with the given window size.
-    pub fn new(window: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(HeartbeatMonitor::new(window))),
-        }
-    }
-
-    /// Creates a shared monitor with a target band.
-    pub fn with_target(target: PerfTarget, window: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(HeartbeatMonitor::with_target(target, window))),
-        }
-    }
-
-    /// Emits a heartbeat (see [`HeartbeatMonitor::emit`]).
-    pub fn emit(&self, timestamp_ns: u64) -> HeartbeatRecord {
-        self.inner.lock().emit(timestamp_ns)
-    }
-
-    /// Sets the target band.
-    pub fn set_target(&self, target: PerfTarget) {
-        self.inner.lock().set_target(target);
-    }
-
-    /// The current target band, if set.
-    pub fn target(&self) -> Option<PerfTarget> {
-        self.inner.lock().target().copied()
-    }
-
-    /// Total heartbeats emitted so far.
-    pub fn total_heartbeats(&self) -> u64 {
-        self.inner.lock().total_heartbeats()
-    }
-
-    /// Index of the latest heartbeat.
-    pub fn latest_index(&self) -> Option<u64> {
-        self.inner.lock().latest_index()
-    }
-
-    /// Sliding-window rate.
-    pub fn window_rate(&self) -> Option<HeartbeatRate> {
-        self.inner.lock().window_rate()
-    }
-
-    /// Whole-run rate.
-    pub fn global_rate(&self) -> Option<HeartbeatRate> {
-        self.inner.lock().global_rate()
-    }
-
-    /// Whether the current rate violates the target band.
-    pub fn needs_adaptation(&self) -> bool {
-        self.inner.lock().needs_adaptation()
-    }
-
-    /// Runs `f` with exclusive access to the underlying monitor.
-    pub fn with_monitor<R>(&self, f: impl FnOnce(&mut HeartbeatMonitor) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +185,6 @@ mod tests {
             m.emit(t);
         }
         assert!(m.needs_adaptation());
-    }
-
-    #[test]
-    fn shared_monitor_is_send_sync_and_clonable() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedMonitor>();
-        let s = SharedMonitor::new(4);
-        let c = s.clone();
-        c.emit(0);
-        c.emit(500_000_000);
-        assert_eq!(s.total_heartbeats(), 2);
-        assert!(s.window_rate().is_some());
     }
 
     #[test]
