@@ -1,7 +1,7 @@
 //! Engine-loop performance baseline: the machine-readable numbers
 //! (`BENCH_engine.json`) behind the discrete-event engine core — the
-//! control-event heap, tick/sensor quiescence, idle fast-forward and
-//! the busy tick fast-forward.
+//! once-per-step wake-up scan, tick/sensor quiescence, idle
+//! fast-forward and the busy tick fast-forward.
 //!
 //! Two open-system scenarios bracket the engine's operating envelope:
 //!
@@ -9,25 +9,26 @@
 //!   GTS: four short tenants separated by long dead air, so the board
 //!   is busy a few percent of the horizon. This is the idle-skip's
 //!   target case: the fixed-step reference walks every scheduler tick
-//!   of every idle span while the event-heap engine fast-forwards
+//!   of every idle span while the default engine fast-forwards
 //!   through them (replaying only the energy-integral boundaries that
 //!   bit-identity requires).
 //! * **dense** — Poisson churn heavy enough to keep the board busy
 //!   end to end under MP-HARS-E. Nothing is idle, but MP-HARS pins
-//!   every thread to one core, so between events the event-heap engine
+//!   every thread to one core, so between events the default engine
 //!   replays runs of GTS ticks in one tight loop (each tick reduced to
 //!   its load update) where the fixed-step reference runs a full step
 //!   and the full migration passes per tick.
 //!
-//! Both scenarios run in both [`ExecMode`]s and the run self-asserts
-//! the refactor's contracts:
+//! Both scenarios run in both [`ExecMode`]s (the default and the
+//! fixed-step reference) and the run self-asserts the engine's
+//! contracts:
 //!
-//! 1. **bit-identity** — fixed-step and event-heap outcomes
+//! 1. **bit-identity** — fixed-step and default-mode outcomes
 //!    fingerprint identically (every tenant field, energy, search
 //!    totals) and reach the same power-sensor sample count;
-//! 2. **idle speedup** — the event-heap engine is ≥ 10× faster on the
+//! 2. **idle speedup** — the default engine is ≥ 10× faster on the
 //!    idle-churn trace;
-//! 3. **dense speedup** — the event-heap engine is ≥ 1.5× faster on
+//! 3. **dense speedup** — the default engine is ≥ 1.5× faster on
 //!    the dense scenario too (`--quick` asks 1.25× to absorb the noise
 //!    of short runs on shared hosts), and it really fast-forwarded
 //!    ticks there.
@@ -316,7 +317,7 @@ fn main() {
         });
     }
 
-    // --- contract 2: the idle trace really is idle, and the heap
+    // --- contract 2: the idle trace really is idle, and the default
     // engine skips it ≥ 10× faster.
     let idle = &reports[0];
     assert!(

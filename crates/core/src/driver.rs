@@ -3,10 +3,10 @@
 //! On real hardware this is HARS's main loop blocking on the heartbeat
 //! channel; here it pumps [`hmp_sim::Engine::next_heartbeat`], feeds the
 //! manager, and applies decisions through the engine's control surface
-//! after each decision's modeled CPU latency. `next_heartbeat` rides
-//! the engine's event heap: spans where no thread is runnable are
-//! fast-forwarded instead of stepped, so "blocking on the channel" is
-//! as cheap in simulation as it is on hardware.
+//! after each decision's modeled CPU latency. `next_heartbeat` steps
+//! the engine from event to event: spans where no thread is runnable
+//! are fast-forwarded instead of stepped, so "blocking on the channel"
+//! is as cheap in simulation as it is on hardware.
 
 use heartbeats::AppId;
 use hmp_sim::{Action, ClusterId, Engine, FreqKhz, SimError};

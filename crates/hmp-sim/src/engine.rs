@@ -279,7 +279,7 @@ impl Engine {
         self.cores[core.0].busy_ns
     }
 
-    /// GTS ticks the event-heap engine replayed inside busy
+    /// GTS ticks the default engine replayed inside busy
     /// fast-forward spans (always 0 under [`ExecMode::FixedStep`]).
     /// Reporting only, like [`PowerSensor::coalesced_samples`]: the
     /// simulated timeline is identical either way, so the count sits

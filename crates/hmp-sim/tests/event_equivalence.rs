@@ -1,8 +1,9 @@
-//! Bit-identity of the event-heap engine against the fixed-step
+//! Bit-identity of the engine's default mode against the fixed-step
 //! reference stepper.
 //!
-//! The event-heap mode ([`ExecMode::EventHeap`], the default) must be
-//! an *optimization*, not a semantic change: for any workload mix —
+//! The default mode ([`ExecMode::EventHeap`]: one wake-up scan per
+//! step, speed caches, idle and tick fast-forwards) must be an
+//! *optimization*, not a semantic change: for any workload mix —
 //! barrier apps that drain to full idle, low-duty spinners that sleep
 //! most of every period, deferred frequency actions landing in idle
 //! spans, threads pinned and re-pinned through scheduled affinity

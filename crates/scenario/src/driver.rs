@@ -6,9 +6,9 @@
 //! The arrival loop needs no scheduling machinery of its own: it asks
 //! the engine for the next heartbeat *before the next arrival instant*
 //! (`next_heartbeat(deadline)`) and otherwise `run_until`s the arrival
-//! — both of which ride the engine's event heap, so the idle gap
-//! between the last departure and the next arrival is fast-forwarded
-//! instead of stepped through tick by tick.
+//! — both of which step the engine from event to event, so the idle
+//! gap between the last departure and the next arrival is
+//! fast-forwarded instead of stepped through tick by tick.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1178,7 +1178,7 @@ impl Sim<'_> {
         );
         // Sample-count reporting (not fingerprinted): total is invariant
         // under idle-span coalescing, the split shows how much the
-        // event-heap engine elided.
+        // default engine elided.
         out.sensor_samples = self.engine.sensor().total_samples();
         out.sensor_samples_coalesced = self.engine.sensor().coalesced_samples();
         out.ticks_fast_forwarded = self.engine.ticks_fast_forwarded();

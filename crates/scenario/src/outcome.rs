@@ -97,8 +97,8 @@ pub struct ScenarioOutcome {
     pub manager_busy_ns: u64,
     /// Power-sensor sample instants reached over the run, materialized
     /// plus coalesced — invariant under idle-span sample coalescing, so
-    /// the engine's event-heap and fixed-step modes must report the
-    /// same number. Deliberately *not* part of [`Self::fingerprint`]:
+    /// the engine's default and fixed-step modes must report the same
+    /// number. Deliberately *not* part of [`Self::fingerprint`]:
     /// it is reporting, like `wall_ns`, not a decision input.
     #[serde(default)]
     pub sensor_samples: u64,

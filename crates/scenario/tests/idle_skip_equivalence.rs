@@ -1,4 +1,5 @@
-//! Scenario-level bit-identity of the idle-skipping event-heap engine.
+//! Scenario-level bit-identity of the engine's idle-skipping default
+//! mode.
 //!
 //! The engine-level equivalence tests (in `hmp-sim`) pin the raw
 //! timeline; this suite pins the *composed* system: full open-system
@@ -7,10 +8,10 @@
 //! [`ScenarioOutcome`]s whose fingerprints (every per-tenant field,
 //! count, satisfaction mean, energy total, adaptation and search
 //! totals) are identical whether the engine steps every event
-//! (`ExecMode::FixedStep`) or rides the event heap and fast-forwards
-//! idle spans (`ExecMode::EventHeap`, the default). The power-sensor
-//! sample count must also be conserved: coalesced + stored in heap
-//! mode equals the fixed-step total.
+//! (`ExecMode::FixedStep`) or fast-forwards idle spans
+//! (`ExecMode::EventHeap`, the default). The power-sensor sample count
+//! must also be conserved: coalesced + stored in the default mode
+//! equals the fixed-step total.
 
 use proptest::prelude::*;
 
