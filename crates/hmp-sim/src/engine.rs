@@ -889,17 +889,7 @@ impl Engine {
     /// handles that instant in the engine's canonical event order.
     fn idle_fast_forward(&mut self, stop: u64) {
         let n = self.board.n_clusters();
-        let mut powers = [0.0f64; MAX_CLUSTERS];
-        for cluster in self.board.cluster_ids() {
-            let i = cluster.index();
-            powers[i] = cluster_power(
-                &self.board,
-                cluster,
-                self.freqs[i],
-                0.0,
-                self.board.cluster_size(cluster),
-            );
-        }
+        let powers = self.cluster_powers(&[0.0; MAX_CLUSTERS]);
         // A quiescent GTS tick reduces to `update_loads` (nothing to
         // migrate, balance or pull with every run queue empty), and
         // once every load EWMA has decayed to exactly 0.0 with no
@@ -998,17 +988,7 @@ impl Engine {
                 .iter()
                 .all(|&tid| self.threads[tid].affinity == only_here);
         }
-        let mut powers = [0.0f64; MAX_CLUSTERS];
-        for cluster in self.board.cluster_ids() {
-            let i = cluster.index();
-            powers[i] = cluster_power(
-                &self.board,
-                cluster,
-                self.freqs[i],
-                busy[i],
-                self.board.cluster_size(cluster),
-            );
-        }
+        let powers = self.cluster_powers(&busy);
         let mut dt_ns = dt_ns;
         loop {
             for core in &mut self.cores {
@@ -1220,6 +1200,12 @@ impl Engine {
                 busy[core.cluster.index()] += 1.0;
             }
         }
+        self.cluster_powers(&busy)
+    }
+
+    /// True per-cluster power (W) at the current frequencies with
+    /// `busy` cores busy per cluster, indexed by cluster.
+    fn cluster_powers(&self, busy: &[f64; MAX_CLUSTERS]) -> [f64; MAX_CLUSTERS] {
         let mut watts = [0.0f64; MAX_CLUSTERS];
         for cluster in self.board.cluster_ids() {
             let i = cluster.index();
