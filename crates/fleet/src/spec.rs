@@ -430,8 +430,9 @@ mod tests {
         for b in 0..8 {
             let plan = f.plan_for(b, 3, horizon);
             assert_eq!(plan.len(), 3 + 2 * 3, "every channel fires at p=1");
-            for f in plan.iter() {
-                assert!(f.at_ns < horizon, "onset {} past horizon", f.at_ns);
+            for fault in plan.iter() {
+                let at = fault.at_ns;
+                assert!(at < horizon, "onset {at} past horizon");
             }
         }
     }
