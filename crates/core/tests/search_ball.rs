@@ -13,7 +13,12 @@
 //!    changes nothing: state, eval and stats are equal;
 //! 3. **budget overrun ≤ 1** — a finite budget is never exceeded by
 //!    more than the mandatory current-state evaluation, and a binding
-//!    budget reports `truncated`.
+//!    budget reports `truncated`;
+//! 4. **sweep == per-candidate reference** — under tabu lists drawn
+//!    from the ball and any eval limit, the sweep's outcome, stats and
+//!    observed sequence equal those of a plain loop that evaluates
+//!    every legacy-odometer candidate with [`evaluate_state`] and
+//!    offers each one to a [`BestTracker`].
 
 use heartbeats::PerfTarget;
 use proptest::prelude::*;
@@ -21,7 +26,8 @@ use proptest::prelude::*;
 use hars_core::policy::SearchPolicy;
 use hars_core::power_est::{LinearCoeff, PowerEstimator};
 use hars_core::search::{
-    ExhaustiveSweep, FreqChange, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
+    evaluate_state, BestTracker, ExhaustiveSweep, FreqChange, SearchConstraints, SearchContext,
+    SearchOutcome, SearchParams, SearchStrategy,
 };
 use hars_core::{PerfEstimator, StateSpace, SystemState};
 use hmp_sim::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder};
@@ -148,7 +154,61 @@ fn legacy_odometer_candidates(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One board's search inputs: the state space, both estimators, a
+/// target band and one of three constraint variants (unrestricted;
+/// cluster 0 capped at the centre's cores; cluster 0 increase-only
+/// with the last cluster's frequency fixed).
+struct Fixture {
+    space: StateSpace,
+    perf: PerfEstimator,
+    power: PowerEstimator,
+    target: PerfTarget,
+    constraints: SearchConstraints,
+}
+
+impl Fixture {
+    fn new(board: &BoardSpec, cur: &SystemState, constraints_variant: usize, center: f64) -> Self {
+        let space = StateSpace::from_board(board);
+        let mut constraints = SearchConstraints::unrestricted(&space);
+        if constraints_variant == 1 {
+            constraints.set_max_cores(ClusterId(0), cur.cores(ClusterId(0)));
+        } else if constraints_variant == 2 {
+            constraints.set_freq_change(ClusterId(0), FreqChange::IncreaseOnly);
+            let last = ClusterId(board.n_clusters() - 1);
+            constraints.set_freq_change(last, FreqChange::Fixed);
+        }
+        Self {
+            space,
+            perf: PerfEstimator::from_board(board),
+            power: flat_power(board),
+            target: PerfTarget::from_center(center, 0.1).unwrap(),
+            constraints,
+        }
+    }
+
+    fn ctx<'a>(
+        &'a self,
+        cur: &'a SystemState,
+        rate: f64,
+        threads: usize,
+        tabu: &'a [SystemState],
+        eval_limit: Option<usize>,
+    ) -> SearchContext<'a> {
+        SearchContext {
+            space: &self.space,
+            current: cur,
+            observed_rate: rate,
+            threads,
+            target: &self.target,
+            constraints: &self.constraints,
+            perf: &self.perf,
+            power: &self.power,
+            tabu,
+            eval_limit,
+        }
+    }
+}
+
 fn check_ball_matches_legacy(
     board: &BoardSpec,
     cur: &SystemState,
@@ -158,33 +218,11 @@ fn check_ball_matches_legacy(
     center: f64,
     threads: usize,
 ) {
-    let space = StateSpace::from_board(board);
-    let perf = PerfEstimator::from_board(board);
-    let power = flat_power(board);
-    let target = PerfTarget::from_center(center, 0.1).unwrap();
-    let mut constraints = SearchConstraints::unrestricted(&space);
-    if constraints_variant == 1 {
-        constraints.set_max_cores(ClusterId(0), cur.cores(ClusterId(0)));
-    } else if constraints_variant == 2 {
-        constraints.set_freq_change(ClusterId(0), FreqChange::IncreaseOnly);
-        let last = ClusterId(board.n_clusters() - 1);
-        constraints.set_freq_change(last, FreqChange::Fixed);
-    }
-    let ctx = SearchContext {
-        space: &space,
-        current: cur,
-        observed_rate: rate,
-        threads,
-        target: &target,
-        constraints: &constraints,
-        perf: &perf,
-        power: &power,
-        tabu: &[],
-        eval_limit: None,
-    };
+    let fx = Fixture::new(board, cur, constraints_variant, center);
+    let ctx = fx.ctx(cur, rate, threads, &[], None);
     let mut visited = Vec::new();
     let out = ExhaustiveSweep::new(params).next_state_observed(&ctx, &mut |s| visited.push(s));
-    let legacy = legacy_odometer_candidates(&space, cur, params, &constraints);
+    let legacy = legacy_odometer_candidates(&fx.space, cur, params, &fx.constraints);
     assert_eq!(
         visited, legacy,
         "candidate sequence diverged from the legacy odometer"
@@ -192,6 +230,114 @@ fn check_ball_matches_legacy(
     assert_eq!(out.stats.explored, legacy.len() + 1);
     assert_eq!(out.stats.evaluated, out.stats.explored);
     assert!(!out.stats.truncated);
+}
+
+/// What the per-candidate reference sweep produced.
+struct Reference {
+    out: SearchOutcome,
+    /// The candidates evaluated, in order.
+    observed: Vec<SystemState>,
+    /// The successive incumbents (each state that became the best).
+    incumbents: Vec<SystemState>,
+    /// Candidates better than the incumbent that the tabu list turned
+    /// away.
+    tabu_rejections: usize,
+    /// Tabu candidates that became the incumbent by aspiration.
+    aspirations: usize,
+}
+
+/// The exhaustive sweep written as a plain loop: every candidate of the
+/// legacy odometer, in its order, evaluated with the full
+/// [`evaluate_state`] and offered to a [`BestTracker`]. The eval limit
+/// is checked before each evaluation, as the strategies check it.
+fn reference_sweep(ctx: &SearchContext<'_>, params: SearchParams) -> Reference {
+    let eval = |s: &SystemState| {
+        evaluate_state(
+            s,
+            ctx.observed_rate,
+            ctx.threads,
+            ctx.current,
+            ctx.target,
+            ctx.perf,
+            ctx.power,
+        )
+    };
+    let mut best = eval(ctx.current);
+    let mut tracker = BestTracker::new(*ctx.current, best, ctx.tabu);
+    let mut evaluated = 1usize;
+    let mut truncated = false;
+    let mut observed = Vec::new();
+    let mut incumbents = Vec::new();
+    let (mut tabu_rejections, mut aspirations) = (0, 0);
+    for cand in legacy_odometer_candidates(ctx.space, ctx.current, params, ctx.constraints) {
+        if ctx.eval_limit.is_some_and(|limit| evaluated >= limit) {
+            truncated = true;
+            break;
+        }
+        let e = eval(&cand);
+        evaluated += 1;
+        observed.push(cand);
+        let tabu = ctx.tabu.contains(&cand);
+        if tracker.offer(cand, e) {
+            best = e;
+            incumbents.push(cand);
+            aspirations += usize::from(tabu);
+        } else if tabu && e.better_than(&best) {
+            tabu_rejections += 1;
+        }
+    }
+    // Every explored state (the centre included) is evaluated once.
+    let mut out = tracker.finish(evaluated, evaluated);
+    out.stats.truncated = truncated;
+    Reference {
+        out,
+        observed,
+        incumbents,
+        tabu_rejections,
+        aspirations,
+    }
+}
+
+/// Runs [`ExhaustiveSweep`] and [`reference_sweep`] on one context and
+/// checks they agree on the chosen state, the eval bits, every count,
+/// the truncation flag and the observed sequence. Returns the
+/// reference so callers can see which tabu paths fired.
+fn check_sweep_matches_reference(ctx: &SearchContext<'_>, params: SearchParams) -> Reference {
+    let mut observed = Vec::new();
+    let out = ExhaustiveSweep::new(params).next_state_observed(ctx, &mut |s| observed.push(s));
+    let reference = reference_sweep(ctx, params);
+    let want = &reference.out;
+    assert_eq!(out.state, want.state);
+    assert_eq!(out.eval.est_rate.to_bits(), want.eval.est_rate.to_bits());
+    assert_eq!(out.eval.est_watts.to_bits(), want.eval.est_watts.to_bits());
+    assert_eq!(
+        out.eval.perf_per_watt.to_bits(),
+        want.eval.perf_per_watt.to_bits()
+    );
+    assert_eq!(out.eval.satisfies, want.eval.satisfies);
+    assert_eq!(out.stats.explored, want.stats.explored);
+    assert_eq!(out.stats.evaluated, want.stats.evaluated);
+    assert_eq!(out.stats.best_rank_changes, want.stats.best_rank_changes);
+    assert_eq!(out.stats.truncated, want.stats.truncated);
+    assert_eq!(observed, reference.observed);
+    reference
+}
+
+/// A tabu list drawn from the ball: each pick takes either one of the
+/// no-tabu run's incumbents (so tabu turns better states away, or lets
+/// them aspire) or any candidate it evaluated.
+fn draw_tabu(free: &Reference, picks: &[usize]) -> Vec<SystemState> {
+    picks
+        .iter()
+        .filter_map(|&p| {
+            let pool = if p % 2 == 0 && !free.incumbents.is_empty() {
+                &free.incumbents
+            } else {
+                &free.observed
+            };
+            (!pool.is_empty()).then(|| pool[p / 2 % pool.len()])
+        })
+        .collect()
 }
 
 proptest! {
@@ -220,6 +366,41 @@ proptest! {
         check_ball_matches_legacy(
             &board, &cur, SearchParams::new(m, n, d), constraints_variant, rate, center, threads,
         );
+    }
+
+    /// Random 1–4-cluster boards, bounds and constraint variants, with
+    /// tabu lists drawn from the ball and eval limits from 0 to past
+    /// the ball size: the sweep agrees with the per-candidate reference
+    /// on the outcome, the stats and the observed sequence.
+    #[test]
+    fn sweep_matches_per_candidate_reference(
+        shape in proptest::collection::vec((1usize..=4, 2usize..=5, 1u32..=3, 0u32..=12), 1..5),
+        seed_cores in proptest::collection::vec(0usize..=4, 4..5),
+        seed_levels in proptest::collection::vec(0usize..5, 4..5),
+        rate in 1.0f64..60.0,
+        center in 1.0f64..40.0,
+        m in 0i64..4,
+        n in 0i64..4,
+        d in 1i64..7,
+        threads in 1usize..10,
+        constraints_variant in 0usize..3,
+        tabu_picks in proptest::collection::vec(0usize..1 << 20, 0..6),
+        limited in proptest::bool::ANY,
+        limit_pick in 0usize..1 << 20,
+    ) {
+        let shape: Vec<(usize, usize, u32, u32)> = shape
+            .into_iter()
+            .map(|(c, l, s, r)| (c, l, s * 100, r))
+            .collect();
+        let board = board_from(&shape);
+        let cur = seed_state(&board, &seed_cores, &seed_levels);
+        let fx = Fixture::new(&board, &cur, constraints_variant, center);
+        let params = SearchParams::new(m, n, d);
+        let free = reference_sweep(&fx.ctx(&cur, rate, threads, &[], None), params);
+        let tabu = draw_tabu(&free, &tabu_picks);
+        let ball = free.observed.len() + 1;
+        let eval_limit = limited.then(|| limit_pick % (ball + 3));
+        check_sweep_matches_reference(&fx.ctx(&cur, rate, threads, &tabu, eval_limit), params);
     }
 
     /// Wrapping any policy in an effectively infinite budget is the
@@ -349,4 +530,25 @@ fn ball_matches_legacy_odometer_on_the_5_cluster_server() {
     ] {
         check_ball_matches_legacy(&board, &cur, params, variant, 30.0, 10.0, 16);
     }
+}
+
+/// The tabu draw makes both tabu paths fire: with the no-tabu run's
+/// incumbents as the tabu list, some better candidates are turned away
+/// and some aspire, and the sweep still matches the reference.
+#[test]
+fn tabu_rejection_and_aspiration_both_fire_against_the_reference() {
+    let board = BoardSpec::odroid_xu3();
+    let space = StateSpace::from_board(&board);
+    let params = SearchParams::exhaustive();
+    let (mut rejections, mut aspirations) = (0, 0);
+    for cur in space.iter_all().step_by(11) {
+        let fx = Fixture::new(&board, &cur, 0, 10.0);
+        let free = reference_sweep(&fx.ctx(&cur, 12.0, 6, &[], None), params);
+        let tabu = free.incumbents;
+        let checked = check_sweep_matches_reference(&fx.ctx(&cur, 12.0, 6, &tabu, None), params);
+        rejections += checked.tabu_rejections;
+        aspirations += checked.aspirations;
+    }
+    assert!(rejections > 0, "no tabu rejection fired");
+    assert!(aspirations > 0, "no aspiration fired");
 }
