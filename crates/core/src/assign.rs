@@ -152,12 +152,29 @@ pub fn assign_threads_n(threads: usize, clusters: &[ClusterCapacity]) -> ThreadA
             .all(|c| c.speed.is_finite() && c.speed > 0.0),
         "per-core speeds must be positive"
     );
+    let (split_threads, used) = waterfill::<MAX_CLUSTERS>(threads, clusters);
     let mut out = ThreadAssignment::empty(clusters.len());
+    for i in 0..clusters.len() {
+        out.set(ClusterId(i), split_threads[i], used[i]);
+    }
+    debug_assert_eq!(out.total_threads(), threads);
+    out
+}
+
+/// [`assign_threads_n`] without its argument checks (the caller
+/// guarantees them), into thread and used-core arrays of
+/// `N ≥ clusters.len()` entries, indexed by cluster.
+pub(crate) fn waterfill<const N: usize>(
+    threads: usize,
+    clusters: &[ClusterCapacity],
+) -> ([usize; N], [usize; N]) {
+    let mut split_threads = [0usize; N];
+    let mut used = [0usize; N];
     // Clusters with cores, fastest first; speed ties break toward the
     // higher cluster index (the paper's `r = 1` case keeps the big
     // cluster first). Kept in an inline array — the search hot path
     // runs one waterfill per candidate and must not allocate.
-    let mut order_buf = [0usize; MAX_CLUSTERS];
+    let mut order_buf = [0usize; N];
     let mut order_len = 0usize;
     for (i, c) in clusters.iter().enumerate() {
         if c.cores > 0 {
@@ -179,11 +196,14 @@ pub fn assign_threads_n(threads: usize, clusters: &[ClusterCapacity]) -> ThreadA
     });
     let order: &[usize] = order;
     // Saturation check: total capacity in slowest-used-core equivalents
-    // (for two clusters: `r·C_B + C_L`, the Row-4 boundary).
+    // (for two clusters: `r·C_B + C_L`, the Row-4 boundary), keeping
+    // each cluster's term by order position for the Row-4 split.
     let s_last = clusters[*order.last().expect("at least one used cluster")].speed;
+    let mut cap = [0.0f64; N];
     let mut total_cap = 0.0f64;
-    for &i in order {
-        total_cap += (clusters[i].speed / s_last) * clusters[i].cores as f64;
+    for (pos, &i) in order.iter().enumerate() {
+        cap[pos] = (clusters[i].speed / s_last) * clusters[i].cores as f64;
+        total_cap += cap[pos];
     }
     if threads as f64 > total_cap {
         // Row 4 generalized: every cluster saturates; split the threads
@@ -192,22 +212,21 @@ pub fn assign_threads_n(threads: usize, clusters: &[ClusterCapacity]) -> ThreadA
         let mut remaining = threads;
         let mut remaining_cap = total_cap;
         for (pos, &i) in order.iter().enumerate() {
-            let cap_i = (clusters[i].speed / s_last) * clusters[i].cores as f64;
             let take = if pos + 1 == order.len() {
                 remaining
             } else {
-                (((cap_i / remaining_cap) * remaining as f64).ceil() as usize).min(remaining)
+                (((cap[pos] / remaining_cap) * remaining as f64).ceil() as usize).min(remaining)
             };
             // With ≥3 clusters the fastest-first ceil rounding can leave
             // a later cluster fewer threads than cores; keep the
             // used ≤ threads invariant (on two clusters take ≥ cores
             // always holds here, so this still matches Table 3.1).
-            out.set(ClusterId(i), take, take.min(clusters[i].cores));
+            split_threads[i] = take;
+            used[i] = take.min(clusters[i].cores);
             remaining -= take;
-            remaining_cap -= cap_i;
+            remaining_cap -= cap[pos];
         }
-        debug_assert_eq!(out.total_threads(), threads);
-        return out;
+        return (split_threads, used);
     }
     // Waterfill fastest-first (Rows 1–3 generalized).
     let mut remaining = threads;
@@ -219,7 +238,8 @@ pub fn assign_threads_n(threads: usize, clusters: &[ClusterCapacity]) -> ThreadA
         let cores = clusters[i].cores;
         if remaining <= cores {
             // Row 1: every remaining thread gets its own core here.
-            out.set(ClusterId(i), remaining, remaining);
+            split_threads[i] = remaining;
+            used[i] = remaining;
             remaining = 0;
             break;
         }
@@ -227,24 +247,26 @@ pub fn assign_threads_n(threads: usize, clusters: &[ClusterCapacity]) -> ThreadA
             // Last cluster: everything left lands here. Reached only
             // through floating-point edges of the saturation check;
             // the excess beyond the cores is clamped below.
-            out.set(ClusterId(i), remaining, cores);
+            split_threads[i] = remaining;
+            used[i] = cores;
             overflow_pos = Some(pos);
             remaining = 0;
             break;
         };
         let r = clusters[i].speed / clusters[next].speed;
         let cap = r * cores as f64;
+        used[i] = cores;
         if remaining as f64 <= cap {
             // Row 2: time-sharing this cluster still beats a dedicated
             // core on the next-faster remaining cluster.
-            out.set(ClusterId(i), remaining, cores);
+            split_threads[i] = remaining;
             remaining = 0;
             break;
         }
         // Row 3: load this cluster to its next-cluster-equivalent
         // capacity and spill the rest downward.
         let take = (cap.floor() as usize).min(remaining);
-        out.set(ClusterId(i), take, cores);
+        split_threads[i] = take;
         remaining -= take;
     }
     debug_assert_eq!(remaining, 0, "waterfill must place every thread");
@@ -255,28 +277,19 @@ pub fn assign_threads_n(threads: usize, clusters: &[ClusterCapacity]) -> ThreadA
     // of the 2-cluster clamp.
     if let Some(pos) = overflow_pos {
         let i = order[pos];
-        let t_i = out.threads(ClusterId(i));
         let cores = clusters[i].cores;
-        if t_i > cores && pos > 0 {
-            let excess = t_i - cores;
+        if split_threads[i] > cores && pos > 0 {
             let prev = order[pos - 1];
-            out.set(ClusterId(i), cores, cores);
-            let prev_t = out.threads(ClusterId(prev)) + excess;
-            out.set(ClusterId(prev), prev_t, clusters[prev].cores);
+            split_threads[prev] += split_threads[i] - cores;
+            used[prev] = clusters[prev].cores;
+            split_threads[i] = cores;
         }
     }
     // A cluster is used iff it has threads.
-    for i in 0..clusters.len() {
-        let c = ClusterId(i);
-        if out.threads(c) == 0 {
-            out.set(c, 0, 0);
-        } else {
-            let used = out.used(c).min(out.threads(c));
-            out.set(c, out.threads(c), used);
-        }
+    for (used, &t) in used.iter_mut().zip(&split_threads) {
+        *used = (*used).min(t);
     }
-    debug_assert_eq!(out.total_threads(), threads);
-    out
+    (split_threads, used)
 }
 
 /// The two-cluster Table 3.1 (both `r` regimes), kept as the canonical

@@ -37,6 +37,8 @@ use crate::ratio_learn::RatioLearning;
 /// paper's modeled `3_000 ns` — the bit-identity goldens pin the
 /// historical overhead model — so the calibrated cost is opt-in,
 /// through a [`ConfigDelta`] that sets it.
+/// That fit is kept, since `ops_surface`'s fingerprint and committed
+/// telemetry depend on it; `BENCH_search.json` has the current cost.
 pub const CALIBRATED_COST_PER_STATE_NS: u64 = 50;
 
 /// A monotonically increasing configuration version. Version 0 is the

@@ -290,10 +290,10 @@ impl PerfEstimator {
     ) -> UnitTimes {
         debug_assert_eq!(a.n_clusters(), state.n_clusters());
         let speeds = self.speeds(state);
-        let t = threads as f64;
+        let share = 1.0 / threads as f64;
         let mut per = [0.0f64; MAX_CLUSTERS];
         for (c, _, _) in state.iter() {
-            per[c.index()] = cluster_time(a.threads(c), a.used(c), t, speeds[c.index()]);
+            per[c.index()] = cluster_time(a.threads(c), a.used(c), share, speeds[c.index()]);
         }
         UnitTimes::new(&per[..state.n_clusters()])
     }
@@ -322,19 +322,19 @@ impl PerfEstimator {
     }
 }
 
-/// `t_c` of one cluster: dedicated-core regime or time-shared regime.
+/// `t_c` of one cluster: dedicated-core regime or time-shared regime,
+/// for a thread share `per_thread_work = 1/T` of the unit of work.
 /// Crate-visible so the search's delta evaluator recombines the exact
 /// same per-cluster term.
 pub(crate) fn cluster_time(
     cluster_threads: usize,
     used_cores: usize,
-    total_threads: f64,
+    per_thread_work: f64,
     speed: f64,
 ) -> f64 {
     if cluster_threads == 0 || used_cores == 0 {
         return 0.0;
     }
-    let per_thread_work = 1.0 / total_threads;
     if cluster_threads <= used_cores {
         per_thread_work / speed
     } else {

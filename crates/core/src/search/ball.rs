@@ -12,7 +12,7 @@
 //! candidates — ~99% of the decision's wall time spent stepping
 //! through offsets that were never going to be evaluated.
 //!
-//! [`BallDims::enumerate`] generates **only** the in-cap vectors: a
+//! [`BallDims::walk`] generates **only** the in-cap vectors: a
 //! depth-first walk over the dimensions that threads the remaining
 //! distance budget through the recursion, so each dimension's offset
 //! range is clamped to `[-budget, +budget]` (intersected with the
@@ -60,49 +60,61 @@ impl BallDims {
         self.hi[pos] = hi;
     }
 
-    /// Enumerates every offset vector within the per-dimension bounds
-    /// and Manhattan distance `d`, in the legacy odometer's
-    /// lexicographic order, calling `visit` with the offset slice.
-    /// `visit` returns `false` to abort the enumeration (the anytime
-    /// budget's early exit). Returns `(nodes, completed)`: the number
-    /// of interior walk steps taken (the "iterations ≈ candidates"
-    /// instrumentation the `decision_perf` bench reports) and whether
-    /// the walk ran to completion.
-    pub(crate) fn enumerate(&self, d: i64, visit: &mut dyn FnMut(&[i64]) -> bool) -> (u64, bool) {
+    /// Walks every offset vector within the per-dimension bounds and
+    /// Manhattan distance `d`, in the legacy odometer's lexicographic
+    /// order, telling `visitor` each coordinate as it changes. Returns
+    /// `(nodes, completed)`: the number of interior walk steps taken
+    /// (the "iterations ≈ candidates" instrumentation the
+    /// `decision_perf` bench reports) and whether the walk ran to
+    /// completion.
+    pub(crate) fn walk<V: BallVisitor>(&self, d: i64, visitor: &mut V) -> (u64, bool) {
         debug_assert!(d >= 0);
-        let mut offset = [0i64; 2 * MAX_CLUSTERS];
         let mut nodes = 0u64;
-        let completed = self.descend(0, d, &mut offset, visit, &mut nodes);
+        let completed = self.descend(0, d, visitor, &mut nodes);
         (nodes, completed)
     }
 
     /// Depth-first walk: assign dimension `pos` every offset the
-    /// remaining `budget` allows, recurse. Returns `false` when `visit`
-    /// aborted.
-    fn descend(
+    /// remaining `budget` allows, recurse. Returns `false` when the
+    /// visitor aborted.
+    fn descend<V: BallVisitor>(
         &self,
         pos: usize,
         budget: i64,
-        offset: &mut [i64; 2 * MAX_CLUSTERS],
-        visit: &mut dyn FnMut(&[i64]) -> bool,
+        visitor: &mut V,
         nodes: &mut u64,
     ) -> bool {
         if pos == self.dims {
-            return visit(&offset[..self.dims]);
+            return visitor.leaf(budget);
         }
         *nodes += 1;
         let lo = self.lo[pos].max(-budget);
         let hi = self.hi[pos].min(budget);
         for o in lo..=hi {
-            offset[pos] = o;
-            if !self.descend(pos + 1, budget - o.abs(), offset, visit, nodes) {
+            visitor.set(pos, o);
+            if !self.descend(pos + 1, budget - o.abs(), visitor, nodes) {
                 return false;
             }
         }
-        offset[pos] = 0;
         true
     }
 }
+
+/// What a [`BallDims::walk`] reports as it moves; the defaults ignore
+/// it (`()` walks only to count nodes).
+pub(crate) trait BallVisitor {
+    /// Dimension `pos` now holds `offset`.
+    fn set(&mut self, _pos: usize, _offset: i64) {}
+
+    /// The dimensions hold an in-cap vector leaving `unspent` of the
+    /// distance budget (`d` only at the centre). Returns `false` to
+    /// abort the walk (the anytime budget's early exit).
+    fn leaf(&mut self, _unspent: i64) -> bool {
+        true
+    }
+}
+
+impl BallVisitor for () {}
 
 /// The `4N` single index steps from `idx`, in [`BeamSearch`]'s
 /// (and the sweep's) dimension order — cluster `N-1..0`, and per
@@ -136,15 +148,47 @@ pub(crate) fn for_each_unit_step(
 mod tests {
     use super::*;
 
-    /// Collects the enumeration as offset vectors.
+    /// Records the walk's offset vectors, stopping after `limit` leaves.
+    struct Collect {
+        offset: [i64; 2 * MAX_CLUSTERS],
+        dims: usize,
+        d: i64,
+        out: Vec<Vec<i64>>,
+        limit: usize,
+    }
+
+    impl Collect {
+        fn new(dims: &BallDims, d: i64, limit: usize) -> Self {
+            Self {
+                offset: [0; 2 * MAX_CLUSTERS],
+                dims: dims.dims,
+                d,
+                out: Vec::new(),
+                limit,
+            }
+        }
+    }
+
+    impl BallVisitor for Collect {
+        fn set(&mut self, pos: usize, offset: i64) {
+            self.offset[pos] = offset;
+        }
+
+        fn leaf(&mut self, unspent: i64) -> bool {
+            let offset = &self.offset[..self.dims];
+            let spent: i64 = offset.iter().map(|o| o.abs()).sum();
+            assert_eq!(unspent, self.d - spent, "{offset:?}");
+            self.out.push(offset.to_vec());
+            self.out.len() < self.limit
+        }
+    }
+
+    /// Collects the walk as offset vectors.
     fn collect(dims: &BallDims, d: i64) -> (Vec<Vec<i64>>, u64) {
-        let mut out = Vec::new();
-        let (nodes, completed) = dims.enumerate(d, &mut |o| {
-            out.push(o.to_vec());
-            true
-        });
+        let mut visitor = Collect::new(dims, d, usize::MAX);
+        let (nodes, completed) = dims.walk(d, &mut visitor);
         assert!(completed);
-        (out, nodes)
+        (visitor.out, nodes)
     }
 
     /// The reference box odometer the enumerator replaces.
@@ -206,13 +250,10 @@ mod tests {
         let mut dims = BallDims::new(2);
         dims.set(0, -2, 2);
         dims.set(1, -2, 2);
-        let mut seen = 0usize;
-        let (_, completed) = dims.enumerate(4, &mut |_| {
-            seen += 1;
-            seen < 3
-        });
+        let mut visitor = Collect::new(&dims, 4, 3);
+        let (_, completed) = dims.walk(4, &mut visitor);
         assert!(!completed);
-        assert_eq!(seen, 3);
+        assert_eq!(visitor.out.len(), 3);
     }
 
     #[test]

@@ -11,15 +11,19 @@
 //! iterations — 633× fewer (see [`count_enumeration_nodes`]; the
 //! `decision_perf` bench asserts ≥ 50×).
 //!
+//! The sweep keeps its candidate current as the walk changes each
+//! coordinate and offers the [`BestTracker`] only the candidates
+//! [`SearchContext::evaluate_if_better`] ranks above the incumbent.
+//!
 //! Also home of [`count_sweep_candidates`], the closed-form count of
 //! the states the sweep would explore — the yardstick the
 //! `search_scaling` bench compares the bounded strategies against.
 
 use hmp_sim::ClusterId;
 
-use crate::state::StateIndex;
+use crate::state::{StateIndex, SystemState};
 
-use super::ball::BallDims;
+use super::ball::{BallDims, BallVisitor};
 use super::strategy::{BestTracker, EvalCache, SearchContext, SearchStrategy};
 use super::{FreqChange, SearchOutcome, SearchParams};
 
@@ -90,9 +94,64 @@ pub fn count_enumeration_nodes(ctx: &SearchContext<'_>, params: SearchParams) ->
         .space
         .index_of(ctx.current)
         .expect("current state must be on the board's ladders");
-    let dims = sweep_ball_dims(ctx, params, &cur_idx);
-    let (nodes, _) = dims.enumerate(params.d, &mut |_| true);
+    let (nodes, _) = sweep_ball_dims(ctx, params, &cur_idx).walk(params.d, &mut ());
     nodes
+}
+
+/// The sweep as a [`BallVisitor`]: the candidate under the walk and
+/// the incumbent it is ranked against.
+struct Sweep<'c, 'a> {
+    ctx: &'c SearchContext<'a>,
+    d: i64,
+    center: StateIndex,
+    idx: StateIndex,
+    state: SystemState,
+    total_cores: i64,
+    tracker: BestTracker<'a>,
+    cache: EvalCache,
+    truncated: bool,
+    observer: &'c mut dyn FnMut(SystemState),
+}
+
+impl BallVisitor for Sweep<'_, '_> {
+    fn set(&mut self, pos: usize, offset: i64) {
+        // Cores of cluster N-1..0, then levels of N-1..0.
+        let n = self.center.n_clusters();
+        if pos < n {
+            let c = ClusterId(n - 1 - pos);
+            let cores = self.center.cores(c) + offset;
+            self.total_cores += cores - self.idx.cores(c);
+            self.idx.set_cores(c, cores);
+            self.state.set_cores(c, cores as usize);
+        } else {
+            let c = ClusterId(2 * n - 1 - pos);
+            let level = self.center.level(c) + offset;
+            self.idx.set_level(c, level);
+            let freq = self.ctx.space.ladder(c).level(level as usize);
+            self.state
+                .set_freq(c, freq.expect("levels are clamped to the ladder"));
+        }
+    }
+
+    fn leaf(&mut self, unspent: i64) -> bool {
+        // The centre is already the incumbent, and a state with no
+        // cores anywhere is not a valid state.
+        if unspent == self.d || self.total_cores == 0 {
+            return true;
+        }
+        if self.ctx.out_of_budget(&self.cache) {
+            self.truncated = true;
+            return false;
+        }
+        (self.observer)(self.state);
+        let ranked = self
+            .ctx
+            .evaluate_if_better(&self.idx, &mut self.cache, self.tracker.best());
+        if let Some(eval) = ranked {
+            self.tracker.offer(self.state, eval);
+        }
+        true
+    }
 }
 
 impl SearchStrategy for ExhaustiveSweep {
@@ -103,60 +162,38 @@ impl SearchStrategy for ExhaustiveSweep {
     fn next_state_observed(
         &self,
         ctx: &SearchContext<'_>,
-        observer: &mut dyn FnMut(crate::state::SystemState),
+        observer: &mut dyn FnMut(SystemState),
     ) -> SearchOutcome {
         let params = self.params;
-        let space = ctx.space;
-        let n = space.n_clusters();
-        debug_assert_eq!(ctx.constraints.n_clusters(), n);
-        let cur_idx = space
+        debug_assert_eq!(ctx.constraints.n_clusters(), ctx.space.n_clusters());
+        let cur_idx = ctx
+            .space
             .index_of(ctx.current)
             .expect("current state must be on the board's ladders");
         let mut cache = EvalCache::new();
         let current_eval = ctx.evaluate(&cur_idx, &mut cache);
-        let mut tracker = BestTracker::new(*ctx.current, current_eval, ctx.tabu);
-        let mut explored = 1usize; // the current state itself
-
-        // Distance-ball enumeration over the 2N dimensions in the
-        // paper's nesting order (cores of cluster N-1..0, then levels
-        // of N-1..0, last dimension fastest): only in-cap, in-bounds
+        let mut sweep = Sweep {
+            ctx,
+            d: params.d,
+            center: cur_idx,
+            idx: cur_idx,
+            state: *ctx.current,
+            total_cores: ctx.current.total_cores() as i64,
+            tracker: BestTracker::new(*ctx.current, current_eval, ctx.tabu),
+            cache,
+            truncated: false,
+            observer,
+        };
+        // Distance-ball walk over the 2N dimensions in the paper's
+        // nesting order (cores of cluster N-1..0, then levels of
+        // N-1..0, last dimension fastest): only in-cap, in-bounds
         // offset vectors are generated, in the legacy odometer's exact
         // order.
-        let dims = sweep_ball_dims(ctx, params, &cur_idx);
-        let mut cand_idx = cur_idx;
-        let mut truncated = false;
-        let (nodes, _) = dims.enumerate(params.d, &mut |offset| {
-            if offset.iter().all(|&o| o == 0) {
-                return true; // the center: already the incumbent
-            }
-            let mut total_cores = 0i64;
-            for (pos, i) in (0..n).rev().enumerate() {
-                let c = ClusterId(i);
-                let cores = cur_idx.cores(c) + offset[pos];
-                cand_idx.set_cores(c, cores);
-                cand_idx.set_level(c, cur_idx.level(c) + offset[n + pos]);
-                total_cores += cores;
-            }
-            if total_cores == 0 {
-                return true; // no cores anywhere: not a valid state
-            }
-            let cand = space
-                .state_at(&cand_idx)
-                .expect("ball dimensions are clamped to the valid intervals");
-            if ctx.out_of_budget(&cache) {
-                truncated = true;
-                return false;
-            }
-            // The ball visits each index exactly once: skip the
-            // memoization map (see `evaluate_uncached`).
-            let eval = ctx.evaluate_uncached(&cand_idx, &mut cache);
-            explored += 1;
-            observer(cand);
-            tracker.offer(cand, eval);
-            true
-        });
-        let mut out = tracker.finish(explored, cache.evaluated());
-        out.stats.truncated = truncated;
+        let (nodes, _) = sweep_ball_dims(ctx, params, &cur_idx).walk(params.d, &mut sweep);
+        // Every explored state, the current one included, is evaluated.
+        let explored = sweep.cache.evaluated();
+        let mut out = sweep.tracker.finish(explored, explored);
+        out.stats.truncated = sweep.truncated;
         out.stats.nodes = nodes;
         out
     }

@@ -124,29 +124,33 @@ impl SearchContext<'_> {
             cache.hits += 1;
             return eval;
         }
-        let eval = self.evaluate_fresh(idx, cache);
+        let eval = self.partial(cache).evaluate(idx, None);
+        let eval = eval.expect("an evaluation without an incumbent is kept");
         cache.map.insert(*idx, eval);
         eval
     }
 
-    /// [`SearchContext::evaluate`] without the memoization map — for
-    /// strategies that visit every state exactly once (the exhaustive
-    /// sweep's ball enumeration), where probing and populating the map
-    /// is pure overhead. The evaluation still counts toward
-    /// [`EvalCache::evaluated`] and still goes through the shared
-    /// `PartialEvaluator`, so stats and results are identical.
-    pub fn evaluate_uncached(&self, idx: &StateIndex, cache: &mut EvalCache) -> CandidateEval {
+    /// [`SearchContext::evaluate`] when the result is
+    /// [`better_than`](CandidateEval::better_than) `best`, else `None`;
+    /// a candidate that misses the target is ranked before the power
+    /// model runs. Skips the memoization map, for strategies that visit
+    /// each state once (the exhaustive sweep), and still counts toward
+    /// [`EvalCache::evaluated`].
+    pub fn evaluate_if_better(
+        &self,
+        idx: &StateIndex,
+        cache: &mut EvalCache,
+        best: &CandidateEval,
+    ) -> Option<CandidateEval> {
         cache.uncached += 1;
-        self.evaluate_fresh(idx, cache)
+        self.partial(cache).evaluate(idx, Some(best))
     }
 
-    /// One estimator evaluation through the period's `PartialEvaluator`,
-    /// built at the first miss.
-    fn evaluate_fresh(&self, idx: &StateIndex, cache: &mut EvalCache) -> CandidateEval {
+    /// The period's `PartialEvaluator`, built at the first evaluation.
+    fn partial<'c>(&self, cache: &'c mut EvalCache) -> &'c PartialEvaluator {
         cache
             .partial
             .get_or_insert_with(|| PartialEvaluator::new(self))
-            .evaluate(idx)
     }
 
     /// `true` once the anytime evaluation limit is exhausted — checked
@@ -187,7 +191,7 @@ pub struct EvalCache {
     map: HashMap<StateIndex, CandidateEval, FnvBuild>,
     hits: usize,
     /// Evaluations taken through the map-free path
-    /// ([`SearchContext::evaluate_uncached`]).
+    /// ([`SearchContext::evaluate_if_better`]).
     uncached: usize,
     /// The period's factored evaluator, built lazily at the first miss.
     partial: Option<PartialEvaluator>,
@@ -246,6 +250,11 @@ impl<'a> BestTracker<'a> {
         eval.satisfies && self.best.satisfies && eval.perf_per_watt > self.best.perf_per_watt * 1.05
     }
 
+    /// The incumbent's evaluation.
+    pub fn best(&self) -> &CandidateEval {
+        &self.best
+    }
+
     /// Offers a candidate; returns `true` when it became the new best.
     pub fn offer(&mut self, cand: SystemState, eval: CandidateEval) -> bool {
         if self.admits(&cand, &eval) && eval.better_than(&self.best) {
@@ -282,7 +291,7 @@ impl<'a> BestTracker<'a> {
 ///
 /// Out-of-crate implementations get the full ranking core: evaluate
 /// candidates through [`SearchContext::evaluate`] (or
-/// [`SearchContext::evaluate_uncached`]) and track the incumbent with
+/// [`SearchContext::evaluate_if_better`]) and track the incumbent with
 /// [`BestTracker`] so tabu, aspiration and the satisfaction-first
 /// ordering behave exactly like the shipped strategies. Plug one into a
 /// running manager with a [`SearchStrategyFactory`]
