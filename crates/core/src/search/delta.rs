@@ -314,15 +314,13 @@ mod tests {
         }
     }
 
-    /// The 5-cluster case (the full space is too large to sweep in a
-    /// proptest case): sampled states of the server preset, three
-    /// contexts.
-    #[test]
-    fn partial_evaluator_matches_full_evaluator_on_the_5_cluster_server() {
-        let board = BoardSpec::server_5c_48core();
-        let space = StateSpace::from_board(&board);
-        let perf = PerfEstimator::from_board(&board);
-        let power = PowerEstimator::synthetic_for_board(&board);
+    /// Sampled states of `board` (a pseudo-random, deterministic walk
+    /// over the index space) evaluate bit-identically through the
+    /// partial evaluator.
+    fn check_sampled_states(board: &BoardSpec) {
+        let space = StateSpace::from_board(board);
+        let perf = PerfEstimator::from_board(board);
+        let power = PowerEstimator::synthetic_for_board(board);
         let target = heartbeats::PerfTarget::new(9.0, 11.0).unwrap();
         let constraints = SearchConstraints::unrestricted(&space);
         let current = space.max_state();
@@ -339,7 +337,6 @@ mod tests {
             eval_limit: None,
         };
         let pe = PartialEvaluator::new(&ctx);
-        // A pseudo-random walk over the index space (deterministic).
         let mut pick = 0x9E37_79B9u64;
         for _ in 0..500 {
             let per: Vec<(usize, hmp_sim::FreqKhz)> = space
@@ -370,7 +367,29 @@ mod tests {
                 slow.perf_per_watt.to_bits(),
                 "{state}"
             );
+            assert_eq!(fast.satisfies, slow.satisfies, "{state}");
         }
+    }
+
+    /// The 5-cluster case (the full space is too large to sweep in a
+    /// proptest case): sampled states of the server preset.
+    #[test]
+    fn partial_evaluator_matches_full_evaluator_on_the_5_cluster_server() {
+        check_sampled_states(&BoardSpec::server_5c_48core());
+    }
+
+    /// Past five clusters the evaluator's arrays are `MAX_CLUSTERS`
+    /// wide: sampled states of a 7-cluster board.
+    #[test]
+    fn partial_evaluator_matches_full_evaluator_past_five_clusters() {
+        let shape = [
+            (2, 3, 100, 0),
+            (1, 4, 200, 3),
+            (3, 2, 300, 5),
+            (2, 5, 100, 7),
+        ];
+        let shape: Vec<_> = shape.iter().cycle().take(7).copied().collect();
+        check_sampled_states(&random_board(&shape));
     }
 
     proptest! {
