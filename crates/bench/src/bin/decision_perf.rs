@@ -6,8 +6,10 @@
 //! For each board (2/3/4/5 clusters) and strategy the bench times
 //! full adaptation-period decisions from three representative centers
 //! (interior mid-space, the boot-time max state, a small low state)
-//! and reports decisions/sec, evaluations per decision and the
-//! truncation rate. For the exhaustive policy it also reports the
+//! and reports decisions/sec, evaluations per decision, the
+//! truncation rate and the measured wall time per evaluated state
+//! (`ns_per_eval`). The JSON also records the host's
+//! `available_parallelism`. For the exhaustive policy it also reports the
 //! enumeration economics: the legacy box odometer's `(m+n+1)^(2N)`
 //! iteration count versus the distance-ball enumerator's walk nodes
 //! (`hars_core::search::count_enumeration_nodes`).
@@ -28,10 +30,11 @@
 //! `(evaluated, nodes, wall_ns)` point, and a non-negative
 //! least-squares fit of `wall_ns ≈ evaluated·c_state + nodes·c_node`
 //! recovers the measured per-evaluation and per-node costs. The fit is
-//! printed and written to the JSON report. Its rounded per-evaluation
-//! cost backs `hars_core::config::CALIBRATED_COST_PER_STATE_NS`; the
-//! managers charge evaluations only, so the per-node cost is reported
-//! as a measurement and backs no constant.
+//! printed and written to the JSON report. An earlier run of this fit
+//! set `hars_core::config::CALIBRATED_COST_PER_STATE_NS`, which stays
+//! fixed (see its doc), so the report is where the current cost is
+//! read; the managers charge evaluations only, so the per-node cost is
+//! reported as a measurement and backs no constant.
 //!
 //! ```sh
 //! cargo run --release -p hars-bench --bin decision_perf [-- --quick] [--out BENCH_search.json]
@@ -112,6 +115,9 @@ struct Row {
     truncated: usize,
     micros_per_decision: f64,
     decisions_per_sec: f64,
+    /// Measured wall time per evaluated state (the decisions' total
+    /// over their total evaluations).
+    ns_per_eval: f64,
 }
 
 /// One measured decision, for the overhead-model fit.
@@ -254,6 +260,7 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
         }
         let micros = 1e6 * best_secs_total / decisions as f64;
         rows.push(Row {
+            ns_per_eval: 1e9 * best_secs_total / evaluated as f64,
             policy: name,
             decisions,
             explored: explored / decisions,
@@ -274,7 +281,12 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
     }
 }
 
-fn render_json(reports: &[BoardReport], quick: bool, calibration: (f64, f64, usize)) -> String {
+fn render_json(
+    reports: &[BoardReport],
+    quick: bool,
+    cores: usize,
+    calibration: (f64, f64, usize),
+) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"bench\": \"decision_perf\",");
@@ -283,6 +295,7 @@ fn render_json(reports: &[BoardReport], quick: bool, calibration: (f64, f64, usi
         "  \"mode\": \"{}\",",
         if quick { "quick" } else { "full" }
     );
+    let _ = writeln!(s, "  \"available_parallelism\": {cores},");
     let _ = writeln!(s, "  \"cost_per_state_ns\": {COST_PER_STATE_NS},");
     let _ = writeln!(s, "  \"budget_ns\": {BUDGET_NS},");
     let (cal_state, cal_node, cal_points) = calibration;
@@ -311,7 +324,8 @@ fn render_json(reports: &[BoardReport], quick: bool, calibration: (f64, f64, usi
                 s,
                 "        {{ \"policy\": \"{}\", \"decisions\": {}, \"explored\": {}, \
                  \"evaluated\": {}, \"truncated\": {}, \"truncation_rate\": {:.3}, \
-                 \"micros_per_decision\": {:.1}, \"decisions_per_sec\": {:.1} }}{}",
+                 \"micros_per_decision\": {:.1}, \"decisions_per_sec\": {:.1}, \
+                 \"ns_per_eval\": {:.1} }}{}",
                 row.policy,
                 row.decisions,
                 row.explored,
@@ -320,6 +334,7 @@ fn render_json(reports: &[BoardReport], quick: bool, calibration: (f64, f64, usi
                 row.truncated as f64 / row.decisions as f64,
                 row.micros_per_decision,
                 row.decisions_per_sec,
+                row.ns_per_eval,
                 if i + 1 == r.rows.len() { "" } else { "," }
             );
         }
@@ -350,8 +365,16 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
     println!(
-        "{:<28} {:>2}  {:<14} {:>10} {:>10} {:>6} {:>11} {:>12}",
-        "board", "N", "policy", "explored", "evaluated", "trunc", "µs/decision", "decisions/s"
+        "{:<28} {:>2}  {:<14} {:>10} {:>10} {:>6} {:>11} {:>12} {:>8}",
+        "board",
+        "N",
+        "policy",
+        "explored",
+        "evaluated",
+        "trunc",
+        "µs/decision",
+        "decisions/s",
+        "ns/eval"
     );
 
     let boards = [
@@ -365,7 +388,7 @@ fn main() {
         let report = measure_board(board, quick);
         for row in &report.rows {
             println!(
-                "{:<28} {:>2}  {:<14} {:>10} {:>10} {:>4}/{} {:>10.0}µ {:>12.1}",
+                "{:<28} {:>2}  {:<14} {:>10} {:>10} {:>4}/{} {:>10.0}µ {:>12.1} {:>8.1}",
                 report.name,
                 report.clusters,
                 row.policy,
@@ -374,7 +397,8 @@ fn main() {
                 row.truncated,
                 row.decisions,
                 row.micros_per_decision,
-                row.decisions_per_sec
+                row.decisions_per_sec,
+                row.ns_per_eval
             );
         }
         println!(
@@ -450,7 +474,8 @@ fn main() {
         points.len()
     );
 
-    let json = render_json(&reports, quick, (cal_state, cal_node, points.len()));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = render_json(&reports, quick, cores, (cal_state, cal_node, points.len()));
     std::fs::write(&out_path, &json).expect("write BENCH_search.json");
     println!("\nwrote {out_path}");
 }
