@@ -1,7 +1,7 @@
 //! Decision-loop performance baseline: the machine-readable perf
 //! numbers (`BENCH_search.json`) behind the decision-loop overhaul —
 //! distance-ball enumeration, delta evaluation and the anytime
-//! budgeted search.
+//! evaluation limit a decision budget sets.
 //!
 //! For each board (2/3/4/5 clusters) and strategy the bench times
 //! full adaptation-period decisions from three representative centers
@@ -19,11 +19,13 @@
 //! 1. on the 4-cluster server the ball enumerator takes ≥ 50× fewer
 //!    iterations than the box odometer, and its node count stays
 //!    proportional to the candidate count;
-//! 2. a budgeted strategy never exceeds its evaluation allowance by
-//!    more than the mandatory current-state evaluation, and reports
-//!    `truncated` whenever the budget binds;
-//! 3. every strategy's decision agrees with its unbudgeted self across
-//!    repeats (pure determinism).
+//! 2. a strategy run under the evaluation limit a budget buys (the
+//!    `budgeted-*` rows: `budget_ns / cost_per_state_ns` evaluations,
+//!    set as `SearchContext::eval_limit` the way the managers set it)
+//!    never exceeds it by more than the mandatory current-state
+//!    evaluation, and reports `truncated` whenever the limit binds;
+//! 3. every strategy's decision agrees with itself across repeats
+//!    (pure determinism).
 //!
 //! The bench also *calibrates* the search-overhead model: every
 //! `(policy, center, board)` decision contributes one
@@ -46,7 +48,7 @@ use std::time::Instant;
 use hars_core::policy::SearchPolicy;
 use hars_core::search::{
     count_enumeration_nodes, count_sweep_candidates, SearchConstraints, SearchContext,
-    SearchParams, SearchStrategy,
+    SearchParams, SearchStrategyFactory,
 };
 use hars_core::{PerfEstimator, PowerEstimator, StateSpace, SystemState};
 use heartbeats::PerfTarget;
@@ -56,22 +58,27 @@ const COST_PER_STATE_NS: u64 = 3_000;
 /// The anytime allowance under test: 0.3 ms of modeled decision time,
 /// i.e. 100 evaluations at the default per-state cost.
 const BUDGET_NS: u64 = 300_000;
+/// The evaluation limit [`BUDGET_NS`] buys.
+const ALLOWANCE: usize = (BUDGET_NS / COST_PER_STATE_NS) as usize;
 
-fn policies() -> Vec<(&'static str, SearchPolicy)> {
+/// Each row's policy and evaluation limit.
+fn policies() -> Vec<(&'static str, SearchPolicy, Option<usize>)> {
     vec![
-        ("exhaustive", SearchPolicy::exhaustive_default()),
+        ("exhaustive", SearchPolicy::exhaustive_default(), None),
         (
             "budgeted-exh",
-            SearchPolicy::budgeted(SearchPolicy::exhaustive_default(), BUDGET_NS),
+            SearchPolicy::exhaustive_default(),
+            Some(ALLOWANCE),
         ),
-        ("beam(8,7)", SearchPolicy::beam_default()),
-        ("adaptive-beam", SearchPolicy::adaptive_beam_default()),
+        ("beam(8,7)", SearchPolicy::beam_default(), None),
+        ("adaptive-beam", SearchPolicy::adaptive_beam_default(), None),
         (
             "budgeted-beam",
-            SearchPolicy::budgeted(SearchPolicy::beam_default(), BUDGET_NS),
+            SearchPolicy::beam_default(),
+            Some(ALLOWANCE),
         ),
-        ("frontier", SearchPolicy::Frontier),
-        ("incremental", SearchPolicy::Incremental),
+        ("frontier", SearchPolicy::Frontier, None),
+        ("incremental", SearchPolicy::Incremental, None),
     ]
 }
 
@@ -199,7 +206,7 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
 
     let mut rows = Vec::new();
     let mut fit_points = Vec::new();
-    for (name, policy) in policies() {
+    for (name, policy, eval_limit) in policies() {
         let mut explored = 0usize;
         let mut evaluated = 0usize;
         let mut truncated = 0usize;
@@ -216,10 +223,9 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
                 perf: &perf,
                 power: &power,
                 tabu: &[],
-                eval_limit: None,
+                eval_limit,
             };
             let strategy = policy.strategy_for(*rate > target.avg(), COST_PER_STATE_NS);
-            let strategy: &dyn SearchStrategy = &strategy;
             let t0 = Instant::now();
             let mut out = strategy.next_state(&ctx);
             let mut best = t0.elapsed().as_secs_f64();
@@ -238,11 +244,10 @@ fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
                 best = best.min(t0.elapsed().as_secs_f64());
                 out = again;
             }
-            if name.starts_with("budgeted") {
-                let allowance = (BUDGET_NS / COST_PER_STATE_NS) as usize;
+            if let Some(limit) = eval_limit {
                 assert!(
-                    out.stats.evaluated <= allowance + 1,
-                    "{name} on {}: {} evaluations exceed the {allowance}-evaluation budget + 1",
+                    out.stats.evaluated <= limit + 1,
+                    "{name} on {}: {} evaluations exceed the {limit}-evaluation budget + 1",
                     board.name,
                     out.stats.evaluated
                 );
@@ -448,7 +453,7 @@ fn main() {
             .iter()
             .find(|row| row.policy == "exhaustive")
             .expect("exhaustive row");
-        if exhaustive.evaluated > (BUDGET_NS / COST_PER_STATE_NS) as usize * 2 {
+        if exhaustive.evaluated > ALLOWANCE * 2 {
             assert!(
                 budgeted.truncated > 0,
                 "{}: a binding budget must truncate",
@@ -459,7 +464,7 @@ fn main() {
     println!(
         "PASS budget: truncation reported wherever the {}-evaluation allowance binds, \
          never exceeded by more than one evaluation",
-        BUDGET_NS / COST_PER_STATE_NS
+        ALLOWANCE
     );
 
     // --- overhead-model calibration: fit the measured wall times.

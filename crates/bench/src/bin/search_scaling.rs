@@ -31,7 +31,7 @@ use std::time::Instant;
 use hars_core::calibrate::run_power_calibration;
 use hars_core::policy::SearchPolicy;
 use hars_core::search::{
-    count_sweep_candidates, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
+    count_sweep_candidates, SearchConstraints, SearchContext, SearchParams, SearchStrategyFactory,
 };
 use hars_core::{
     run_single_app, HarsConfig, PerfEstimator, PowerEstimator, RuntimeManager, StateSpace,
@@ -125,7 +125,6 @@ fn cost_section(quick: bool) -> (u128, Vec<(String, Vec<CostRow>)>) {
                 continue;
             }
             let strategy = policy.strategy_for(true, 3_000);
-            let strategy: &dyn SearchStrategy = &strategy;
             let t0 = Instant::now();
             let mut out = strategy.next_state(&ctx);
             let mut best_micros = t0.elapsed().as_secs_f64() * 1e6;

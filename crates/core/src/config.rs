@@ -8,8 +8,11 @@
 //! stay fixed in [`HarsConfig`](crate::manager::HarsConfig) /
 //! `MpHarsConfig`. Everything an operator may retune mid-run lives in
 //! the [`RuntimeConfig`] snapshot both managers share: the search
-//! policy and its anytime budget, the modeled per-evaluation search
-//! cost and ratio learning. The snapshot and its version live in
+//! policy, the anytime decision budget, the modeled per-evaluation
+//! search cost and ratio learning. The budget is a field of its own,
+//! independent of the policy: each decision turns it into the
+//! evaluation limit ([`RuntimeConfig::eval_limit`]) every strategy
+//! checks. The snapshot and its version live in
 //! [`DecisionCore`](crate::manager::DecisionCore), and change only
 //! through [`DecisionCore::apply`](crate::manager::DecisionCore::apply),
 //! which each manager's `apply_config(&ConfigDelta) ->
@@ -70,9 +73,12 @@ impl std::fmt::Display for ConfigVersion {
 /// old one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
-    /// Search policy (including any anytime [`SearchPolicy::Budgeted`]
-    /// wrapper — `budget_ns` retunes through [`ConfigDelta::budget`]).
+    /// Search policy.
     pub policy: SearchPolicy,
+    /// Anytime decision budget: modeled nanoseconds per decision,
+    /// charged at `cost_per_state_ns` per estimator evaluation (`None`
+    /// = unbudgeted). Set and cleared through [`ConfigDelta::budget`].
+    pub budget_ns: Option<u64>,
     /// Modeled CPU cost per candidate state evaluated (ns).
     pub cost_per_state_ns: u64,
     /// Online refinement of the assumed per-cluster ratios. Changing
@@ -83,6 +89,17 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
+    /// The evaluation limit the budget buys, which each decision sets
+    /// as [`SearchContext::eval_limit`](crate::search::SearchContext):
+    /// `budget_ns / cost_per_state_ns` evaluations. `None` without a
+    /// budget, and with a zero per-state cost, which models free
+    /// evaluations.
+    pub fn eval_limit(&self) -> Option<usize> {
+        self.budget_ns
+            .and_then(|budget| budget.checked_div(self.cost_per_state_ns))
+            .map(|evals| usize::try_from(evals).unwrap_or(usize::MAX))
+    }
+
     /// Validates `delta` against this snapshot and returns the updated
     /// snapshot. Pure: `self` is never mutated, and an `Err` means no
     /// observable change anywhere — the all-or-nothing contract
@@ -95,68 +112,34 @@ impl RuntimeConfig {
         if delta.is_empty() {
             return Err(RejectReason::EmptyDelta);
         }
-        let mut policy = match &delta.policy {
-            Some(p) => {
-                validate_policy(p)?;
-                p.clone()
-            }
-            None => self.policy.clone(),
-        };
-        match delta.budget {
+        let budget_ns = match delta.budget {
             Some(BudgetChange::Set(0)) => return Err(RejectReason::ZeroBudget),
-            Some(BudgetChange::Set(b)) => {
-                policy = match policy {
-                    SearchPolicy::Budgeted { inner, .. } => SearchPolicy::Budgeted {
-                        inner,
-                        budget_ns: b,
-                    },
-                    other => SearchPolicy::budgeted(other, b),
-                };
+            Some(BudgetChange::Set(b)) => Some(b),
+            Some(BudgetChange::Remove) if self.budget_ns.is_none() => {
+                return Err(RejectReason::NoBudgetToRemove)
             }
-            Some(BudgetChange::Remove) => {
-                policy = match policy {
-                    SearchPolicy::Budgeted { inner, .. } => *inner,
-                    _ => return Err(RejectReason::NoBudgetToRemove),
-                };
-            }
-            None => {}
-        }
+            Some(BudgetChange::Remove) => None,
+            None => self.budget_ns,
+        };
         Ok(RuntimeConfig {
-            policy,
+            policy: delta.policy.clone().unwrap_or_else(|| self.policy.clone()),
+            budget_ns,
             cost_per_state_ns: delta.cost_per_state_ns.unwrap_or(self.cost_per_state_ns),
             ratio_learning: delta.ratio_learning.unwrap_or(self.ratio_learning),
         })
     }
 }
 
-/// Rejects structurally invalid policies: a [`SearchPolicy::Budgeted`]
-/// wrapper needs a positive budget and a non-budgeted inner policy.
-fn validate_policy(p: &SearchPolicy) -> Result<(), RejectReason> {
-    if let SearchPolicy::Budgeted { inner, budget_ns } = p {
-        if *budget_ns == 0 {
-            return Err(RejectReason::ZeroBudget);
-        }
-        if matches!(**inner, SearchPolicy::Budgeted { .. }) {
-            return Err(RejectReason::NestedBudget);
-        }
-    }
-    Ok(())
-}
-
-/// How a [`ConfigDelta`] changes the anytime decision budget,
-/// independent of whether the policy delta (if any) already carries a
-/// [`SearchPolicy::Budgeted`] wrapper.
+/// How a [`ConfigDelta`] changes the anytime decision budget
+/// ([`RuntimeConfig::budget_ns`]). A policy change leaves it alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BudgetChange {
-    /// Set the budget to `ns` modeled nanoseconds per decision:
-    /// retunes an existing budget wrapper in place, or wraps the
-    /// (possibly just-changed) policy in a new one. Zero is rejected
-    /// ([`RejectReason::ZeroBudget`]) — use [`BudgetChange::Remove`]
-    /// to run unbudgeted.
+    /// Set the budget to `ns` modeled nanoseconds per decision. Zero
+    /// is rejected ([`RejectReason::ZeroBudget`]) — use
+    /// [`BudgetChange::Remove`] to run unbudgeted.
     Set(u64),
-    /// Unwrap the budget and run the inner policy to completion.
-    /// Rejected ([`RejectReason::NoBudgetToRemove`]) when the current
-    /// policy is not budgeted.
+    /// Clear the budget, so searches run to completion. Rejected
+    /// ([`RejectReason::NoBudgetToRemove`]) when no budget is set.
     Remove,
 }
 
@@ -169,7 +152,7 @@ pub enum BudgetChange {
 pub struct ConfigDelta {
     /// Replace the search policy.
     pub policy: Option<SearchPolicy>,
-    /// Change the anytime decision budget (applied after `policy`).
+    /// Set or clear the anytime decision budget, whatever the policy.
     pub budget: Option<BudgetChange>,
     /// Replace the modeled per-evaluation cost (ns).
     pub cost_per_state_ns: Option<u64>,
@@ -236,9 +219,7 @@ pub enum RejectReason {
     /// A zero decision budget (every search would be truncated to the
     /// mandatory current-state evaluation; remove the budget instead).
     ZeroBudget,
-    /// A [`SearchPolicy::Budgeted`] wrapper nested inside another.
-    NestedBudget,
-    /// [`BudgetChange::Remove`] against an unbudgeted policy.
+    /// [`BudgetChange::Remove`] when no budget is set.
     NoBudgetToRemove,
     /// No manager to reconfigure (a GTS baseline scenario).
     NoManager,
@@ -250,7 +231,6 @@ impl RejectReason {
         match self {
             RejectReason::EmptyDelta => "empty-delta",
             RejectReason::ZeroBudget => "zero-budget",
-            RejectReason::NestedBudget => "nested-budget",
             RejectReason::NoBudgetToRemove => "no-budget-to-remove",
             RejectReason::NoManager => "no-manager",
         }
@@ -270,6 +250,7 @@ mod tests {
     fn snapshot() -> RuntimeConfig {
         RuntimeConfig {
             policy: SearchPolicy::exhaustive_default(),
+            budget_ns: None,
             cost_per_state_ns: 3_000,
             ratio_learning: RatioLearning::Off,
         }
@@ -285,27 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_set_wraps_then_retunes_in_place() {
-        let cfg = snapshot();
-        let budgeted = cfg
-            .apply(&ConfigDelta::none().with_budget_ns(300_000))
-            .unwrap();
-        assert_eq!(
-            budgeted.policy,
-            SearchPolicy::budgeted(SearchPolicy::exhaustive_default(), 300_000)
-        );
-        // A second Set retunes the existing wrapper instead of nesting.
-        let retuned = budgeted
-            .apply(&ConfigDelta::none().with_budget_ns(50_000))
-            .unwrap();
-        assert_eq!(
-            retuned.policy,
-            SearchPolicy::budgeted(SearchPolicy::exhaustive_default(), 50_000)
-        );
-    }
-
-    #[test]
-    fn budget_remove_unwraps_or_rejects() {
+    fn budget_is_set_retuned_and_removed() {
         let cfg = snapshot();
         assert_eq!(
             cfg.apply(&ConfigDelta::none().without_budget()),
@@ -314,51 +275,62 @@ mod tests {
         let budgeted = cfg
             .apply(&ConfigDelta::none().with_budget_ns(300_000))
             .unwrap();
-        let back = budgeted
+        assert_eq!(budgeted.budget_ns, Some(300_000));
+        assert_eq!(budgeted.eval_limit(), Some(100));
+        let retuned = budgeted
+            .apply(&ConfigDelta::none().with_budget_ns(50_000))
+            .unwrap();
+        assert_eq!(retuned.budget_ns, Some(50_000));
+        assert_eq!(retuned.eval_limit(), Some(16));
+        let back = retuned
             .apply(&ConfigDelta::none().without_budget())
             .unwrap();
-        assert_eq!(back.policy, SearchPolicy::exhaustive_default());
+        assert_eq!(back, cfg);
+        assert_eq!(back.eval_limit(), None);
     }
 
     #[test]
-    fn zero_and_nested_budgets_are_rejected() {
+    fn zero_budgets_are_rejected_and_free_evaluations_are_unlimited() {
         let cfg = snapshot();
         assert_eq!(
             cfg.apply(&ConfigDelta::none().with_budget_ns(0)),
             Err(RejectReason::ZeroBudget)
         );
-        let nested = SearchPolicy::Budgeted {
-            inner: Box::new(SearchPolicy::budgeted(SearchPolicy::Frontier, 1_000)),
-            budget_ns: 2_000,
-        };
-        assert_eq!(
-            cfg.apply(&ConfigDelta::none().with_policy(nested)),
-            Err(RejectReason::NestedBudget)
-        );
-        let zero = SearchPolicy::Budgeted {
-            inner: Box::new(SearchPolicy::Frontier),
-            budget_ns: 0,
-        };
-        assert_eq!(
-            cfg.apply(&ConfigDelta::none().with_policy(zero)),
-            Err(RejectReason::ZeroBudget)
-        );
+        let free = cfg
+            .apply(
+                &ConfigDelta::none()
+                    .with_budget_ns(1)
+                    .with_cost_per_state_ns(0),
+            )
+            .unwrap();
+        assert_eq!(free.budget_ns, Some(1));
+        assert_eq!(free.eval_limit(), None);
     }
 
     #[test]
-    fn policy_change_and_budget_compose_in_one_delta() {
+    fn policy_and_budget_change_independently() {
         let cfg = snapshot();
-        let next = cfg
+        let both = cfg
             .apply(
                 &ConfigDelta::none()
                     .with_policy(SearchPolicy::beam_default())
                     .with_budget_ns(120_000),
             )
             .unwrap();
-        assert_eq!(
-            next.policy,
-            SearchPolicy::budgeted(SearchPolicy::beam_default(), 120_000)
-        );
+        assert_eq!(both.policy, SearchPolicy::beam_default());
+        assert_eq!(both.budget_ns, Some(120_000));
+        // A policy change keeps the active budget.
+        let frontier = both
+            .apply(&ConfigDelta::none().with_policy(SearchPolicy::Frontier))
+            .unwrap();
+        assert_eq!(frontier.policy, SearchPolicy::Frontier);
+        assert_eq!(frontier.budget_ns, Some(120_000));
+        // Removing the budget keeps the policy.
+        let unbudgeted = frontier
+            .apply(&ConfigDelta::none().without_budget())
+            .unwrap();
+        assert_eq!(unbudgeted.policy, SearchPolicy::Frontier);
+        assert_eq!(unbudgeted.budget_ns, None);
     }
 
     #[test]
@@ -369,6 +341,7 @@ mod tests {
             .unwrap();
         assert_eq!(next.cost_per_state_ns, 25);
         assert_eq!(next.policy, cfg.policy);
+        assert_eq!(next.budget_ns, cfg.budget_ns);
         assert_eq!(next.ratio_learning, cfg.ratio_learning);
     }
 
@@ -376,7 +349,6 @@ mod tests {
     fn reason_codes_are_stable() {
         assert_eq!(RejectReason::EmptyDelta.code(), "empty-delta");
         assert_eq!(RejectReason::ZeroBudget.code(), "zero-budget");
-        assert_eq!(RejectReason::NestedBudget.code(), "nested-budget");
         assert_eq!(RejectReason::NoBudgetToRemove.code(), "no-budget-to-remove");
         assert_eq!(RejectReason::NoManager.code(), "no-manager");
         assert_eq!(RejectReason::NoManager.to_string(), "no-manager");

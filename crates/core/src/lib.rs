@@ -98,9 +98,8 @@ pub use predictor::{Kalman1D, Predictor};
 pub use ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
 pub use sched::SchedulerKind;
 pub use search::{
-    AnyStrategy, BeamSearch, BestTracker, ExhaustiveSweep, FreqChange, GreedyFrontier,
-    SearchConstraints, SearchContext, SearchOutcome, SearchParams, SearchStats, SearchStrategy,
-    SearchStrategyFactory,
+    BeamSearch, BestTracker, ExhaustiveSweep, FreqChange, GreedyFrontier, SearchConstraints,
+    SearchContext, SearchOutcome, SearchParams, SearchStats, SearchStrategy, SearchStrategyFactory,
 };
 pub use state::{StateSpace, SystemState};
 pub use telemetry::{NullSink, TelemetryEvent, TelemetrySink, VecSink};

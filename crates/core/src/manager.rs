@@ -29,8 +29,7 @@ use crate::predictor::Predictor;
 use crate::ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
 use crate::sched::{default_core_allocation, plan_affinities, SchedulerKind};
 use crate::search::{
-    SearchConstraints, SearchContext, SearchOutcome, SearchStats, SearchStrategy,
-    SearchStrategyFactory,
+    SearchConstraints, SearchContext, SearchOutcome, SearchStats, SearchStrategyFactory,
 };
 use crate::state::{StateSpace, SystemState};
 
@@ -101,6 +100,7 @@ impl HarsConfig {
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             policy: self.policy.clone(),
+            budget_ns: None,
             cost_per_state_ns: self.cost_per_state_ns,
             ratio_learning: self.ratio_learning,
         }
@@ -240,7 +240,8 @@ impl DecisionCore {
 
     /// One search from `current` (Algorithm 1 line 8, Algorithm 3 line
     /// 20). The installed factory, else the configured policy, supplies
-    /// the strategy. The search is priced per estimator evaluation
+    /// the strategy, and the config's decision budget sets its
+    /// evaluation limit. The search is priced per estimator evaluation
     /// (cache hits are free). The charge is stamped on the stats as
     /// `wall_ns` once, and every downstream consumer — `busy_ns`, the
     /// decision's apply latency, run-level totals — reads it from
@@ -258,20 +259,12 @@ impl DecisionCore {
         constraints: &SearchConstraints,
         tabu: &[SystemState],
     ) -> Option<(SearchOutcome, Option<PendingPrediction>)> {
-        let overperforming = rate > target.avg();
         let cost = self.runtime.cost_per_state_ns;
-        let external;
-        let resolved;
-        let strategy: &dyn SearchStrategy = match &self.strategy_factory {
-            Some(f) => {
-                external = f.strategy_for(overperforming, cost);
-                &*external
-            }
-            None => {
-                resolved = self.runtime.policy.strategy_for(overperforming, cost);
-                &resolved
-            }
-        };
+        let factory = self
+            .strategy_factory
+            .as_deref()
+            .unwrap_or(&self.runtime.policy);
+        let strategy = factory.strategy_for(rate > target.avg(), cost);
         let ctx = SearchContext {
             space: &self.space,
             current,
@@ -282,7 +275,7 @@ impl DecisionCore {
             perf: &self.perf,
             power: &self.power,
             tabu,
-            eval_limit: None,
+            eval_limit: self.runtime.eval_limit(),
         };
         let mut outcome = strategy.next_state(&ctx);
         outcome.stats.wall_ns = outcome.stats.evaluated as u64 * cost;
@@ -408,7 +401,8 @@ impl RuntimeManager {
         Ok(self.core.config_version())
     }
 
-    /// Installs an out-of-crate [`SearchStrategy`] source: every
+    /// Installs an out-of-crate
+    /// [`SearchStrategy`](crate::search::SearchStrategy) source: every
     /// subsequent decision consults `factory` instead of resolving the
     /// configured policy (see [`DecisionCore::strategy_factory`]).
     pub fn set_search_strategy_factory(&mut self, factory: Arc<dyn SearchStrategyFactory>) {
@@ -890,7 +884,7 @@ mod tests {
 
     #[test]
     fn strategy_factory_overrides_the_configured_policy() {
-        use crate::search::{BestTracker, EvalCache, SearchStrategyFactory};
+        use crate::search::{BestTracker, EvalCache, SearchStrategy};
 
         /// A degenerate external strategy: never moves.
         #[derive(Debug)]

@@ -1,17 +1,21 @@
 //! Search-policy presets: HARS-I, HARS-E and HARS-EI as evaluated in the
 //! paper, the scalable beam/frontier policies for many-cluster boards,
-//! and the knobs the sensitivity study sweeps.
+//! and the knobs the sensitivity study sweeps. A policy is the managers'
+//! default [`SearchStrategyFactory`]; the anytime decision budget is not
+//! a policy but [`RuntimeConfig::budget_ns`](crate::config::RuntimeConfig),
+//! which bounds whichever strategy a decision runs.
 
 use serde::{Deserialize, Serialize};
 
 use crate::sched::SchedulerKind;
 use crate::search::{
-    AnyStrategy, BeamSearch, BudgetedSearch, ExhaustiveSweep, GreedyFrontier, SearchParams,
+    BeamSearch, ExhaustiveSweep, GreedyFrontier, SearchParams, SearchStrategy,
+    SearchStrategyFactory,
 };
 
 /// How the runtime manager searches for the next state each adaptation
 /// period. The policy is resolved per adaptation into a
-/// [`crate::search::SearchStrategy`] via [`SearchPolicy::strategy_for`].
+/// [`SearchStrategy`] through its [`SearchStrategyFactory`] impl.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchPolicy {
     /// HARS-I: one incremental step, direction chosen by whether the app
@@ -45,20 +49,6 @@ pub enum SearchPolicy {
     /// neighbor improves — HARS-I generalized to arbitrary walk length
     /// and cluster counts.
     Frontier,
-    /// Anytime wrapper: run `inner` until the modeled decision budget
-    /// `budget_ns` is exhausted (charged at the manager's
-    /// `cost_per_state_ns` per estimator evaluation), then yield the
-    /// best-so-far incumbent with
-    /// [`SearchStats::truncated`](crate::search::SearchStats) set. A
-    /// budgeted search never exceeds its allowance by more than the
-    /// mandatory current-state evaluation, so a manager can bound its
-    /// per-period overhead regardless of board size or inner policy.
-    Budgeted {
-        /// The wrapped policy (any non-budgeted variant).
-        inner: Box<SearchPolicy>,
-        /// Modeled decision-time allowance per adaptation (ns).
-        budget_ns: u64,
-    },
 }
 
 impl SearchPolicy {
@@ -79,20 +69,10 @@ impl SearchPolicy {
         SearchPolicy::AdaptiveBeam { width: 8, d: 7 }
     }
 
-    /// Wraps `inner` in an anytime decision budget of `budget_ns`
-    /// modeled nanoseconds per adaptation.
-    pub fn budgeted(inner: SearchPolicy, budget_ns: u64) -> Self {
-        SearchPolicy::Budgeted {
-            inner: Box::new(inner),
-            budget_ns,
-        }
-    }
-
     /// The sweep-equivalent `(m, n, d)` bounds of this policy for the
     /// given violation direction — what the pre-trait managers passed
     /// to the search function. [`SearchPolicy::Frontier`] reports its
-    /// single-step building block; [`SearchPolicy::Budgeted`] its
-    /// inner policy's bounds (the budget shrinks work, not reach).
+    /// single-step building block.
     pub fn params_for(&self, overperforming: bool) -> SearchParams {
         match self {
             SearchPolicy::Incremental => {
@@ -107,32 +87,27 @@ impl SearchPolicy {
                 SearchParams::new(*d, *d, *d)
             }
             SearchPolicy::Frontier => SearchParams::new(1, 1, 1),
-            SearchPolicy::Budgeted { inner, .. } => inner.params_for(overperforming),
         }
     }
+}
 
+impl SearchStrategyFactory for SearchPolicy {
     /// Resolves the policy into the concrete strategy for one
-    /// adaptation, given the direction of the target violation and the
-    /// manager's modeled per-evaluation cost (`cost_per_state_ns`,
-    /// which [`SearchPolicy::Budgeted`] converts into its evaluation
-    /// allowance; the other policies ignore it).
-    pub fn strategy_for(&self, overperforming: bool, cost_per_state_ns: u64) -> AnyStrategy {
+    /// adaptation, given the direction of the target violation. The
+    /// per-evaluation cost is not read: a decision budget reaches every
+    /// strategy as its context's evaluation limit.
+    fn strategy_for(
+        &self,
+        overperforming: bool,
+        _cost_per_state_ns: u64,
+    ) -> Box<dyn SearchStrategy> {
         match self {
             SearchPolicy::Incremental | SearchPolicy::Exhaustive(_) => {
-                AnyStrategy::Exhaustive(ExhaustiveSweep::new(self.params_for(overperforming)))
+                Box::new(ExhaustiveSweep::new(self.params_for(overperforming)))
             }
-            SearchPolicy::Beam { width, d } => AnyStrategy::Beam(BeamSearch::new(*width, *d)),
-            SearchPolicy::AdaptiveBeam { width, d } => {
-                AnyStrategy::Beam(BeamSearch::adaptive(*width, *d))
-            }
-            SearchPolicy::Frontier => AnyStrategy::Frontier(GreedyFrontier::default()),
-            SearchPolicy::Budgeted { inner, budget_ns } => {
-                AnyStrategy::Budgeted(BudgetedSearch::new(
-                    inner.strategy_for(overperforming, cost_per_state_ns),
-                    *budget_ns,
-                    cost_per_state_ns,
-                ))
-            }
+            SearchPolicy::Beam { width, d } => Box::new(BeamSearch::new(*width, *d)),
+            SearchPolicy::AdaptiveBeam { width, d } => Box::new(BeamSearch::adaptive(*width, *d)),
+            SearchPolicy::Frontier => Box::new(GreedyFrontier::default()),
         }
     }
 }
@@ -188,7 +163,12 @@ pub fn hars_ei_with_distance(d: i64) -> HarsVariant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::SearchStrategy;
+    use crate::perf_est::PerfEstimator;
+    use crate::power_est::PowerEstimator;
+    use crate::search::{SearchConstraints, SearchContext};
+    use crate::state::StateSpace;
+    use heartbeats::PerfTarget;
+    use hmp_sim::BoardSpec;
 
     #[test]
     fn incremental_direction_switch() {
@@ -227,71 +207,63 @@ mod tests {
 
     #[test]
     fn policies_resolve_to_their_strategies() {
-        assert_eq!(
-            SearchPolicy::exhaustive_default()
-                .strategy_for(true, 3_000)
-                .name(),
-            "exhaustive"
-        );
-        assert_eq!(
-            SearchPolicy::Incremental.strategy_for(false, 3_000).name(),
-            "exhaustive"
-        );
-        match SearchPolicy::beam_default().strategy_for(true, 3_000) {
-            AnyStrategy::Beam(b) => {
-                assert_eq!(b.width, 8);
-                assert_eq!(b.params.d, 7);
-            }
-            other => panic!("expected beam, got {other:?}"),
+        let board = BoardSpec::dynamiq_1p_3m_4l();
+        let space = StateSpace::from_board(&board);
+        let perf = PerfEstimator::from_board(&board);
+        let power = PowerEstimator::synthetic_for_board(&board);
+        let target = PerfTarget::new(9.0, 11.0).unwrap();
+        let constraints = SearchConstraints::unrestricted(&space);
+        let current = space.max_state();
+        let ctx = SearchContext {
+            space: &space,
+            current: &current,
+            observed_rate: 30.0,
+            threads: 8,
+            target: &target,
+            constraints: &constraints,
+            perf: &perf,
+            power: &power,
+            tabu: &[],
+            eval_limit: None,
+        };
+        let cases: [(SearchPolicy, Box<dyn SearchStrategy>); 5] = [
+            (
+                SearchPolicy::exhaustive_default(),
+                Box::new(ExhaustiveSweep::new(SearchParams::exhaustive())),
+            ),
+            (
+                SearchPolicy::Incremental,
+                Box::new(ExhaustiveSweep::new(SearchParams::incremental_shrink())),
+            ),
+            (
+                SearchPolicy::beam_default(),
+                Box::new(BeamSearch::new(8, 7)),
+            ),
+            (
+                SearchPolicy::adaptive_beam_default(),
+                Box::new(BeamSearch::adaptive(8, 7)),
+            ),
+            (SearchPolicy::Frontier, Box::new(GreedyFrontier::default())),
+        ];
+        let mut outcomes = Vec::new();
+        for (policy, direct) in &cases {
+            let resolved = policy.strategy_for(true, 3_000);
+            assert_eq!(resolved.name(), direct.name(), "{policy:?}");
+            let out = resolved.next_state(&ctx);
+            assert_eq!(out, direct.next_state(&ctx), "{policy:?}");
+            outcomes.push(out);
         }
-        assert_eq!(
-            SearchPolicy::Frontier.strategy_for(true, 3_000).name(),
-            "frontier"
-        );
-    }
-
-    #[test]
-    fn adaptive_beam_resolves_to_adaptive_strategy() {
-        match SearchPolicy::adaptive_beam_default().strategy_for(true, 3_000) {
-            AnyStrategy::Beam(b) => {
-                assert!(b.adaptive);
-                assert_eq!((b.width, b.params.d), (8, 7));
+        // The outcomes tell the strategies apart, so a policy resolving
+        // to the wrong width, distance or beam flavour would fail.
+        for (i, a) in outcomes.iter().enumerate() {
+            for b in &outcomes[i + 1..] {
+                assert_ne!(a.stats, b.stats);
             }
-            other => panic!("expected adaptive beam, got {other:?}"),
         }
-        assert_eq!(
-            SearchPolicy::adaptive_beam_default()
-                .strategy_for(true, 3_000)
-                .name(),
-            "adaptive-beam"
-        );
-        // Same sweep-equivalent bounds as the plain beam.
+        // The adaptive beam keeps the plain beam's sweep-equivalent bounds.
         assert_eq!(
             SearchPolicy::adaptive_beam_default().params_for(false),
             SearchPolicy::beam_default().params_for(false)
         );
-    }
-
-    #[test]
-    fn budgeted_resolves_to_wrapped_strategy() {
-        let p = SearchPolicy::budgeted(SearchPolicy::exhaustive_default(), 300_000);
-        // Bounds delegate to the inner policy.
-        assert_eq!(
-            p.params_for(true),
-            SearchPolicy::exhaustive_default().params_for(true)
-        );
-        match p.strategy_for(true, 3_000) {
-            AnyStrategy::Budgeted(b) => {
-                assert_eq!(b.budget_ns, 300_000);
-                assert_eq!(b.cost_per_state_ns, 3_000);
-                assert_eq!(b.max_evaluations(), 100);
-                match *b.inner {
-                    AnyStrategy::Exhaustive(_) => {}
-                    ref other => panic!("expected exhaustive inner, got {other:?}"),
-                }
-            }
-            other => panic!("expected budgeted, got {other:?}"),
-        }
-        assert_eq!(p.strategy_for(true, 3_000).name(), "budgeted");
     }
 }

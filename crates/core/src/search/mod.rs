@@ -20,12 +20,13 @@
 //!   to `O(k·d·N)` evaluations on many-cluster boards where even the
 //!   candidate count explodes;
 //! * [`GreedyFrontier`] — single-step coordinate descent until no
-//!   neighbor improves, the large-N generalization of HARS-I;
-//! * [`BudgetedSearch`] — the anytime wrapper
-//!   ([`SearchPolicy::Budgeted`](crate::policy::SearchPolicy::Budgeted)):
-//!   any inner strategy under a modeled decision-time budget, yielding
-//!   the best-so-far incumbent (with [`SearchStats::truncated`] set)
-//!   once `budget_ns / cost_per_state_ns` evaluations are spent.
+//!   neighbor improves, the large-N generalization of HARS-I.
+//!
+//! Every strategy is anytime: it checks [`SearchContext::eval_limit`]
+//! before each evaluation and, once the limit is spent, yields the
+//! best-so-far incumbent with [`SearchStats::truncated`] set. The
+//! managers set the limit from the config's decision budget,
+//! `budget_ns / cost_per_state_ns` evaluations.
 //!
 //! Candidate evaluation itself is factored: the per-period
 //! [`EvalCache`] owns a delta evaluator (the `delta` module) that
@@ -59,19 +60,16 @@
 
 mod ball;
 mod beam;
-mod budget;
 mod delta;
 mod exhaustive;
 mod frontier;
 mod strategy;
 
 pub use beam::BeamSearch;
-pub use budget::BudgetedSearch;
 pub use exhaustive::{count_enumeration_nodes, count_sweep_candidates, ExhaustiveSweep};
 pub use frontier::GreedyFrontier;
 pub use strategy::{
-    AnyStrategy, BestTracker, EvalCache, SearchContext, SearchStats, SearchStrategy,
-    SearchStrategyFactory,
+    BestTracker, EvalCache, SearchContext, SearchStats, SearchStrategy, SearchStrategyFactory,
 };
 
 use heartbeats::PerfTarget;

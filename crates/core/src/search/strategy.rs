@@ -58,12 +58,11 @@ pub struct SearchStats {
     /// serialized before this field existed.)
     #[serde(default)]
     pub nodes: u64,
-    /// `true` when an anytime budget ([`SearchPolicy::Budgeted`])
-    /// stopped the search before it ran to completion and the outcome
-    /// is the best-so-far incumbent. ORs across merges: a run-level
-    /// total reports whether *any* decision was truncated.
-    ///
-    /// [`SearchPolicy::Budgeted`]: crate::policy::SearchPolicy::Budgeted
+    /// `true` when the evaluation limit
+    /// ([`SearchContext::eval_limit`]) stopped the search before it ran
+    /// to completion and the outcome is the best-so-far incumbent. ORs
+    /// across merges: a run-level total reports whether *any* decision
+    /// was truncated.
     #[serde(default)]
     pub truncated: bool,
 }
@@ -104,9 +103,11 @@ pub struct SearchContext<'a> {
     pub tabu: &'a [SystemState],
     /// Anytime evaluation limit (`None` = unlimited): strategies check
     /// it *before* each estimator evaluation and stop with
-    /// [`SearchStats::truncated`] set once `evaluated` reaches it. Set
-    /// by [`BudgetedSearch`](super::BudgetedSearch); leave `None`
-    /// elsewhere.
+    /// [`SearchStats::truncated`] set once `evaluated` reaches it.
+    /// [`DecisionCore::decide`](crate::manager::DecisionCore::decide)
+    /// sets it from the config's decision budget
+    /// ([`RuntimeConfig::eval_limit`](crate::config::RuntimeConfig::eval_limit)),
+    /// for the policy's strategy and an installed factory's alike.
     pub eval_limit: Option<usize>,
 }
 
@@ -318,16 +319,16 @@ pub trait SearchStrategy {
     }
 }
 
-/// The manager-level hook for out-of-crate search policies: installed
-/// with `set_search_strategy_factory`, it is held by the managers'
-/// shared [`DecisionCore`](crate::manager::DecisionCore) and consulted
-/// *instead of*
-/// [`SearchPolicy::strategy_for`](crate::policy::SearchPolicy::strategy_for)
-/// at every decision, with the manager's current over/under-performance
-/// verdict and the live
+/// Where a decision's strategy comes from. The configured
+/// [`SearchPolicy`](crate::policy::SearchPolicy) is the managers'
+/// default factory. An out-of-crate policy is installed with
+/// `set_search_strategy_factory`; the managers' shared
+/// [`DecisionCore`](crate::manager::DecisionCore) then consults it
+/// *instead of* the policy at every decision, with the manager's
+/// current over/under-performance verdict and the live
 /// [`RuntimeConfig`](crate::config::RuntimeConfig)'s
-/// `cost_per_state_ns` so anytime budgets price evaluations the same
-/// way the shipped strategies do.
+/// `cost_per_state_ns`. Either way the config's decision budget
+/// reaches the strategy as [`SearchContext::eval_limit`].
 ///
 /// `Send + Sync` because managers are `Send`-shareable across scenario
 /// shards; `Debug` because the core derives it. The factory itself
@@ -339,29 +340,11 @@ pub trait SearchStrategyFactory: std::fmt::Debug + Send + Sync {
         -> Box<dyn SearchStrategy>;
 }
 
-/// A concrete, clonable carrier for any shipped strategy — what
-/// [`crate::policy::SearchPolicy::strategy_for`] hands the managers,
-/// which then call through `&dyn SearchStrategy`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyStrategy {
-    /// Algorithm 2's bounded exhaustive sweep.
-    Exhaustive(super::ExhaustiveSweep),
-    /// Best-k Manhattan-ring beam search.
-    Beam(super::BeamSearch),
-    /// Greedy single-dimension coordinate descent.
-    Frontier(super::GreedyFrontier),
-    /// Any of the above under an anytime decision budget.
-    Budgeted(super::BudgetedSearch),
-}
-
-impl SearchStrategy for AnyStrategy {
+/// A boxed strategy is a strategy, so wrappers generic over
+/// `S: SearchStrategy` accept what a factory returns.
+impl<S: SearchStrategy + ?Sized> SearchStrategy for Box<S> {
     fn name(&self) -> &'static str {
-        match self {
-            AnyStrategy::Exhaustive(s) => s.name(),
-            AnyStrategy::Beam(s) => s.name(),
-            AnyStrategy::Frontier(s) => s.name(),
-            AnyStrategy::Budgeted(s) => s.name(),
-        }
+        (**self).name()
     }
 
     fn next_state_observed(
@@ -369,12 +352,7 @@ impl SearchStrategy for AnyStrategy {
         ctx: &SearchContext<'_>,
         observer: &mut dyn FnMut(SystemState),
     ) -> SearchOutcome {
-        match self {
-            AnyStrategy::Exhaustive(s) => s.next_state_observed(ctx, observer),
-            AnyStrategy::Beam(s) => s.next_state_observed(ctx, observer),
-            AnyStrategy::Frontier(s) => s.next_state_observed(ctx, observer),
-            AnyStrategy::Budgeted(s) => s.next_state_observed(ctx, observer),
-        }
+        (**self).next_state_observed(ctx, observer)
     }
 }
 

@@ -694,9 +694,9 @@ mod tests {
             (
                 TelemetryEvent::ConfigRejected {
                     t_ns: 2,
-                    reason: "nested-budget".into(),
+                    reason: "zero-budget".into(),
                 },
-                r#"{"event":"config_rejected","t_ns":2,"reason":"nested-budget"}"#,
+                r#"{"event":"config_rejected","t_ns":2,"reason":"zero-budget"}"#,
             ),
             (
                 TelemetryEvent::AdmissionVerdict {

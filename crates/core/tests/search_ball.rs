@@ -8,12 +8,13 @@
 //!    on randomized boards up to 5 clusters, under random bounds and
 //!    constraints — so decisions, stats and ranking tie-breaks are
 //!    bit-identical while the work drops to the candidate count;
-//! 2. **budgeted(∞) == inner** — wrapping any strategy in
-//!    [`SearchPolicy::Budgeted`] with an effectively infinite budget
+//! 2. **limit(∞) == unlimited** — running any policy's strategy under
+//!    an effectively infinite evaluation limit
+//!    ([`SearchContext::eval_limit`], what a decision budget sets)
 //!    changes nothing: state, eval and stats are equal;
-//! 3. **budget overrun ≤ 1** — a finite budget is never exceeded by
-//!    more than the mandatory current-state evaluation, and a binding
-//!    budget reports `truncated`;
+//! 3. **budget overrun ≤ 1** — a finite evaluation limit is never
+//!    exceeded by more than the mandatory current-state evaluation,
+//!    and a binding limit reports `truncated`;
 //! 4. **sweep == per-candidate reference** — under tabu lists drawn
 //!    from the ball and any eval limit, the sweep's outcome, stats and
 //!    observed sequence equal those of a plain loop that evaluates
@@ -27,7 +28,7 @@ use hars_core::policy::SearchPolicy;
 use hars_core::power_est::{LinearCoeff, PowerEstimator};
 use hars_core::search::{
     evaluate_state, BestTracker, ExhaustiveSweep, FreqChange, SearchConstraints, SearchContext,
-    SearchOutcome, SearchParams, SearchStrategy,
+    SearchOutcome, SearchParams, SearchStrategy, SearchStrategyFactory,
 };
 use hars_core::{PerfEstimator, StateSpace, SystemState};
 use hmp_sim::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder};
@@ -403,8 +404,8 @@ proptest! {
         check_sweep_matches_reference(&fx.ctx(&cur, rate, threads, &tabu, eval_limit), params);
     }
 
-    /// Wrapping any policy in an effectively infinite budget is the
-    /// identity: state, eval and stats all match the inner policy's.
+    /// An effectively infinite evaluation limit is the identity:
+    /// state, eval and stats all match the unlimited search's.
     #[test]
     fn infinite_budget_matches_inner_strategy(
         shape in proptest::collection::vec((1usize..=4, 2usize..=5, 1u32..=3, 0u32..=12), 1..4),
@@ -444,17 +445,19 @@ proptest! {
             2 => SearchPolicy::adaptive_beam_default(),
             _ => SearchPolicy::Frontier,
         };
-        let plain = inner.strategy_for(rate > center, 3_000).next_state(&ctx);
-        let budgeted = SearchPolicy::budgeted(inner, u64::MAX)
-            .strategy_for(rate > center, 3_000)
-            .next_state(&ctx);
-        prop_assert_eq!(plain.state, budgeted.state);
-        prop_assert_eq!(plain.eval, budgeted.eval);
-        prop_assert_eq!(plain.stats, budgeted.stats);
+        let strategy = inner.strategy_for(rate > center, 3_000);
+        let plain = strategy.next_state(&ctx);
+        let limited = strategy.next_state(&SearchContext {
+            eval_limit: Some(usize::MAX),
+            ..ctx
+        });
+        prop_assert_eq!(plain.state, limited.state);
+        prop_assert_eq!(plain.eval, limited.eval);
+        prop_assert_eq!(plain.stats, limited.stats);
     }
 
-    /// A finite budget is never exceeded by more than one evaluation,
-    /// and a binding budget reports truncation.
+    /// A finite evaluation limit is never exceeded by more than one
+    /// evaluation, and a binding limit reports truncation.
     #[test]
     fn budget_overrun_is_at_most_one_evaluation(
         shape in proptest::collection::vec((1usize..=4, 2usize..=5, 1u32..=3, 0u32..=12), 1..4),
@@ -464,7 +467,7 @@ proptest! {
         center in 1.0f64..40.0,
         threads in 1usize..10,
         which in 0usize..4,
-        budget_evals in 0u64..50,
+        budget_evals in 0usize..50,
     ) {
         let shape: Vec<(usize, usize, u32, u32)> = shape
             .into_iter()
@@ -495,18 +498,19 @@ proptest! {
             2 => SearchPolicy::adaptive_beam_default(),
             _ => SearchPolicy::Frontier,
         };
-        let cost = 3_000u64;
-        let free = inner.strategy_for(rate > center, cost).next_state(&ctx);
-        let out = SearchPolicy::budgeted(inner, budget_evals * cost)
-            .strategy_for(rate > center, cost)
-            .next_state(&ctx);
+        let strategy = inner.strategy_for(rate > center, 3_000);
+        let free = strategy.next_state(&ctx);
+        let out = strategy.next_state(&SearchContext {
+            eval_limit: Some(budget_evals),
+            ..ctx
+        });
         prop_assert!(
-            out.stats.evaluated as u64 <= budget_evals + 1,
+            out.stats.evaluated <= budget_evals + 1,
             "evaluated {} exceeds budget {} + 1",
             out.stats.evaluated,
             budget_evals
         );
-        if (out.stats.evaluated as u64) < free.stats.evaluated as u64 {
+        if out.stats.evaluated < free.stats.evaluated {
             prop_assert!(out.stats.truncated, "a binding budget must report truncation");
         }
         // Anytime result stays valid and on the board.

@@ -74,6 +74,7 @@ impl MpHarsConfig {
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             policy: self.policy.clone(),
+            budget_ns: None,
             cost_per_state_ns: self.cost_per_state_ns,
             ratio_learning: self.ratio_learning,
         }

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
 use hars_core::metrics::normalized_performance;
+use hars_core::policy::SearchPolicy;
 use hars_core::power_est::PowerEstimator;
 use hars_core::search::SearchStats;
 use hars_core::{NullSink, PerfEstimator, RejectReason, TelemetryEvent, TelemetrySink};
@@ -183,20 +184,12 @@ impl ScenarioRuntime {
     pub fn label(&self) -> &'static str {
         match self {
             ScenarioRuntime::Gts => "GTS",
-            ScenarioRuntime::MpHars { cfg, .. } => {
-                fn label_of(p: &hars_core::policy::SearchPolicy) -> &'static str {
-                    match p {
-                        hars_core::policy::SearchPolicy::Incremental => "MP-HARS-I",
-                        hars_core::policy::SearchPolicy::Exhaustive(_) => "MP-HARS-E",
-                        hars_core::policy::SearchPolicy::Beam { .. }
-                        | hars_core::policy::SearchPolicy::AdaptiveBeam { .. } => "MP-HARS-B",
-                        hars_core::policy::SearchPolicy::Frontier => "MP-HARS-F",
-                        // A budget keeps the inner policy's identity.
-                        hars_core::policy::SearchPolicy::Budgeted { inner, .. } => label_of(inner),
-                    }
-                }
-                label_of(&cfg.policy)
-            }
+            ScenarioRuntime::MpHars { cfg, .. } => match cfg.policy {
+                SearchPolicy::Incremental => "MP-HARS-I",
+                SearchPolicy::Exhaustive(_) => "MP-HARS-E",
+                SearchPolicy::Beam { .. } | SearchPolicy::AdaptiveBeam { .. } => "MP-HARS-B",
+                SearchPolicy::Frontier => "MP-HARS-F",
+            },
         }
     }
 }

@@ -33,10 +33,6 @@ fn managers() -> (RuntimeManager, MpHarsManager) {
 
 #[test]
 fn both_managers_share_one_control_plane() {
-    let nested = SearchPolicy::Budgeted {
-        inner: Box::new(SearchPolicy::budgeted(SearchPolicy::Frontier, 1_000)),
-        budget_ns: 2_000,
-    };
     let steps: Vec<(ConfigDelta, Result<u64, RejectReason>)> = vec![
         (ConfigDelta::none(), Err(RejectReason::EmptyDelta)),
         (
@@ -53,10 +49,6 @@ fn both_managers_share_one_control_plane() {
         (
             ConfigDelta::none().with_budget_ns(0),
             Err(RejectReason::ZeroBudget),
-        ),
-        (
-            ConfigDelta::none().with_policy(nested),
-            Err(RejectReason::NestedBudget),
         ),
         (ConfigDelta::none().with_cost_per_state_ns(10), Ok(5)),
         (
