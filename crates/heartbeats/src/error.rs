@@ -20,15 +20,6 @@ pub enum HeartbeatError {
         /// Offending timestamp.
         offered_ns: u64,
     },
-    /// An operation needed more heartbeat history than was available.
-    InsufficientHistory {
-        /// Number of heartbeats required.
-        needed: usize,
-        /// Number of heartbeats recorded so far.
-        have: usize,
-    },
-    /// The requested application id is not registered.
-    UnknownApp(u64),
 }
 
 impl fmt::Display for HeartbeatError {
@@ -44,11 +35,6 @@ impl fmt::Display for HeartbeatError {
                 f,
                 "heartbeat timestamp {offered_ns} ns precedes previous {previous_ns} ns"
             ),
-            HeartbeatError::InsufficientHistory { needed, have } => write!(
-                f,
-                "operation needs {needed} heartbeats but only {have} recorded"
-            ),
-            HeartbeatError::UnknownApp(id) => write!(f, "unknown application id {id}"),
         }
     }
 }
@@ -67,8 +53,6 @@ mod tests {
                 previous_ns: 5,
                 offered_ns: 3,
             },
-            HeartbeatError::InsufficientHistory { needed: 4, have: 1 },
-            HeartbeatError::UnknownApp(9),
         ];
         for e in errors {
             let msg = e.to_string();

@@ -32,17 +32,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod app_id;
 mod error;
 mod monitor;
 mod record;
-mod registry;
 mod target;
 mod window;
 
+pub use app_id::AppId;
 pub use error::HeartbeatError;
 pub use monitor::HeartbeatMonitor;
 pub use record::{HeartbeatRate, HeartbeatRecord};
-pub use registry::{AppId, HeartbeatRegistry};
 pub use target::PerfTarget;
 pub use window::RateWindow;
 

@@ -1,9 +1,9 @@
 //! Per-application runtime state: the data-parallel barrier, the pipeline
-//! queue network, and heartbeat bookkeeping.
+//! queue network, and heartbeat bookkeeping, monitor included.
 
 use std::collections::VecDeque;
 
-use heartbeats::AppId;
+use heartbeats::{AppId, HeartbeatMonitor};
 
 use crate::spec::AppSpec;
 
@@ -39,8 +39,11 @@ pub(crate) enum ModelState {
 pub(crate) struct AppState {
     /// The immutable specification.
     pub spec: AppSpec,
-    /// Heartbeat registry id (also the engine-facing application id).
-    pub hb_id: AppId,
+    /// The engine-facing application id: this app's index in the
+    /// engine's app table.
+    pub id: AppId,
+    /// The app's heartbeat monitor (rate window and target band).
+    pub monitor: HeartbeatMonitor,
     /// Global engine thread-table indices of this app's threads, in
     /// thread-id order.
     pub threads: Vec<usize>,
@@ -55,9 +58,10 @@ pub(crate) struct AppState {
 }
 
 impl AppState {
-    /// Builds the initial state for `spec` (threads are registered by the
+    /// Builds the initial state for `spec`, with a monitor over a rate
+    /// window of `hb_window` heartbeats (threads are registered by the
     /// engine afterwards).
-    pub fn new(spec: AppSpec, hb_id: AppId) -> Self {
+    pub fn new(spec: AppSpec, id: AppId, hb_window: usize) -> Self {
         let model = match &spec.model {
             crate::spec::ParallelismModel::DataParallel => ModelState::DataParallel {
                 unit: 0,
@@ -77,7 +81,8 @@ impl AppState {
         };
         Self {
             spec,
-            hb_id,
+            id,
+            monitor: HeartbeatMonitor::new(hb_window),
             threads: Vec::new(),
             model,
             units_done: 0,
@@ -122,7 +127,7 @@ mod tests {
     #[test]
     fn data_parallel_chunks_split_equally() {
         let spec = AppSpec::data_parallel("x", 8, 400.0);
-        let app = AppState::new(spec, AppId(0));
+        let app = AppState::new(spec, AppId(0), 4);
         assert!((app.chunk_work(0) - 50.0).abs() < 1e-12);
         assert!(matches!(
             app.model,
@@ -137,7 +142,7 @@ mod tests {
     fn startup_phase_flag() {
         let mut spec = AppSpec::data_parallel("x", 4, 100.0);
         spec.startup_work = 500.0;
-        let app = AppState::new(spec, AppId(0));
+        let app = AppState::new(spec, AppId(0), 4);
         assert!(matches!(
             app.model,
             ModelState::DataParallel {
@@ -155,7 +160,7 @@ mod tests {
             stage_work_frac: vec![0.2, 0.5, 0.3],
             queue_capacity: 8,
         };
-        let app = AppState::new(spec, AppId(1));
+        let app = AppState::new(spec, AppId(1), 4);
         match &app.model {
             ModelState::Pipeline { queues, .. } => assert_eq!(queues.len(), 2),
             _ => panic!("expected pipeline state"),
@@ -167,7 +172,7 @@ mod tests {
     fn heartbeat_batching() {
         let mut spec = AppSpec::data_parallel("x", 1, 1.0);
         spec.items_per_heartbeat = 4;
-        let app = AppState::new(spec, AppId(0));
+        let app = AppState::new(spec, AppId(0), 4);
         assert!(!app.heartbeat_due(0));
         assert!(!app.heartbeat_due(3));
         assert!(app.heartbeat_due(4));
@@ -179,7 +184,7 @@ mod tests {
     fn varying_schedule_changes_chunks() {
         let mut spec = AppSpec::data_parallel("x", 2, 1.0);
         spec.work = WorkSource::Schedule(vec![10.0, 20.0]);
-        let app = AppState::new(spec, AppId(0));
+        let app = AppState::new(spec, AppId(0), 4);
         assert!((app.chunk_work(0) - 5.0).abs() < 1e-12);
         assert!((app.chunk_work(1) - 10.0).abs() < 1e-12);
         assert!((app.chunk_work(2) - 5.0).abs() < 1e-12);

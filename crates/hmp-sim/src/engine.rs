@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use heartbeats::{AppId, HeartbeatMonitor, HeartbeatRegistry, PerfTarget};
+use heartbeats::{AppId, HeartbeatMonitor, PerfTarget};
 
 use crate::app::{AppState, ModelState};
 use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
@@ -25,7 +25,6 @@ use crate::sched::{dequeue_thread, place_thread, CoreState, GtsConfig};
 use crate::sensor::PowerSensor;
 use crate::spec::{AppSpec, ParallelismModel};
 use crate::thread::{BlockReason, RunState, ThreadState};
-use crate::trace::{TraceEvent, TraceLog};
 
 /// Work remaining below this many units counts as complete.
 const WORK_EPS: f64 = 1e-9;
@@ -137,8 +136,9 @@ pub struct Engine {
     freqs: Vec<FreqKhz>,
     cores: Vec<CoreState>,
     threads: Vec<ThreadState>,
+    /// Applications in registration order; an app's [`AppId`] is its
+    /// index here.
     apps: Vec<AppState>,
-    registry: HeartbeatRegistry,
     energy: EnergyMeter,
     sensor: PowerSensor,
     next_tick_ns: u64,
@@ -146,8 +146,6 @@ pub struct Engine {
     events: VecDeque<HeartbeatEvent>,
     /// Pipeline threads' current item ids (parallel to `threads`).
     cur_items: Vec<Option<u64>>,
-    /// Optional event trace (disabled by default).
-    trace: TraceLog,
     /// Per-cluster frequency-change epochs (stamp for `speed_cache`).
     freq_epochs: Vec<u64>,
     /// Per-core memoized thread speeds, parallel to each core's run
@@ -190,16 +188,21 @@ impl Engine {
     ///
     /// Clusters start at their **maximum** frequencies (the Linux
     /// performance governor state the paper's baseline runs under).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid board or GTS config, or an `hb_window`
+    /// below 2.
     pub fn new(board: BoardSpec, cfg: EngineConfig) -> Self {
         cfg.gts.assert_valid();
         board.assert_valid();
+        assert!(cfg.hb_window >= 2, "rate window needs capacity >= 2");
         let cores = (0..board.n_cores())
             .map(|i| CoreState::new(CoreId(i), board.cluster_of(CoreId(i))))
             .collect();
         let freqs: Vec<FreqKhz> = board.cluster_ids().map(|c| board.ladder(c).max()).collect();
         let sensor = PowerSensor::new(board.sensor_period_ns, cfg.sensor_noise, cfg.seed);
         let next_tick_ns = cfg.gts.tick_ns;
-        let registry = HeartbeatRegistry::new(cfg.hb_window);
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
         Self {
@@ -210,14 +213,12 @@ impl Engine {
             cores,
             threads: Vec::new(),
             apps: Vec::new(),
-            registry,
             energy: EnergyMeter::new(),
             sensor,
             next_tick_ns,
             actions: BTreeMap::new(),
             events: VecDeque::new(),
             cur_items: Vec::new(),
-            trace: TraceLog::disabled(),
             freq_epochs: vec![0; n_clusters],
             speed_cache: vec![SpeedCache::default(); n_cores],
             faults: FaultPlan::empty(),
@@ -230,18 +231,6 @@ impl Engine {
             stalled_heartbeats: 0,
             ticks_fast_forwarded: 0,
         }
-    }
-
-    /// Enables event tracing, retaining up to `capacity` events (see
-    /// [`TraceLog`]). Call before running; tracing an already-running
-    /// engine only captures events from this point on.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceLog::enabled(capacity);
-    }
-
-    /// The event trace (empty unless [`Engine::enable_trace`] was called).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// The board this engine simulates.
@@ -300,10 +289,9 @@ impl Engine {
     /// Returns [`SimError::InvalidSpec`] when `spec` fails validation.
     pub fn add_app(&mut self, spec: AppSpec) -> Result<AppId, SimError> {
         spec.validate()?;
-        let hb_id = self.registry.register(None);
-        debug_assert_eq!(hb_id.0 as usize, self.apps.len(), "app ids track app order");
         let app_idx = self.apps.len();
-        let mut app = AppState::new(spec.clone(), hb_id);
+        let id = AppId(app_idx as u64);
+        let mut app = AppState::new(spec.clone(), id, self.cfg.hb_window);
         let all = self.board.all_cores();
         for local in 0..spec.threads {
             let tid = self.threads.len();
@@ -314,7 +302,7 @@ impl Engine {
         }
         self.apps.push(app);
         self.start_app(app_idx);
-        Ok(hb_id)
+        Ok(id)
     }
 
     /// Sets the performance target the app's monitor classifies against.
@@ -323,10 +311,11 @@ impl Engine {
     ///
     /// Returns [`SimError::UnknownApp`] for an unregistered id.
     pub fn set_perf_target(&mut self, app: AppId, target: PerfTarget) -> Result<(), SimError> {
-        self.registry
-            .monitor_mut(app)
-            .map_err(|_| SimError::UnknownApp(app.0))?
-            .set_target(target);
+        let a = self
+            .apps
+            .get_mut(app.0 as usize)
+            .ok_or(SimError::UnknownApp(app.0))?;
+        a.monitor.set_target(target);
         Ok(())
     }
 
@@ -336,9 +325,9 @@ impl Engine {
     ///
     /// Returns [`SimError::UnknownApp`] for an unregistered id.
     pub fn monitor(&self, app: AppId) -> Result<&HeartbeatMonitor, SimError> {
-        self.registry
-            .monitor(app)
-            .map_err(|_| SimError::UnknownApp(app.0))
+        self.app_ref(app)
+            .map(|a| &a.monitor)
+            .ok_or(SimError::UnknownApp(app.0))
     }
 
     /// `true` once `app` has emitted its configured heartbeat budget.
@@ -491,14 +480,7 @@ impl Engine {
         match action {
             Action::SetClusterFreq { cluster, freq } => {
                 let freq = self.clamp_quarantined(cluster, freq);
-                let from = self.freqs[cluster.index()];
-                if from != freq {
-                    self.trace.record(TraceEvent::FreqChange {
-                        time_ns: self.now_ns,
-                        cluster,
-                        from,
-                        to: freq,
-                    });
+                if self.freqs[cluster.index()] != freq {
                     self.freq_epochs[cluster.index()] += 1;
                 }
                 self.freqs[cluster.index()] = freq;
@@ -1027,7 +1009,12 @@ impl Engine {
                 update_loads(&self.cfg.gts, &mut self.threads);
                 false
             } else {
-                self.gts_tick_traced()
+                gts_tick(
+                    &self.cfg.gts,
+                    &self.board,
+                    &mut self.threads,
+                    &mut self.cores,
+                )
             };
             self.ticks_fast_forwarded += 1;
             self.next_tick_ns += tick_ns;
@@ -1121,7 +1108,12 @@ impl Engine {
             }
             // Scheduler tick.
             if self.next_tick_ns <= self.now_ns {
-                self.gts_tick_traced();
+                gts_tick(
+                    &self.cfg.gts,
+                    &self.board,
+                    &mut self.threads,
+                    &mut self.cores,
+                );
                 self.next_tick_ns += self.cfg.gts.tick_ns;
                 progressed = true;
             }
@@ -1151,44 +1143,6 @@ impl Engine {
         } else {
             self.sensor.sample(now, truth);
         }
-    }
-
-    /// Runs one GTS tick at the current instant, recording each
-    /// migration in the trace when tracing is on. Returns `true` when
-    /// the tick moved a thread; the caller advances the tick schedule.
-    fn gts_tick_traced(&mut self) -> bool {
-        let before: Vec<Option<CoreId>> = if self.trace.is_enabled() {
-            self.threads.iter().map(|t| t.core).collect()
-        } else {
-            Vec::new()
-        };
-        let moved = gts_tick(
-            &self.cfg.gts,
-            &self.board,
-            &mut self.threads,
-            &mut self.cores,
-        );
-        for (tid, prev) in before.iter().enumerate() {
-            let now_core = self.threads[tid].core;
-            if let Some(to) = now_core {
-                if *prev != now_core {
-                    let t = &self.threads[tid];
-                    let local = self.apps[t.app]
-                        .threads
-                        .iter()
-                        .position(|&x| x == tid)
-                        .unwrap_or(0);
-                    self.trace.record(TraceEvent::Migration {
-                        time_ns: self.now_ns,
-                        app: self.apps[t.app].hb_id.0,
-                        thread: local,
-                        from: *prev,
-                        to,
-                    });
-                }
-            }
-        }
-        moved
     }
 
     /// Instantaneous true per-cluster power (W) — what the sensor
@@ -1321,25 +1275,18 @@ impl Engine {
     /// budget and the engine-to-driver event stream still advance — a
     /// wedged telemetry daemon does not pause the application.
     fn emit_heartbeat(&mut self, app_idx: usize) {
-        let hb_id = self.apps[app_idx].hb_id;
-        let index = self.apps[app_idx].heartbeats;
-        self.apps[app_idx].heartbeats += 1;
+        let app = &mut self.apps[app_idx];
+        let index = app.heartbeats;
+        app.heartbeats += 1;
         if self.now_ns < self.hb_stall_until {
             self.stalled_heartbeats += 1;
         } else {
-            self.registry
-                .emit(hb_id, self.now_ns)
-                .expect("engine-registered app");
+            app.monitor.emit(self.now_ns);
         }
         self.events.push_back(HeartbeatEvent {
-            app: hb_id,
+            app: app.id,
             index,
             time_ns: self.now_ns,
-        });
-        self.trace.record(TraceEvent::Heartbeat {
-            time_ns: self.now_ns,
-            app: hb_id.0,
-            index,
         });
         if let Some(max) = self.apps[app_idx].spec.max_heartbeats {
             if self.apps[app_idx].heartbeats >= max {

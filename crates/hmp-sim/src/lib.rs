@@ -56,7 +56,6 @@ mod sched;
 mod sensor;
 mod spec;
 mod thread;
-pub mod trace;
 
 pub use board::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, MAX_CLUSTERS};
 pub use cpuset::{CoreId, CpuSet, CpuSetIter};
@@ -69,7 +68,6 @@ pub use power::{board_power, cluster_power};
 pub use sched::GtsConfig;
 pub use sensor::{PowerSample, PowerSensor};
 pub use spec::{AppSpec, ParallelismModel, SpeedProfile, WorkSource};
-pub use trace::{TraceEvent, TraceLog};
 
 // Re-export the heartbeat vocabulary used across the API surface.
 pub use heartbeats::{AppId, PerfTarget};

@@ -15,6 +15,18 @@ fn quiet_engine() -> Engine {
     Engine::new(BoardSpec::odroid_xu3(), cfg)
 }
 
+/// A heartbeat rate window needs two heartbeats, so a config with a
+/// shorter one fails when the engine is built, before any app exists.
+#[test]
+#[should_panic(expected = "rate window needs capacity >= 2")]
+fn a_rate_window_below_two_heartbeats_fails_at_construction() {
+    let cfg = EngineConfig {
+        hb_window: 1,
+        ..EngineConfig::default()
+    };
+    let _ = Engine::new(BoardSpec::odroid_xu3(), cfg);
+}
+
 /// 8 threads, 4 pinned per cluster at max frequencies: the unit time is
 /// the *little*-side chunk time (the barrier waits for the slowest),
 /// matching the estimator's `t_f = max(t_B, t_L)`.

@@ -9,7 +9,7 @@
 //! absolute grid but only *observes*, so dynamics are unaffected.
 
 use hmp_sim::clock::NS_PER_SEC;
-use hmp_sim::{AppSpec, BoardSpec, Engine, EngineConfig, HeartbeatEvent, TraceEvent};
+use hmp_sim::{AppSpec, BoardSpec, CoreId, Engine, EngineConfig, HeartbeatEvent};
 use workloads::Benchmark;
 
 /// A generous deadline: every run here finishes on its own.
@@ -31,7 +31,7 @@ fn run_pair(spec: AppSpec, inject_ns: u64) -> (Vec<HeartbeatEvent>, Vec<Heartbea
     let from_start = drain_run(&mut reference);
     assert!(reference.app_done(app), "reference run must finish");
     let ref_busy: u64 = (0..board.n_cores())
-        .map(|c| reference.core_busy_ns(hmp_sim::CoreId(c)))
+        .map(|c| reference.core_busy_ns(CoreId(c)))
         .sum();
 
     let mut injected = Engine::new(board, cfg);
@@ -46,7 +46,7 @@ fn run_pair(spec: AppSpec, inject_ns: u64) -> (Vec<HeartbeatEvent>, Vec<Heartbea
         "same work completed"
     );
     let inj_busy: u64 = (0..injected.board().n_cores())
-        .map(|c| injected.core_busy_ns(hmp_sim::CoreId(c)))
+        .map(|c| injected.core_busy_ns(CoreId(c)))
         .sum();
     assert_eq!(
         ref_busy, inj_busy,
@@ -123,66 +123,40 @@ fn injection_off_the_tick_grid_still_completes_equivalently() {
 }
 
 #[test]
-fn trace_events_shift_with_the_injection_time() {
+fn busy_time_and_placement_shift_with_the_injection_time() {
+    // Bodytrack migrates under GTS, so per-core busy time and each
+    // thread's last core pin the scheduler's decisions, not just the
+    // heartbeat stream.
     let board = BoardSpec::odroid_xu3();
     let cfg = EngineConfig::default();
     let spec = Benchmark::Bodytrack.spec_with_budget(8, 5, 30);
     let t = 600_000_000; // 150 GTS ticks
 
     let mut reference = Engine::new(board.clone(), cfg.clone());
-    reference.enable_trace(100_000);
-    reference.add_app(spec.clone()).expect("spec validates");
-    reference.run_while_active(LONG);
+    let app = reference.add_app(spec.clone()).expect("spec validates");
+    let a = drain_run(&mut reference);
 
-    let mut injected = Engine::new(board, cfg);
-    injected.enable_trace(100_000);
+    let mut injected = Engine::new(board.clone(), cfg);
     injected.run_until(t);
-    injected.add_app(spec).expect("spec validates");
-    injected.run_while_active(LONG);
+    let app2 = injected.add_app(spec).expect("spec validates");
+    let b = drain_run(&mut injected);
 
-    let a = reference.trace().events();
-    let b = injected.trace().events();
-    assert_eq!(reference.trace().dropped(), 0);
-    assert_eq!(injected.trace().dropped(), 0);
-    assert_eq!(a.len(), b.len(), "same event count");
-    assert!(!a.is_empty());
-    for (ea, eb) in a.iter().zip(b) {
+    assert_shifted(&a, &b, t);
+    for c in 0..board.n_cores() {
         assert_eq!(
-            ea.time_ns() + t,
-            eb.time_ns(),
-            "every trace event shifts by the injection time"
+            reference.core_busy_ns(CoreId(c)),
+            injected.core_busy_ns(CoreId(c)),
+            "core {c} busy time"
         );
-        match (ea, eb) {
-            (
-                TraceEvent::Migration {
-                    app: aa,
-                    thread: ta,
-                    from: fa,
-                    to: ca,
-                    ..
-                },
-                TraceEvent::Migration {
-                    app: ab,
-                    thread: tb,
-                    from: fb,
-                    to: cb,
-                    ..
-                },
-            ) => {
-                assert_eq!((aa, ta, fa, ca), (ab, tb, fb, cb));
-            }
-            (
-                TraceEvent::Heartbeat {
-                    app: aa, index: ia, ..
-                },
-                TraceEvent::Heartbeat {
-                    app: ab, index: ib, ..
-                },
-            ) => {
-                assert_eq!((aa, ia), (ab, ib));
-            }
-            (other_a, other_b) => panic!("event kind mismatch: {other_a:?} vs {other_b:?}"),
-        }
+    }
+    let threads = reference.app_threads(app);
+    assert_eq!(threads, injected.app_threads(app2));
+    for th in 0..threads {
+        assert_eq!(
+            reference.thread_core(app, th).unwrap(),
+            injected.thread_core(app2, th).unwrap(),
+            "thread {th}'s last core"
+        );
     }
 }
 

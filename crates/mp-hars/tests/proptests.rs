@@ -239,7 +239,7 @@ mod churn {
                 },
             );
             // Slot -> (live id, per-app heartbeat counter); ids are
-            // fresh per registration, like the engine's registry.
+            // fresh per registration, like the engine's app ids.
             let mut live: [Option<(AppId, u64)>; 6] = [None; 6];
             let mut next_id = 0u64;
             for (kind, slot, threads, rate_bits) in ops {

@@ -159,7 +159,7 @@ pub struct ScenarioOutcome {
     /// calibration). Not fingerprinted.
     #[serde(default)]
     pub degraded_calibrations: u64,
-    /// Heartbeats the monitor registry never saw because a
+    /// Heartbeats the apps' monitors never saw because a
     /// heartbeat-stall fault window was active. Not fingerprinted.
     #[serde(default)]
     pub stalled_heartbeats: u64,
