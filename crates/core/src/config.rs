@@ -266,7 +266,25 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_set_retuned_and_removed() {
+    fn budget_set_wraps_then_retunes_in_place() {
+        let cfg = snapshot();
+        let budgeted = cfg
+            .apply(&ConfigDelta::none().with_budget_ns(300_000))
+            .unwrap();
+        assert_eq!(budgeted.budget_ns, Some(300_000));
+        assert_eq!(budgeted.eval_limit(), Some(100));
+        assert_eq!(budgeted.policy, cfg.policy);
+        // A second Set replaces the budget; there is nothing to nest.
+        let retuned = budgeted
+            .apply(&ConfigDelta::none().with_budget_ns(50_000))
+            .unwrap();
+        assert_eq!(retuned.budget_ns, Some(50_000));
+        assert_eq!(retuned.eval_limit(), Some(16));
+        assert_eq!(retuned.policy, cfg.policy);
+    }
+
+    #[test]
+    fn budget_remove_unwraps_or_rejects() {
         let cfg = snapshot();
         assert_eq!(
             cfg.apply(&ConfigDelta::none().without_budget()),
@@ -275,14 +293,7 @@ mod tests {
         let budgeted = cfg
             .apply(&ConfigDelta::none().with_budget_ns(300_000))
             .unwrap();
-        assert_eq!(budgeted.budget_ns, Some(300_000));
-        assert_eq!(budgeted.eval_limit(), Some(100));
-        let retuned = budgeted
-            .apply(&ConfigDelta::none().with_budget_ns(50_000))
-            .unwrap();
-        assert_eq!(retuned.budget_ns, Some(50_000));
-        assert_eq!(retuned.eval_limit(), Some(16));
-        let back = retuned
+        let back = budgeted
             .apply(&ConfigDelta::none().without_budget())
             .unwrap();
         assert_eq!(back, cfg);

@@ -205,8 +205,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn policies_resolve_to_their_strategies() {
+    /// Runs `f` on one over-performing decision context on the DynamIQ
+    /// board, where the policies' strategies all reach different outcomes.
+    fn with_context<R>(f: impl FnOnce(&SearchContext) -> R) -> R {
         let board = BoardSpec::dynamiq_1p_3m_4l();
         let space = StateSpace::from_board(&board);
         let perf = PerfEstimator::from_board(&board);
@@ -214,7 +215,7 @@ mod tests {
         let target = PerfTarget::new(9.0, 11.0).unwrap();
         let constraints = SearchConstraints::unrestricted(&space);
         let current = space.max_state();
-        let ctx = SearchContext {
+        f(&SearchContext {
             space: &space,
             current: &current,
             observed_rate: 30.0,
@@ -225,7 +226,27 @@ mod tests {
             power: &power,
             tabu: &[],
             eval_limit: None,
-        };
+        })
+    }
+
+    #[test]
+    fn adaptive_beam_resolves_to_adaptive_strategy() {
+        let resolved = SearchPolicy::adaptive_beam_default().strategy_for(true, 3_000);
+        assert_eq!(resolved.name(), "adaptive-beam");
+        with_context(|ctx| {
+            let out = resolved.next_state(ctx);
+            assert_eq!(out, BeamSearch::adaptive(8, 7).next_state(ctx));
+            assert_ne!(out.stats, BeamSearch::new(8, 7).next_state(ctx).stats);
+        });
+        // Same sweep-equivalent bounds as the plain beam.
+        assert_eq!(
+            SearchPolicy::adaptive_beam_default().params_for(false),
+            SearchPolicy::beam_default().params_for(false)
+        );
+    }
+
+    #[test]
+    fn policies_resolve_to_their_strategies() {
         let cases: [(SearchPolicy, Box<dyn SearchStrategy>); 5] = [
             (
                 SearchPolicy::exhaustive_default(),
@@ -246,13 +267,15 @@ mod tests {
             (SearchPolicy::Frontier, Box::new(GreedyFrontier::default())),
         ];
         let mut outcomes = Vec::new();
-        for (policy, direct) in &cases {
-            let resolved = policy.strategy_for(true, 3_000);
-            assert_eq!(resolved.name(), direct.name(), "{policy:?}");
-            let out = resolved.next_state(&ctx);
-            assert_eq!(out, direct.next_state(&ctx), "{policy:?}");
-            outcomes.push(out);
-        }
+        with_context(|ctx| {
+            for (policy, direct) in &cases {
+                let resolved = policy.strategy_for(true, 3_000);
+                assert_eq!(resolved.name(), direct.name(), "{policy:?}");
+                let out = resolved.next_state(ctx);
+                assert_eq!(out, direct.next_state(ctx), "{policy:?}");
+                outcomes.push(out);
+            }
+        });
         // The outcomes tell the strategies apart, so a policy resolving
         // to the wrong width, distance or beam flavour would fail.
         for (i, a) in outcomes.iter().enumerate() {
@@ -260,10 +283,5 @@ mod tests {
                 assert_ne!(a.stats, b.stats);
             }
         }
-        // The adaptive beam keeps the plain beam's sweep-equivalent bounds.
-        assert_eq!(
-            SearchPolicy::adaptive_beam_default().params_for(false),
-            SearchPolicy::beam_default().params_for(false)
-        );
     }
 }
