@@ -1,15 +1,19 @@
 //! Per-cluster energy integration.
 //!
-//! The engine calls [`EnergyMeter::accumulate`] on every event interval
-//! (within which the busy-core set and frequencies are constant), so the
-//! integral is exact, independent of sensor sampling.
+//! The engine integrates every event interval (within which the
+//! busy-core set and frequencies are constant) at the true cluster
+//! powers of that interval, so the integral is exact, independent of
+//! sensor sampling. It reads the powers from per-cluster rows computed
+//! when a frequency changes and hands them to
+//! [`EnergyMeter::accumulate_powers`]; a run of equal intervals (the
+//! whole ticks of a pinned busy span or of a quiescent idle span) goes
+//! to [`EnergyMeter::accumulate_repeated`], which makes the same
+//! additions as one call per interval.
 
 use serde::{Deserialize, Serialize};
 
-use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
+use crate::board::ClusterId;
 use crate::clock::ns_to_secs;
-use crate::freq::FreqKhz;
-use crate::power::cluster_power;
 
 /// Exact integrator of cluster energy over simulated time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -35,52 +39,15 @@ impl EnergyMeter {
         }
     }
 
-    /// Integrates `dt_ns` of operation with `busy[c]` cores busy on
-    /// cluster `c` at frequency `freqs[c]`.
+    /// Integrates `dt_ns` at per-cluster `powers` (W, indexed by
+    /// cluster), with `busy[c]` cores busy on cluster `c` (an empty
+    /// `busy` adds no busy time): one `joules[i] += p·dt` and
+    /// `busy_core_secs[i] += busy[i]·dt` per cluster, then
+    /// `elapsed_secs += dt`. An interval of no time adds nothing.
     ///
-    /// # Panics
-    ///
-    /// Panics when the slices do not cover every cluster of `board`.
-    pub fn accumulate(&mut self, board: &BoardSpec, freqs: &[FreqKhz], busy: &[f64], dt_ns: u64) {
-        let n = board.n_clusters();
-        assert!(freqs.len() >= n && busy.len() >= n, "per-cluster slices");
-        let mut powers = [0.0f64; MAX_CLUSTERS];
-        for cluster in board.cluster_ids() {
-            let i = cluster.index();
-            powers[i] = cluster_power(
-                board,
-                cluster,
-                freqs[i],
-                busy[i],
-                board.cluster_size(cluster),
-            );
-        }
-        self.accumulate_powers(&powers[..n], &busy[..n], dt_ns);
-    }
-
-    /// Integrates `dt_ns` of fully-idle operation with the per-cluster
-    /// powers already computed (the engine precomputes them once per
-    /// idle span — frequencies are frozen and no core is busy, so they
-    /// are constant across the span's boundaries).
-    ///
-    /// The `busy_core_secs[i] += 0.0 · dt` adds
-    /// [`EnergyMeter::accumulate`] would make are skipped: the
+    /// Skipping the busy adds of an idle span is exact: the
     /// accumulators are never `-0.0` (they start at `+0.0` and only
-    /// ever gain non-negative terms), so adding `+0.0` is an exact
-    /// no-op.
-    pub(crate) fn accumulate_idle(&mut self, powers: &[f64], dt_ns: u64) {
-        self.accumulate_powers(powers, &[], dt_ns);
-    }
-
-    /// Integrates `dt_ns` at per-cluster powers the caller already
-    /// computed, with `busy[c]` cores busy on cluster `c` (an empty
-    /// `busy` adds no busy time). Every other entry point routes
-    /// through here, so the engine's fast-forward loops — which hoist
-    /// the powers of a span whose frequencies and run queues are
-    /// frozen — perform exactly the floating-point operations the
-    /// stepped path does: the same `dt` conversion and guard, one
-    /// `joules[i] += p·dt` and `busy_core_secs[i] += busy[i]·dt` per
-    /// cluster, then `elapsed_secs += dt`.
+    /// ever gain non-negative terms), so adding `+0.0` is a no-op.
     pub(crate) fn accumulate_powers(&mut self, powers: &[f64], busy: &[f64], dt_ns: u64) {
         let dt = ns_to_secs(dt_ns);
         if dt <= 0.0 {
@@ -94,6 +61,35 @@ impl EnergyMeter {
             self.busy_core_secs[i] += b * dt;
         }
         self.elapsed_secs += dt;
+    }
+
+    /// Integrates `m` consecutive intervals of `dt_ns` at the same
+    /// `powers` and `busy` counts: bit-equal to `m` calls of
+    /// [`EnergyMeter::accumulate_powers`]. Each accumulator gets the
+    /// same `m` additions of the same term, in the same order, with the
+    /// term computed once and the running sum held in a register; the
+    /// accumulators are independent, so taking them one after another
+    /// changes no bit.
+    pub(crate) fn accumulate_repeated(&mut self, powers: &[f64], busy: &[f64], dt_ns: u64, m: u64) {
+        let dt = ns_to_secs(dt_ns);
+        if dt <= 0.0 || m == 0 {
+            return;
+        }
+        self.ensure_clusters(powers.len());
+        let add_m_times = |acc: &mut f64, term: f64| {
+            let mut sum = *acc;
+            for _ in 0..m {
+                sum += term;
+            }
+            *acc = sum;
+        };
+        for (acc, &p) in self.joules.iter_mut().zip(powers) {
+            add_m_times(acc, p * dt);
+        }
+        for (acc, &b) in self.busy_core_secs.iter_mut().zip(busy) {
+            add_m_times(acc, b * dt);
+        }
+        add_m_times(&mut self.elapsed_secs, dt);
     }
 
     /// Energy consumed by `cluster` so far (J).
@@ -173,11 +169,26 @@ impl EnergySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::board::ClusterId as C;
+    use crate::board::{BoardSpec, ClusterId as C};
     use crate::clock::NS_PER_SEC;
+    use crate::freq::FreqKhz;
+    use crate::power::cluster_power;
 
     fn xu3() -> BoardSpec {
         BoardSpec::odroid_xu3()
+    }
+
+    /// The general path: the true powers at `freqs` with `busy` cores
+    /// busy, computed afresh for this one interval.
+    fn accumulate(m: &mut EnergyMeter, b: &BoardSpec, freqs: &[FreqKhz], busy: &[f64], dt: u64) {
+        let powers: Vec<f64> = b
+            .cluster_ids()
+            .map(|c| {
+                let i = c.index();
+                cluster_power(b, c, freqs[i], busy[i], b.cluster_size(c))
+            })
+            .collect();
+        m.accumulate_powers(&powers, busy, dt);
     }
 
     fn max_freqs(b: &BoardSpec) -> Vec<FreqKhz> {
@@ -189,7 +200,7 @@ mod tests {
         let b = xu3();
         let mut m = EnergyMeter::new();
         let freqs = max_freqs(&b);
-        m.accumulate(&b, &freqs, &[4.0, 4.0], 2 * NS_PER_SEC);
+        accumulate(&mut m, &b, &freqs, &[4.0, 4.0], 2 * NS_PER_SEC);
         let p = crate::power::board_power(&b, &freqs, &[4.0, 4.0]);
         assert!((m.total_joules() - 2.0 * p).abs() < 1e-9);
         assert!((m.average_power() - p).abs() < 1e-9);
@@ -200,7 +211,7 @@ mod tests {
     fn zero_interval_is_noop() {
         let b = xu3();
         let mut m = EnergyMeter::new();
-        m.accumulate(&b, &max_freqs(&b), &[1.0, 1.0], 0);
+        accumulate(&mut m, &b, &max_freqs(&b), &[1.0, 1.0], 0);
         assert_eq!(m.total_joules(), 0.0);
         assert_eq!(m.average_power(), 0.0);
     }
@@ -209,8 +220,8 @@ mod tests {
     fn busy_core_seconds_accumulate() {
         let b = xu3();
         let mut m = EnergyMeter::new();
-        m.accumulate(&b, &max_freqs(&b), &[2.0, 3.0], NS_PER_SEC);
-        m.accumulate(&b, &max_freqs(&b), &[1.0, 0.0], NS_PER_SEC);
+        accumulate(&mut m, &b, &max_freqs(&b), &[2.0, 3.0], NS_PER_SEC);
+        accumulate(&mut m, &b, &max_freqs(&b), &[1.0, 0.0], NS_PER_SEC);
         assert!((m.busy_core_secs(C::LITTLE) - 3.0).abs() < 1e-9);
         assert!((m.busy_core_secs(C::BIG) - 3.0).abs() < 1e-9);
     }
@@ -220,9 +231,9 @@ mod tests {
         let b = xu3();
         let mut m = EnergyMeter::new();
         let freqs = max_freqs(&b);
-        m.accumulate(&b, &freqs, &[4.0, 4.0], NS_PER_SEC);
+        accumulate(&mut m, &b, &freqs, &[4.0, 4.0], NS_PER_SEC);
         let s1 = m.snapshot();
-        m.accumulate(&b, &freqs, &[0.0, 0.0], NS_PER_SEC);
+        accumulate(&mut m, &b, &freqs, &[0.0, 0.0], NS_PER_SEC);
         let s2 = m.snapshot();
         let (j, t) = s2.since(&s1);
         let p_idle = crate::power::board_power(&b, &freqs, &[0.0, 0.0]);
@@ -236,16 +247,16 @@ mod tests {
         let freqs = max_freqs(&b);
         let powers: Vec<f64> = b
             .cluster_ids()
-            .map(|c| crate::power::cluster_power(&b, c, freqs[c.index()], 0.0, b.cluster_size(c)))
+            .map(|c| cluster_power(&b, c, freqs[c.index()], 0.0, b.cluster_size(c)))
             .collect();
         let mut general = EnergyMeter::new();
         let mut idle = EnergyMeter::new();
         // Mixed busy/idle prefix so the accumulators are mid-stream.
-        general.accumulate(&b, &freqs, &[3.0, 1.0], 7_123_456);
-        idle.accumulate(&b, &freqs, &[3.0, 1.0], 7_123_456);
+        accumulate(&mut general, &b, &freqs, &[3.0, 1.0], 7_123_456);
+        accumulate(&mut idle, &b, &freqs, &[3.0, 1.0], 7_123_456);
         for dt in [1_u64, 4_000_000, 263_808_000, 999] {
-            general.accumulate(&b, &freqs, &[0.0, 0.0], dt);
-            idle.accumulate_idle(&powers, dt);
+            accumulate(&mut general, &b, &freqs, &[0.0, 0.0], dt);
+            idle.accumulate_powers(&powers, &[], dt);
         }
         for c in b.cluster_ids() {
             assert_eq!(
@@ -277,7 +288,7 @@ mod tests {
                 .cluster_ids()
                 .map(|c| {
                     let i = c.index();
-                    crate::power::cluster_power(&b, c, freqs[i], busy[i], b.cluster_size(c))
+                    cluster_power(&b, c, freqs[i], busy[i], b.cluster_size(c))
                 })
                 .collect();
             let mut general = EnergyMeter::new();
@@ -285,10 +296,10 @@ mod tests {
             // A different busy set first, so the accumulators are
             // mid-stream when the hoisted span starts.
             let other: Vec<f64> = b.cluster_ids().map(|_| 1.0).collect();
-            general.accumulate(&b, &max_freqs(&b), &other, 7_123_456);
-            hoisted.accumulate(&b, &max_freqs(&b), &other, 7_123_456);
+            accumulate(&mut general, &b, &max_freqs(&b), &other, 7_123_456);
+            accumulate(&mut hoisted, &b, &max_freqs(&b), &other, 7_123_456);
             for dt in [4_000_000_u64, 4_000_000, 1, 263_808_000, 0, 999] {
-                general.accumulate(&b, &freqs, &busy, dt);
+                accumulate(&mut general, &b, &freqs, &busy, dt);
                 hoisted.accumulate_powers(&powers, &busy, dt);
             }
             for c in b.cluster_ids() {
@@ -310,13 +321,66 @@ mod tests {
     }
 
     #[test]
+    fn repeated_accumulate_is_bit_equal_to_repeated_calls() {
+        for b in [xu3(), BoardSpec::dynamiq_1p_3m_4l()] {
+            let freqs: Vec<FreqKhz> = b.cluster_ids().map(|c| b.ladder(c).min()).collect();
+            let busy: Vec<f64> = b
+                .cluster_ids()
+                .map(|c| b.cluster_size(c).div_ceil(2) as f64)
+                .collect();
+            let powers: Vec<f64> = b
+                .cluster_ids()
+                .map(|c| {
+                    let i = c.index();
+                    cluster_power(&b, c, freqs[i], busy[i], b.cluster_size(c))
+                })
+                .collect();
+            // With busy counts (a pinned busy span) and without (an idle
+            // span, whose busy adds are skipped).
+            for busy in [&busy[..], &[]] {
+                for m in [0_u64, 1, 2, 37] {
+                    for dt in [4_000_000_u64, 263_808_001, 0] {
+                        let mut calls = EnergyMeter::new();
+                        let mut repeated = EnergyMeter::new();
+                        // Mid-stream accumulators, so every addition rounds.
+                        let other: Vec<f64> = b.cluster_ids().map(|_| 1.0).collect();
+                        accumulate(&mut calls, &b, &max_freqs(&b), &other, 7_123_457);
+                        accumulate(&mut repeated, &b, &max_freqs(&b), &other, 7_123_457);
+                        for _ in 0..m {
+                            calls.accumulate_powers(&powers, busy, dt);
+                        }
+                        repeated.accumulate_repeated(&powers, busy, dt, m);
+                        for c in b.cluster_ids() {
+                            assert_eq!(
+                                calls.cluster_joules(c).to_bits(),
+                                repeated.cluster_joules(c).to_bits(),
+                                "m = {m}, dt = {dt}: joules"
+                            );
+                            assert_eq!(
+                                calls.busy_core_secs(c).to_bits(),
+                                repeated.busy_core_secs(c).to_bits(),
+                                "m = {m}, dt = {dt}: busy core-seconds"
+                            );
+                        }
+                        assert_eq!(
+                            calls.elapsed_secs().to_bits(),
+                            repeated.elapsed_secs().to_bits(),
+                            "m = {m}, dt = {dt}: elapsed"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lower_frequency_costs_less_energy_for_same_time() {
         let b = xu3();
         let mut hi = EnergyMeter::new();
         let mut lo = EnergyMeter::new();
         let min_freqs: Vec<FreqKhz> = b.cluster_ids().map(|c| b.ladder(c).min()).collect();
-        hi.accumulate(&b, &max_freqs(&b), &[4.0, 4.0], NS_PER_SEC);
-        lo.accumulate(&b, &min_freqs, &[4.0, 4.0], NS_PER_SEC);
+        accumulate(&mut hi, &b, &max_freqs(&b), &[4.0, 4.0], NS_PER_SEC);
+        accumulate(&mut lo, &b, &min_freqs, &[4.0, 4.0], NS_PER_SEC);
         assert!(lo.total_joules() < hi.total_joules());
     }
 
@@ -325,7 +389,7 @@ mod tests {
         let b = BoardSpec::dynamiq_1p_3m_4l();
         let mut m = EnergyMeter::new();
         let freqs = max_freqs(&b);
-        m.accumulate(&b, &freqs, &[1.0, 2.0, 1.0], NS_PER_SEC);
+        accumulate(&mut m, &b, &freqs, &[1.0, 2.0, 1.0], NS_PER_SEC);
         assert!(m.cluster_joules(C(0)) > 0.0);
         assert!(m.cluster_joules(C(2)) > 0.0);
         assert!((m.busy_core_secs(C(1)) - 2.0).abs() < 1e-12);

@@ -8,6 +8,7 @@
 //! wake-up or deadline) with no quantization error.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use heartbeats::{AppId, HeartbeatMonitor, PerfTarget};
 
@@ -34,20 +35,26 @@ const WORK_EPS: f64 = 1e-9;
 /// timelines — the equivalence proptests in
 /// `tests/event_equivalence.rs` pin it — so `FixedStep` exists as the
 /// reference stepper the fast path is verified against.
+///
+/// Both modes share the due-event processing, the GTS tick and the
+/// power model: per-step and per-tick thread scans visit only the
+/// threads of apps that have not finished, and cluster powers are read
+/// from rows computed when a frequency changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The fast discrete-event stepper (the default): each step reads
-    /// the next control event (action, fault onset, sleep wake-up,
-    /// tick, sensor sample) from the state that owns it once, per-core
-    /// thread speeds are memoized under run-queue/frequency epochs,
-    /// fully-idle spans are fast-forwarded boundary-by-boundary at O(1)
-    /// cost per boundary instead of O(threads × cores) per step, and
-    /// busy spans of pure GTS ticks (no completion, action, sample,
-    /// fault or wake-up in between) are replayed tick by tick in one
-    /// loop — with a tick reduced to its load update while every
+    /// The fast-forwarding stepper (the default): each step reads the
+    /// next control event (action, fault onset, sleep wake-up, tick,
+    /// sensor sample) from the state that owns it once, and per-core
+    /// thread speeds are memoized under run-queue/frequency epochs.
+    /// Fully-idle spans are fast-forwarded boundary by boundary, and
+    /// once every load has decayed to zero all whole ticks before the
+    /// next sample are integrated in one call. Busy spans of pure GTS
+    /// ticks (no completion, action, sample, fault or wake-up in
+    /// between) are replayed tick by tick in one loop; while every
     /// runnable thread is pinned to its core, as HARS and MP-HARS pin
-    /// them.
-    EventHeap,
+    /// them, the replay runs over a working set of those threads and
+    /// integrates the span's energy once, at its end.
+    FastForward,
     /// The reference stepper: every step rescans the control state and
     /// recomputes every runnable thread's speed for the next event, no
     /// span is fast-forwarded, and every tick runs the full GTS
@@ -66,9 +73,9 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Heartbeat rate-window length (heartbeats).
     pub hb_window: usize,
-    /// Event-loop implementation (default [`ExecMode::EventHeap`]).
+    /// Event-loop implementation (default [`ExecMode::FastForward`]).
     pub exec: ExecMode,
-    /// In [`ExecMode::EventHeap`], count power-sensor samples that
+    /// In [`ExecMode::FastForward`], count power-sensor samples that
     /// fall inside fully-idle spans instead of materializing them
     /// (default `true`). Energy accounting is unaffected (the meter is
     /// exact and independent of the sensor); only the stored noisy
@@ -85,7 +92,7 @@ impl Default for EngineConfig {
             sensor_noise: 0.01,
             seed: 0x4841_5253, // "HARS"
             hb_window: 20,
-            exec: ExecMode::EventHeap,
+            exec: ExecMode::FastForward,
             coalesce_idle_sensor: true,
         }
     }
@@ -134,11 +141,22 @@ pub struct Engine {
     now_ns: u64,
     /// Per-cluster DVFS operating points, indexed by cluster.
     freqs: Vec<FreqKhz>,
+    /// Per-cluster true power (W) at the cluster's current frequency
+    /// with `b` cores busy, at index `b` in `0..=size`; recomputed when
+    /// the frequency changes.
+    power_rows: Vec<Vec<f64>>,
     cores: Vec<CoreState>,
     threads: Vec<ThreadState>,
     /// Applications in registration order; an app's [`AppId`] is its
     /// index here.
     apps: Vec<AppState>,
+    /// The thread-id range of each app not yet done, in registration
+    /// order (an app's threads are contiguous). Every per-step and
+    /// per-tick thread scan visits only these.
+    live: Vec<Range<usize>>,
+    /// An app finished since `live` was last compacted; the next step
+    /// drops its range before it scans.
+    live_stale: bool,
     energy: EnergyMeter,
     sensor: PowerSensor,
     next_tick_ns: u64,
@@ -172,6 +190,20 @@ pub struct Engine {
     stalled_heartbeats: u64,
     /// GTS ticks applied inside [`Engine::tick_fast_forward`] spans.
     ticks_fast_forwarded: u64,
+    /// The working set of a pinned span, kept to reuse its allocation.
+    replay_set: Vec<Replayed>,
+}
+
+/// One runnable thread of a pinned span: its work left, the work one
+/// whole tick takes off it, and its run queue's length and its speed,
+/// the terms of its completion test.
+#[derive(Debug, Clone, Copy)]
+struct Replayed {
+    tid: usize,
+    work: f64,
+    per_tick: f64,
+    k: f64,
+    speed: f64,
 }
 
 /// Memoized per-core thread speeds (parallel to the core's run queue),
@@ -205,14 +237,17 @@ impl Engine {
         let next_tick_ns = cfg.gts.tick_ns;
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
-        Self {
+        let mut engine = Self {
             board,
             cfg,
             now_ns: 0,
             freqs,
+            power_rows: vec![Vec::new(); n_clusters],
             cores,
             threads: Vec::new(),
             apps: Vec::new(),
+            live: Vec::new(),
+            live_stale: false,
             energy: EnergyMeter::new(),
             sensor,
             next_tick_ns,
@@ -230,7 +265,12 @@ impl Engine {
             hb_stall_until: 0,
             stalled_heartbeats: 0,
             ticks_fast_forwarded: 0,
+            replay_set: Vec::new(),
+        };
+        for i in 0..n_clusters {
+            engine.refresh_power_row(i);
         }
+        engine
     }
 
     /// The board this engine simulates.
@@ -293,6 +333,7 @@ impl Engine {
         let id = AppId(app_idx as u64);
         let mut app = AppState::new(spec.clone(), id, self.cfg.hb_window);
         let all = self.board.all_cores();
+        let first = self.threads.len();
         for local in 0..spec.threads {
             let tid = self.threads.len();
             let stage = spec.stage_of_thread(local);
@@ -301,6 +342,7 @@ impl Engine {
             app.threads.push(tid);
         }
         self.apps.push(app);
+        self.live.push(first..self.threads.len());
         self.start_app(app_idx);
         Ok(id)
     }
@@ -364,7 +406,9 @@ impl Engine {
         Ok(self.threads[self.thread_id(app, thread)?].core)
     }
 
-    /// A thread's current GTS load estimate.
+    /// A thread's current GTS load estimate. Once its app finishes, a
+    /// thread's load stays at the value of the last tick before (the
+    /// scheduler no longer updates a finished thread).
     ///
     /// # Errors
     ///
@@ -480,10 +524,12 @@ impl Engine {
         match action {
             Action::SetClusterFreq { cluster, freq } => {
                 let freq = self.clamp_quarantined(cluster, freq);
-                if self.freqs[cluster.index()] != freq {
-                    self.freq_epochs[cluster.index()] += 1;
+                let i = cluster.index();
+                if self.freqs[i] != freq {
+                    self.freq_epochs[i] += 1;
+                    self.freqs[i] = freq;
+                    self.refresh_power_row(i);
                 }
-                self.freqs[cluster.index()] = freq;
             }
             Action::SetThreadAffinity {
                 app,
@@ -701,9 +747,21 @@ impl Engine {
         self.events.drain(..).collect()
     }
 
-    /// One engine step: process everything due now, then advance to the
-    /// next event (bounded by `deadline_ns`).
+    /// One engine step: drop the ranges of apps finished since the last
+    /// step, process everything due now, then advance to the next event
+    /// (bounded by `deadline_ns`).
     fn step(&mut self, deadline_ns: u64) {
+        if self.live_stale {
+            let (apps, threads) = (&self.apps, &self.threads);
+            self.live.retain(|r| !apps[threads[r.start].app].done);
+            self.live_stale = false;
+            debug_assert!(
+                self.threads.iter().enumerate().all(|(tid, t)| {
+                    t.run == RunState::Finished || self.live.iter().any(|r| r.contains(&tid))
+                }),
+                "a thread that has not finished fell out of the live ranges"
+            );
+        }
         self.process_due();
         if self.now_ns >= deadline_ns {
             return;
@@ -715,7 +773,7 @@ impl Engine {
                     self.advance(dt);
                 }
             }
-            ExecMode::EventHeap => {
+            ExecMode::FastForward => {
                 let wakeup_ns = self.next_wakeup_ns(deadline_ns);
                 if self.cores.iter().all(|c| c.runnable.is_empty()) {
                     // Zero runnable threads: jump the whole lull.
@@ -785,7 +843,7 @@ impl Engine {
         if let Some((&t, _)) = self.actions.first_key_value() {
             next = next.min(t);
         }
-        for t in &self.threads {
+        for t in self.live_threads() {
             if let RunState::Blocked(BlockReason::Sleep { until_ns }) = t.run {
                 next = next.min(until_ns);
             }
@@ -866,42 +924,56 @@ impl Engine {
     /// Bit-identity: the boundary sequence (every tick and sensor
     /// instant) and its energy-integration op sequence are exactly the
     /// reference stepper's; the span's constant idle powers are
-    /// hoisted ([`EnergyMeter::accumulate_idle`]). The span stops *at*
-    /// the stopper instant without processing it, so `process_due`
-    /// handles that instant in the engine's canonical event order.
+    /// hoisted ([`EnergyMeter::accumulate_powers`]). Once the loads are
+    /// quiescent a tick changes nothing but the tick schedule, so every
+    /// whole tick before the next sample or `stop` is integrated by one
+    /// [`EnergyMeter::accumulate_repeated`] call, which makes the same
+    /// additions as one call per tick. The span stops *at* the stopper
+    /// instant without processing it, so `process_due` handles that
+    /// instant in the engine's canonical event order.
     fn idle_fast_forward(&mut self, stop: u64) {
         let n = self.board.n_clusters();
+        let tick_ns = self.cfg.gts.tick_ns;
         let powers = self.cluster_powers(&[0.0; MAX_CLUSTERS]);
         // A quiescent GTS tick reduces to `update_loads` (nothing to
         // migrate, balance or pull with every run queue empty), and
         // once every load EWMA has decayed to exactly 0.0 with no
         // runnable time pending, `update_loads` itself is a no-op —
         // from then on a tick is a pure schedule advance.
-        let mut loads_live = !self
-            .threads
-            .iter()
-            .all(|t| t.load == 0.0 && t.runnable_ns_since_tick == 0);
+        let mut loads_live = !self.loads_quiescent();
         loop {
-            let next = stop
-                .min(self.next_tick_ns)
-                .min(self.sensor.next_sample_ns());
+            let bound = stop.min(self.sensor.next_sample_ns());
+            if !loads_live && self.next_tick_ns < bound {
+                // Ticks at `next_tick_ns + j·tick_ns` for j in
+                // 0..=whole all lie strictly before the next sample
+                // and `stop`: integrate to the first, then the whole
+                // ticks after it, and stand on the last.
+                let whole = (bound - 1 - self.next_tick_ns) / tick_ns;
+                self.energy
+                    .accumulate_powers(&powers[..n], &[], self.next_tick_ns - self.now_ns);
+                self.energy
+                    .accumulate_repeated(&powers[..n], &[], tick_ns, whole);
+                self.now_ns = self.next_tick_ns + whole * tick_ns;
+                self.next_tick_ns = self.now_ns + tick_ns;
+            }
+            let next = bound.min(self.next_tick_ns);
             self.energy
-                .accumulate_idle(&powers[..n], next - self.now_ns);
+                .accumulate_powers(&powers[..n], &[], next - self.now_ns);
             self.now_ns = next;
             if next == stop {
                 break;
             }
             if self.next_tick_ns <= self.now_ns {
                 if loads_live {
-                    update_loads(&self.cfg.gts, &mut self.threads);
-                    loads_live = !self.threads.iter().all(|t| t.load == 0.0);
+                    update_loads(&self.cfg.gts, &mut self.threads, &self.live);
+                    loads_live = !self.loads_quiescent();
                 }
-                self.next_tick_ns += self.cfg.gts.tick_ns;
+                self.next_tick_ns += tick_ns;
             }
             if self.sensor.next_sample_ns() <= self.now_ns {
                 // Idle truth equals the hoisted powers bit-for-bit
-                // (same `cluster_power` arguments), so the sample
-                // stream matches the reference stepper's exactly.
+                // (the same power-row entry), so the sample stream
+                // matches the reference stepper's exactly.
                 self.take_sample(&powers[..n], self.cfg.coalesce_idle_sensor);
             }
         }
@@ -919,12 +991,27 @@ impl Engine {
         if let Some((&t, _)) = self.actions.first_key_value() {
             stop = stop.min(t);
         }
-        for t in &self.threads {
+        for t in self.live_threads() {
             if let RunState::Blocked(BlockReason::Sleep { until_ns }) = t.run {
                 stop = stop.min(until_ns);
             }
         }
         stop
+    }
+
+    /// The threads of every app not yet done (see `live`), in thread-id
+    /// order.
+    fn live_threads(&self) -> impl Iterator<Item = &ThreadState> {
+        self.live.iter().flat_map(|r| &self.threads[r.clone()])
+    }
+
+    /// `true` when no tick can change a load: every live thread that
+    /// has not finished has a load of exactly 0.0 and no runnable time
+    /// pending, so `update_loads` would leave it as it is.
+    fn loads_quiescent(&self) -> bool {
+        self.live_threads().all(|t| {
+            t.run == RunState::Finished || (t.load == 0.0 && t.runnable_ns_since_tick == 0)
+        })
     }
 
     /// Fast-forwards a busy span of pure GTS ticks. A step whose next
@@ -945,12 +1032,13 @@ impl Engine {
     /// [`completion_ns`] test (in its exact predicate form,
     /// [`completes_within`]) puts every completion beyond the next one.
     ///
-    /// Pinned ticks: while every runnable thread's affinity is exactly
+    /// Pinned spans: while every runnable thread's affinity is exactly
     /// its current core, the migration pass finds no allowed core on
     /// another cluster and the balance and idle-pull passes find no
     /// thread allowed on another core, so a tick is `update_loads`
-    /// alone. Otherwise the full tick runs, and one that moves a thread
-    /// ends the span (its run queues and powers change).
+    /// alone and the span is replayed by `replay_pinned`. Otherwise
+    /// the full tick runs here, and one that moves a thread ends the
+    /// span (its run queues and powers change).
     fn tick_fast_forward(&mut self, dt_ns: u64, wakeup_ns: u64) {
         let stop = wakeup_ns.min(self.sensor.next_sample_ns());
         let tick_ns = self.cfg.gts.tick_ns;
@@ -971,6 +1059,10 @@ impl Engine {
                 .all(|&tid| self.threads[tid].affinity == only_here);
         }
         let powers = self.cluster_powers(&busy);
+        if pinned {
+            self.replay_pinned(dt_ns, stop, &powers[..n], &busy[..n]);
+            return;
+        }
         let mut dt_ns = dt_ns;
         loop {
             for core in &mut self.cores {
@@ -1005,17 +1097,13 @@ impl Engine {
             if finishing || self.now_ns >= stop {
                 break; // `process_due` handles this instant in canonical order
             }
-            let moved = if pinned {
-                update_loads(&self.cfg.gts, &mut self.threads);
-                false
-            } else {
-                gts_tick(
-                    &self.cfg.gts,
-                    &self.board,
-                    &mut self.threads,
-                    &mut self.cores,
-                )
-            };
+            let moved = gts_tick(
+                &self.cfg.gts,
+                &self.board,
+                &mut self.threads,
+                &mut self.cores,
+                &self.live,
+            );
             self.ticks_fast_forwarded += 1;
             self.next_tick_ns += tick_ns;
             if moved || completes || self.next_tick_ns > stop {
@@ -1023,6 +1111,109 @@ impl Engine {
             }
             dt_ns = tick_ns;
         }
+    }
+
+    /// Replays a pinned busy span (see [`Engine::tick_fast_forward`],
+    /// which hands over the span's `powers` and `busy` counts and its
+    /// `stop`). The first interval, `dt_ns` to the first tick, is
+    /// integrated in the pass that gathers the working set: each
+    /// runnable thread's work left, the work a whole tick takes off it
+    /// (`tick_secs · share · speed`, the bits `advance` computes), its
+    /// run queue's length and its speed. The first tick folds in the
+    /// runnable time that accumulated before the span, so it is the
+    /// full `update_loads`. From then on the run queues are frozen: a
+    /// runnable thread has been runnable for the whole tick and any
+    /// other live thread for none of it, so each later tick adds the
+    /// constant `(1 − decay)·1.0` or `(1 − decay)·0.0` to the decayed
+    /// load in place, and each whole interval only decrements work and
+    /// asks the `WORK_EPS` and [`completes_within`] tests of
+    /// `tick_fast_forward`. Work, runnable time, core busy time and
+    /// energy are written back once, at the span's end; the meter's
+    /// [`EnergyMeter::accumulate_repeated`] makes the additions of one
+    /// call per interval, in the same order.
+    fn replay_pinned(&mut self, dt_ns: u64, stop: u64, powers: &[f64], busy: &[f64]) {
+        let tick_ns = self.cfg.gts.tick_ns;
+        let (dt_secs, tick_secs) = (ns_to_secs(dt_ns), ns_to_secs(tick_ns));
+        let mut set = std::mem::take(&mut self.replay_set);
+        set.clear();
+        let (mut finishing, mut completes) = (false, false);
+        for ci in 0..self.cores.len() {
+            let k = self.cores[ci].nr_running();
+            if k == 0 {
+                continue;
+            }
+            let share = 1.0 / k as f64;
+            for i in 0..k {
+                let tid = self.cores[ci].runnable[i];
+                let speed = self.speed_cache[ci].speeds[i];
+                let t = &mut self.threads[tid];
+                t.work_left = (t.work_left - dt_secs * share * speed).max(0.0);
+                t.runnable_ns_since_tick = t.runnable_ns_since_tick.saturating_add(dt_ns);
+                finishing |= t.work_left <= WORK_EPS;
+                completes |= completes_within(t.work_left * k as f64 / speed, tick_ns);
+                set.push(Replayed {
+                    tid,
+                    work: t.work_left,
+                    per_tick: tick_secs * share * speed,
+                    k: k as f64,
+                    speed,
+                });
+            }
+        }
+        self.now_ns += dt_ns;
+        // Whole tick intervals integrated after the first interval, and
+        // whether the span ended on one (before its tick).
+        let mut whole = 0u64;
+        let mut ended_mid_tick = false;
+        if !finishing && self.now_ns < stop {
+            update_loads(&self.cfg.gts, &mut self.threads, &self.live);
+            self.ticks_fast_forwarded += 1;
+            self.next_tick_ns += tick_ns;
+            let decay = self.cfg.gts.load_decay;
+            let (run_inc, idle_inc) = ((1.0 - decay) * 1.0, (1.0 - decay) * 0.0);
+            while !completes && self.next_tick_ns <= stop {
+                whole += 1;
+                for w in set.iter_mut() {
+                    w.work = (w.work - w.per_tick).max(0.0);
+                    finishing |= w.work <= WORK_EPS;
+                    completes |= completes_within(w.work * w.k / w.speed, tick_ns);
+                }
+                self.now_ns += tick_ns;
+                if finishing || self.now_ns >= stop {
+                    ended_mid_tick = true;
+                    break;
+                }
+                for r in &self.live {
+                    for t in &mut self.threads[r.clone()] {
+                        let inc = match t.run {
+                            RunState::Finished => continue,
+                            RunState::Runnable => run_inc,
+                            RunState::Blocked(_) => idle_inc,
+                        };
+                        t.load = decay * t.load + inc;
+                    }
+                }
+                self.ticks_fast_forwarded += 1;
+                self.next_tick_ns += tick_ns;
+            }
+        }
+        for w in &set {
+            let t = &mut self.threads[w.tid];
+            t.work_left = w.work;
+            if ended_mid_tick {
+                t.runnable_ns_since_tick = tick_ns;
+            }
+        }
+        let span_ns = dt_ns + whole * tick_ns;
+        for core in &mut self.cores {
+            if core.nr_running() > 0 {
+                core.busy_ns += span_ns;
+            }
+        }
+        self.energy.accumulate_powers(powers, busy, dt_ns);
+        self.energy
+            .accumulate_repeated(powers, busy, tick_ns, whole);
+        self.replay_set = set;
     }
 
     /// Advances the clock by `dt_ns`, integrating energy, busy time,
@@ -1036,10 +1227,11 @@ impl Engine {
                 core.busy_ns += dt_ns;
             }
         }
+        let powers = self.cluster_powers(&busy);
         self.energy
-            .accumulate(&self.board, &self.freqs, &busy[..n], dt_ns);
+            .accumulate_powers(&powers[..n], &busy[..n], dt_ns);
         let dt_secs = ns_to_secs(dt_ns);
-        let use_cache = self.cfg.exec == ExecMode::EventHeap;
+        let use_cache = self.cfg.exec == ExecMode::FastForward;
         for ci in 0..self.cores.len() {
             let k = self.cores[ci].nr_running();
             if k == 0 {
@@ -1090,20 +1282,27 @@ impl Engine {
                 }
                 progressed = true;
             }
-            // Sleep wake-ups.
-            for tid in 0..self.threads.len() {
-                if let RunState::Blocked(BlockReason::Sleep { until_ns }) = self.threads[tid].run {
-                    if until_ns <= self.now_ns {
-                        self.wake_duty_thread(tid);
-                        progressed = true;
+            // Sleep wake-ups, then work-item completions, over the
+            // threads of apps not yet done (by index: an app finishing
+            // here keeps its range until the next step compacts).
+            for ri in 0..self.live.len() {
+                for tid in self.live[ri].clone() {
+                    if let RunState::Blocked(BlockReason::Sleep { until_ns }) =
+                        self.threads[tid].run
+                    {
+                        if until_ns <= self.now_ns {
+                            self.wake_duty_thread(tid);
+                            progressed = true;
+                        }
                     }
                 }
             }
-            // Work-item completions.
-            for tid in 0..self.threads.len() {
-                if self.threads[tid].is_runnable() && self.threads[tid].work_left <= WORK_EPS {
-                    self.on_work_complete(tid);
-                    progressed = true;
+            for ri in 0..self.live.len() {
+                for tid in self.live[ri].clone() {
+                    if self.threads[tid].is_runnable() && self.threads[tid].work_left <= WORK_EPS {
+                        self.on_work_complete(tid);
+                        progressed = true;
+                    }
                 }
             }
             // Scheduler tick.
@@ -1113,6 +1312,7 @@ impl Engine {
                     &self.board,
                     &mut self.threads,
                     &mut self.cores,
+                    &self.live,
                 );
                 self.next_tick_ns += self.cfg.gts.tick_ns;
                 progressed = true;
@@ -1158,20 +1358,25 @@ impl Engine {
     }
 
     /// True per-cluster power (W) at the current frequencies with
-    /// `busy` cores busy per cluster, indexed by cluster.
+    /// `busy` cores busy per cluster (whole counts), indexed by
+    /// cluster: one read of each cluster's power row.
     fn cluster_powers(&self, busy: &[f64; MAX_CLUSTERS]) -> [f64; MAX_CLUSTERS] {
         let mut watts = [0.0f64; MAX_CLUSTERS];
-        for cluster in self.board.cluster_ids() {
-            let i = cluster.index();
-            watts[i] = cluster_power(
-                &self.board,
-                cluster,
-                self.freqs[i],
-                busy[i],
-                self.board.cluster_size(cluster),
-            );
+        for (i, row) in self.power_rows.iter().enumerate() {
+            watts[i] = row[busy[i] as usize];
         }
         watts
+    }
+
+    /// Recomputes cluster `i`'s power row at its current frequency:
+    /// [`cluster_power`] with 0 to all of its cores busy.
+    fn refresh_power_row(&mut self, i: usize) {
+        let cluster = ClusterId(i);
+        let (f, size) = (self.freqs[i], self.board.cluster_size(cluster));
+        let board = &self.board;
+        let row = &mut self.power_rows[i];
+        row.clear();
+        row.extend((0..=size).map(|b| cluster_power(board, cluster, f, b as f64, size)));
     }
 
     // ------------------------------------------------------------------
@@ -1298,6 +1503,7 @@ impl Engine {
     /// Terminates an app: all threads stop consuming CPU.
     fn finish_app(&mut self, app_idx: usize) {
         self.apps[app_idx].done = true;
+        self.live_stale = true;
         for i in 0..self.apps[app_idx].threads.len() {
             let tid = self.apps[app_idx].threads[i];
             dequeue_thread(tid, &self.threads, &mut self.cores);

@@ -17,12 +17,14 @@
 //! little cores idle even when the big cluster is oversubscribed
 //! (Section 4.1.1).
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::board::{BoardSpec, ClusterId};
 use crate::cpuset::CoreId;
 use crate::sched::{migrate_thread, CoreState};
-use crate::thread::ThreadState;
+use crate::thread::{RunState, ThreadState};
 
 /// GTS tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,29 +92,41 @@ impl GtsConfig {
     }
 }
 
-/// One scheduler tick: update every thread's load average from its
-/// runnable time since the previous tick, then run the GTS migration and
-/// balance passes. Returns `true` when any pass moved a thread.
+/// One scheduler tick: update the load average of every thread in the
+/// `live` thread-id ranges from its runnable time since the previous
+/// tick, then run the GTS migration and balance passes. Returns `true`
+/// when any pass moved a thread.
+///
+/// The engine passes the ranges of the apps not yet done; a thread
+/// outside them has finished and is never runnable again.
 pub(crate) fn gts_tick(
     cfg: &GtsConfig,
     board: &BoardSpec,
     threads: &mut [ThreadState],
     cores: &mut [CoreState],
+    live: &[Range<usize>],
 ) -> bool {
-    update_loads(cfg, threads);
-    let mut moved = migration_pass(cfg, board, threads, cores);
+    update_loads(cfg, threads, live);
+    let mut moved = migration_pass(cfg, board, threads, cores, live);
     for cluster in board.cluster_ids() {
         moved |= balance_cluster(cfg, cluster, threads, cores);
     }
     moved | idle_pull(cfg, threads, cores)
 }
 
-/// Updates per-thread load EWMAs and resets the per-tick counters.
-pub(crate) fn update_loads(cfg: &GtsConfig, threads: &mut [ThreadState]) {
-    for t in threads.iter_mut() {
-        let frac = (t.runnable_ns_since_tick as f64 / cfg.tick_ns as f64).min(1.0);
-        t.load = cfg.load_decay * t.load + (1.0 - cfg.load_decay) * frac;
-        t.runnable_ns_since_tick = 0;
+/// Updates the load EWMAs of the threads in the `live` ranges and
+/// resets their per-tick counters. A finished thread is skipped, so
+/// its load stays at its last value.
+pub(crate) fn update_loads(cfg: &GtsConfig, threads: &mut [ThreadState], live: &[Range<usize>]) {
+    for r in live {
+        for t in &mut threads[r.clone()] {
+            if t.run == RunState::Finished {
+                continue;
+            }
+            let frac = (t.runnable_ns_since_tick as f64 / cfg.tick_ns as f64).min(1.0);
+            t.load = cfg.load_decay * t.load + (1.0 - cfg.load_decay) * frac;
+            t.runnable_ns_since_tick = 0;
+        }
     }
 }
 
@@ -123,15 +137,17 @@ pub(crate) fn update_loads(cfg: &GtsConfig, threads: &mut [ThreadState]) {
 /// On an N-cluster board a hot thread climbs one step toward the
 /// next-faster cluster and a cold thread descends one step toward the
 /// next-slower one, so the 2-cluster big.LITTLE behaviour is the
-/// special case. Returns `true` when it moved a thread.
+/// special case. Only threads in the `live` ranges are considered.
+/// Returns `true` when it moved a thread.
 fn migration_pass(
     cfg: &GtsConfig,
     board: &BoardSpec,
     threads: &mut [ThreadState],
     cores: &mut [CoreState],
+    live: &[Range<usize>],
 ) -> bool {
     let mut moved = false;
-    for tid in 0..threads.len() {
+    for tid in live.iter().flat_map(|r| r.clone()) {
         let Some(core) = threads[tid].core else {
             continue;
         };
@@ -270,7 +286,17 @@ fn busiest_idlest(cluster: ClusterId, cores: &[CoreState]) -> Option<(CoreId, Co
 mod tests {
     use super::*;
     use crate::cpuset::CpuSet;
-    use crate::thread::RunState;
+
+    /// One tick over every thread.
+    fn tick(
+        cfg: &GtsConfig,
+        board: &BoardSpec,
+        threads: &mut [ThreadState],
+        cores: &mut [CoreState],
+    ) -> bool {
+        let all = 0..threads.len();
+        gts_tick(cfg, board, threads, cores, std::slice::from_ref(&all))
+    }
 
     fn setup(n_threads: usize) -> (BoardSpec, Vec<ThreadState>, Vec<CoreState>) {
         let board = BoardSpec::odroid_xu3();
@@ -298,12 +324,12 @@ mod tests {
         let (_b, mut threads, _c) = setup(1);
         for _ in 0..32 {
             threads[0].runnable_ns_since_tick = cfg.tick_ns; // fully busy
-            update_loads(&cfg, &mut threads);
+            update_loads(&cfg, &mut threads, std::slice::from_ref(&(0..1)));
         }
         assert!((threads[0].load - 1.0).abs() < 1e-6);
         for _ in 0..32 {
             threads[0].runnable_ns_since_tick = cfg.tick_ns / 4;
-            update_loads(&cfg, &mut threads);
+            update_loads(&cfg, &mut threads, std::slice::from_ref(&(0..1)));
         }
         assert!((threads[0].load - 0.25).abs() < 1e-6);
     }
@@ -318,7 +344,7 @@ mod tests {
         // up-migration threshold.
         for _ in 0..8 {
             threads[0].runnable_ns_since_tick = cfg.tick_ns;
-            gts_tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&cfg, &board, &mut threads, &mut cores);
         }
         let dest = threads[0].core.unwrap();
         assert_eq!(board.cluster_of(dest), ClusterId::BIG);
@@ -333,7 +359,7 @@ mod tests {
         threads[0].load = 0.9;
         // Thread is idle from now on: runnable time 0 each tick.
         for _ in 0..8 {
-            gts_tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&cfg, &board, &mut threads, &mut cores);
         }
         let dest = threads[0].core.unwrap();
         assert_eq!(board.cluster_of(dest), ClusterId::LITTLE);
@@ -347,7 +373,7 @@ mod tests {
         threads[0].core = Some(CoreId(0));
         cores[0].runnable.push(0);
         threads[0].load = 1.0;
-        gts_tick(&cfg, &board, &mut threads, &mut cores);
+        tick(&cfg, &board, &mut threads, &mut cores);
         assert_eq!(threads[0].core, Some(CoreId(0)));
     }
 
@@ -365,7 +391,7 @@ mod tests {
             for t in threads.iter_mut() {
                 t.runnable_ns_since_tick = cfg.tick_ns;
             }
-            gts_tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&cfg, &board, &mut threads, &mut cores);
         }
         for t in &threads {
             assert_eq!(board.cluster_of(t.core.unwrap()), ClusterId::BIG);
@@ -420,7 +446,7 @@ mod tests {
             for t in threads.iter_mut() {
                 t.runnable_ns_since_tick = cfg.tick_ns;
             }
-            gts_tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&cfg, &board, &mut threads, &mut cores);
         }
         let little_threads: usize = (0..4).map(|i| cores[i].nr_running()).sum();
         let big_threads: usize = (4..8).map(|i| cores[i].nr_running()).sum();

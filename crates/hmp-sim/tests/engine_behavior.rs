@@ -429,3 +429,44 @@ fn serial_sections_limit_scaling() {
         "Amdahl speedup {speedup}, expected ~1.6"
     );
 }
+
+/// Once an app finishes, the scheduler stops updating its threads:
+/// their loads stay at the last tick's values while time and ticks go
+/// on. An app registered afterwards is scheduled as usual: its loads
+/// move and it completes its budget.
+#[test]
+fn finished_threads_keep_their_last_load() {
+    let mut engine = quiet_engine();
+    let mut spec = AppSpec::data_parallel("a", 4, 400.0);
+    spec.max_heartbeats = Some(5);
+    let a = engine.add_app(spec).unwrap();
+    while engine.next_heartbeat(secs_to_ns(30.0)).is_some() {}
+    assert!(engine.app_done(a));
+    let loads = |engine: &Engine, app, n| -> Vec<u64> {
+        (0..n)
+            .map(|t| engine.thread_load(app, t).unwrap().to_bits())
+            .collect()
+    };
+    let frozen = loads(&engine, a, 4);
+    assert!(
+        frozen.iter().any(|&l| f64::from_bits(l) > 0.5),
+        "a busy app ends with high loads"
+    );
+
+    let mut spec = AppSpec::data_parallel("b", 2, 400.0);
+    spec.max_heartbeats = Some(5);
+    let b = engine.add_app(spec).unwrap();
+    let b_start = loads(&engine, b, 2);
+    let mut beats = 0;
+    while let Some(hb) = engine.next_heartbeat(engine.now_ns() + secs_to_ns(30.0)) {
+        assert_eq!(hb.app, b, "only b runs");
+        beats += 1;
+    }
+    assert_eq!(beats, 5);
+    assert!(engine.app_done(b));
+    assert_ne!(loads(&engine, b, 2), b_start, "b's loads follow its ticks");
+    assert_eq!(loads(&engine, a, 4), frozen, "a's loads stay frozen");
+    // A further idle second of ticks changes nothing either.
+    engine.run_until(engine.now_ns() + secs_to_ns(1.0));
+    assert_eq!(loads(&engine, a, 4), frozen);
+}

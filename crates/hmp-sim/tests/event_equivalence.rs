@@ -1,8 +1,9 @@
 //! Bit-identity of the engine's default mode against the fixed-step
 //! reference stepper.
 //!
-//! The default mode ([`ExecMode::EventHeap`]: one wake-up scan per
-//! step, speed caches, idle and tick fast-forwards) must be an
+//! The default mode ([`ExecMode::FastForward`]: one wake-up scan per
+//! step, speed caches, idle and tick fast-forwards, the pinned-span
+//! replay and batched quiescent idle ticks) must be an
 //! *optimization*, not a semantic change: for any workload mix —
 //! barrier apps that drain to full idle, low-duty spinners that sleep
 //! most of every period, deferred frequency actions landing in idle
@@ -289,8 +290,15 @@ struct PinPlan {
     /// Drop both end clusters to their ladder floor.
     dvfs_at: u64,
     /// Add a duty-cycle spinner pinned to the last core, so sleep
-    /// wake-ups cut the busy spans.
+    /// wake-ups cut the busy spans. Without it, once every app is done
+    /// the rest of the horizon is a quiescent idle tail.
     spinner: bool,
+    /// Heartbeat budget of a short second app (0: none), registered
+    /// after the first and pinned to the first cluster's last core, so
+    /// it finishes while the first app runs on.
+    second_budget: u64,
+    /// Coalesce idle sensor samples (the default mode's default).
+    coalesce: bool,
     horizon_ns: u64,
 }
 
@@ -318,7 +326,7 @@ fn pin_batch(engine: &mut Engine, app: AppId, plan: &PinPlan, cluster: ClusterId
 /// affinity actions pin at t = 0, re-pin across clusters and finally
 /// unpin, with DVFS actions landing in between.
 fn run_pinned(board: &BoardSpec, mode: ExecMode, plan: &PinPlan) -> RunDigest {
-    let mut engine = engine(board, mode, false);
+    let mut engine = engine(board, mode, plan.coalesce);
     let mut spec = AppSpec::data_parallel("pinned", plan.threads, plan.unit_work);
     spec.max_heartbeats = Some(plan.budget);
     let app = engine.add_app(spec).expect("valid spec");
@@ -345,6 +353,30 @@ fn run_pinned(board: &BoardSpec, mode: ExecMode, plan: &PinPlan) -> RunDigest {
         engine
             .schedule_action(plan.dvfs_at, Action::SetClusterFreq { cluster, freq })
             .expect("on-ladder frequency");
+    }
+    if plan.second_budget > 0 {
+        let mut spec = AppSpec::data_parallel("second", 2, 60.0);
+        spec.max_heartbeats = Some(plan.second_budget);
+        let second = engine.add_app(spec).expect("valid spec");
+        let core = engine
+            .board()
+            .cluster_cores(first)
+            .iter()
+            .last()
+            .expect("clusters have cores");
+        for thread in 0..2 {
+            engine
+                .schedule_action(
+                    0,
+                    Action::SetThreadAffinity {
+                        app: second,
+                        thread,
+                        affinity: CpuSet::single(core),
+                    },
+                )
+                .expect("on-board mask");
+        }
+        apps.push(second);
     }
     if plan.spinner {
         let spin = engine.add_app(spinner(0.2, 30)).expect("valid spec");
@@ -390,7 +422,7 @@ fn work_finishing_on_a_tick_completes_before_the_tick() {
             let app = engine.add_app(spec).expect("valid spec");
             digest(engine, &[app], 20 * NS_PER_SEC)
         };
-        let (fixed, heap) = (run(ExecMode::FixedStep), run(ExecMode::EventHeap));
+        let (fixed, heap) = (run(ExecMode::FixedStep), run(ExecMode::FastForward));
         assert_identical(&fixed, &heap, true).expect("modes agree at the tick edge");
         assert!(heap.ticks_fast_forwarded > 0);
     }
@@ -431,7 +463,7 @@ proptest! {
             board, mode, false, barrier_threads, unit_work, budget,
             duty, period_ms, action_at, horizon_ns, &plan,
         );
-        let (fixed, heap) = (run(ExecMode::FixedStep), run(ExecMode::EventHeap));
+        let (fixed, heap) = (run(ExecMode::FixedStep), run(ExecMode::FastForward));
         assert_identical(&fixed, &heap, true)?;
         prop_assert_eq!(
             heap.fault_notices.len(),
@@ -461,7 +493,7 @@ proptest! {
             budget, duty, period_ms, horizon_ns / 2, horizon_ns, &no_faults,
         );
         let heap = run_digest(
-            board, ExecMode::EventHeap, true, barrier_threads, unit_work,
+            board, ExecMode::FastForward, true, barrier_threads, unit_work,
             budget, duty, period_ms, horizon_ns / 2, horizon_ns, &no_faults,
         );
         assert_identical(&fixed, &heap, false)?;
@@ -475,19 +507,25 @@ proptest! {
     /// masks, several threads stacked on one core, a re-pin across
     /// clusters, an unpin back to every core, DVFS steps and optional
     /// sleep wake-ups — replay bit-identically through the busy tick
-    /// fast-forward, which must actually have run.
+    /// fast-forward, which must actually have run. The inputs reach
+    /// units that span dozens of ticks, a short second app that
+    /// finishes while the first runs on (its threads' loads freeze), and
+    /// idle tails, with sample coalescing on and off, that stay
+    /// quiescent for several sensor periods.
     #[test]
     fn pinned_spans_fast_forward_bit_identically(
         board_idx in 0usize..2,
         threads in 1usize..9,
         span in 1usize..5,
-        unit_work in 200.0f64..1200.0,
-        budget in 5u64..60,
+        unit_work in 200.0f64..3000.0,
+        budget in 3u64..40,
         repin_frac in 0.15f64..0.45,
         unpin_frac in 0.55f64..0.9,
         dvfs_frac in 0.05f64..0.95,
         spinner in proptest::bool::ANY,
-        horizon_secs in 2u64..5,
+        second_budget in 0u64..6,
+        coalesce in proptest::bool::ANY,
+        horizon_secs in 2u64..12,
     ) {
         let board = &boards()[board_idx];
         let horizon_ns = horizon_secs * NS_PER_SEC;
@@ -501,11 +539,13 @@ proptest! {
             unpin_at: at(unpin_frac),
             dvfs_at: at(dvfs_frac),
             spinner,
+            second_budget,
+            coalesce,
             horizon_ns,
         };
         let fixed = run_pinned(board, ExecMode::FixedStep, &plan);
-        let heap = run_pinned(board, ExecMode::EventHeap, &plan);
-        assert_identical(&fixed, &heap, true)?;
+        let heap = run_pinned(board, ExecMode::FastForward, &plan);
+        assert_identical(&fixed, &heap, !coalesce)?;
         prop_assert!(
             heap.ticks_fast_forwarded > 0,
             "the busy tick fast-forward never ran"

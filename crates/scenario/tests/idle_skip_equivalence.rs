@@ -9,7 +9,7 @@
 //! count, satisfaction mean, energy total, adaptation and search
 //! totals) are identical whether the engine steps every event
 //! (`ExecMode::FixedStep`) or fast-forwards idle spans
-//! (`ExecMode::EventHeap`, the default). The power-sensor sample count
+//! (`ExecMode::FastForward`, the default). The power-sensor sample count
 //! must also be conserved: coalesced + stored in the default mode
 //! equals the fixed-step total.
 
@@ -86,7 +86,7 @@ fn run_mode(
 }
 
 proptest! {
-    /// Fixed-step and event-heap scenario runs fingerprint identically
+    /// Fixed-step and fast-forward scenario runs fingerprint identically
     /// on both boards across Poisson, bursty and trace arrivals, and
     /// the sensor sample count is conserved under coalescing.
     #[test]
@@ -105,7 +105,7 @@ proptest! {
         };
         let arrivals = arrival(kind, rate_scale, seed);
         let fixed = run_mode(&board, ExecMode::FixedStep, &arrivals, horizon_secs, seed, exhaustive);
-        let heap = run_mode(&board, ExecMode::EventHeap, &arrivals, horizon_secs, seed, exhaustive);
+        let heap = run_mode(&board, ExecMode::FastForward, &arrivals, horizon_secs, seed, exhaustive);
         prop_assert_eq!(
             fixed.fingerprint(),
             heap.fingerprint(),

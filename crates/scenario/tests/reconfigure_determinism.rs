@@ -6,7 +6,7 @@
 //!
 //! * a scenario with mid-run [`ScenarioEvent`]s fingerprints
 //!   identically across `ExecMode::FixedStep` and
-//!   `ExecMode::EventHeap` and across reruns — config changes ride the
+//!   `ExecMode::FastForward` and across reruns — config changes ride the
 //!   same deterministic clock as arrivals;
 //! * a *rejected* delta leaves the run bit-identical to an event-free
 //!   run (validation happens before any state is touched);
@@ -128,7 +128,7 @@ proptest! {
         let mut fixed_sink = VecSink::new();
         let mut heap_sink = VecSink::new();
         let fixed = run_mode(&board, ExecMode::FixedStep, &spec, exhaustive, &mut fixed_sink);
-        let heap = run_mode(&board, ExecMode::EventHeap, &spec, exhaustive, &mut heap_sink);
+        let heap = run_mode(&board, ExecMode::FastForward, &spec, exhaustive, &mut heap_sink);
         prop_assert_eq!(
             fixed.fingerprint(),
             heap.fingerprint(),
@@ -146,7 +146,7 @@ proptest! {
         // The stream itself is part of the deterministic surface.
         prop_assert_eq!(&fixed_sink.events, &heap_sink.events);
         let mut rerun_sink = VecSink::new();
-        let rerun = run_mode(&board, ExecMode::EventHeap, &spec, exhaustive, &mut rerun_sink);
+        let rerun = run_mode(&board, ExecMode::FastForward, &spec, exhaustive, &mut rerun_sink);
         prop_assert_eq!(heap.fingerprint(), rerun.fingerprint());
         prop_assert_eq!(&heap_sink.events, &rerun_sink.events);
     }
@@ -162,7 +162,7 @@ proptest! {
         let baseline_spec = spec_with_events(horizon_secs, seed, false);
         let baseline = run_mode(
             &board,
-            ExecMode::EventHeap,
+            ExecMode::FastForward,
             &baseline_spec,
             false,
             &mut hars_core::NullSink,
@@ -189,7 +189,7 @@ proptest! {
                 ScenarioEvent::SetTargetGuard(-0.5),
             );
         let mut sink = VecSink::new();
-        let rejected = run_mode(&board, ExecMode::EventHeap, &rejected_spec, false, &mut sink);
+        let rejected = run_mode(&board, ExecMode::FastForward, &rejected_spec, false, &mut sink);
         prop_assert_eq!(baseline.fingerprint(), rejected.fingerprint());
         prop_assert_eq!(baseline.energy_joules.to_bits(), rejected.energy_joules.to_bits());
         prop_assert_eq!(rejected.reconfig_accepted, 0);
@@ -250,10 +250,10 @@ fn beyond_horizon_events_never_fire_and_sinks_are_inert() {
         ScenarioEvent::Reconfigure(ConfigDelta::none().with_policy(SearchPolicy::Frontier)),
     );
     let mut sink = VecSink::new();
-    let with_vec = run_mode(&board, ExecMode::EventHeap, &spec, false, &mut sink);
+    let with_vec = run_mode(&board, ExecMode::FastForward, &spec, false, &mut sink);
     let with_null = run_mode(
         &board,
-        ExecMode::EventHeap,
+        ExecMode::FastForward,
         &spec,
         false,
         &mut hars_core::NullSink,

@@ -112,7 +112,7 @@ fn run(exec: ExecMode) -> Result<(ScenarioOutcome, Vec<u8>), Box<dyn std::error:
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (out, stream) = run(ExecMode::EventHeap)?;
+    let (out, stream) = run(ExecMode::FastForward)?;
 
     println!(
         "ops_surface: {} arrivals, {} admitted, {} completed over {:.0} s",
@@ -140,9 +140,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(
         out.fingerprint(),
         fixed_out.fingerprint(),
-        "event-heap and fixed-step outcomes must fingerprint identically"
+        "fast-forward and fixed-step outcomes must fingerprint identically"
     );
-    let (replay_out, replay_stream) = run(ExecMode::EventHeap)?;
+    let (replay_out, replay_stream) = run(ExecMode::FastForward)?;
     assert_eq!(out.fingerprint(), replay_out.fingerprint());
     assert_eq!(
         stream, replay_stream,
