@@ -233,16 +233,20 @@ impl Engine {
             .map(|i| CoreState::new(CoreId(i), board.cluster_of(CoreId(i))))
             .collect();
         let freqs: Vec<FreqKhz> = board.cluster_ids().map(|c| board.ladder(c).max()).collect();
+        let power_rows = board
+            .cluster_ids()
+            .map(|c| power_row(&board, c, freqs[c.index()]))
+            .collect();
         let sensor = PowerSensor::new(board.sensor_period_ns, cfg.sensor_noise, cfg.seed);
         let next_tick_ns = cfg.gts.tick_ns;
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
-        let mut engine = Self {
+        Self {
             board,
             cfg,
             now_ns: 0,
             freqs,
-            power_rows: vec![Vec::new(); n_clusters],
+            power_rows,
             cores,
             threads: Vec::new(),
             apps: Vec::new(),
@@ -266,11 +270,7 @@ impl Engine {
             stalled_heartbeats: 0,
             ticks_fast_forwarded: 0,
             replay_set: Vec::new(),
-        };
-        for i in 0..n_clusters {
-            engine.refresh_power_row(i);
         }
-        engine
     }
 
     /// The board this engine simulates.
@@ -528,7 +528,7 @@ impl Engine {
                 if self.freqs[i] != freq {
                     self.freq_epochs[i] += 1;
                     self.freqs[i] = freq;
-                    self.refresh_power_row(i);
+                    self.power_rows[i] = power_row(&self.board, cluster, freq);
                 }
             }
             Action::SetThreadAffinity {
@@ -1368,17 +1368,6 @@ impl Engine {
         watts
     }
 
-    /// Recomputes cluster `i`'s power row at its current frequency:
-    /// [`cluster_power`] with 0 to all of its cores busy.
-    fn refresh_power_row(&mut self, i: usize) {
-        let cluster = ClusterId(i);
-        let (f, size) = (self.freqs[i], self.board.cluster_size(cluster));
-        let board = &self.board;
-        let row = &mut self.power_rows[i];
-        row.clear();
-        row.extend((0..=size).map(|b| cluster_power(board, cluster, f, b as f64, size)));
-    }
-
     // ------------------------------------------------------------------
     // Application state machines
     // ------------------------------------------------------------------
@@ -1749,4 +1738,13 @@ impl Engine {
             self.pipeline_fetch(tid);
         }
     }
+}
+
+/// `cluster`'s true power (W) at `freq` with 0 to all of its cores busy,
+/// indexed by the busy count: the engine's power row for the cluster.
+fn power_row(board: &BoardSpec, cluster: ClusterId, freq: FreqKhz) -> Vec<f64> {
+    let size = board.cluster_size(cluster);
+    (0..=size)
+        .map(|busy| cluster_power(board, cluster, freq, busy as f64, size))
+        .collect()
 }
