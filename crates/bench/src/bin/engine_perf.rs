@@ -1,8 +1,8 @@
 //! Engine-loop performance baseline: the machine-readable numbers
 //! (`BENCH_engine.json`) behind the discrete-event engine core — the
 //! once-per-step wake-up scan, tick/sensor quiescence, the idle
-//! fast-forward with its batched quiescent ticks, and the busy tick
-//! fast-forward with its pinned-span replay.
+//! fast-forward with its batched quiescent ticks, and the busy span
+//! that goes on tick by tick, pinned or not.
 //!
 //! Two open-system scenarios bracket the engine's operating envelope:
 //!

@@ -6,9 +6,9 @@
 //! sensor sampling. It reads the powers from per-cluster rows computed
 //! when a frequency changes and hands them to
 //! [`EnergyMeter::accumulate_powers`]; a run of equal intervals (the
-//! whole ticks of a pinned busy span or of a quiescent idle span) goes
-//! to [`EnergyMeter::accumulate_repeated`], which makes the same
-//! additions as one call per interval.
+//! whole ticks of a busy span, pinned or not, or of a quiescent idle
+//! span) goes to [`EnergyMeter::accumulate_repeated`], which makes the
+//! same additions as one call per interval.
 
 use serde::{Deserialize, Serialize};
 
@@ -335,7 +335,7 @@ mod tests {
                     cluster_power(&b, c, freqs[i], busy[i], b.cluster_size(c))
                 })
                 .collect();
-            // With busy counts (a pinned busy span) and without (an idle
+            // With busy counts (a busy span) and without (an idle
             // span, whose busy adds are skipped).
             for busy in [&busy[..], &[]] {
                 for m in [0_u64, 1, 2, 37] {

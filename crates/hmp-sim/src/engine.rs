@@ -39,26 +39,30 @@ const WORK_EPS: f64 = 1e-9;
 /// Both modes share the due-event processing, the GTS tick and the
 /// power model: per-step and per-tick thread scans visit only the
 /// threads of apps that have not finished, and cluster powers are read
-/// from rows computed when a frequency changes.
+/// from rows computed when a frequency changes. They share no speed cache:
+/// the reference computes every thread's speed afresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// The fast-forwarding stepper (the default): each step reads the
     /// next control event (action, fault onset, sleep wake-up, tick,
     /// sensor sample) from the state that owns it once, and per-core
     /// thread speeds are memoized under run-queue/frequency epochs.
-    /// Fully-idle spans are fast-forwarded boundary by boundary, and
-    /// once every load has decayed to zero all whole ticks before the
-    /// next sample are integrated in one call. Busy spans of pure GTS
-    /// ticks (no completion, action, sample, fault or wake-up in
-    /// between) are replayed tick by tick in one loop; while every
-    /// runnable thread is pinned to its core, as HARS and MP-HARS pin
-    /// them, the replay runs over a working set of those threads and
-    /// integrates the span's energy once, at its end.
+    /// A step is an idle span or a busy span. Fully-idle spans are
+    /// fast-forwarded boundary by boundary, and once every load has
+    /// decayed to zero all whole ticks before the next sample are
+    /// integrated in one call. A busy span gathers the runnable
+    /// threads once, integrates to the next event and, when that
+    /// event is the GTS tick, goes on tick by tick until anything but
+    /// a tick is due (a completion, action, sample, fault or wake-up)
+    /// or a tick moves a thread; while every runnable thread is pinned
+    /// to its core, as HARS and MP-HARS pin them, a tick only updates
+    /// loads. The span's busy time and energy are integrated once, at
+    /// its end.
     FastForward,
     /// The reference stepper: every step rescans the control state and
-    /// recomputes every runnable thread's speed for the next event, no
-    /// span is fast-forwarded, and every tick runs the full GTS
-    /// migration, balance and idle-pull passes.
+    /// recomputes every runnable thread's speed for the next event and
+    /// for the interval's work, no span is fast-forwarded, and every
+    /// tick runs the full GTS migration, balance and idle-pull passes.
     FixedStep,
 }
 
@@ -73,7 +77,9 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Heartbeat rate-window length (heartbeats).
     pub hb_window: usize,
-    /// Event-loop implementation (default [`ExecMode::FastForward`]).
+    /// Event-loop implementation: [`ExecMode::FastForward`] (the
+    /// default) steps idle and busy spans; [`ExecMode::FixedStep`] is
+    /// the reference it is checked against, one event per step.
     pub exec: ExecMode,
     /// In [`ExecMode::FastForward`], count power-sensor samples that
     /// fall inside fully-idle spans instead of materializing them
@@ -188,22 +194,23 @@ pub struct Engine {
     hb_stall_until: u64,
     /// Heartbeats whose emission was swallowed by a stall window.
     stalled_heartbeats: u64,
-    /// GTS ticks applied inside [`Engine::tick_fast_forward`] spans.
+    /// GTS ticks applied inside [`Engine::busy_span`] steps.
     ticks_fast_forwarded: u64,
-    /// The working set of a pinned span, kept to reuse its allocation.
-    replay_set: Vec<Replayed>,
+    /// The working set of a busy span, kept to reuse its allocation.
+    span_set: Vec<SpanThread>,
 }
 
-/// One runnable thread of a pinned span: its work left, the work one
-/// whole tick takes off it, and its run queue's length and its speed,
-/// the terms of its completion test.
+/// One runnable thread of a busy span: its work left, its run queue's
+/// length and its share of the core, its speed, and the work one whole
+/// tick takes off it.
 #[derive(Debug, Clone, Copy)]
-struct Replayed {
+struct SpanThread {
     tid: usize,
     work: f64,
-    per_tick: f64,
     k: f64,
+    share: f64,
     speed: f64,
+    per_tick: f64,
 }
 
 /// Memoized per-core thread speeds (parallel to the core's run queue),
@@ -269,7 +276,7 @@ impl Engine {
             hb_stall_until: 0,
             stalled_heartbeats: 0,
             ticks_fast_forwarded: 0,
-            replay_set: Vec::new(),
+            span_set: Vec::new(),
         }
     }
 
@@ -592,12 +599,6 @@ impl Engine {
         self.now_ns < self.sensor_dropout_until || self.now_ns < self.sensor_stuck_until
     }
 
-    /// `true` while a heartbeat-stall window is active (emissions do
-    /// not reach the monitors).
-    pub fn heartbeats_stalled(&self) -> bool {
-        self.now_ns < self.hb_stall_until
-    }
-
     /// Heartbeats whose emission a stall window swallowed.
     pub fn stalled_heartbeats(&self) -> u64 {
         self.stalled_heartbeats
@@ -779,12 +780,7 @@ impl Engine {
                     // Zero runnable threads: jump the whole lull.
                     self.idle_fast_forward(wakeup_ns);
                 } else {
-                    let dt = self.next_event_dt_cached(wakeup_ns);
-                    if self.now_ns + dt == self.next_tick_ns {
-                        self.tick_fast_forward(dt, wakeup_ns);
-                    } else if dt > 0 {
-                        self.advance(dt);
-                    }
+                    self.busy_span(wakeup_ns);
                 }
             }
         }
@@ -830,9 +826,9 @@ impl Engine {
     ///
     /// This is the [`ExecMode::FixedStep`] reference: a full rescan of
     /// the control state and of every run queue, recomputing every
-    /// runnable thread's speed, on every step.
-    /// [`Engine::next_event_dt_cached`] must return the identical value
-    /// from one wake-up scan and the speed caches.
+    /// runnable thread's speed, on every step. [`Engine::busy_span`]
+    /// must find the identical instant from one wake-up scan and the
+    /// speed caches.
     fn next_event_dt(&self, deadline_ns: u64) -> u64 {
         let mut next = deadline_ns
             .min(self.next_tick_ns)
@@ -856,35 +852,6 @@ impl Engine {
             }
             for &tid in &core.runnable {
                 let speed = self.speed_of(tid);
-                let secs = self.threads[tid].work_left * k as f64 / speed;
-                dt = dt.min(completion_ns(secs));
-            }
-        }
-        dt
-    }
-
-    /// Fast variant of [`Engine::next_event_dt`]: the earliest control
-    /// event is the step's [`Engine::next_wakeup_ns`] (`wakeup_ns`)
-    /// against the tick and sensor clocks, and per-core completion
-    /// deltas reuse the epoch-stamped speed caches instead of
-    /// recomputing `speed_of` per thread per step. The completion
-    /// arithmetic is the reference expression verbatim (same memoized
-    /// speed bits, same [`completion_ns`] rounding), so both modes
-    /// step to identical instants.
-    fn next_event_dt_cached(&mut self, wakeup_ns: u64) -> u64 {
-        let next = wakeup_ns
-            .min(self.next_tick_ns)
-            .min(self.sensor.next_sample_ns());
-        let mut dt = next.saturating_sub(self.now_ns);
-        for ci in 0..self.cores.len() {
-            let k = self.cores[ci].nr_running();
-            if k == 0 {
-                continue;
-            }
-            self.refresh_speed_cache(ci);
-            for i in 0..k {
-                let tid = self.cores[ci].runnable[i];
-                let speed = self.speed_cache[ci].speeds[i];
                 let secs = self.threads[tid].work_left * k as f64 / speed;
                 dt = dt.min(completion_ns(secs));
             }
@@ -981,8 +948,8 @@ impl Engine {
 
     /// The first instant a fault onset, deferred action or sleep
     /// wake-up is due, capped at `deadline_ns`. A default-mode step
-    /// reads it once: it bounds the step's next event and is where both
-    /// fast-forward loops hand the clock back to `process_due`.
+    /// reads it once: it bounds the step's next event and is where an
+    /// idle or busy span hands the clock back to `process_due`.
     fn next_wakeup_ns(&self, deadline_ns: u64) -> u64 {
         let mut stop = deadline_ns;
         if let Some(t) = self.faults.next_due() {
@@ -1014,164 +981,129 @@ impl Engine {
         })
     }
 
-    /// Fast-forwards a busy span of pure GTS ticks. A step whose next
-    /// event is the tick, `dt_ns` away, calls this in place of
-    /// `advance(dt_ns)`: it integrates to the tick, applies it, and
-    /// repeats tick after tick until a work-item completion, a sensor
-    /// sample or the step's `wakeup_ns` ([`Engine::next_wakeup_ns`]:
-    /// action, fault onset, sleep wake-up or the deadline) is due by
-    /// the next tick, or a tick moves a thread.
+    /// Steps a busy board to its next event, and on past it while that
+    /// event is a pure GTS tick. `wakeup_ns` is the step's
+    /// [`Engine::next_wakeup_ns`].
     ///
-    /// Bit-identity: each boundary is one reference step. The
-    /// integration is `advance`'s arithmetic with the span's constant
-    /// busy counts, cluster powers ([`EnergyMeter::accumulate_powers`])
-    /// and speed caches hoisted. A thread left with
-    /// `work_left <= WORK_EPS` at a tick ends the span before that tick
-    /// (`process_due` completes work before ticking), and the span goes
-    /// on past a tick only when `next_event_dt_cached`'s per-thread
-    /// [`completion_ns`] test (in its exact predicate form,
-    /// [`completes_within`]) puts every completion beyond the next one.
+    /// One pass over the run queues gathers the working set (each
+    /// runnable thread's work left, share, speed from the speed caches
+    /// and the work a whole tick takes off it) and the next event with
+    /// [`Engine::next_event_dt`]'s arithmetic on the same speed bits,
+    /// so both modes step to identical instants. The first interval is
+    /// integrated with [`Engine::advance`]'s products, and a step whose
+    /// event is not the tick ends there.
     ///
-    /// Pinned spans: while every runnable thread's affinity is exactly
-    /// its current core, the migration pass finds no allowed core on
-    /// another cluster and the balance and idle-pull passes find no
-    /// thread allowed on another core, so a tick is `update_loads`
-    /// alone and the span is replayed by `replay_pinned`. Otherwise
-    /// the full tick runs here, and one that moves a thread ends the
-    /// span (its run queues and powers change).
-    fn tick_fast_forward(&mut self, dt_ns: u64, wakeup_ns: u64) {
+    /// A step that lands on the tick goes on tick by tick until a
+    /// completion, a sensor sample or `wakeup_ns` is due by the next
+    /// tick, or a tick moves a thread. A thread left within `WORK_EPS`
+    /// ends the span before its tick (`process_due` completes work
+    /// first), and the span passes a tick only when the exact predicate
+    /// form of the completion test ([`completes_within`]) puts every
+    /// completion beyond the next one. While every runnable thread's
+    /// affinity is exactly its current core, as HARS and MP-HARS pin
+    /// them, the migration pass finds no allowed core on another
+    /// cluster and the balance and idle-pull passes no thread allowed
+    /// on another core, so a tick is `update_loads`; after the first,
+    /// which folds in the runnable time from before the span, a
+    /// runnable thread was runnable for the whole tick and any other
+    /// live thread for none of it, so each load gains the constant
+    /// `(1 − decay)·1.0` or `(1 − decay)·0.0` in place. Otherwise the
+    /// working set's runnable time is set to one tick and the full
+    /// `gts_tick` runs.
+    ///
+    /// Frequencies, and run queues up to a moving tick, are constant
+    /// over the span, so work, core busy time and energy are written
+    /// back once, at its end: busy time to the cores busy at the
+    /// gather, energy by [`EnergyMeter::accumulate_repeated`], which
+    /// makes the additions of one call per interval, in the same order.
+    fn busy_span(&mut self, wakeup_ns: u64) {
+        let tick_ns = self.cfg.gts.tick_ns;
+        let tick_secs = ns_to_secs(tick_ns);
         let stop = wakeup_ns.min(self.sensor.next_sample_ns());
-        let tick_ns = self.cfg.gts.tick_ns;
-        let n = self.board.n_clusters();
-        let mut busy = [0.0f64; MAX_CLUSTERS];
-        let mut pinned = true;
-        for ci in 0..self.cores.len() {
-            if self.cores[ci].nr_running() == 0 {
-                continue;
-            }
-            self.refresh_speed_cache(ci);
-            let core = &self.cores[ci];
-            busy[core.cluster.index()] += 1.0;
-            let only_here = CpuSet::single(core.id);
-            pinned &= core
-                .runnable
-                .iter()
-                .all(|&tid| self.threads[tid].affinity == only_here);
-        }
-        let powers = self.cluster_powers(&busy);
-        if pinned {
-            self.replay_pinned(dt_ns, stop, &powers[..n], &busy[..n]);
-            return;
-        }
-        let mut dt_ns = dt_ns;
-        loop {
-            for core in &mut self.cores {
-                if core.nr_running() > 0 {
-                    core.busy_ns += dt_ns;
-                }
-            }
-            self.energy
-                .accumulate_powers(&powers[..n], &busy[..n], dt_ns);
-            let dt_secs = ns_to_secs(dt_ns);
-            // The same pass decides what follows: a work item complete
-            // at this instant, or one completing within the next period.
-            let (mut finishing, mut completes) = (false, false);
-            for ci in 0..self.cores.len() {
-                let k = self.cores[ci].nr_running();
-                if k == 0 {
-                    continue;
-                }
-                let share = 1.0 / k as f64;
-                for i in 0..k {
-                    let tid = self.cores[ci].runnable[i];
-                    let speed = self.speed_cache[ci].speeds[i];
-                    let done = dt_secs * share * speed;
-                    let t = &mut self.threads[tid];
-                    t.work_left = (t.work_left - done).max(0.0);
-                    t.runnable_ns_since_tick = t.runnable_ns_since_tick.saturating_add(dt_ns);
-                    finishing |= t.work_left <= WORK_EPS;
-                    completes |= completes_within(t.work_left * k as f64 / speed, tick_ns);
-                }
-            }
-            self.now_ns += dt_ns;
-            if finishing || self.now_ns >= stop {
-                break; // `process_due` handles this instant in canonical order
-            }
-            let moved = gts_tick(
-                &self.cfg.gts,
-                &self.board,
-                &mut self.threads,
-                &mut self.cores,
-                &self.live,
-            );
-            self.ticks_fast_forwarded += 1;
-            self.next_tick_ns += tick_ns;
-            if moved || completes || self.next_tick_ns > stop {
-                break;
-            }
-            dt_ns = tick_ns;
-        }
-    }
-
-    /// Replays a pinned busy span (see [`Engine::tick_fast_forward`],
-    /// which hands over the span's `powers` and `busy` counts and its
-    /// `stop`). The first interval, `dt_ns` to the first tick, is
-    /// integrated in the pass that gathers the working set: each
-    /// runnable thread's work left, the work a whole tick takes off it
-    /// (`tick_secs · share · speed`, the bits `advance` computes), its
-    /// run queue's length and its speed. The first tick folds in the
-    /// runnable time that accumulated before the span, so it is the
-    /// full `update_loads`. From then on the run queues are frozen: a
-    /// runnable thread has been runnable for the whole tick and any
-    /// other live thread for none of it, so each later tick adds the
-    /// constant `(1 − decay)·1.0` or `(1 − decay)·0.0` to the decayed
-    /// load in place, and each whole interval only decrements work and
-    /// asks the `WORK_EPS` and [`completes_within`] tests of
-    /// `tick_fast_forward`. Work, runnable time, core busy time and
-    /// energy are written back once, at the span's end; the meter's
-    /// [`EnergyMeter::accumulate_repeated`] makes the additions of one
-    /// call per interval, in the same order.
-    fn replay_pinned(&mut self, dt_ns: u64, stop: u64, powers: &[f64], busy: &[f64]) {
-        let tick_ns = self.cfg.gts.tick_ns;
-        let (dt_secs, tick_secs) = (ns_to_secs(dt_ns), ns_to_secs(tick_ns));
-        let mut set = std::mem::take(&mut self.replay_set);
+        let mut dt_ns = stop.min(self.next_tick_ns).saturating_sub(self.now_ns);
+        let mut set = std::mem::take(&mut self.span_set);
         set.clear();
-        let (mut finishing, mut completes) = (false, false);
+        let mut busy = [0.0f64; MAX_CLUSTERS];
+        let mut busy_cores = CpuSet::empty();
+        let mut pinned = true;
         for ci in 0..self.cores.len() {
             let k = self.cores[ci].nr_running();
             if k == 0 {
                 continue;
             }
+            self.refresh_speed_cache(ci);
+            let core = &self.cores[ci];
+            busy[core.cluster.index()] += 1.0;
+            busy_cores.insert(core.id);
+            let only_here = CpuSet::single(core.id);
             let share = 1.0 / k as f64;
-            for i in 0..k {
-                let tid = self.cores[ci].runnable[i];
-                let speed = self.speed_cache[ci].speeds[i];
-                let t = &mut self.threads[tid];
-                t.work_left = (t.work_left - dt_secs * share * speed).max(0.0);
-                t.runnable_ns_since_tick = t.runnable_ns_since_tick.saturating_add(dt_ns);
-                finishing |= t.work_left <= WORK_EPS;
-                completes |= completes_within(t.work_left * k as f64 / speed, tick_ns);
-                set.push(Replayed {
+            for (&tid, &speed) in core.runnable.iter().zip(&self.speed_cache[ci].speeds) {
+                let t = &self.threads[tid];
+                dt_ns = dt_ns.min(completion_ns(t.work_left * k as f64 / speed));
+                pinned &= t.affinity == only_here;
+                set.push(SpanThread {
                     tid,
                     work: t.work_left,
-                    per_tick: tick_secs * share * speed,
                     k: k as f64,
+                    share,
                     speed,
+                    per_tick: tick_secs * share * speed,
                 });
             }
+        }
+        let dt_secs = ns_to_secs(dt_ns);
+        let (mut finishing, mut completes) = (false, false);
+        for w in set.iter_mut() {
+            let t = &mut self.threads[w.tid];
+            t.work_left = (t.work_left - dt_secs * w.share * w.speed).max(0.0);
+            t.runnable_ns_since_tick = t.runnable_ns_since_tick.saturating_add(dt_ns);
+            w.work = t.work_left;
+            finishing |= w.work <= WORK_EPS;
+            completes |= completes_within(w.work * w.k / w.speed, tick_ns);
         }
         self.now_ns += dt_ns;
         // Whole tick intervals integrated after the first interval, and
         // whether the span ended on one (before its tick).
         let mut whole = 0u64;
         let mut ended_mid_tick = false;
-        if !finishing && self.now_ns < stop {
-            update_loads(&self.cfg.gts, &mut self.threads, &self.live);
-            self.ticks_fast_forwarded += 1;
-            self.next_tick_ns += tick_ns;
+        if self.now_ns == self.next_tick_ns && !finishing && self.now_ns < stop {
             let decay = self.cfg.gts.load_decay;
             let (run_inc, idle_inc) = ((1.0 - decay) * 1.0, (1.0 - decay) * 0.0);
-            while !completes && self.next_tick_ns <= stop {
+            loop {
+                let moved = if !pinned {
+                    if whole > 0 {
+                        for w in &set {
+                            self.threads[w.tid].runnable_ns_since_tick = tick_ns;
+                        }
+                    }
+                    gts_tick(
+                        &self.cfg.gts,
+                        &self.board,
+                        &mut self.threads,
+                        &mut self.cores,
+                        &self.live,
+                    )
+                } else if whole == 0 {
+                    update_loads(&self.cfg.gts, &mut self.threads, &self.live);
+                    false
+                } else {
+                    for r in &self.live {
+                        for t in &mut self.threads[r.clone()] {
+                            let inc = match t.run {
+                                RunState::Finished => continue,
+                                RunState::Runnable => run_inc,
+                                RunState::Blocked(_) => idle_inc,
+                            };
+                            t.load = decay * t.load + inc;
+                        }
+                    }
+                    false
+                };
+                self.ticks_fast_forwarded += 1;
+                self.next_tick_ns += tick_ns;
+                if moved || completes || self.next_tick_ns > stop {
+                    break;
+                }
                 whole += 1;
                 for w in set.iter_mut() {
                     w.work = (w.work - w.per_tick).max(0.0);
@@ -1183,41 +1115,34 @@ impl Engine {
                     ended_mid_tick = true;
                     break;
                 }
-                for r in &self.live {
-                    for t in &mut self.threads[r.clone()] {
-                        let inc = match t.run {
-                            RunState::Finished => continue,
-                            RunState::Runnable => run_inc,
-                            RunState::Blocked(_) => idle_inc,
-                        };
-                        t.load = decay * t.load + inc;
-                    }
-                }
-                self.ticks_fast_forwarded += 1;
-                self.next_tick_ns += tick_ns;
             }
         }
-        for w in &set {
-            let t = &mut self.threads[w.tid];
-            t.work_left = w.work;
-            if ended_mid_tick {
-                t.runnable_ns_since_tick = tick_ns;
+        if whole > 0 {
+            for w in &set {
+                let t = &mut self.threads[w.tid];
+                t.work_left = w.work;
+                if ended_mid_tick {
+                    t.runnable_ns_since_tick = tick_ns;
+                }
             }
         }
         let span_ns = dt_ns + whole * tick_ns;
-        for core in &mut self.cores {
-            if core.nr_running() > 0 {
-                core.busy_ns += span_ns;
-            }
+        for core in busy_cores.iter() {
+            self.cores[core.0].busy_ns += span_ns;
         }
-        self.energy.accumulate_powers(powers, busy, dt_ns);
+        let n = self.board.n_clusters();
+        let powers = self.cluster_powers(&busy);
         self.energy
-            .accumulate_repeated(powers, busy, tick_ns, whole);
-        self.replay_set = set;
+            .accumulate_powers(&powers[..n], &busy[..n], dt_ns);
+        self.energy
+            .accumulate_repeated(&powers[..n], &busy[..n], tick_ns, whole);
+        self.span_set = set;
     }
 
     /// Advances the clock by `dt_ns`, integrating energy, busy time,
-    /// load-tracking counters and work progress.
+    /// load-tracking counters and work progress: the
+    /// [`ExecMode::FixedStep`] reference, which computes every runnable
+    /// thread's speed afresh.
     fn advance(&mut self, dt_ns: u64) {
         let n = self.board.n_clusters();
         let mut busy = [0.0f64; MAX_CLUSTERS];
@@ -1231,27 +1156,18 @@ impl Engine {
         self.energy
             .accumulate_powers(&powers[..n], &busy[..n], dt_ns);
         let dt_secs = ns_to_secs(dt_ns);
-        let use_cache = self.cfg.exec == ExecMode::FastForward;
         for ci in 0..self.cores.len() {
             let k = self.cores[ci].nr_running();
             if k == 0 {
                 continue;
             }
             let share = 1.0 / k as f64;
-            if use_cache {
-                self.refresh_speed_cache(ci);
-            }
             // Indexed iteration: the body only touches thread state
             // (never the run queues), so no clone is needed to satisfy
             // aliasing — this loop allocates nothing.
             for i in 0..k {
                 let tid = self.cores[ci].runnable[i];
-                let speed = if use_cache {
-                    self.speed_cache[ci].speeds[i]
-                } else {
-                    self.speed_of(tid)
-                };
-                let done = dt_secs * share * speed;
+                let done = dt_secs * share * self.speed_of(tid);
                 let t = &mut self.threads[tid];
                 t.work_left = (t.work_left - done).max(0.0);
                 t.runnable_ns_since_tick = t.runnable_ns_since_tick.saturating_add(dt_ns);

@@ -5,7 +5,7 @@
 //! to [`crate::Engine::install_faults`]. Fault onsets are engine events
 //! like ticks and sensor samples: both executor modes read the plan's
 //! cursor ([`FaultPlan::next_due`]) when they look for the next event,
-//! and both fast-forward loops stop at it, so every step ends *at* the
+//! and idle and busy spans stop at it, so every step ends *at* the
 //! onset instant and a faulty run is bit-identical across
 //! [`crate::ExecMode`]s and worker counts.
 //!

@@ -2,8 +2,8 @@
 //! reference stepper.
 //!
 //! The default mode ([`ExecMode::FastForward`]: one wake-up scan per
-//! step, speed caches, idle and tick fast-forwards, the pinned-span
-//! replay and batched quiescent idle ticks) must be an
+//! step, speed caches, idle spans with batched quiescent ticks, and
+//! busy spans that go on tick by tick, pinned or not) must be an
 //! *optimization*, not a semantic change: for any workload mix —
 //! barrier apps that drain to full idle, low-duty spinners that sleep
 //! most of every period, deferred frequency actions landing in idle
@@ -470,6 +470,12 @@ proptest! {
             plan.len(),
             "every onset lies inside the horizon"
         );
+        // A board that dies before the first tick has no span to reach one.
+        let first_tick = EngineConfig::default().gts.tick_ns;
+        prop_assert!(
+            heap.ticks_fast_forwarded > 0 || heap.board_failed.is_some_and(|t| t < first_tick),
+            "no unpinned busy span went on past a tick"
+        );
     }
 
     /// With coalescing on (the default), everything fingerprinted still
@@ -500,6 +506,10 @@ proptest! {
         prop_assert!(
             heap.stored_samples.len() as u64 <= heap.total_samples,
             "stored samples are a subset of scheduled instants"
+        );
+        prop_assert!(
+            heap.ticks_fast_forwarded > 0,
+            "no unpinned busy span went on past a tick"
         );
     }
 
@@ -548,7 +558,7 @@ proptest! {
         assert_identical(&fixed, &heap, !coalesce)?;
         prop_assert!(
             heap.ticks_fast_forwarded > 0,
-            "the busy tick fast-forward never ran"
+            "no busy span went on past a tick"
         );
     }
 }

@@ -285,11 +285,6 @@ impl MpHarsManager {
         })
     }
 
-    /// An app's target band, if registered.
-    pub fn app_target(&self, app: AppId) -> Option<PerfTarget> {
-        self.apps.iter().find(|a| a.app == app).map(|a| a.target)
-    }
-
     /// The shared frequency of `cluster`.
     pub fn cluster_freq(&self, cluster: ClusterId) -> FreqKhz {
         self.clusters[cluster.index()].freq
