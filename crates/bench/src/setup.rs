@@ -102,6 +102,8 @@ pub fn seed_for(bench: Benchmark) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hars_core::fnv::FnvHasher;
+    use std::hash::Hasher;
 
     #[test]
     fn target_bands_match_paper_notation() {
@@ -120,6 +122,26 @@ mod tests {
         let b = measure_max_rate(&lab, Benchmark::Swaptions, 8, 1);
         assert!(a > 1.0, "swaptions max rate {a}");
         assert_eq!(a, b);
+    }
+
+    /// Pins the fitted α and β of every cluster and ladder level of the
+    /// full-scale lab: nothing else in tier-1 runs the default sweep.
+    #[test]
+    fn full_scale_lab_coefficients_are_pinned() {
+        let lab = Lab::new();
+        let mut h = FnvHasher::new();
+        for cluster in lab.board.cluster_ids() {
+            for freq in lab.board.ladder(cluster).iter() {
+                let c = lab.power_est.coeff(cluster, freq);
+                h.write(&c.alpha.to_bits().to_le_bytes());
+                h.write(&c.beta.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(
+            h.finish(),
+            0x2c68_8d82_4088_743b,
+            "full-scale calibration moved"
+        );
     }
 
     #[test]

@@ -161,6 +161,7 @@ pub fn measure_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecMode;
 
     fn quiet_cfg() -> EngineConfig {
         EngineConfig {
@@ -227,6 +228,55 @@ mod tests {
         // (6 little freqs × 4 cores + 9 big freqs × 4 cores) × 1 duty.
         assert_eq!(points.len(), (6 * 4 + 9 * 4));
         assert!(points.iter().all(|p| p.measured_watts > 0.0));
+    }
+
+    #[test]
+    fn sweep_matches_a_fresh_engine_per_point() {
+        // 100 ms samples put the last one exactly at the end of a 0.9 s
+        // point; the duties reach both ends and the period is off the tick.
+        let mut xu3 = BoardSpec::odroid_xu3();
+        xu3.sensor_period_ns = 100_000_000;
+        let cal = CalibrationConfig {
+            secs_per_point: 0.9,
+            duties: vec![0.0, 0.3, 1.0],
+            spinner_period_ns: 700_000,
+        };
+        for board in [xu3, BoardSpec::dynamiq_1p_3m_4l()] {
+            for exec in [ExecMode::FastForward, ExecMode::FixedStep] {
+                let cfg = EngineConfig {
+                    sensor_noise: 0.02,
+                    seed: 0x5EED_CA1B,
+                    exec,
+                    ..EngineConfig::default()
+                };
+                let points = run_calibration(&board, &cfg, &cal).unwrap();
+                let mut expected = Vec::new();
+                for cluster in board.cluster_ids() {
+                    for freq in board.ladder(cluster).iter() {
+                        for cores_used in 1..=board.cluster_size(cluster) {
+                            for &duty in &cal.duties {
+                                expected.push((cluster, freq, cores_used, duty));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(points.len(), expected.len(), "{} {exec:?}", board.name);
+                for (p, &(cluster, freq, cores_used, duty)) in points.iter().zip(&expected) {
+                    let at = format!(
+                        "{} {exec:?} {cluster:?} {freq} {cores_used}x{duty}",
+                        board.name
+                    );
+                    assert_eq!(
+                        (p.cluster, p.freq, p.cores_used, p.duty.to_bits()),
+                        (cluster, freq, cores_used, duty.to_bits()),
+                        "{at}"
+                    );
+                    let watts =
+                        measure_point(&board, &cfg, &cal, cluster, freq, cores_used, duty).unwrap();
+                    assert_eq!(p.measured_watts.to_bits(), watts.to_bits(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
