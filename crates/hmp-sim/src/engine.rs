@@ -1264,13 +1264,20 @@ impl Engine {
     /// Instantaneous true per-cluster power (W) — what the sensor
     /// reads, indexed by cluster.
     fn instant_power(&self) -> [f64; MAX_CLUSTERS] {
+        self.cluster_powers(&self.busy_counts())
+    }
+
+    /// Cores with a runnable thread now, per cluster (whole counts,
+    /// indexed by cluster): the busy counts the sensor's truth is read
+    /// at.
+    pub(crate) fn busy_counts(&self) -> [f64; MAX_CLUSTERS] {
         let mut busy = [0.0f64; MAX_CLUSTERS];
         for core in &self.cores {
             if core.nr_running() > 0 {
                 busy[core.cluster.index()] += 1.0;
             }
         }
-        self.cluster_powers(&busy)
+        busy
     }
 
     /// True per-cluster power (W) at the current frequencies with
@@ -1658,7 +1665,7 @@ impl Engine {
 
 /// `cluster`'s true power (W) at `freq` with 0 to all of its cores busy,
 /// indexed by the busy count: the engine's power row for the cluster.
-fn power_row(board: &BoardSpec, cluster: ClusterId, freq: FreqKhz) -> Vec<f64> {
+pub(crate) fn power_row(board: &BoardSpec, cluster: ClusterId, freq: FreqKhz) -> Vec<f64> {
     let size = board.cluster_size(cluster);
     (0..=size)
         .map(|busy| cluster_power(board, cluster, freq, busy as f64, size))

@@ -8,15 +8,24 @@
 //! point it runs duty-cycle spinner threads pinned one-per-core and
 //! records the mean *sensor* (noisy) cluster power.
 //!
+//! The sweep runs one spinner engine per (cluster, used cores, duty
+//! cycle), not one per point, and derives every frequency from it bit
+//! for bit. A spinner is time-based (its speed is 1 at any frequency),
+//! so its cores are busy at the same instants whatever the cluster runs
+//! at; and the sensor's noise draws do not depend on what it reads. Each
+//! level's samples are therefore the ones a fresh engine at that level
+//! takes, which [`measure_point`] runs as the reference.
+//!
 //! `hars-core`'s calibration fits `P = α·(C·U) + β` per (cluster,
 //! frequency) to these points.
 
-use crate::board::{BoardSpec, ClusterId};
+use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
 use crate::clock::secs_to_ns;
-use crate::cpuset::CpuSet;
-use crate::engine::{Engine, EngineConfig};
+use crate::cpuset::{CoreId, CpuSet};
+use crate::engine::{power_row, Engine, EngineConfig};
 use crate::error::SimError;
 use crate::freq::FreqKhz;
+use crate::sensor::PowerSensor;
 use crate::spec::{AppSpec, ParallelismModel, SpeedProfile, WorkSource};
 
 /// One measured calibration point.
@@ -62,15 +71,28 @@ impl Default for CalibrationConfig {
     }
 }
 
-/// Runs the full calibration sweep for every cluster of `board`.
+/// Busy cores per cluster at each sensor instant of one spinner run.
+type BusyTrace = Vec<(u64, [f64; MAX_CLUSTERS])>;
+
+/// Runs the full calibration sweep for every cluster of `board`, in
+/// (cluster, frequency, used cores, duty) order.
 ///
-/// Every point uses a fresh engine so points are independent, exactly
-/// like rebooting the microbenchmark per configuration.
+/// Each (cluster, used cores, duty) runs once, on a fresh engine, and
+/// records every cluster's busy-core count at each sensor instant. Each
+/// frequency then replays those counts through a fresh sensor with the
+/// engine's period, noise and seed, fed the true power the engine would
+/// read at that level: the cluster under test at the level, every other
+/// cluster idle at its ladder floor, every rail in cluster order. The
+/// points equal [`measure_point`]'s bit for bit (see the module docs).
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from engine setup (cannot occur for a valid
 /// board).
+///
+/// # Panics
+///
+/// Panics when `secs_per_point` is shorter than one sensor period.
 pub fn run_calibration(
     board: &BoardSpec,
     engine_cfg: &EngineConfig,
@@ -78,32 +100,43 @@ pub fn run_calibration(
 ) -> Result<Vec<CalibrationPoint>, SimError> {
     let mut points = Vec::new();
     for cluster in board.cluster_ids() {
-        let ladder = board.ladder(cluster).clone();
-        for freq in ladder.iter() {
-            for cores_used in 1..=board.cluster_size(cluster) {
-                for &duty in &cal.duties {
-                    let watts =
-                        measure_point(board, engine_cfg, cal, cluster, freq, cores_used, duty)?;
-                    points.push(CalibrationPoint {
-                        cluster,
-                        freq,
-                        cores_used,
-                        duty,
-                        measured_watts: watts,
-                    });
-                }
+        let mut runs = Vec::new();
+        for cores_used in 1..=board.cluster_size(cluster) {
+            for &duty in &cal.duties {
+                let trace = busy_trace(board, engine_cfg, cal, cluster, cores_used, duty)?;
+                runs.push((cores_used, duty, trace));
+            }
+        }
+        for freq in board.ladder(cluster).iter() {
+            let rows = point_rows(board, cluster, freq);
+            for (cores_used, duty, trace) in &runs {
+                let sensor = replay(board, engine_cfg, &rows, trace);
+                points.push(CalibrationPoint {
+                    cluster,
+                    freq,
+                    cores_used: *cores_used,
+                    duty: *duty,
+                    measured_watts: sensor
+                        .mean_watts(cluster)
+                        .expect("run longer than one sensor period"),
+                });
             }
         }
     }
     Ok(points)
 }
 
-/// Measures a single calibration point (exposed for tests and targeted
-/// recalibration).
+/// Measures a single calibration point on a fresh engine at `freq`: the
+/// reference [`run_calibration`] is tested against, bit for bit (also
+/// exposed for targeted recalibration).
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from engine setup.
+///
+/// # Panics
+///
+/// Panics when `secs_per_point` is shorter than one sensor period.
 pub fn measure_point(
     board: &BoardSpec,
     engine_cfg: &EngineConfig,
@@ -113,8 +146,28 @@ pub fn measure_point(
     cores_used: usize,
     duty: f64,
 ) -> Result<f64, SimError> {
-    // Calibration reads the sensor's *noisy sample stream* itself, so
-    // idle-span sample coalescing must stay off here: a skipped sample
+    let mut engine = spinner_engine(board, engine_cfg, cal, cluster, freq, cores_used, duty)?;
+    engine.run_until(secs_to_ns(cal.secs_per_point));
+    Ok(engine
+        .sensor()
+        .mean_watts(cluster)
+        .expect("run longer than one sensor period"))
+}
+
+/// A fresh engine with every cluster at its ladder floor but `cluster`
+/// at `freq`, running `cores_used` duty-cycle spinners pinned one per
+/// core from the cluster's first core.
+fn spinner_engine(
+    board: &BoardSpec,
+    engine_cfg: &EngineConfig,
+    cal: &CalibrationConfig,
+    cluster: ClusterId,
+    freq: FreqKhz,
+    cores_used: usize,
+    duty: f64,
+) -> Result<Engine, SimError> {
+    // `measure_point` reads the sensor's *noisy sample stream* itself,
+    // so idle-span sample coalescing must stay off: a skipped sample
     // draws no noise, which would shift the RNG stream of every later
     // sample and perturb the fitted model.
     let mut cfg = engine_cfg.clone();
@@ -146,16 +199,81 @@ pub fn measure_point(
         max_heartbeats: None,
     };
     let app = engine.add_app(spec)?;
-    // Pin one spinner per core, starting at the cluster's first core.
     let start = board.cluster_start(cluster).0;
     for i in 0..cores_used {
-        engine.set_thread_affinity(app, i, CpuSet::single(crate::cpuset::CoreId(start + i)))?;
+        engine.set_thread_affinity(app, i, CpuSet::single(CoreId(start + i)))?;
     }
-    engine.run_until(secs_to_ns(cal.secs_per_point));
-    Ok(engine
-        .sensor()
-        .mean_watts(cluster)
-        .expect("run longer than one sensor period"))
+    Ok(engine)
+}
+
+/// Runs one (cluster, used cores, duty) spinner and reads every
+/// cluster's busy-core count at each sensor instant up to and including
+/// `secs_per_point`: [`Engine::run_until`] processes its deadline's
+/// events, so the sample there is taken before the count is read, as
+/// [`measure_point`]'s run takes it.
+fn busy_trace(
+    board: &BoardSpec,
+    engine_cfg: &EngineConfig,
+    cal: &CalibrationConfig,
+    cluster: ClusterId,
+    cores_used: usize,
+    duty: f64,
+) -> Result<BusyTrace, SimError> {
+    // Every level runs a spinner through the same instants; take the floor.
+    let floor = board.ladder(cluster).min();
+    let mut engine = spinner_engine(board, engine_cfg, cal, cluster, floor, cores_used, duty)?;
+    let end = secs_to_ns(cal.secs_per_point);
+    let mut trace = Vec::new();
+    loop {
+        let t = engine.sensor().next_sample_ns();
+        if t > end {
+            break;
+        }
+        engine.run_until(t);
+        trace.push((t, engine.busy_counts()));
+    }
+    Ok(trace)
+}
+
+/// Every cluster's power row as [`spinner_engine`] holds them: `cluster`
+/// at `freq`, every other cluster at its ladder floor.
+fn point_rows(board: &BoardSpec, cluster: ClusterId, freq: FreqKhz) -> Vec<Vec<f64>> {
+    board
+        .cluster_ids()
+        .map(|c| {
+            let f = if c == cluster {
+                freq
+            } else {
+                board.ladder(c).min()
+            };
+            power_row(board, c, f)
+        })
+        .collect()
+}
+
+/// A fresh sensor with the engine's period, noise and seed, fed at each
+/// instant of `trace` every cluster's true power from its row in `rows`
+/// at that instant's busy count, in cluster order: the samples the
+/// engine's own sensor takes, noise draws included.
+fn replay(
+    board: &BoardSpec,
+    engine_cfg: &EngineConfig,
+    rows: &[Vec<f64>],
+    trace: &BusyTrace,
+) -> PowerSensor {
+    let mut sensor = PowerSensor::new(
+        board.sensor_period_ns,
+        engine_cfg.sensor_noise,
+        engine_cfg.seed,
+    );
+    let mut truth = vec![0.0; rows.len()];
+    for (t, busy) in trace {
+        for ((w, row), &b) in truth.iter_mut().zip(rows).zip(busy) {
+            *w = row[b as usize];
+        }
+        sensor.sample(*t, &truth);
+    }
+    sensor
 }
 
 #[cfg(test)]
@@ -276,6 +394,38 @@ mod tests {
                     assert_eq!(p.measured_watts.to_bits(), watts.to_bits(), "{at}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn replay_reproduces_every_rail_of_the_engine_sensor() {
+        // Points read only the rail under test; this pins the whole
+        // replayed stream, idle rails at their floor included.
+        let board = BoardSpec::dynamiq_1p_3m_4l();
+        let cfg = EngineConfig {
+            sensor_noise: 0.02,
+            seed: 0x5EED_CA1B,
+            ..EngineConfig::default()
+        };
+        let cal = CalibrationConfig {
+            secs_per_point: 0.9,
+            duties: vec![0.3],
+            spinner_period_ns: 700_000,
+        };
+        let bits = |s: &PowerSensor| -> Vec<(u64, Vec<u64>)> {
+            s.samples()
+                .iter()
+                .map(|x| (x.time_ns, x.watts.iter().map(|w| w.to_bits()).collect()))
+                .collect()
+        };
+        for cluster in board.cluster_ids() {
+            let (n, top) = (board.cluster_size(cluster), board.ladder(cluster).max());
+            let trace = busy_trace(&board, &cfg, &cal, cluster, n, 0.3).unwrap();
+            let replayed = replay(&board, &cfg, &point_rows(&board, cluster, top), &trace);
+            let mut engine = spinner_engine(&board, &cfg, &cal, cluster, top, n, 0.3).unwrap();
+            engine.run_until(secs_to_ns(cal.secs_per_point));
+            assert_eq!(replayed.samples().len(), 9);
+            assert_eq!(bits(&replayed), bits(engine.sensor()), "{cluster:?}");
         }
     }
 
