@@ -10,8 +10,10 @@ use hmp_sim::{BoardSpec, Engine, EngineConfig};
 use workloads::Benchmark;
 
 /// The evaluation platform: board + engine configuration + the power
-/// model calibrated from the microbenchmark sweep (done once, like the
-/// paper's offline regression step).
+/// model calibrated from the microbenchmark sweep, like the paper's
+/// offline regression step. Every constructor runs its own sweep: one
+/// spinner engine per (cluster, used cores, duty), whose busy instants
+/// serve every frequency (32 engine runs for the XU3 at full scale).
 #[derive(Debug, Clone)]
 pub struct Lab {
     /// The simulated ODROID-XU3.

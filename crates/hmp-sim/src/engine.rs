@@ -87,7 +87,8 @@ pub struct EngineConfig {
     /// exact and independent of the sensor); only the stored noisy
     /// sample stream thins out — [`crate::PowerSensor::total_samples`]
     /// still reports every scheduled instant. Disable when the sample
-    /// *values* matter, as the calibration microbenchmark does.
+    /// *values* matter, as the calibration microbenchmark's per-point
+    /// reference, [`crate::microbench::measure_point`], does.
     pub coalesce_idle_sensor: bool,
 }
 

@@ -71,9 +71,6 @@ impl Default for CalibrationConfig {
     }
 }
 
-/// Busy cores per cluster at each sensor instant of one spinner run.
-type BusyTrace = Vec<(u64, [f64; MAX_CLUSTERS])>;
-
 /// Runs the full calibration sweep for every cluster of `board`, in
 /// (cluster, frequency, used cores, duty) order.
 ///
@@ -218,7 +215,7 @@ fn busy_trace(
     cluster: ClusterId,
     cores_used: usize,
     duty: f64,
-) -> Result<BusyTrace, SimError> {
+) -> Result<Vec<(u64, [f64; MAX_CLUSTERS])>, SimError> {
     // Every level runs a spinner through the same instants; take the floor.
     let floor = board.ladder(cluster).min();
     let mut engine = spinner_engine(board, engine_cfg, cal, cluster, floor, cores_used, duty)?;
@@ -259,18 +256,19 @@ fn replay(
     board: &BoardSpec,
     engine_cfg: &EngineConfig,
     rows: &[Vec<f64>],
-    trace: &BusyTrace,
+    trace: &[(u64, [f64; MAX_CLUSTERS])],
 ) -> PowerSensor {
     let mut sensor = PowerSensor::new(
         board.sensor_period_ns,
         engine_cfg.sensor_noise,
         engine_cfg.seed,
     );
-    let mut truth = vec![0.0; rows.len()];
     for (t, busy) in trace {
-        for ((w, row), &b) in truth.iter_mut().zip(rows).zip(busy) {
-            *w = row[b as usize];
-        }
+        let truth: Vec<f64> = rows
+            .iter()
+            .zip(busy)
+            .map(|(row, &b)| row[b as usize])
+            .collect();
         sensor.sample(*t, &truth);
     }
     sensor
