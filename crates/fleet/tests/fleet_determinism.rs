@@ -500,12 +500,15 @@ fn pinned_run(spec: &FleetSpec, metrics: bool) -> Pinned {
     }
 }
 
-/// Six supervised fleets pinned with the figures the barrier-round
+/// Supervised fleets pinned with the figures the barrier-round
 /// supervisor produced, which ran every shard in round zero and re-ran
 /// failover destinations from t = 0. Running boards that can die first
 /// and survivors once, after failover settles, must not move a bit.
 /// In the drained-board fleet, failed-over tenants run only the
-/// heartbeats they have left. Every service level lies in [0, 1].
+/// heartbeats they have left. The least-loaded metrics fleet is pinned
+/// with the death-first supervisor's figures; it holds the rollup hash
+/// on a placement policy the fleet serves. Every service level lies in
+/// [0, 1].
 #[test]
 fn supervised_fleets_match_pinned_outcomes() {
     let no_failover = FleetFaultSpec {
@@ -578,6 +581,23 @@ fn supervised_fleets_match_pinned_outcomes() {
                 failover_lost: 1,
                 stream_fnv: 0xc898_59df_915e_d009,
                 rollup_fnv: Some(0x097d_c49a_11dc_dbb6),
+                drained_then_died: 0,
+            },
+        ),
+        (
+            "metrics, least loaded",
+            faulty(
+                tiny_fleet(9, 4, PlacementPolicy::LeastLoaded),
+                chaos_faults(7),
+            ),
+            true,
+            Pinned {
+                fingerprint: 0x083e_5efb_7ca3_052c,
+                service_level_bits: 0x3fd4_0a57_eb50_2960,
+                tenants_failed_over: 4,
+                failover_lost: 1,
+                stream_fnv: 0x468d_35af_d41b_4a61,
+                rollup_fnv: Some(0x40d8_cc26_d87a_8496),
                 drained_then_died: 0,
             },
         ),
