@@ -183,11 +183,7 @@ fn quality_runs(board: &BoardSpec, quick: bool) -> Vec<QualityRow> {
         ..EngineConfig::default()
     };
     let cal = if quick {
-        CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        }
+        CalibrationConfig::quick()
     } else {
         CalibrationConfig::default()
     };

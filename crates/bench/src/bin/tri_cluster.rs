@@ -45,11 +45,7 @@ fn main() {
         ..EngineConfig::default()
     };
     let cal = if quick {
-        CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        }
+        CalibrationConfig::quick()
     } else {
         CalibrationConfig::default()
     };

@@ -43,11 +43,7 @@ pub fn engine_cfg() -> EngineConfig {
 /// microbenchmark sweep (coarse when `quick`).
 pub fn calibrated_power(board: &BoardSpec, quick: bool) -> PowerEstimator {
     let cal = if quick {
-        CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        }
+        CalibrationConfig::quick()
     } else {
         CalibrationConfig::default()
     };

@@ -34,11 +34,7 @@ impl Lab {
 
     /// Reduced-fidelity lab for unit tests: coarse calibration.
     pub fn quick() -> Self {
-        Self::with_calibration(&CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        })
+        Self::with_calibration(&CalibrationConfig::quick())
     }
 
     fn with_calibration(cal: &CalibrationConfig) -> Self {

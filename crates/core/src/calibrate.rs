@@ -83,11 +83,7 @@ mod tests {
             sensor_noise: 0.0,
             ..EngineConfig::default()
         };
-        let cal = CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        };
+        let cal = CalibrationConfig::quick();
         let est = run_power_calibration(&board, &cfg, &cal).unwrap();
         (board, est)
     }

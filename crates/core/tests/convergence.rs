@@ -19,11 +19,7 @@ fn power(board: &BoardSpec) -> hars_core::PowerEstimator {
             sensor_noise: 0.0,
             ..EngineConfig::default()
         },
-        &CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        },
+        &CalibrationConfig::quick(),
     )
     .unwrap()
 }

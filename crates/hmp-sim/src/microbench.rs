@@ -71,6 +71,18 @@ impl Default for CalibrationConfig {
     }
 }
 
+impl CalibrationConfig {
+    /// The coarse sweep of quick runs and tests: 1.1 s per point,
+    /// duties 0.5 and 1.0, a 1 ms spinner period.
+    pub fn quick() -> Self {
+        Self {
+            secs_per_point: 1.1,
+            duties: vec![0.5, 1.0],
+            spinner_period_ns: 1_000_000,
+        }
+    }
+}
+
 /// Runs the full calibration sweep for every cluster of `board`, in
 /// (cluster, frequency, used cores, duty) order.
 ///
@@ -286,14 +298,6 @@ mod tests {
         }
     }
 
-    fn quick_cal() -> CalibrationConfig {
-        CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        }
-    }
-
     #[test]
     fn full_load_point_matches_truth_model() {
         let board = BoardSpec::odroid_xu3();
@@ -301,7 +305,7 @@ mod tests {
         let watts = measure_point(
             &board,
             &quiet_cfg(),
-            &quick_cal(),
+            &CalibrationConfig::quick(),
             ClusterId::BIG,
             f,
             4,
@@ -320,7 +324,7 @@ mod tests {
         let board = BoardSpec::odroid_xu3();
         let f = FreqKhz::from_mhz(1_200);
         let cfg = quiet_cfg();
-        let cal = quick_cal();
+        let cal = CalibrationConfig::quick();
         let full = measure_point(&board, &cfg, &cal, ClusterId::BIG, f, 2, 1.0).unwrap();
         let half = measure_point(&board, &cfg, &cal, ClusterId::BIG, f, 2, 0.5).unwrap();
         let idle = crate::power::cluster_power(&board, ClusterId::BIG, f, 0.0, 4);

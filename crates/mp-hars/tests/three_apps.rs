@@ -26,16 +26,7 @@ fn three_apps_partition_and_adapt() {
         hb_window: 10,
         ..EngineConfig::default()
     };
-    let power = run_power_calibration(
-        &board,
-        &cfg,
-        &CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        },
-    )
-    .unwrap();
+    let power = run_power_calibration(&board, &cfg, &CalibrationConfig::quick()).unwrap();
     let perf = PerfEstimator::paper_default(board.base_freq);
 
     let mut engine = Engine::new(board.clone(), cfg);

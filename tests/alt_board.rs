@@ -17,11 +17,7 @@ fn calibrated(board: &BoardSpec) -> PowerEstimator {
             sensor_noise: 0.0,
             ..EngineConfig::default()
         },
-        &CalibrationConfig {
-            secs_per_point: 1.1,
-            duties: vec![0.5, 1.0],
-            spinner_period_ns: 1_000_000,
-        },
+        &CalibrationConfig::quick(),
     )
     .unwrap()
 }
