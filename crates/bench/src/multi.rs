@@ -5,7 +5,7 @@ use hmp_sim::clock::secs_to_ns;
 use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
-use mp_hars::cons::{ConsConfig, ConsIManager};
+use mp_hars::cons::ConsIManager;
 use mp_hars::manager::{mp_hars_e, mp_hars_i, MpHarsConfig, MpHarsManager};
 use mp_hars::{run_multi_app, MpRunOutcome, MpVersion};
 
@@ -125,7 +125,7 @@ pub fn run_case(
     let mut version = match kind {
         MpVersionKind::Baseline => MpVersion::Baseline,
         MpVersionKind::ConsI => {
-            let mut m = ConsIManager::new(&lab.board, ConsConfig::default());
+            let mut m = ConsIManager::new(&lab.board);
             m.register_app(app_a, target_a);
             m.register_app(app_b, target_b);
             MpVersion::ConsI(m)

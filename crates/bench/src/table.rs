@@ -41,28 +41,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[(String, Vec<f64>)]) 
     out
 }
 
-/// Renders a horizontal ASCII bar chart of labeled values (the figure
-/// "bars"). Bars scale to `width` characters at the maximum value.
-pub fn render_bars(title: &str, entries: &[(String, f64)], width: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let max = entries.iter().map(|(_, v)| *v).fold(0.0_f64, f64::max);
-    let label_w = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(4);
-    for (label, value) in entries {
-        let n = if max > 0.0 {
-            ((value / max) * width as f64).round() as usize
-        } else {
-            0
-        };
-        let _ = writeln!(
-            out,
-            "{label:<label_w$}  {:<width$}  {value:.3}",
-            "#".repeat(n)
-        );
-    }
-    out
-}
-
 /// Writes a CSV file with a header row; creates parent directories.
 ///
 /// # Errors
@@ -183,16 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn bars_scale_to_maximum() {
-        let entries = vec![("a".to_string(), 2.0), ("b".to_string(), 1.0)];
-        let b = render_bars("bars", &entries, 10);
-        let lines: Vec<&str> = b.lines().collect();
-        let hashes = |s: &str| s.matches('#').count();
-        assert_eq!(hashes(lines[1]), 10);
-        assert_eq!(hashes(lines[2]), 5);
-    }
-
-    #[test]
     fn csv_roundtrip() {
         let dir = std::env::temp_dir().join("hars-bench-test");
         let path = dir.join("t.csv");
@@ -203,12 +171,6 @@ mod tests {
         assert!(content.starts_with("label,a,b"));
         assert!(content.contains("x,1.5,2.5"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn zero_values_render() {
-        let b = render_bars("z", &[("a".to_string(), 0.0)], 10);
-        assert!(b.contains("0.000"));
     }
 
     #[test]

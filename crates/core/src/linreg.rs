@@ -47,28 +47,6 @@ pub fn fit_line(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((slope, mean_y - slope * mean_x))
 }
 
-/// Coefficient of determination (R²) of a fitted line over `points`.
-///
-/// Returns 1.0 for a perfect fit; may be negative for a terrible one.
-/// Degenerate inputs (constant `y`) return 1.0 when the line matches and
-/// 0.0 otherwise.
-pub fn r_squared(points: &[(f64, f64)], slope: f64, intercept: f64) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    let n = points.len() as f64;
-    let mean_y: f64 = points.iter().map(|p| p.1).sum::<f64>() / n;
-    let ss_tot: f64 = points.iter().map(|p| (p.1 - mean_y).powi(2)).sum();
-    let ss_res: f64 = points
-        .iter()
-        .map(|&(x, y)| (y - (slope * x + intercept)).powi(2))
-        .sum();
-    if ss_tot <= f64::EPSILON {
-        return if ss_res <= f64::EPSILON { 1.0 } else { 0.0 };
-    }
-    1.0 - ss_res / ss_tot
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +57,6 @@ mod tests {
         let (a, b) = fit_line(&pts).unwrap();
         assert!((a - 3.0).abs() < 1e-12);
         assert!((b + 2.0).abs() < 1e-12);
-        assert!((r_squared(&pts, a, b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -95,7 +72,6 @@ mod tests {
         let (a, b) = fit_line(&pts).unwrap();
         assert!((a - 0.7).abs() < 0.02, "slope {a}");
         assert!((b - 1.2).abs() < 0.05, "intercept {b}");
-        assert!(r_squared(&pts, a, b) > 0.99);
     }
 
     #[test]
@@ -124,12 +100,5 @@ mod tests {
         let (a, b) = fit_line(&[(0.0, 1.0), (2.0, 5.0)]).unwrap();
         assert!((a - 2.0).abs() < 1e-12);
         assert!((b - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_of_bad_fit_is_low() {
-        let pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)];
-        let r2 = r_squared(&pts, 0.0, 0.5);
-        assert!(r2 <= 0.1);
     }
 }

@@ -37,10 +37,6 @@ pub enum PlacementPolicy {
     /// Rotate over the boards, skipping boards that reject; spreads
     /// tenant *count* rather than load.
     RoundRobin,
-    /// First (lowest shard id) feasible board whose projected load
-    /// stays within capacity; falls back to least-loaded when every
-    /// board is saturated.
-    FirstFit,
 }
 
 impl PlacementPolicy {
@@ -49,7 +45,6 @@ impl PlacementPolicy {
         match self {
             PlacementPolicy::LeastLoaded => "least-loaded",
             PlacementPolicy::RoundRobin => "round-robin",
-            PlacementPolicy::FirstFit => "first-fit",
         }
     }
 }
@@ -268,10 +263,12 @@ fn rank(
         (claimed + Claim::new(arrival_ns, ts, board).cores) as f64 / board.n_cores() as f64
     };
     let feasible = |shard: usize| spec.boards[shard].board.n_cores() >= ts.spec.threads;
-    let pool = || (0..n).filter(|&s| usable[s]);
     match spec.placement {
         PlacementPolicy::LeastLoaded => {
-            let mut ranked: Vec<(usize, f64)> = pool().map(|s| (s, projected(s))).collect();
+            let mut ranked: Vec<(usize, f64)> = (0..n)
+                .filter(|&s| usable[s])
+                .map(|s| (s, projected(s)))
+                .collect();
             // Infeasible boards sort behind every feasible one: a board
             // smaller than the tenant's thread count can still serve it
             // (the engine time-shares), but only as a last resort.
@@ -288,20 +285,6 @@ fn rank(
             .filter(|&s| usable[s])
             .map(|s| (s, projected(s)))
             .collect(),
-        PlacementPolicy::FirstFit => {
-            let mut fits: Vec<(usize, f64)> = pool()
-                .map(|s| (s, projected(s)))
-                .filter(|&(s, p)| feasible(s) && p <= 1.0)
-                .collect();
-            // Saturated fleet: fall back to least-loaded order.
-            let mut rest: Vec<(usize, f64)> = pool()
-                .map(|s| (s, projected(s)))
-                .filter(|&(s, p)| !(feasible(s) && p <= 1.0))
-                .collect();
-            rest.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            fits.extend(rest);
-            fits
-        }
     }
 }
 

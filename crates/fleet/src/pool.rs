@@ -30,8 +30,8 @@
 //! arrivals the board never processed (full budget) — and re-places
 //! them through the same placement tier restricted to boards not known
 //! dead, with dead boards' ledger claims expired. Each victim
-//! re-arrives at `max(arrival, failure) + backoff · 2^(attempt-1)`,
-//! capped at [`crate::FleetFaultSpec::max_retries`] attempts.
+//! re-arrives at `max(arrival, failure) + backoff · 2^(attempt-1)`
+//! with a 500 ms base backoff, and is lost after three attempts.
 //!
 //! The pool runs in *waves*: each runs the *stale* shards — those not
 //! yet run with their current schedule — in parallel, then a
@@ -68,6 +68,12 @@ use hmp_sim::{EngineConfig, FaultPlan, SimError};
 use crate::outcome::{FleetAccum, FleetOutcome, ShardFailure};
 use crate::placement::{budget, place, place_masked, Claim, LedgerSet};
 use crate::spec::{shard_seed, FleetCacheMode, FleetSpec};
+
+/// Failover attempts per tenant before it is declared lost.
+const MAX_RETRIES: u32 = 3;
+/// Base failover re-arrival delay: attempt `k` (1-based) waits
+/// `BACKOFF_NS << (k - 1)` after the failure instant.
+const BACKOFF_NS: u64 = 500_000_000;
 
 /// Runs the whole fleet described by `spec` on `workers` threads and
 /// returns the merged outcome.
@@ -185,7 +191,7 @@ fn run_fleet_inner(
     let mut stale = vec![true; n];
     let mut shard_runs = 0u64;
 
-    let failover = spec.faults.as_ref().filter(|f| f.failover);
+    let failover = spec.faults.as_ref().is_some_and(|f| f.failover);
     let mut attempts: Vec<u32> = vec![0; schedule.len()];
     let mut handled_dead = vec![false; n];
     let mut tenants_failed_over = 0u64;
@@ -225,7 +231,9 @@ fn run_fleet_inner(
 
         // Supervision: fail the tenants of newly dead shards over onto
         // the boards still in service, whose shards go stale.
-        let Some(fx) = failover else { continue };
+        if !failover {
+            continue;
+        }
         let newly: Vec<usize> = (0..n)
             .filter(|&s| !handled_dead[s] && results[s].as_ref().is_some_and(ShardRun::is_dead))
             .collect();
@@ -259,8 +267,8 @@ fn run_fleet_inner(
                 attempts[g] = attempt;
                 let retry_at = arrival_ns
                     .max(&fail_ns)
-                    .saturating_add(fx.backoff_ns << (attempt - 1).min(16));
-                if attempt > fx.max_retries || retry_at >= spec.horizon_ns {
+                    .saturating_add(BACKOFF_NS << (attempt - 1));
+                if attempt > MAX_RETRIES || retry_at >= spec.horizon_ns {
                     failover_lost += 1;
                     sink.emit(&TelemetryEvent::TenantFailedOver {
                         t_ns: fail_ns,

@@ -158,18 +158,15 @@ pub struct FleetFaultSpec {
     /// Per-board probability of a windowed heartbeat stall.
     pub hb_stall_prob: f64,
     /// Whether the pool's shard supervisor fails tenants of dead
-    /// boards over onto survivors (off = report-only).
+    /// boards over onto survivors (off = report-only). A victim
+    /// re-arrives after a backoff of 500 ms, doubled per attempt, and
+    /// is lost after three attempts.
     pub failover: bool,
-    /// Failover attempts per tenant before it is declared lost.
-    pub max_retries: u32,
-    /// Base failover re-arrival delay; attempt `k` (1-based) waits
-    /// `backoff_ns << (k - 1)` after the failure instant.
-    pub backoff_ns: u64,
 }
 
 impl FleetFaultSpec {
-    /// A fault spec with every channel at probability zero, failover
-    /// on, 3 retries and a 500 ms base backoff.
+    /// A fault spec with every channel at probability zero and
+    /// failover on.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
@@ -179,8 +176,6 @@ impl FleetFaultSpec {
             sensor_fault_prob: 0.0,
             hb_stall_prob: 0.0,
             failover: true,
-            max_retries: 3,
-            backoff_ns: 500_000_000,
         }
     }
 
@@ -366,7 +361,6 @@ impl FleetSpec {
             solo_budget: self.solo_budget,
             target_guard: self.target_guard,
             events: Vec::new(),
-            faults: FaultPlan::empty(),
         }
         .tenant_schedule()
     }

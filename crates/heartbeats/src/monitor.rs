@@ -128,12 +128,6 @@ impl HeartbeatMonitor {
             _ => false,
         }
     }
-
-    /// Resets the rate window (e.g. after a drastic system-state change)
-    /// while keeping the total count and target.
-    pub fn reset_window(&mut self) {
-        self.window.clear();
-    }
 }
 
 #[cfg(test)]
@@ -185,17 +179,5 @@ mod tests {
             m.emit(t);
         }
         assert!(m.needs_adaptation());
-    }
-
-    #[test]
-    fn reset_window_keeps_totals() {
-        let mut m = HeartbeatMonitor::new(4);
-        m.emit(0);
-        m.emit(100);
-        m.reset_window();
-        assert_eq!(m.total_heartbeats(), 2);
-        assert!(m.window_rate().is_none());
-        // New beats still get increasing indices.
-        assert_eq!(m.emit(200).index(), 2);
     }
 }

@@ -52,17 +52,6 @@ impl HeartbeatRecord {
 pub struct HeartbeatRate(f64);
 
 impl HeartbeatRate {
-    /// Builds a rate from a raw heartbeats/second value.
-    ///
-    /// Returns `None` when `hps` is negative or non-finite.
-    pub fn from_hps(hps: f64) -> Option<Self> {
-        if hps.is_finite() && hps >= 0.0 {
-            Some(Self(hps))
-        } else {
-            None
-        }
-    }
-
     /// Builds a rate from `count` heartbeats observed over `span_ns`
     /// nanoseconds. Returns `None` for a zero-length span.
     pub fn from_span(count: u64, span_ns: u64) -> Option<Self> {
@@ -100,14 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_from_hps_rejects_bad_values() {
-        assert!(HeartbeatRate::from_hps(-1.0).is_none());
-        assert!(HeartbeatRate::from_hps(f64::NAN).is_none());
-        assert!(HeartbeatRate::from_hps(f64::INFINITY).is_none());
-        assert!(HeartbeatRate::from_hps(0.0).is_some());
-    }
-
-    #[test]
     fn record_accessors() {
         let hb = HeartbeatRecord::new(7, 42);
         assert_eq!(hb.index(), 7);
@@ -116,7 +97,7 @@ mod tests {
 
     #[test]
     fn display_mentions_units() {
-        let r = HeartbeatRate::from_hps(2.5).unwrap();
+        let r = HeartbeatRate::from_span(5, NANOS_PER_SEC * 2).unwrap();
         assert!(r.to_string().contains("hb/s"));
     }
 }

@@ -76,25 +76,9 @@ impl RateWindow {
         HeartbeatRate::from_span(self.records.len() as u64 - 1, span)
     }
 
-    /// The instantaneous rate from the last interval only.
-    pub fn instant_rate(&self) -> Option<HeartbeatRate> {
-        let n = self.records.len();
-        if n < 2 {
-            return None;
-        }
-        let a = self.records[n - 2];
-        let b = self.records[n - 1];
-        HeartbeatRate::from_span(1, b.timestamp_ns().saturating_sub(a.timestamp_ns()))
-    }
-
     /// Iterates over the retained heartbeats, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &HeartbeatRecord> {
         self.records.iter()
-    }
-
-    /// Removes all retained heartbeats.
-    pub fn clear(&mut self) {
-        self.records.clear();
     }
 }
 
@@ -118,7 +102,6 @@ mod tests {
         let mut w = RateWindow::new(4);
         w.push(beat(0, 100));
         assert!(w.rate().is_none());
-        assert!(w.instant_rate().is_none());
     }
 
     #[test]
@@ -146,16 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn instant_rate_uses_last_interval() {
-        let mut w = RateWindow::new(8);
-        w.push(beat(0, 0));
-        w.push(beat(1, 1_000_000_000));
-        w.push(beat(2, 1_250_000_000)); // last interval 0.25 s -> 4 hb/s
-        let r = w.instant_rate().unwrap();
-        assert!((r.heartbeats_per_sec() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn identical_timestamps_yield_no_rate() {
         let mut w = RateWindow::new(4);
         w.push(beat(0, 5));
@@ -167,15 +140,5 @@ mod tests {
     #[should_panic(expected = "capacity >= 2")]
     fn tiny_capacity_panics() {
         let _ = RateWindow::new(1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut w = RateWindow::new(4);
-        w.push(beat(0, 0));
-        w.push(beat(1, 10));
-        w.clear();
-        assert!(w.is_empty());
-        assert!(w.rate().is_none());
     }
 }

@@ -4,10 +4,6 @@
 //! module provides the conversion helpers used throughout the crate so
 //! unit mistakes stay in one place.
 
-/// Nanoseconds per microsecond.
-pub const NS_PER_US: u64 = 1_000;
-/// Nanoseconds per millisecond.
-pub const NS_PER_MS: u64 = 1_000_000;
 /// Nanoseconds per second.
 pub const NS_PER_SEC: u64 = 1_000_000_000;
 
@@ -63,16 +59,6 @@ pub(crate) fn completes_within(secs: f64, dt_ns: u64) -> bool {
     (secs * 1e9).partial_cmp(&(dt_ns as f64)) != Some(std::cmp::Ordering::Greater)
 }
 
-/// Converts milliseconds to nanoseconds.
-pub fn ms_to_ns(ms: u64) -> u64 {
-    ms.saturating_mul(NS_PER_MS)
-}
-
-/// Converts microseconds to nanoseconds.
-pub fn us_to_ns(us: u64) -> u64 {
-    us.saturating_mul(NS_PER_US)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +74,6 @@ mod tests {
     #[test]
     fn saturation() {
         assert_eq!(secs_to_ns(1e30), u64::MAX);
-        assert_eq!(ms_to_ns(u64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn small_unit_helpers() {
-        assert_eq!(ms_to_ns(3), 3_000_000);
-        assert_eq!(us_to_ns(7), 7_000);
     }
 
     #[test]

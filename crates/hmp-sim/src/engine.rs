@@ -21,8 +21,8 @@ use crate::error::SimError;
 use crate::fault::{FaultKind, FaultNotice, FaultPlan};
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
-use crate::sched::gts::{gts_tick, update_loads};
-use crate::sched::{dequeue_thread, place_thread, CoreState, GtsConfig};
+use crate::sched::gts::{gts_tick, update_loads, GTS_TICK_NS, LOAD_DECAY};
+use crate::sched::{dequeue_thread, place_thread, CoreState};
 use crate::sensor::PowerSensor;
 use crate::spec::{AppSpec, ParallelismModel};
 use crate::thread::{BlockReason, RunState, ThreadState};
@@ -69,8 +69,6 @@ pub enum ExecMode {
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// GTS scheduler parameters.
-    pub gts: GtsConfig,
     /// Relative power-sensor noise (σ of a multiplicative Gaussian).
     pub sensor_noise: f64,
     /// Seed for all engine randomness (sensor noise).
@@ -95,7 +93,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            gts: GtsConfig::default(),
             sensor_noise: 0.01,
             seed: 0x4841_5253, // "HARS"
             hb_window: 20,
@@ -231,10 +228,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid board or GTS config, or an `hb_window`
-    /// below 2.
+    /// Panics on an invalid board or an `hb_window` below 2.
     pub fn new(board: BoardSpec, cfg: EngineConfig) -> Self {
-        cfg.gts.assert_valid();
         board.assert_valid();
         assert!(cfg.hb_window >= 2, "rate window needs capacity >= 2");
         let cores = (0..board.n_cores())
@@ -246,7 +241,7 @@ impl Engine {
             .map(|c| power_row(&board, c, freqs[c.index()]))
             .collect();
         let sensor = PowerSensor::new(board.sensor_period_ns, cfg.sensor_noise, cfg.seed);
-        let next_tick_ns = cfg.gts.tick_ns;
+        let next_tick_ns = GTS_TICK_NS;
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
         Self {
@@ -901,7 +896,7 @@ impl Engine {
     /// instant in the engine's canonical event order.
     fn idle_fast_forward(&mut self, stop: u64) {
         let n = self.board.n_clusters();
-        let tick_ns = self.cfg.gts.tick_ns;
+        let tick_ns = GTS_TICK_NS;
         let powers = self.cluster_powers(&[0.0; MAX_CLUSTERS]);
         // A quiescent GTS tick reduces to `update_loads` (nothing to
         // migrate, balance or pull with every run queue empty), and
@@ -933,7 +928,7 @@ impl Engine {
             }
             if self.next_tick_ns <= self.now_ns {
                 if loads_live {
-                    update_loads(&self.cfg.gts, &mut self.threads, &self.live);
+                    update_loads(&mut self.threads, &self.live);
                     loads_live = !self.loads_quiescent();
                 }
                 self.next_tick_ns += tick_ns;
@@ -1018,7 +1013,7 @@ impl Engine {
     /// gather, energy by [`EnergyMeter::accumulate_repeated`], which
     /// makes the additions of one call per interval, in the same order.
     fn busy_span(&mut self, wakeup_ns: u64) {
-        let tick_ns = self.cfg.gts.tick_ns;
+        let tick_ns = GTS_TICK_NS;
         let tick_secs = ns_to_secs(tick_ns);
         let stop = wakeup_ns.min(self.sensor.next_sample_ns());
         let mut dt_ns = stop.min(self.next_tick_ns).saturating_sub(self.now_ns);
@@ -1068,8 +1063,7 @@ impl Engine {
         let mut whole = 0u64;
         let mut ended_mid_tick = false;
         if self.now_ns == self.next_tick_ns && !finishing && self.now_ns < stop {
-            let decay = self.cfg.gts.load_decay;
-            let (run_inc, idle_inc) = ((1.0 - decay) * 1.0, (1.0 - decay) * 0.0);
+            let (run_inc, idle_inc) = ((1.0 - LOAD_DECAY) * 1.0, (1.0 - LOAD_DECAY) * 0.0);
             loop {
                 let moved = if !pinned {
                     if whole > 0 {
@@ -1077,15 +1071,9 @@ impl Engine {
                             self.threads[w.tid].runnable_ns_since_tick = tick_ns;
                         }
                     }
-                    gts_tick(
-                        &self.cfg.gts,
-                        &self.board,
-                        &mut self.threads,
-                        &mut self.cores,
-                        &self.live,
-                    )
+                    gts_tick(&self.board, &mut self.threads, &mut self.cores, &self.live)
                 } else if whole == 0 {
-                    update_loads(&self.cfg.gts, &mut self.threads, &self.live);
+                    update_loads(&mut self.threads, &self.live);
                     false
                 } else {
                     for r in &self.live {
@@ -1095,7 +1083,7 @@ impl Engine {
                                 RunState::Runnable => run_inc,
                                 RunState::Blocked(_) => idle_inc,
                             };
-                            t.load = decay * t.load + inc;
+                            t.load = LOAD_DECAY * t.load + inc;
                         }
                     }
                     false
@@ -1224,14 +1212,8 @@ impl Engine {
             }
             // Scheduler tick.
             if self.next_tick_ns <= self.now_ns {
-                gts_tick(
-                    &self.cfg.gts,
-                    &self.board,
-                    &mut self.threads,
-                    &mut self.cores,
-                    &self.live,
-                );
-                self.next_tick_ns += self.cfg.gts.tick_ns;
+                gts_tick(&self.board, &mut self.threads, &mut self.cores, &self.live);
+                self.next_tick_ns += GTS_TICK_NS;
                 progressed = true;
             }
             // Sensor sample.

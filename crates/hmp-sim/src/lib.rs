@@ -14,9 +14,10 @@
 //! * a ground-truth `V²f` power model measured by a sampling
 //!   [`PowerSensor`] (one rail per cluster; 263,808 µs period on the
 //!   XU3, like the board's INA231 rails),
-//! * a Linux GTS-style HMP scheduler ([`GtsConfig`]) whose up/down
-//!   migrations climb and descend the board's performance order one
-//!   cluster at a time,
+//! * a Linux GTS-style HMP scheduler, fixed at the Linux 3.10
+//!   big.LITTLE MP defaults (up-migration at 80 % load, down-migration
+//!   below 30 %, a 4 ms tick, [`GTS_TICK_NS`]), whose migrations climb
+//!   and descend the board's performance order one cluster at a time,
 //! * multithreaded application models (data-parallel barriers, bounded
 //!   -queue pipelines, duty-cycle calibration spinners) that emit
 //!   heartbeats through the `heartbeats` crate,
@@ -65,7 +66,7 @@ pub use error::SimError;
 pub use fault::{FaultKind, FaultNotice, FaultPlan, TimedFault};
 pub use freq::{FreqKhz, FreqLadder};
 pub use power::{board_power, cluster_power};
-pub use sched::GtsConfig;
+pub use sched::GTS_TICK_NS;
 pub use sensor::{PowerSample, PowerSensor};
 pub use spec::{AppSpec, ParallelismModel, SpeedProfile, WorkSource};
 

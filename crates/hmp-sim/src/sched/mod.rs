@@ -3,7 +3,7 @@
 
 pub(crate) mod gts;
 
-pub use gts::GtsConfig;
+pub use gts::GTS_TICK_NS;
 
 use crate::board::ClusterId;
 use crate::cpuset::CoreId;

@@ -26,11 +26,6 @@ impl PowerSample {
     pub fn watts(&self, cluster: ClusterId) -> f64 {
         self.watts.get(cluster.index()).copied().unwrap_or(0.0)
     }
-
-    /// Total measured board power.
-    pub fn total_watts(&self) -> f64 {
-        self.watts.iter().sum()
-    }
 }
 
 /// Periodic sampling power sensor with optional multiplicative Gaussian
@@ -269,7 +264,6 @@ mod tests {
         let mut s = PowerSensor::new(10, 0.0, 1);
         s.sample(10, &[0.25, 1.0, 0.75]);
         let sample = &s.samples()[0];
-        assert!((sample.total_watts() - 2.0).abs() < 1e-12);
         assert_eq!(sample.watts(C(2)), 0.75);
         assert_eq!(sample.watts(C(5)), 0.0, "missing rail reads zero");
     }

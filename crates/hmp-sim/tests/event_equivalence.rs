@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{
     Action, AppId, AppSpec, BoardSpec, ClusterId, CoreId, CpuSet, Engine, EngineConfig, ExecMode,
-    FaultKind, FaultNotice, FaultPlan, FreqKhz, ParallelismModel, TimedFault,
+    FaultKind, FaultNotice, FaultPlan, FreqKhz, ParallelismModel, TimedFault, GTS_TICK_NS,
 };
 
 /// One run: heartbeat timeline, final clock, per-cluster energy bits,
@@ -471,9 +471,8 @@ proptest! {
             "every onset lies inside the horizon"
         );
         // A board that dies before the first tick has no span to reach one.
-        let first_tick = EngineConfig::default().gts.tick_ns;
         prop_assert!(
-            heap.ticks_fast_forwarded > 0 || heap.board_failed.is_some_and(|t| t < first_tick),
+            heap.ticks_fast_forwarded > 0 || heap.board_failed.is_some_and(|t| t < GTS_TICK_NS),
             "no unpinned busy span went on past a tick"
         );
     }

@@ -9,7 +9,7 @@
 //! absolute grid but only *observes*, so dynamics are unaffected.
 
 use hmp_sim::clock::NS_PER_SEC;
-use hmp_sim::{AppSpec, BoardSpec, CoreId, Engine, EngineConfig, HeartbeatEvent};
+use hmp_sim::{AppSpec, BoardSpec, CoreId, Engine, EngineConfig, HeartbeatEvent, GTS_TICK_NS};
 use workloads::Benchmark;
 
 /// A generous deadline: every run here finishes on its own.
@@ -115,9 +115,8 @@ fn injection_off_the_tick_grid_still_completes_equivalently() {
     assert_eq!(injected.app_units_done(app2), units);
     assert_eq!(a.len(), b.len());
     let inj_span = b.last().unwrap().time_ns - b.first().unwrap().time_ns;
-    let tick = 4_000_000u64;
     assert!(
-        ref_span.abs_diff(inj_span) <= 2 * tick,
+        ref_span.abs_diff(inj_span) <= 2 * GTS_TICK_NS,
         "first-to-last heartbeat span drifted: {ref_span} vs {inj_span}"
     );
 }

@@ -22,42 +22,27 @@
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, CpuSet, FreqKhz};
-use serde::{Deserialize, Serialize};
 
 use hars_core::{StateSpace, SystemState};
 
 use crate::app_data::PerfClass;
 use crate::freeze::{combine_others, decide, FreezeDecision, StateDecision};
 
-/// CONS-I tunables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ConsConfig {
-    /// Assumed big/little performance ratio `r₀` for the score.
-    pub r0: f64,
-    /// Per-app adaptation period (heartbeats).
-    pub adapt_every: u64,
-    /// Freezing count armed after a decrease.
-    pub freeze_heartbeats: u32,
-    /// Modeled CPU cost per heartbeat observation (ns).
-    pub cost_per_heartbeat_ns: u64,
-}
+/// Assumed big/little performance ratio `r₀` for the score.
+const R0: f64 = 1.5;
 
-impl Default for ConsConfig {
-    /// Adaptation every rate window (10 heartbeats) and a one-window
-    /// post-decrease freeze: each decision sees a fresh windowed rate
-    /// and increases/decreases are rate-symmetric. Faster cadences
-    /// decide on stale windows and ratchet the state upward (each
-    /// noise-induced dip under `t.min` triggers an INC, while DECs stay
-    /// freeze-gated).
-    fn default() -> Self {
-        Self {
-            r0: 1.5,
-            adapt_every: 10,
-            freeze_heartbeats: 10,
-            cost_per_heartbeat_ns: 500,
-        }
-    }
-}
+// Adaptation every rate window (10 heartbeats) and a one-window
+// post-decrease freeze: each decision sees a fresh windowed rate and
+// increases/decreases are rate-symmetric. Faster cadences decide on
+// stale windows and ratchet the state upward (each noise-induced dip
+// under `t.min` triggers an INC, while DECs stay freeze-gated).
+
+/// Per-app adaptation period (heartbeats).
+const ADAPT_EVERY: u64 = 10;
+/// Freezing count armed after a decrease.
+const FREEZE_HEARTBEATS: u32 = 10;
+/// Modeled CPU cost per heartbeat observation (ns).
+const COST_PER_HEARTBEAT_NS: u64 = 500;
 
 /// A global state change: the allowed core set and frequencies apply to
 /// **every** application.
@@ -82,7 +67,6 @@ struct ConsApp {
 /// The CONS-I manager.
 #[derive(Debug, Clone)]
 pub struct ConsIManager {
-    cfg: ConsConfig,
     board: BoardSpec,
     /// The board's nominal per-cluster ratios (the score's
     /// interpolation anchors).
@@ -100,7 +84,7 @@ pub struct ConsIManager {
 impl ConsIManager {
     /// Builds the manager; the initial state is the maximum state (the
     /// top of the score list), matching the baseline boot configuration.
-    pub fn new(board: &BoardSpec, cfg: ConsConfig) -> Self {
+    pub fn new(board: &BoardSpec) -> Self {
         let space = StateSpace::from_board(board);
         let base = board.base_freq;
         let nominals: Vec<f64> = board.cluster_ids().map(|c| board.perf_ratio(c)).collect();
@@ -115,8 +99,8 @@ impl ConsIManager {
             })
             .collect();
         ranked.sort_by(|a, b| {
-            let sa = perf_score(a, cfg.r0, base, &nominals);
-            let sb = perf_score(b, cfg.r0, base, &nominals);
+            let sa = perf_score(a, R0, base, &nominals);
+            let sb = perf_score(b, R0, base, &nominals);
             sa.partial_cmp(&sb)
                 .expect("scores are finite")
                 .then_with(|| {
@@ -138,7 +122,6 @@ impl ConsIManager {
         });
         let cursor = ranked.len() - 1;
         Self {
-            cfg,
             board: board.clone(),
             nominals,
             ranked,
@@ -191,13 +174,13 @@ impl ConsIManager {
         hb_index: u64,
         rate: Option<f64>,
     ) -> Option<ConsDecision> {
-        self.busy_ns += self.cfg.cost_per_heartbeat_ns;
+        self.busy_ns += COST_PER_HEARTBEAT_NS;
         let ai = self.apps.iter().position(|a| a.app == app)?;
         self.apps[ai].freezing_cnt = self.apps[ai].freezing_cnt.saturating_sub(1);
         if let Some(r) = rate {
             self.apps[ai].last_rate = Some(r);
         }
-        if !(hb_index > 0 && hb_index.is_multiple_of(self.cfg.adapt_every)) {
+        if !(hb_index > 0 && hb_index.is_multiple_of(ADAPT_EVERY)) {
             return None;
         }
         let rate = rate?;
@@ -225,7 +208,7 @@ impl ConsIManager {
             FreezeDecision::Keep => {}
         }
         let base = self.board.base_freq;
-        let cur_score = perf_score(&self.ranked[self.cursor], self.cfg.r0, base, &self.nominals);
+        let cur_score = perf_score(&self.ranked[self.cursor], R0, base, &self.nominals);
         // "The candidate system state that makes the smallest system
         // performance change": the nearest state with a strictly
         // different score (many states tie on score; a tie would be no
@@ -238,9 +221,7 @@ impl ConsIManager {
                         return None;
                     }
                     i += 1;
-                    if perf_score(&self.ranked[i], self.cfg.r0, base, &self.nominals)
-                        > cur_score + 1e-9
-                    {
+                    if perf_score(&self.ranked[i], R0, base, &self.nominals) > cur_score + 1e-9 {
                         break i;
                     }
                 }
@@ -255,9 +236,7 @@ impl ConsIManager {
                         return None;
                     }
                     i -= 1;
-                    if perf_score(&self.ranked[i], self.cfg.r0, base, &self.nominals)
-                        < cur_score - 1e-9
-                    {
+                    if perf_score(&self.ranked[i], R0, base, &self.nominals) < cur_score - 1e-9 {
                         break i;
                     }
                 }
@@ -268,7 +247,7 @@ impl ConsIManager {
             // "when the system performance is decreased, adaptation
             // should be stopped for a certain period."
             for a in &mut self.apps {
-                a.freezing_cnt = self.cfg.freeze_heartbeats;
+                a.freezing_cnt = FREEZE_HEARTBEATS;
             }
         }
         self.cursor = next;
@@ -277,7 +256,7 @@ impl ConsIManager {
         Some(ConsDecision {
             state,
             allowed_cores: allowed_core_set(&self.board, &state),
-            overhead_ns: self.cfg.cost_per_heartbeat_ns,
+            overhead_ns: COST_PER_HEARTBEAT_NS,
         })
     }
 }
@@ -345,7 +324,7 @@ mod tests {
     }
 
     fn mk() -> ConsIManager {
-        ConsIManager::new(&board(), ConsConfig::default())
+        ConsIManager::new(&board())
     }
 
     fn target(lo: f64, hi: f64) -> PerfTarget {
@@ -401,7 +380,7 @@ mod tests {
         // End to end: a DynamIQ CONS-I manager's ranked list must be
         // monotone under the nominal-interpolated score.
         let board = BoardSpec::dynamiq_1p_3m_4l();
-        let m = ConsIManager::new(&board, ConsConfig::default());
+        let m = ConsIManager::new(&board);
         let nominals = [1.0, 1.6, 2.0];
         let mut prev = f64::NEG_INFINITY;
         for s in &m.ranked {
@@ -439,22 +418,21 @@ mod tests {
 
     #[test]
     fn freeze_drains_with_heartbeats() {
-        let mut m = ConsIManager::new(
-            &board(),
-            ConsConfig {
-                freeze_heartbeats: 3,
-                ..ConsConfig::default()
-            },
-        );
+        let mut m = mk();
         m.register_app(AppId(0), target(9.0, 11.0));
         let _ = m.on_heartbeat(AppId(0), 10, Some(30.0)).expect("dec");
         assert!(m.frozen());
         // While frozen, over-performance cannot decrease further.
         assert!(m.on_heartbeat(AppId(0), 20, Some(30.0)).is_none());
         assert!(m.frozen());
-        // In-band heartbeats drain the count without re-freezing.
-        let _ = m.on_heartbeat(AppId(0), 21, Some(10.0));
-        let _ = m.on_heartbeat(AppId(0), 22, Some(10.0));
+        // In-band heartbeats drain the count without re-freezing: each
+        // heartbeat after the decrease drains one, so the tenth
+        // (heartbeat 29) lifts the freeze.
+        for hb in 21..29 {
+            let _ = m.on_heartbeat(AppId(0), hb, Some(10.0));
+        }
+        assert!(m.frozen());
+        let _ = m.on_heartbeat(AppId(0), 29, Some(10.0));
         assert!(!m.frozen());
         // Once drained, the next adaptation period decreases again.
         assert!(m.on_heartbeat(AppId(0), 30, Some(30.0)).is_some());

@@ -32,7 +32,7 @@ pub mod partition;
 
 pub use app_data::{AppData, PerfClass};
 pub use cluster_data::ClusterData;
-pub use cons::{ConsConfig, ConsDecision, ConsIManager};
+pub use cons::{ConsDecision, ConsIManager};
 pub use driver::{run_multi_app, AppRunStats, MpRunOutcome, MpVersion};
 pub use freeze::{combine_others, decide, FreezeDecision, StateDecision};
 pub use hars_core::ratio_learn::RatioLearning;

@@ -72,11 +72,6 @@ pub struct ScenarioSpec {
     /// sharing it; events at or beyond the horizon never fire.
     #[serde(default)]
     pub events: Vec<TimedEvent>,
-    /// The deterministic fault plan injected into the serving engine
-    /// (never into calibration engines). Empty — the default — leaves
-    /// the run bit-identical to a pre-fault-plane run.
-    #[serde(default)]
-    pub faults: FaultPlan,
 }
 
 impl ScenarioSpec {
@@ -95,7 +90,6 @@ impl ScenarioSpec {
             solo_budget: 60,
             target_guard: 0.0,
             events: Vec::new(),
-            faults: FaultPlan::empty(),
         }
     }
 
@@ -105,23 +99,17 @@ impl ScenarioSpec {
         self
     }
 
-    /// Installs a fault plan (builder-style).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Everything but the arrival process, templates and seed: the
-    /// config that drives this spec through [`run_shard`] together with
-    /// [`Self::tenant_schedule`], for callers that bring their own cache
-    /// or sink.
+    /// Everything but the arrival process, templates and seed, with no
+    /// fault plan: the config that drives this spec through
+    /// [`run_shard`] together with [`Self::tenant_schedule`], for
+    /// callers that bring their own cache or sink.
     pub fn shard_config(&self) -> ShardConfig {
         ShardConfig {
             horizon_ns: self.horizon_ns,
             solo_budget: self.solo_budget,
             target_guard: self.target_guard,
             events: self.events.clone(),
-            faults: self.faults.clone(),
+            faults: FaultPlan::empty(),
         }
     }
 
@@ -392,31 +380,11 @@ pub struct ShardConfig {
     /// Control-plane events ([`ScenarioSpec::events`]).
     #[serde(default)]
     pub events: Vec<TimedEvent>,
-    /// The shard's deterministic fault plan
-    /// ([`ScenarioSpec::faults`]) — injected into the serving engine,
-    /// never into calibration engines.
+    /// The shard's deterministic fault plan, injected into the serving
+    /// engine (never into calibration engines). Empty, it leaves the run
+    /// bit-identical to a run without the fault plane.
     #[serde(default)]
     pub faults: FaultPlan,
-}
-
-impl ShardConfig {
-    /// A shard config with the default 60-heartbeat solo budget, no
-    /// guard, no events, no faults.
-    pub fn new(horizon_ns: u64) -> Self {
-        Self {
-            horizon_ns,
-            solo_budget: 60,
-            target_guard: 0.0,
-            events: Vec::new(),
-            faults: FaultPlan::empty(),
-        }
-    }
-
-    /// Installs a fault plan (builder-style).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
 }
 
 /// Runs one scenario *shard*: an explicit, pre-materialized tenant

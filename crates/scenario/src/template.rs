@@ -15,6 +15,11 @@ use serde::{Deserialize, Serialize};
 use hmp_sim::AppSpec;
 use workloads::Benchmark;
 
+/// Relative jitter on a template's heartbeat budget: each tenant's
+/// budget is drawn uniformly from
+/// `heartbeats · [1 − SIZE_JITTER, 1 + SIZE_JITTER]`.
+const SIZE_JITTER: f64 = 0.25;
+
 /// A parameterized tenant blueprint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppTemplate {
@@ -22,12 +27,10 @@ pub struct AppTemplate {
     pub bench: Benchmark,
     /// Thread count passed to [`Benchmark::spec`] (the paper runs 8).
     pub threads: usize,
-    /// Base heartbeat budget (the tenant departs after this many).
+    /// Base heartbeat budget (the tenant departs after this many):
+    /// each tenant's budget is drawn uniformly from
+    /// `heartbeats · [0.75, 1.25]`.
     pub heartbeats: u64,
-    /// Relative jitter on the heartbeat budget, in `[0, 1)`: each
-    /// tenant's budget is drawn uniformly from
-    /// `heartbeats · [1 − j, 1 + j]`.
-    pub size_jitter: f64,
     /// Target rate as a fraction of the benchmark's isolated
     /// (solo, maximum-state) rate on the board.
     pub target_frac: f64,
@@ -47,7 +50,6 @@ impl AppTemplate {
             bench,
             threads: 8,
             heartbeats: 120,
-            size_jitter: 0.25,
             target_frac: 0.5,
             target_jitter: 0.05,
             target_tolerance: 0.10,
@@ -63,10 +65,6 @@ impl AppTemplate {
     pub fn assert_valid(&self) {
         assert!(self.threads > 0, "template needs threads");
         assert!(self.heartbeats > 0, "template needs a heartbeat budget");
-        assert!(
-            (0.0..1.0).contains(&self.size_jitter),
-            "size jitter must be in [0, 1)"
-        );
         assert!(
             self.target_frac > 0.0 && self.target_frac - self.target_jitter > 0.0,
             "target fraction (minus jitter) must stay positive"
@@ -84,7 +82,7 @@ impl AppTemplate {
     pub fn instantiate(&self, draw_seed: u64) -> TenantSpec {
         self.assert_valid();
         let mut rng = StdRng::seed_from_u64(draw_seed);
-        let size_scale = 1.0 + self.size_jitter * (rng.random_range(0.0..2.0) - 1.0);
+        let size_scale = 1.0 + SIZE_JITTER * (rng.random_range(0.0..2.0) - 1.0);
         let budget = ((self.heartbeats as f64 * size_scale).round() as u64).max(1);
         let target_frac =
             self.target_frac + self.target_jitter * (rng.random_range(0.0..2.0) - 1.0);
@@ -197,8 +195,8 @@ mod tests {
         let t = AppTemplate::new(Benchmark::Bodytrack);
         for seed in 0..200 {
             let ts = t.instantiate(seed);
-            let lo = (t.heartbeats as f64 * (1.0 - t.size_jitter)).floor() as u64;
-            let hi = (t.heartbeats as f64 * (1.0 + t.size_jitter)).ceil() as u64;
+            let lo = (t.heartbeats as f64 * (1.0 - SIZE_JITTER)).floor() as u64;
+            let hi = (t.heartbeats as f64 * (1.0 + SIZE_JITTER)).ceil() as u64;
             let budget = ts.spec.max_heartbeats.expect("tenants have a budget");
             assert!((lo..=hi).contains(&budget), "budget {budget}");
             assert!(

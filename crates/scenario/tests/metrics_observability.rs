@@ -10,7 +10,7 @@ use hars_obs::{replay_capture, summarize};
 use hars_scenario::{
     run_scenario, run_shard_with_metrics, AdmissionPolicy, AlwaysAdmit, AppTemplate,
     ArrivalProcess, BoundedQueue, JsonlSink, ScenarioOutcome, ScenarioRuntime, ScenarioSpec,
-    SharedSoloRateCache, SoloCacheHandle, TemplateSet,
+    ShardConfig, SharedSoloRateCache, SoloCacheHandle, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, ClusterId, EngineConfig, FaultKind, FaultPlan, TimedFault};
@@ -36,11 +36,12 @@ fn bursty_spec(seed: u64) -> ScenarioSpec {
     spec
 }
 
-/// `spec` on `board` under MP-HARS-I with the metrics fold mounted in
-/// front of `sink`.
+/// `spec` on `board` under MP-HARS-I, with `faults` injected and the
+/// metrics fold mounted in front of `sink`.
 fn run_metered(
     board: &BoardSpec,
     spec: &ScenarioSpec,
+    faults: FaultPlan,
     admission: &mut dyn AdmissionPolicy,
     sink: &mut dyn TelemetrySink,
 ) -> ScenarioOutcome {
@@ -48,7 +49,10 @@ fn run_metered(
         board,
         &EngineConfig::default(),
         &spec.tenant_schedule(),
-        &spec.shard_config(),
+        &ShardConfig {
+            faults,
+            ..spec.shard_config()
+        },
         admission,
         ScenarioRuntime::mp_hars(board, mp_hars::mp_hars_i()),
         SoloCacheHandle::Shared(&SharedSoloRateCache::new()),
@@ -72,6 +76,7 @@ fn metrics_run_fingerprints_identically_to_null_sink_run() {
     let metered = run_metered(
         &board,
         &spec,
+        FaultPlan::empty(),
         &mut BoundedQueue::new(0.85, 4),
         &mut NullSink,
     );
@@ -90,7 +95,13 @@ fn replayed_capture_matches_live_summary_byte_for_byte() {
     let board = BoardSpec::odroid_xu3();
     let spec = bursty_spec(11);
     let mut capture = JsonlSink::new(Vec::new());
-    let out = run_metered(&board, &spec, &mut AlwaysAdmit, &mut capture);
+    let out = run_metered(
+        &board,
+        &spec,
+        FaultPlan::empty(),
+        &mut AlwaysAdmit,
+        &mut capture,
+    );
     let live = out.metrics.expect("filled");
     let (written, dropped, bytes) = capture.finish();
     assert_eq!(dropped, 0);
@@ -132,7 +143,7 @@ fn fault_stream_replays_byte_for_byte() {
     let (first, second) = (arrivals[0], arrivals[1]);
     assert!(first < second && second < 12 * NS_PER_SEC, "{arrivals:?}");
     let fault = |at_ns, kind| TimedFault { at_ns, kind };
-    let spec = spec.with_faults(FaultPlan::new(vec![
+    let faults = FaultPlan::new(vec![
         fault(
             NS_PER_SEC / 2,
             FaultKind::ClusterCap {
@@ -154,10 +165,10 @@ fn fault_stream_replays_byte_for_byte() {
             },
         ),
         fault(15 * NS_PER_SEC, FaultKind::BoardFail),
-    ]));
+    ]);
 
     let mut capture = JsonlSink::new(Vec::new());
-    let out = run_metered(&board, &spec, &mut AlwaysAdmit, &mut capture);
+    let out = run_metered(&board, &spec, faults, &mut AlwaysAdmit, &mut capture);
     let live = out.metrics.expect("filled");
     let text = String::from_utf8(capture.into_inner()).expect("utf8 capture");
     let events = parse_capture(&text).expect("capture parses against the schema");

@@ -40,7 +40,7 @@
 //! let power = hars::hars_core::calibrate::run_power_calibration(
 //!     &board,
 //!     &EngineConfig::default(),
-//!     &CalibrationConfig { secs_per_point: 1.1, duties: vec![0.5, 1.0], spinner_period_ns: 1_000_000 },
+//!     &CalibrationConfig::quick(),
 //! )?;
 //! let perf = PerfEstimator::paper_default(board.base_freq);
 //! let target = PerfTarget::from_center(10.0, 0.10).unwrap();
@@ -91,10 +91,8 @@ pub mod prelude {
     pub use hmp_sim::microbench::CalibrationConfig;
     pub use hmp_sim::{
         AppSpec, BoardSpec, ClusterId, ClusterSpec, CoreId, CpuSet, Engine, EngineConfig,
-        FaultKind, FaultPlan, FreqKhz, FreqLadder, GtsConfig, SpeedProfile, TimedFault,
+        FaultKind, FaultPlan, FreqKhz, FreqLadder, SpeedProfile, TimedFault,
     };
-    pub use mp_hars::{
-        ConsConfig, ConsIManager, MpHarsConfig, MpHarsManager, MpVersion, QuarantineMode,
-    };
+    pub use mp_hars::{ConsIManager, MpHarsConfig, MpHarsManager, MpVersion, QuarantineMode};
     pub use workloads::Benchmark;
 }

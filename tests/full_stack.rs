@@ -5,18 +5,10 @@
 use hars::hars_core::calibrate::run_power_calibration;
 use hars::hars_core::policy::{hars_e, hars_ei, hars_i};
 use hars::hars_core::run_single_app;
-use hars::mp_hars::{mp_hars_e, run_multi_app, ConsConfig, ConsIManager, MpVersion};
+use hars::mp_hars::{mp_hars_e, run_multi_app, ConsIManager, MpVersion};
 use hars::prelude::*;
 use hmp_sim::clock::secs_to_ns;
 use hmp_sim::microbench::CalibrationConfig;
-
-fn quick_cal() -> CalibrationConfig {
-    CalibrationConfig {
-        secs_per_point: 1.1,
-        duties: vec![0.5, 1.0],
-        spinner_period_ns: 1_000_000,
-    }
-}
 
 struct Setup {
     board: BoardSpec,
@@ -26,8 +18,12 @@ struct Setup {
 
 fn setup() -> Setup {
     let board = BoardSpec::odroid_xu3();
-    let power = run_power_calibration(&board, &EngineConfig::default(), &quick_cal())
-        .expect("calibration succeeds");
+    let power = run_power_calibration(
+        &board,
+        &EngineConfig::default(),
+        &CalibrationConfig::quick(),
+    )
+    .expect("calibration succeeds");
     let perf = PerfEstimator::paper_default(board.base_freq);
     Setup { board, power, perf }
 }
@@ -211,10 +207,7 @@ fn cons_i_is_less_efficient_than_mp_hars() {
         .unwrap()
     };
 
-    let cons = run(&mut MpVersion::ConsI(ConsIManager::new(
-        &s.board,
-        ConsConfig::default(),
-    )));
+    let cons = run(&mut MpVersion::ConsI(ConsIManager::new(&s.board)));
     let mp = run(&mut MpVersion::MpHars(MpHarsManager::new(
         &s.board,
         s.perf,
