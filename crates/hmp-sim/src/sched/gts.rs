@@ -205,8 +205,11 @@ fn idle_pull(threads: &mut [ThreadState], cores: &mut [CoreState]) -> bool {
             .filter(|c| c.nr_running() >= IDLE_PULL_MIN_QUEUE)
             .max_by_key(|c| (c.nr_running(), c.id.0))
             .map(|c| c.id);
+        // A pull shortens a queue that reached the threshold and gives
+        // an idle core one thread, so once no queue reaches it, none will
+        // in this pass.
         let Some(src) = busiest else {
-            continue;
+            break;
         };
         let candidate = cores[src.0]
             .runnable
