@@ -24,8 +24,7 @@ use crate::cpuset::CoreId;
 use crate::sched::{migrate_thread, CoreState};
 use crate::thread::{RunState, ThreadState};
 
-// The GTS tunables, fixed at the Linux 3.10 big.LITTLE MP defaults
-// (thresholds 80 %/30 %, ~4 ms scheduling period).
+// The GTS tunables, fixed at the Linux 3.10 big.LITTLE MP defaults.
 
 /// GTS scheduler tick period (load update + migration check), ns.
 pub const GTS_TICK_NS: u64 = 4_000_000;
