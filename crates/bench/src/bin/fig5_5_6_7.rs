@@ -5,6 +5,10 @@
 use hars_bench::table::{relative, render_series, render_table, results_dir, write_csv};
 use hars_bench::{behavior_trace, parse_args, Lab, MpVersionKind};
 use hars_core::driver::BehaviorSample;
+use hmp_sim::ClusterId;
+
+const B: ClusterId = ClusterId::BIG;
+const L: ClusterId = ClusterId::LITTLE;
 
 fn trace_rows(samples: &[BehaviorSample]) -> Vec<(String, Vec<f64>)> {
     samples
@@ -14,10 +18,10 @@ fn trace_rows(samples: &[BehaviorSample]) -> Vec<(String, Vec<f64>)> {
                 s.hb_index.to_string(),
                 vec![
                     s.rate.unwrap_or(0.0),
-                    s.big_cores() as f64,
-                    s.little_cores() as f64,
-                    s.big_freq().ghz(),
-                    s.little_freq().ghz(),
+                    s.state.cores(B) as f64,
+                    s.state.cores(L) as f64,
+                    s.state.freq(B).ghz(),
+                    s.state.freq(L).ghz(),
                 ],
             )
         })
@@ -34,14 +38,12 @@ fn summarize(label: &str, samples: &[BehaviorSample], band: (f64, f64)) {
         .iter()
         .filter(|r| **r >= band.0 && **r <= band.1)
         .count();
-    let mean_b: f64 =
-        samples.iter().map(|s| s.big_cores() as f64).sum::<f64>() / samples.len() as f64;
-    let mean_l: f64 =
-        samples.iter().map(|s| s.little_cores() as f64).sum::<f64>() / samples.len() as f64;
-    let mean_fb: f64 =
-        samples.iter().map(|s| s.big_freq().ghz()).sum::<f64>() / samples.len() as f64;
-    let mean_fl: f64 =
-        samples.iter().map(|s| s.little_freq().ghz()).sum::<f64>() / samples.len() as f64;
+    let mean =
+        |x: fn(&BehaviorSample) -> f64| samples.iter().map(x).sum::<f64>() / samples.len() as f64;
+    let mean_b = mean(|s| s.state.cores(B) as f64);
+    let mean_l = mean(|s| s.state.cores(L) as f64);
+    let mean_fb = mean(|s| s.state.freq(B).ghz());
+    let mean_fl = mean(|s| s.state.freq(L).ghz());
     println!(
         "{label}: {} heartbeats, {:.0}% in target band [{:.2}, {:.2}], \
          avg {:.2} big cores @ {:.2} GHz, {:.2} little cores @ {:.2} GHz",

@@ -49,20 +49,6 @@ impl ThreadAssignment {
         }
     }
 
-    /// The canonical two-cluster constructor `(T_B, T_L, C_B,U, C_L,U)`
-    /// with little = cluster 0, big = cluster 1.
-    pub fn big_little(
-        big_threads: usize,
-        little_threads: usize,
-        used_big: usize,
-        used_little: usize,
-    ) -> Self {
-        let mut a = Self::empty(2);
-        a.set(ClusterId::LITTLE, little_threads, used_little);
-        a.set(ClusterId::BIG, big_threads, used_big);
-        a
-    }
-
     /// Number of clusters covered.
     pub fn n_clusters(&self) -> usize {
         self.n as usize
@@ -82,30 +68,6 @@ impl ThreadAssignment {
     pub fn set(&mut self, cluster: ClusterId, threads: usize, used: usize) {
         self.threads[cluster.index()] = u16::try_from(threads).expect("thread count fits u16");
         self.used[cluster.index()] = u16::try_from(used).expect("core count fits u16");
-    }
-
-    /// Threads on the big cluster of a two-cluster assignment (`T_B`).
-    pub fn big_threads(&self) -> usize {
-        debug_assert_eq!(self.n, 2);
-        self.threads(ClusterId::BIG)
-    }
-
-    /// Threads on the little cluster (`T_L`).
-    pub fn little_threads(&self) -> usize {
-        debug_assert_eq!(self.n, 2);
-        self.threads(ClusterId::LITTLE)
-    }
-
-    /// Used big cores (`C_B,U`).
-    pub fn used_big(&self) -> usize {
-        debug_assert_eq!(self.n, 2);
-        self.used(ClusterId::BIG)
-    }
-
-    /// Used little cores (`C_L,U`).
-    pub fn used_little(&self) -> usize {
-        debug_assert_eq!(self.n, 2);
-        self.used(ClusterId::LITTLE)
     }
 
     /// Total threads covered by the assignment.
@@ -292,114 +254,100 @@ pub(crate) fn waterfill<const N: usize>(
     (split_threads, used)
 }
 
-/// The two-cluster Table 3.1 (both `r` regimes), kept as the canonical
-/// big.LITTLE entry point: `r` is the *current* per-core performance
-/// ratio `S_B/S_L = r₀ · (f_B/f_L)`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, both core counts are zero, or `r` is not a
-/// positive finite number.
-pub fn assign_threads(
-    threads: usize,
-    big_cores: usize,
-    little_cores: usize,
-    r: f64,
-) -> ThreadAssignment {
-    assert!(
-        r.is_finite() && r > 0.0,
-        "performance ratio must be positive"
-    );
-    assign_threads_n(
-        threads,
-        &[
-            ClusterCapacity {
-                cores: little_cores,
-                speed: 1.0,
-            },
-            ClusterCapacity {
-                cores: big_cores,
-                speed: r,
-            },
-        ],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// The paper's platform: r₀ = 1.5 at equal frequencies.
     const R: f64 = 1.5;
+    const B: ClusterId = ClusterId::BIG;
+    const L: ClusterId = ClusterId::LITTLE;
 
+    /// Table 3.1 on `cb` big and `cl` little cores at ratio `r = S_B/S_L`.
+    fn assign(threads: usize, cb: usize, cl: usize, r: f64) -> ThreadAssignment {
+        let little = ClusterCapacity {
+            cores: cl,
+            speed: 1.0,
+        };
+        let big = ClusterCapacity {
+            cores: cb,
+            speed: r,
+        };
+        assign_threads_n(threads, &[little, big])
+    }
+
+    /// The expected `(T_B, T_L, C_B,U, C_L,U)` row.
     fn bl(tb: usize, tl: usize, ub: usize, ul: usize) -> ThreadAssignment {
-        ThreadAssignment::big_little(tb, tl, ub, ul)
+        let mut a = ThreadAssignment::empty(2);
+        a.set(L, tl, ul);
+        a.set(B, tb, ub);
+        a
     }
 
     #[test]
     fn row1_few_threads_all_big_dedicated() {
-        let a = assign_threads(3, 4, 4, R);
+        let a = assign(3, 4, 4, R);
         assert_eq!(a, bl(3, 0, 3, 0));
     }
 
     #[test]
     fn row2_timeshare_big_up_to_r_cb() {
         // T = 6 ≤ 1.5·4 = 6: still all big, sharing 4 cores.
-        let a = assign_threads(6, 4, 4, R);
+        let a = assign(6, 4, 4, R);
         assert_eq!(a, bl(6, 0, 4, 0));
     }
 
     #[test]
     fn row3_spill_to_little() {
         // T = 8 > 6, ≤ 6 + 4: T_B = ⌊6⌋ = 6, T_L = 2 on 2 little cores.
-        let a = assign_threads(8, 4, 4, R);
+        let a = assign(8, 4, 4, R);
         assert_eq!(a, bl(6, 2, 4, 2));
     }
 
     #[test]
     fn row4_saturated_proportional_split() {
         // T = 16 > 6 + 4: T_B = ⌈6/10·16⌉ = ⌈9.6⌉ = 10.
-        let a = assign_threads(16, 4, 4, R);
+        let a = assign(16, 4, 4, R);
         assert_eq!(a, bl(10, 6, 4, 4));
     }
 
     #[test]
     fn zero_big_cores_all_little() {
-        let a = assign_threads(8, 0, 4, R);
-        assert_eq!(a.big_threads(), 0);
-        assert_eq!(a.little_threads(), 8);
-        assert_eq!(a.used_big(), 0);
-        assert_eq!(a.used_little(), 4);
+        let a = assign(8, 0, 4, R);
+        assert_eq!(a.threads(B), 0);
+        assert_eq!(a.threads(L), 8);
+        assert_eq!(a.used(B), 0);
+        assert_eq!(a.used(L), 4);
         // Fewer threads than cores: only the needed cores are used.
-        let b = assign_threads(2, 0, 4, R);
-        assert_eq!(b.used_little(), 2);
+        let b = assign(2, 0, 4, R);
+        assert_eq!(b.used(L), 2);
     }
 
     #[test]
     fn zero_little_cores_all_big() {
-        let a = assign_threads(8, 2, 0, R);
-        assert_eq!(a.big_threads(), 8);
-        assert_eq!(a.used_big(), 2);
-        assert_eq!(a.used_little(), 0);
+        let a = assign(8, 2, 0, R);
+        assert_eq!(a.threads(B), 8);
+        assert_eq!(a.used(B), 2);
+        assert_eq!(a.used(L), 0);
     }
 
     #[test]
     fn r_below_one_mirrors_to_little_first() {
         // r = 0.8: little cores are effectively faster per core.
-        let a = assign_threads(3, 4, 4, 0.8);
-        assert_eq!(a.little_threads(), 3, "fast (little) side gets the threads");
-        assert_eq!(a.big_threads(), 0);
-        assert_eq!(a.used_little(), 3);
+        let a = assign(3, 4, 4, 0.8);
+        assert_eq!(a.threads(L), 3, "fast (little) side gets the threads");
+        assert_eq!(a.threads(B), 0);
+        assert_eq!(a.used(L), 3);
     }
 
     #[test]
     fn r_below_one_spill_regime() {
         // 1/r = 1.25, fast capacity = 5 slow-equivalents; T = 7 ≤ 5 + 4.
-        let a = assign_threads(7, 4, 4, 0.8);
-        assert_eq!(a.little_threads(), 5);
-        assert_eq!(a.big_threads(), 2);
-        assert_eq!(a.used_little(), 4);
-        assert_eq!(a.used_big(), 2);
+        let a = assign(7, 4, 4, 0.8);
+        assert_eq!(a.threads(L), 5);
+        assert_eq!(a.threads(B), 2);
+        assert_eq!(a.used(L), 4);
+        assert_eq!(a.used(B), 2);
     }
 
     #[test]
@@ -407,9 +355,9 @@ mod tests {
         // r = 1.999…8 once produced T_L = 5 on 4 little cores: the
         // row-3 condition `8 <= 2r + 4` held (the sum rounds to 8.0)
         // while ⌊2r⌋ = 3. The spill must be clamped to the slow side.
-        let a = assign_threads(8, 2, 4, 1.999_999_999_999_999_8);
-        assert!(a.little_threads() <= 4, "{a:?}");
-        assert!(a.used_little() <= 4);
+        let a = assign(8, 2, 4, 1.999_999_999_999_999_8);
+        assert!(a.threads(L) <= 4, "{a:?}");
+        assert!(a.used(L) <= 4);
         assert_eq!(a.total_threads(), 8);
     }
 
@@ -422,15 +370,15 @@ mod tests {
                         continue;
                     }
                     for r in [0.5, 0.9, 1.0, 1.3, 1.5, 2.4, 3.0] {
-                        let a = assign_threads(t, cb, cl, r);
+                        let a = assign(t, cb, cl, r);
                         assert_eq!(a.total_threads(), t, "t={t} cb={cb} cl={cl} r={r}");
-                        assert!(a.used_big() <= cb);
-                        assert!(a.used_little() <= cl);
-                        assert!(a.used_big() <= a.big_threads());
-                        assert!(a.used_little() <= a.little_threads());
+                        assert!(a.used(B) <= cb);
+                        assert!(a.used(L) <= cl);
+                        assert!(a.used(B) <= a.threads(B));
+                        assert!(a.used(L) <= a.threads(L));
                         // A cluster is used iff it has threads.
-                        assert_eq!(a.used_big() == 0, a.big_threads() == 0);
-                        assert_eq!(a.used_little() == 0, a.little_threads() == 0);
+                        assert_eq!(a.used(B) == 0, a.threads(B) == 0);
+                        assert_eq!(a.used(L) == 0, a.threads(L) == 0);
                     }
                 }
             }
@@ -442,12 +390,12 @@ mod tests {
         // Same T and cores, growing r: big share must not decrease.
         let mut prev = 0;
         for r in [1.0, 1.2, 1.5, 2.0, 3.0] {
-            let a = assign_threads(8, 4, 4, r);
+            let a = assign(8, 4, 4, r);
             assert!(
-                a.big_threads() >= prev,
+                a.threads(B) >= prev,
                 "big share shrank from {prev} at r={r}"
             );
-            prev = a.big_threads();
+            prev = a.threads(B);
         }
     }
 
@@ -622,12 +570,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
-        let _ = assign_threads(0, 4, 4, R);
+        let _ = assign(0, 4, 4, R);
     }
 
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_panics() {
-        let _ = assign_threads(4, 0, 0, R);
+        let _ = assign(4, 0, 0, R);
     }
 }

@@ -9,12 +9,13 @@
 //! is as cheap in simulation as it is on hardware.
 
 use heartbeats::AppId;
-use hmp_sim::{Action, ClusterId, Engine, FreqKhz, SimError};
+use hmp_sim::{Action, Engine, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::manager::{Decision, RuntimeManager};
 use crate::metrics::{normalized_performance, perf_per_watt};
 use crate::search::SearchStats;
+use crate::state::SystemState;
 
 /// One behavior-graph sample (Figures 5.5–5.7): the state HARS holds at
 /// a heartbeat plus the observed rate.
@@ -26,41 +27,8 @@ pub struct BehaviorSample {
     pub time_ns: u64,
     /// Windowed heartbeat rate (HPS), if available.
     pub rate: Option<f64>,
-    /// Allocated cores, indexed by cluster.
-    pub cores: Vec<usize>,
-    /// Cluster frequencies, indexed by cluster.
-    pub freqs: Vec<FreqKhz>,
-}
-
-impl BehaviorSample {
-    /// Allocated big cores of a two-cluster sample.
-    pub fn big_cores(&self) -> usize {
-        self.cores.get(ClusterId::BIG.index()).copied().unwrap_or(0)
-    }
-
-    /// Allocated little cores of a two-cluster sample.
-    pub fn little_cores(&self) -> usize {
-        self.cores
-            .get(ClusterId::LITTLE.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Big-cluster frequency of a two-cluster sample.
-    pub fn big_freq(&self) -> FreqKhz {
-        self.freqs
-            .get(ClusterId::BIG.index())
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Little-cluster frequency of a two-cluster sample.
-    pub fn little_freq(&self) -> FreqKhz {
-        self.freqs
-            .get(ClusterId::LITTLE.index())
-            .copied()
-            .unwrap_or_default()
-    }
+    /// Allocated cores and cluster frequencies.
+    pub state: SystemState,
 }
 
 /// Aggregate results of one driven run.
@@ -153,13 +121,11 @@ pub fn run_single_app(
             .window_rate()
             .map(|r| r.heartbeats_per_sec());
         if record_trace {
-            let s = manager.state();
             trace.push(BehaviorSample {
                 hb_index: hb.index,
                 time_ns: hb.time_ns,
                 rate,
-                cores: s.iter().map(|(_, cores, _)| cores).collect(),
-                freqs: s.iter().map(|(_, _, freq)| freq).collect(),
+                state: manager.state(),
             });
         }
         if let Some(decision) = manager.on_heartbeat(hb.index, rate) {

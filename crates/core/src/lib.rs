@@ -88,7 +88,7 @@ pub mod state;
 pub mod static_optimal;
 pub mod telemetry;
 
-pub use assign::{assign_threads, ThreadAssignment};
+pub use assign::ThreadAssignment;
 pub use config::{BudgetChange, ConfigDelta, ConfigVersion, RejectReason, RuntimeConfig};
 pub use driver::{run_single_app, BehaviorSample, RunOutcome};
 pub use manager::{Decision, DecisionCore, HarsConfig, RuntimeManager};

@@ -523,7 +523,7 @@ impl RuntimeManager {
 mod tests {
     use super::*;
     use crate::power_est::LinearCoeff;
-    use hmp_sim::{FreqKhz, FreqLadder};
+    use hmp_sim::{ClusterId, FreqKhz, FreqLadder};
 
     /// The golden contract behind `ci/golden_quick.sha256`: the default
     /// config keeps the paper's modeled overhead costs — calibrated
@@ -549,7 +549,7 @@ mod tests {
                 beta: 0.55,
             })
             .collect();
-        PowerEstimator::new(little_ladder, big_ladder, little, big)
+        PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
     }
 
     fn manager(cfg: HarsConfig) -> RuntimeManager {
@@ -594,8 +594,8 @@ mod tests {
         assert_ne!(d.state, before);
         assert!(
             d.state.total_cores() < before.total_cores()
-                || d.state.big_freq() < before.big_freq()
-                || d.state.little_freq() < before.little_freq(),
+                || d.state.freq(ClusterId::BIG) < before.freq(ClusterId::BIG)
+                || d.state.freq(ClusterId::LITTLE) < before.freq(ClusterId::LITTLE),
             "shrink step should reduce something: {} -> {}",
             before,
             d.state
@@ -650,7 +650,10 @@ mod tests {
             "settled rate {rate} not near target"
         );
         // And the settled state is cheap: not the max state.
-        assert!(m.state().total_cores() < 8 || m.state().big_freq() < FreqKhz::from_mhz(1_600));
+        let settled = m.state();
+        assert!(
+            settled.total_cores() < 8 || settled.freq(ClusterId::BIG) < FreqKhz::from_mhz(1_600)
+        );
     }
 
     #[test]

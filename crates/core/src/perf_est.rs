@@ -56,11 +56,6 @@ impl UnitTimes {
         }
     }
 
-    /// The canonical two-cluster constructor `(t_B, t_L)`.
-    pub fn big_little(t_big: f64, t_little: f64) -> Self {
-        Self::new(&[t_little, t_big])
-    }
-
     /// Number of clusters covered.
     pub fn n_clusters(&self) -> usize {
         self.n as usize
@@ -80,30 +75,6 @@ impl UnitTimes {
             0.0
         }
     }
-
-    /// `t_B` of a two-cluster state.
-    pub fn t_big(&self) -> f64 {
-        debug_assert_eq!(self.n, 2);
-        self.time(ClusterId::BIG)
-    }
-
-    /// `t_L` of a two-cluster state.
-    pub fn t_little(&self) -> f64 {
-        debug_assert_eq!(self.n, 2);
-        self.time(ClusterId::LITTLE)
-    }
-
-    /// `U_B = t_B / t_f` of a two-cluster state.
-    pub fn util_big(&self) -> f64 {
-        debug_assert_eq!(self.n, 2);
-        self.util(ClusterId::BIG)
-    }
-
-    /// `U_L = t_L / t_f` of a two-cluster state.
-    pub fn util_little(&self) -> f64 {
-        debug_assert_eq!(self.n, 2);
-        self.util(ClusterId::LITTLE)
-    }
 }
 
 /// The performance estimator. Cheap to copy; the search evaluates it for
@@ -121,16 +92,6 @@ pub struct PerfEstimator {
 }
 
 impl PerfEstimator {
-    /// Creates a two-cluster estimator with big/little ratio `r0` at
-    /// base frequency `base_freq` (little = cluster 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `r0` is positive and finite.
-    pub fn new(r0: f64, base_freq: FreqKhz) -> Self {
-        Self::from_ratios(&[1.0, r0], base_freq)
-    }
-
     /// Creates an estimator from explicit per-cluster assumed ratios.
     ///
     /// # Panics
@@ -173,9 +134,9 @@ impl PerfEstimator {
 
     /// The paper's configuration: `r₀ = 3/2` from the instruction-width
     /// ratio of the Cortex-A15 (3) and Cortex-A7 (2), on a two-cluster
-    /// board.
+    /// board (little = cluster 0).
     pub fn paper_default(base_freq: FreqKhz) -> Self {
-        Self::new(1.5, base_freq)
+        Self::from_ratios(&[1.0, 1.5], base_freq)
     }
 
     /// Number of clusters assumed.
@@ -351,7 +312,10 @@ mod tests {
     }
 
     fn st(cb: usize, cl: usize, fb_mhz: u32, fl_mhz: u32) -> SystemState {
-        SystemState::big_little(cb, cl, FreqKhz::from_mhz(fb_mhz), FreqKhz::from_mhz(fl_mhz))
+        SystemState::new(&[
+            (cl, FreqKhz::from_mhz(fl_mhz)),
+            (cb, FreqKhz::from_mhz(fb_mhz)),
+        ])
     }
 
     #[test]
@@ -378,10 +342,10 @@ mod tests {
         // T_L = 2 dedicated. t_B = 6·(1/8)/(4·1.5) = 0.125;
         // t_L = (1/8)/1.0 = 0.125. Balanced by construction.
         let ut = e.unit_times(8, &st(4, 4, 1000, 1000));
-        assert!((ut.t_big() - 0.125).abs() < 1e-12);
-        assert!((ut.t_little() - 0.125).abs() < 1e-12);
+        assert!((ut.time(ClusterId::BIG) - 0.125).abs() < 1e-12);
+        assert!((ut.time(ClusterId::LITTLE) - 0.125).abs() < 1e-12);
         assert!((ut.t_finish - 0.125).abs() < 1e-12);
-        assert!((ut.util_big() - 1.0).abs() < 1e-12);
+        assert!((ut.util(ClusterId::BIG) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -389,9 +353,9 @@ mod tests {
         let e = est();
         // 2 threads on 4B+4L: both fit on big; little unused.
         let ut = e.unit_times(2, &st(4, 4, 1000, 1000));
-        assert_eq!(ut.t_little(), 0.0);
-        assert_eq!(ut.util_little(), 0.0);
-        assert!(ut.t_big() > 0.0);
+        assert_eq!(ut.time(ClusterId::LITTLE), 0.0);
+        assert_eq!(ut.util(ClusterId::LITTLE), 0.0);
+        assert!(ut.time(ClusterId::BIG) > 0.0);
     }
 
     #[test]
@@ -429,7 +393,8 @@ mod tests {
         let state = st(4, 4, 1000, 1000);
         let optimal = e.unit_times(8, &state);
         // Force a bad split: all 8 threads on the little cluster.
-        let bad = ThreadAssignment::big_little(0, 8, 0, 4);
+        let mut bad = ThreadAssignment::empty(2);
+        bad.set(ClusterId::LITTLE, 8, 4);
         let forced = e.unit_times_for(8, &state, &bad);
         assert!(forced.t_finish > optimal.t_finish);
     }
@@ -495,6 +460,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn bad_r0_panics() {
-        let _ = PerfEstimator::new(0.0, FreqKhz::from_mhz(1_000));
+        let _ = PerfEstimator::from_ratios(&[1.0, 0.0], FreqKhz::from_mhz(1_000));
     }
 }

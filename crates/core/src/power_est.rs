@@ -44,34 +44,6 @@ pub struct PowerEstimator {
 }
 
 impl PowerEstimator {
-    /// Builds a two-cluster estimator from per-level coefficient tables
-    /// (little = cluster 0, big = cluster 1 — the paper's platform).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a table's length does not match its ladder.
-    pub fn new(
-        little_ladder: FreqLadder,
-        big_ladder: FreqLadder,
-        little: Vec<LinearCoeff>,
-        big: Vec<LinearCoeff>,
-    ) -> Self {
-        assert_eq!(
-            little.len(),
-            little_ladder.len(),
-            "one coefficient set per little level"
-        );
-        assert_eq!(
-            big.len(),
-            big_ladder.len(),
-            "one coefficient set per big level"
-        );
-        Self {
-            ladders: vec![little_ladder, big_ladder],
-            tables: vec![little, big],
-        }
-    }
-
     /// Builds an N-cluster estimator from per-cluster `(ladder, table)`
     /// pairs in cluster-index order.
     ///
@@ -189,11 +161,27 @@ mod tests {
                 beta: 0.3,
             })
             .collect();
-        PowerEstimator::new(little_ladder, big_ladder, little, big)
+        PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
     }
 
     fn st(cb: usize, cl: usize, fb_mhz: u32, fl_mhz: u32) -> SystemState {
-        SystemState::big_little(cb, cl, FreqKhz::from_mhz(fb_mhz), FreqKhz::from_mhz(fl_mhz))
+        SystemState::new(&[
+            (cl, FreqKhz::from_mhz(fl_mhz)),
+            (cb, FreqKhz::from_mhz(fb_mhz)),
+        ])
+    }
+
+    /// The `(T_B, T_L, C_B,U, C_L,U)` assignment.
+    fn bl(tb: usize, tl: usize, ub: usize, ul: usize) -> ThreadAssignment {
+        let mut a = ThreadAssignment::empty(2);
+        a.set(ClusterId::LITTLE, tl, ul);
+        a.set(ClusterId::BIG, tb, ub);
+        a
+    }
+
+    /// The `(t_B, t_L)` unit times.
+    fn ut(t_big: f64, t_little: f64) -> UnitTimes {
+        UnitTimes::new(&[t_little, t_big])
     }
 
     #[test]
@@ -212,8 +200,8 @@ mod tests {
     fn estimate_sums_both_clusters() {
         let e = flat_estimator();
         let state = st(4, 4, 800, 800);
-        let a = ThreadAssignment::big_little(4, 4, 4, 4);
-        let times = UnitTimes::big_little(1.0, 0.5);
+        let a = bl(4, 4, 4, 4);
+        let times = ut(1.0, 0.5);
         // Big: 0.5·(4·1.0) + 0.3 = 2.3; little: 0.1·(4·0.5) + 0.05 = 0.25.
         let p = e.estimate(&state, &a, &times);
         assert!((p - 2.55).abs() < 1e-12);
@@ -223,8 +211,8 @@ mod tests {
     fn idle_cluster_still_costs_beta() {
         let e = flat_estimator();
         let state = st(4, 4, 800, 800);
-        let a = ThreadAssignment::big_little(2, 0, 2, 0);
-        let times = UnitTimes::big_little(1.0, 0.0);
+        let a = bl(2, 0, 2, 0);
+        let times = ut(1.0, 0.0);
         let p = e.estimate(&state, &a, &times);
         // Big: 0.5·2 + 0.3 = 1.3; little floor: β = 0.05.
         assert!((p - 1.35).abs() < 1e-12);
@@ -233,8 +221,8 @@ mod tests {
     #[test]
     fn higher_frequency_is_costlier() {
         let e = flat_estimator();
-        let a = ThreadAssignment::big_little(4, 0, 4, 0);
-        let times = UnitTimes::big_little(1.0, 0.0);
+        let a = bl(4, 0, 4, 0);
+        let times = ut(1.0, 0.0);
         let lo = e.estimate(&st(4, 0, 800, 800), &a, &times);
         let hi = e.estimate(&st(4, 0, 1_600, 800), &a, &times);
         assert!(hi > lo);
@@ -279,10 +267,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "per little level")]
+    #[should_panic(expected = "one coefficient set per level")]
     fn mismatched_tables_panic() {
         let little_ladder = FreqLadder::from_mhz_range(800, 1_300, 100);
         let big_ladder = FreqLadder::from_mhz_range(800, 1_600, 100);
-        let _ = PowerEstimator::new(little_ladder, big_ladder, vec![], vec![]);
+        let _ = PowerEstimator::from_clusters(vec![(little_ladder, vec![]), (big_ladder, vec![])]);
     }
 }

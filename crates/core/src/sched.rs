@@ -144,7 +144,10 @@ mod tests {
 
     /// `(T_B, T_L, C_B,U, C_L,U)` like the paper's tables.
     fn asg(tb: usize, tl: usize, ub: usize, ul: usize) -> ThreadAssignment {
-        ThreadAssignment::big_little(tb, tl, ub, ul)
+        let mut a = ThreadAssignment::empty(2);
+        a.set(ClusterId::LITTLE, tl, ul);
+        a.set(ClusterId::BIG, tb, ub);
+        a
     }
 
     fn cores(ids: &[usize]) -> Vec<CoreId> {

@@ -312,11 +312,11 @@ mod tests {
                 beta: 0.55,
             })
             .collect();
-        PowerEstimator::new(little_ladder, big_ladder, little, big)
+        PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
     }
 
     fn st(cb: usize, cl: usize, fb: u32, fl: u32) -> SystemState {
-        SystemState::big_little(cb, cl, FreqKhz::from_mhz(fb), FreqKhz::from_mhz(fl))
+        SystemState::new(&[(cl, FreqKhz::from_mhz(fl)), (cb, FreqKhz::from_mhz(fb))])
     }
 
     /// One decision's context for 8 threads, without a tabu list or
@@ -431,7 +431,8 @@ mod tests {
         let (perf, power) = (perf(), power());
         let out = ExhaustiveSweep::new(SearchParams::exhaustive())
             .next_state(&ctx(&sp, &cur, 1.0, &target, &c, &perf, &power));
-        assert!(out.state.big_cores() <= 1, "grew past the free-core bound");
+        let big_cores = out.state.cores(hmp_sim::ClusterId::BIG);
+        assert!(big_cores <= 1, "grew past the free-core bound");
     }
 
     #[test]
@@ -452,8 +453,9 @@ mod tests {
         let (perf, power) = (perf(), power());
         let out = ExhaustiveSweep::new(SearchParams::exhaustive())
             .next_state(&ctx(&sp, &cur, 30.0, &target, &c, &perf, &power));
-        assert_eq!(out.state.big_freq(), cur.big_freq());
-        assert_eq!(out.state.little_freq(), cur.little_freq());
+        for c in [hmp_sim::ClusterId::BIG, hmp_sim::ClusterId::LITTLE] {
+            assert_eq!(out.state.freq(c), cur.freq(c));
+        }
     }
 
     #[test]

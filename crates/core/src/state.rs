@@ -53,18 +53,6 @@ impl SystemState {
         s
     }
 
-    /// The canonical two-cluster constructor: `(C_B, C_L, f_B, f_L)`
-    /// with little = cluster 0 and big = cluster 1, matching the
-    /// paper's notation.
-    pub fn big_little(
-        big_cores: usize,
-        little_cores: usize,
-        big_freq: FreqKhz,
-        little_freq: FreqKhz,
-    ) -> Self {
-        Self::new(&[(little_cores, little_freq), (big_cores, big_freq)])
-    }
-
     /// Number of clusters the state describes.
     pub fn n_clusters(&self) -> usize {
         self.n as usize
@@ -102,34 +90,6 @@ impl SystemState {
             .sum()
     }
 
-    /// Big cores (`C_B`) of a two-cluster state.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when the state is not two-cluster.
-    pub fn big_cores(&self) -> usize {
-        debug_assert_eq!(self.n, 2, "big/little accessors need a 2-cluster state");
-        self.cores(ClusterId::BIG)
-    }
-
-    /// Little cores (`C_L`) of a two-cluster state.
-    pub fn little_cores(&self) -> usize {
-        debug_assert_eq!(self.n, 2, "big/little accessors need a 2-cluster state");
-        self.cores(ClusterId::LITTLE)
-    }
-
-    /// Big-cluster frequency (`f_B`) of a two-cluster state.
-    pub fn big_freq(&self) -> FreqKhz {
-        debug_assert_eq!(self.n, 2, "big/little accessors need a 2-cluster state");
-        self.freq(ClusterId::BIG)
-    }
-
-    /// Little-cluster frequency (`f_L`) of a two-cluster state.
-    pub fn little_freq(&self) -> FreqKhz {
-        debug_assert_eq!(self.n, 2, "big/little accessors need a 2-cluster state");
-        self.freq(ClusterId::LITTLE)
-    }
-
     /// Iterates over `(cluster, cores, freq)` in cluster-index order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (ClusterId, usize, FreqKhz)> + '_ {
         (0..self.n as usize).map(|i| (ClusterId(i), self.cores[i] as usize, self.freqs[i]))
@@ -140,13 +100,14 @@ impl std::fmt::Display for SystemState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.n == 2 {
             // The paper's big.LITTLE notation.
+            let (big, little) = (ClusterId::BIG, ClusterId::LITTLE);
             write!(
                 f,
                 "{}B@{} + {}L@{}",
-                self.big_cores(),
-                self.big_freq(),
-                self.little_cores(),
-                self.little_freq()
+                self.cores(big),
+                self.freq(big),
+                self.cores(little),
+                self.freq(little)
             )
         } else {
             let mut first = true;
@@ -487,7 +448,10 @@ mod tests {
     }
 
     fn st(cb: usize, cl: usize, fb_mhz: u32, fl_mhz: u32) -> SystemState {
-        SystemState::big_little(cb, cl, FreqKhz::from_mhz(fb_mhz), FreqKhz::from_mhz(fl_mhz))
+        SystemState::new(&[
+            (cl, FreqKhz::from_mhz(fl_mhz)),
+            (cb, FreqKhz::from_mhz(fb_mhz)),
+        ])
     }
 
     #[test]
@@ -615,8 +579,8 @@ mod tests {
         assert_eq!(s.total_cores(), 5);
         s.set_cores(ClusterId::BIG, 4);
         s.set_freq(ClusterId::LITTLE, FreqKhz::from_mhz(800));
-        assert_eq!(s.big_cores(), 4);
-        assert_eq!(s.little_freq(), FreqKhz::from_mhz(800));
+        assert_eq!(s.cores(ClusterId::BIG), 4);
+        assert_eq!(s.freq(ClusterId::LITTLE), FreqKhz::from_mhz(800));
     }
 
     #[test]

@@ -82,7 +82,7 @@ mod tests {
         let sp = space();
         // Fake oracle: pp is maximized by exactly one known state.
         let favorite =
-            SystemState::big_little(1, 3, FreqKhz::from_mhz(1_000), FreqKhz::from_mhz(1_100));
+            SystemState::new(&[(3, FreqKhz::from_mhz(1_100)), (1, FreqKhz::from_mhz(1_000))]);
         let so = oracle_sweep(&sp, 0.9, |s| {
             if *s == favorite {
                 (1.0, 5.0)

@@ -756,7 +756,7 @@ mod tests {
             (
                 TelemetryEvent::InitialState {
                     t_ns: 0,
-                    state: SystemState::big_little(4, 2, mhz(1_600), mhz(1_300)),
+                    state: SystemState::new(&[(2, mhz(1_300)), (4, mhz(1_600))]),
                 },
                 r#"{"event":"initial_state","t_ns":0,"state":"4B@1600 MHz + 2L@1300 MHz"}"#,
             ),

@@ -14,11 +14,12 @@
 use heartbeats::PerfTarget;
 use proptest::prelude::*;
 
+use hars_core::assign::{assign_threads_n, ClusterCapacity};
 use hars_core::power_est::{LinearCoeff, PowerEstimator};
 use hars_core::search::{
     CandidateEval, ExhaustiveSweep, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
 };
-use hars_core::{assign_threads, PerfEstimator, StateSpace, SystemState};
+use hars_core::{PerfEstimator, StateSpace, SystemState};
 use hmp_sim::{BoardSpec, ClusterId, ClusterPowerModel, ClusterSpec, FreqKhz, FreqLadder};
 
 // ---------------------------------------------------------------------
@@ -285,12 +286,8 @@ mod legacy {
 
     /// `(cb, cl, fb, fl)` view of a two-cluster [`SystemState`].
     fn parts(s: &SystemState) -> (usize, usize, FreqKhz, FreqKhz) {
-        (
-            s.big_cores(),
-            s.little_cores(),
-            s.big_freq(),
-            s.little_freq(),
-        )
+        let (big, little) = (ClusterId::BIG, ClusterId::LITTLE);
+        (s.cores(big), s.cores(little), s.freq(big), s.freq(little))
     }
 
     fn cluster_time(ct: usize, used: usize, total: f64, speed: f64) -> f64 {
@@ -411,11 +408,12 @@ mod legacy {
         let base = board.base_freq;
         let big_ladder = board.ladder(ClusterId::BIG);
         let little_ladder = board.ladder(ClusterId::LITTLE);
+        let (cb, cl, fb, fl) = parts(cur);
         let (ccb, ccl, cfb, cfl) = (
-            cur.big_cores() as i64,
-            cur.little_cores() as i64,
-            big_ladder.index_of(cur.big_freq()).unwrap() as i64,
-            little_ladder.index_of(cur.little_freq()).unwrap() as i64,
+            cb as i64,
+            cl as i64,
+            big_ladder.index_of(fb).unwrap() as i64,
+            little_ladder.index_of(fl).unwrap() as i64,
         );
         let mut best_state = *cur;
         let mut best_eval = evaluate(r0, base, power, cur, rate, threads, cur, target);
@@ -444,7 +442,7 @@ mod legacy {
                         {
                             continue;
                         }
-                        let cand = SystemState::big_little(
+                        let cand = st(
                             i as usize,
                             j as usize,
                             big_ladder.level(k as usize).unwrap(),
@@ -464,6 +462,11 @@ mod legacy {
     }
 }
 
+/// The two-cluster state `(C_B, C_L, f_B, f_L)`.
+fn st(cb: usize, cl: usize, fb: FreqKhz, fl: FreqKhz) -> SystemState {
+    SystemState::new(&[(cl, fl), (cb, fb)])
+}
+
 fn xu3_power() -> PowerEstimator {
     let little_ladder = FreqLadder::from_mhz_range(800, 1_300, 100);
     let big_ladder = FreqLadder::from_mhz_range(800, 1_600, 100);
@@ -479,7 +482,7 @@ fn xu3_power() -> PowerEstimator {
             beta: 0.55,
         })
         .collect();
-    PowerEstimator::new(little_ladder, big_ladder, little, big)
+    PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
 }
 
 proptest! {
@@ -502,7 +505,7 @@ proptest! {
         prop_assume!(cb + cl > 0);
         let board = BoardSpec::odroid_xu3();
         let space = StateSpace::from_board(&board);
-        let cur = SystemState::big_little(
+        let cur = st(
             cb,
             cl,
             board.ladder(ClusterId::BIG).level(kb).unwrap(),
@@ -556,11 +559,14 @@ proptest! {
     ) {
         prop_assume!(cb + cl > 0);
         let r = r_millis as f64 / 1_000.0;
-        let new = assign_threads(threads, cb, cl, r);
+        let little = ClusterCapacity { cores: cl, speed: 1.0 };
+        let big = ClusterCapacity { cores: cb, speed: r };
+        let new = assign_threads_n(threads, &[little, big]);
         let old = legacy::assign_threads(threads, cb, cl, r);
-        prop_assert_eq!(new.big_threads(), old.big_threads);
-        prop_assert_eq!(new.little_threads(), old.little_threads);
-        prop_assert_eq!(new.used_big(), old.used_big);
-        prop_assert_eq!(new.used_little(), old.used_little);
+        let (b, l) = (ClusterId::BIG, ClusterId::LITTLE);
+        prop_assert_eq!(new.threads(b), old.big_threads);
+        prop_assert_eq!(new.threads(l), old.little_threads);
+        prop_assert_eq!(new.used(b), old.used_big);
+        prop_assert_eq!(new.used(l), old.used_little);
     }
 }

@@ -3,12 +3,34 @@
 use heartbeats::PerfTarget;
 use proptest::prelude::*;
 
+use hars_core::assign::{assign_threads_n, ClusterCapacity};
 use hars_core::power_est::LinearCoeff;
 use hars_core::search::{
     ExhaustiveSweep, SearchConstraints, SearchContext, SearchParams, SearchStrategy,
 };
-use hars_core::{assign_threads, PerfEstimator, PowerEstimator, StateSpace, SystemState};
-use hmp_sim::{BoardSpec, FreqKhz, FreqLadder};
+use hars_core::{PerfEstimator, PowerEstimator, StateSpace, SystemState, ThreadAssignment};
+use hmp_sim::{BoardSpec, ClusterId, FreqKhz, FreqLadder};
+
+const B: ClusterId = ClusterId::BIG;
+const L: ClusterId = ClusterId::LITTLE;
+
+/// Table 3.1 on `cb` big and `cl` little cores at ratio `r = S_B/S_L`.
+fn assign(threads: usize, cb: usize, cl: usize, r: f64) -> ThreadAssignment {
+    let little = ClusterCapacity {
+        cores: cl,
+        speed: 1.0,
+    };
+    let big = ClusterCapacity {
+        cores: cb,
+        speed: r,
+    };
+    assign_threads_n(threads, &[little, big])
+}
+
+/// The two-cluster state `(C_B, C_L, f_B, f_L)`.
+fn st(cb: usize, cl: usize, fb: FreqKhz, fl: FreqKhz) -> SystemState {
+    SystemState::new(&[(cl, fl), (cb, fb)])
+}
 
 fn test_power() -> PowerEstimator {
     let little_ladder = FreqLadder::from_mhz_range(800, 1_300, 100);
@@ -25,7 +47,7 @@ fn test_power() -> PowerEstimator {
             beta: 0.55,
         })
         .collect();
-    PowerEstimator::new(little_ladder, big_ladder, little, big)
+    PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
 }
 
 /// Brute-force reference: the best `t_f` over all `(T_B, T_L)` splits.
@@ -54,16 +76,16 @@ fn brute_force_tf(threads: usize, cb: usize, cl: usize, r: f64) -> f64 {
 }
 
 /// `t_f` of a concrete assignment in the same units.
-fn tf_of(a: &hars_core::ThreadAssignment, threads: usize, r: f64) -> f64 {
-    let t_big = if a.big_threads() == 0 {
+fn tf_of(a: &ThreadAssignment, threads: usize, r: f64) -> f64 {
+    let t_big = if a.threads(B) == 0 {
         0.0
     } else {
-        a.big_threads() as f64 / (threads as f64 * a.used_big() as f64 * r)
+        a.threads(B) as f64 / (threads as f64 * a.used(B) as f64 * r)
     };
-    let t_little = if a.little_threads() == 0 {
+    let t_little = if a.threads(L) == 0 {
         0.0
     } else {
-        a.little_threads() as f64 / (threads as f64 * a.used_little() as f64)
+        a.threads(L) as f64 / (threads as f64 * a.used(L) as f64)
     };
     t_big.max(t_little)
 }
@@ -78,14 +100,14 @@ proptest! {
         r in 0.3f64..4.0,
     ) {
         prop_assume!(cb + cl > 0);
-        let a = assign_threads(threads, cb, cl, r);
+        let a = assign(threads, cb, cl, r);
         prop_assert_eq!(a.total_threads(), threads);
-        prop_assert!(a.used_big() <= cb);
-        prop_assert!(a.used_little() <= cl);
-        prop_assert!(a.used_big() <= a.big_threads());
-        prop_assert!(a.used_little() <= a.little_threads());
-        prop_assert_eq!(a.used_big() == 0, a.big_threads() == 0);
-        prop_assert_eq!(a.used_little() == 0, a.little_threads() == 0);
+        prop_assert!(a.used(B) <= cb);
+        prop_assert!(a.used(L) <= cl);
+        prop_assert!(a.used(B) <= a.threads(B));
+        prop_assert!(a.used(L) <= a.threads(L));
+        prop_assert_eq!(a.used(B) == 0, a.threads(B) == 0);
+        prop_assert_eq!(a.used(L) == 0, a.threads(L) == 0);
     }
 
     /// Table 3.1 near-optimality. The paper's closed form rounds the
@@ -102,7 +124,7 @@ proptest! {
         cl in 1usize..=4,
         r in 1.0f64..3.0,
     ) {
-        let a = assign_threads(threads, cb, cl, r);
+        let a = assign(threads, cb, cl, r);
         let got = tf_of(&a, threads, r);
         let best = brute_force_tf(threads, cb, cl, r);
         let rounding_margin = 1.0
@@ -131,11 +153,11 @@ proptest! {
         prop_assume!(cb + cl > 0);
         let board = BoardSpec::odroid_xu3();
         let space = StateSpace::from_board(&board);
-        let cur = SystemState::big_little(
+        let cur = st(
             cb,
             cl,
-            board.ladder(hmp_sim::ClusterId::BIG).level(kb).unwrap(),
-            board.ladder(hmp_sim::ClusterId::LITTLE).level(kl).unwrap(),
+            board.ladder(ClusterId::BIG).level(kb).unwrap(),
+            board.ladder(ClusterId::LITTLE).level(kl).unwrap(),
         );
         let target = PerfTarget::from_center(target_center, 0.1).unwrap();
         let perf = PerfEstimator::paper_default(FreqKhz::from_mhz(1_000));
@@ -172,12 +194,12 @@ proptest! {
     ) {
         let board = BoardSpec::odroid_xu3();
         let perf = PerfEstimator::paper_default(board.base_freq);
-        let fb = board.ladder(hmp_sim::ClusterId::BIG).level(kb).unwrap();
-        let fl = board.ladder(hmp_sim::ClusterId::LITTLE).level(kl).unwrap();
-        let cur = SystemState::big_little(1, 1, fb, fl);
+        let fb = board.ladder(ClusterId::BIG).level(kb).unwrap();
+        let fl = board.ladder(ClusterId::LITTLE).level(kl).unwrap();
+        let cur = st(1, 1, fb, fl);
         let mut prev = 0.0;
         for cb in 1..=4usize {
-            let cand = SystemState::big_little(cb, 1, fb, fl);
+            let cand = st(cb, 1, fb, fl);
             let est = perf.estimate_rate(rate, threads, &cur, &cand);
             prop_assert!(est >= prev - 1e-9, "rate dropped at cb={}", cb);
             prev = est;
@@ -198,11 +220,11 @@ proptest! {
         let board = BoardSpec::odroid_xu3();
         let power = test_power();
         let (lo, hi) = if u1 <= u2 { (u1, u2) } else { (u2, u1) };
-        let fb = board.ladder(hmp_sim::ClusterId::BIG).level(kb).unwrap();
-        let fl = board.ladder(hmp_sim::ClusterId::LITTLE).level(kl).unwrap();
+        let fb = board.ladder(ClusterId::BIG).level(kb).unwrap();
+        let fl = board.ladder(ClusterId::LITTLE).level(kl).unwrap();
         let p = |u: f64| {
-            power.cluster_watts(hmp_sim::ClusterId::BIG, fb, cb, u)
-                + power.cluster_watts(hmp_sim::ClusterId::LITTLE, fl, cl, u)
+            power.cluster_watts(ClusterId::BIG, fb, cb, u)
+                + power.cluster_watts(ClusterId::LITTLE, fl, cl, u)
         };
         prop_assert!(p(lo) >= 0.0);
         prop_assert!(p(hi) >= p(lo) - 1e-12);

@@ -73,7 +73,7 @@ proptest! {
         ),
     ) {
         let base = FreqKhz::from_mhz(1_000);
-        let mut est = PerfEstimator::new(1.5, base);
+        let mut est = PerfEstimator::from_ratios(&[1.0, 1.5], base);
         let mut learner = RatioLearner::new(RatioLearning::FastOnly, &est);
         let mut legacy_r0 = 1.5f64;
         for (pred, obs, old_big, new_big) in pairs {

@@ -278,7 +278,7 @@ fn xu3_power() -> PowerEstimator {
             beta: 0.55,
         })
         .collect();
-    PowerEstimator::new(little_ladder, big_ladder, little, big)
+    PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
 }
 
 #[test]
@@ -291,7 +291,7 @@ fn every_strategy_avoids_tabu_states() {
     let space = StateSpace::from_board(&board);
     let perf = PerfEstimator::paper_default(board.base_freq);
     let power = xu3_power();
-    let cur = SystemState::big_little(1, 1, FreqKhz::from_mhz(1_000), FreqKhz::from_mhz(1_000));
+    let cur = SystemState::new(&[(1, FreqKhz::from_mhz(1_000)), (1, FreqKhz::from_mhz(1_000))]);
     let target = PerfTarget::new(900.0, 1_100.0).unwrap(); // unreachable
     let constraints = SearchConstraints::unrestricted(&space);
     let strategies: Vec<Box<dyn SearchStrategy>> = vec![
@@ -413,7 +413,8 @@ fn adaptive_beam_matches_plain_beam_when_the_incumbent_is_stable() {
     let space = StateSpace::from_board(&board);
     let perf = PerfEstimator::paper_default(board.base_freq);
     let power = xu3_power();
-    let cur = SystemState::big_little(0, 1, FreqKhz::from_mhz(800), FreqKhz::from_mhz(800));
+    // One little core at 800 MHz, no big cores.
+    let cur = SystemState::new(&[(1, FreqKhz::from_mhz(800)), (0, FreqKhz::from_mhz(800))]);
     let target = PerfTarget::new(9.9, 10.1).unwrap();
     let constraints = SearchConstraints::unrestricted(&space);
     let ctx = SearchContext {

@@ -12,14 +12,6 @@ pub enum HeartbeatError {
         /// Upper bound of the offending band.
         max: f64,
     },
-    /// A heartbeat was emitted with a timestamp earlier than the previous
-    /// heartbeat. Time must be monotone.
-    NonMonotonicTime {
-        /// Timestamp of the previously accepted heartbeat.
-        previous_ns: u64,
-        /// Offending timestamp.
-        offered_ns: u64,
-    },
 }
 
 impl fmt::Display for HeartbeatError {
@@ -28,13 +20,6 @@ impl fmt::Display for HeartbeatError {
             HeartbeatError::InvalidTarget { min, max } => {
                 write!(f, "invalid performance target band [{min}, {max}]")
             }
-            HeartbeatError::NonMonotonicTime {
-                previous_ns,
-                offered_ns,
-            } => write!(
-                f,
-                "heartbeat timestamp {offered_ns} ns precedes previous {previous_ns} ns"
-            ),
         }
     }
 }
@@ -47,18 +32,9 @@ mod tests {
 
     #[test]
     fn display_is_nonempty_and_lowercase() {
-        let errors = [
-            HeartbeatError::InvalidTarget { min: 2.0, max: 1.0 },
-            HeartbeatError::NonMonotonicTime {
-                previous_ns: 5,
-                offered_ns: 3,
-            },
-        ];
-        for e in errors {
-            let msg = e.to_string();
-            assert!(!msg.is_empty());
-            assert!(msg.chars().next().unwrap().is_lowercase());
-        }
+        let msg = HeartbeatError::InvalidTarget { min: 2.0, max: 1.0 }.to_string();
+        assert!(!msg.is_empty());
+        assert!(msg.chars().next().unwrap().is_lowercase());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{HeartbeatError, HeartbeatRate, HeartbeatRecord, PerfTarget, RateWindow};
+use crate::{HeartbeatRate, HeartbeatRecord, PerfTarget, RateWindow};
 
 /// Monitors the heartbeats of one application: accepts emissions, tracks
 /// the sliding-window rate, and classifies it against an optional
@@ -72,37 +72,9 @@ impl HeartbeatMonitor {
         record
     }
 
-    /// Strict emission that rejects time going backwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeartbeatError::NonMonotonicTime`] when `timestamp_ns`
-    /// precedes the previous heartbeat.
-    pub fn try_emit(&mut self, timestamp_ns: u64) -> Result<HeartbeatRecord, HeartbeatError> {
-        if let Some(prev) = self.last_ns {
-            if timestamp_ns < prev {
-                return Err(HeartbeatError::NonMonotonicTime {
-                    previous_ns: prev,
-                    offered_ns: timestamp_ns,
-                });
-            }
-        }
-        Ok(self.emit(timestamp_ns))
-    }
-
     /// Total number of heartbeats ever emitted.
     pub fn total_heartbeats(&self) -> u64 {
         self.total
-    }
-
-    /// Index of the most recent heartbeat, or `None` before the first.
-    pub fn latest_index(&self) -> Option<u64> {
-        self.window.latest().map(|r| r.index())
-    }
-
-    /// Timestamp of the most recent heartbeat.
-    pub fn latest_timestamp_ns(&self) -> Option<u64> {
-        self.last_ns
     }
 
     /// The sliding-window heartbeat rate (the paper's `hb.rate`).
@@ -141,15 +113,6 @@ mod tests {
         assert_eq!(m.emit(10).index(), 1);
         assert_eq!(m.emit(20).index(), 2);
         assert_eq!(m.total_heartbeats(), 3);
-        assert_eq!(m.latest_index(), Some(2));
-    }
-
-    #[test]
-    fn try_emit_rejects_backwards_time() {
-        let mut m = HeartbeatMonitor::new(4);
-        m.try_emit(100).unwrap();
-        let err = m.try_emit(50).unwrap_err();
-        assert!(matches!(err, HeartbeatError::NonMonotonicTime { .. }));
     }
 
     #[test]

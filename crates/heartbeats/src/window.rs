@@ -61,11 +61,6 @@ impl RateWindow {
         self.capacity
     }
 
-    /// The most recent heartbeat, if any.
-    pub fn latest(&self) -> Option<&HeartbeatRecord> {
-        self.records.back()
-    }
-
     /// The rate over the current window: `(len - 1)` intervals divided by
     /// the spanned time. `None` until two heartbeats with distinct
     /// timestamps are present.

@@ -155,19 +155,6 @@ impl FreqLadder {
         }
     }
 
-    /// Steps `levels` up (positive) or down (negative) from `freq`,
-    /// clamping at the ladder ends. `freq` itself is first clamped to the
-    /// nearest level at or below it.
-    pub fn step_from(&self, freq: FreqKhz, levels: i64) -> FreqKhz {
-        let cur = match self.levels.binary_search(&freq) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let idx = (cur as i64 + levels).clamp(0, self.levels.len() as i64 - 1);
-        self.levels[idx as usize]
-    }
-
     /// Iterates over the levels, lowest first.
     pub fn iter(&self) -> impl Iterator<Item = FreqKhz> + '_ {
         self.levels.iter().copied()
@@ -213,18 +200,6 @@ mod tests {
         assert_eq!(l.floor(FreqKhz::from_mhz(900)), FreqKhz::from_mhz(800));
         assert_eq!(l.floor(FreqKhz::from_mhz(700)), FreqKhz::from_mhz(800));
         assert_eq!(l.floor(FreqKhz::from_mhz(5000)), FreqKhz::from_mhz(1200));
-    }
-
-    #[test]
-    fn step_from_clamps_at_ends() {
-        let l = FreqLadder::from_mhz_range(800, 1600, 100);
-        let f = FreqKhz::from_mhz(800);
-        assert_eq!(l.step_from(f, -3), f);
-        assert_eq!(l.step_from(f, 2), FreqKhz::from_mhz(1000));
-        assert_eq!(
-            l.step_from(FreqKhz::from_mhz(1600), 5),
-            FreqKhz::from_mhz(1600)
-        );
     }
 
     #[test]

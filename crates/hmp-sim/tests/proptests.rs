@@ -28,14 +28,14 @@ proptest! {
         prop_assert_eq!(members.len(), sa.len());
     }
 
-    /// Frequency ladders: floor/step stay on the ladder and are ordered.
+    /// Frequency ladders: floor stays on the ladder, at or below the
+    /// probe.
     #[test]
     fn ladder_operations(
         lo in 1u32..20,
         steps in 1u32..20,
         step in 1u32..5,
         probe_mhz in 1u32..4_000,
-        delta in -30i64..30,
     ) {
         let hi = lo + steps * step;
         let ladder = FreqLadder::from_mhz_range(lo * 100, hi * 100, step * 100);
@@ -45,9 +45,6 @@ proptest! {
         if probe >= ladder.min() {
             prop_assert!(floored <= probe);
         }
-        let stepped = ladder.step_from(probe, delta);
-        prop_assert!(ladder.contains(stepped));
-        prop_assert!(stepped >= ladder.min() && stepped <= ladder.max());
     }
 
     /// Engine conservation: work completed (heartbeats × unit work)

@@ -107,16 +107,6 @@ impl AppData {
         self.owned[cluster.index()].iter().filter(|&&u| u).count()
     }
 
-    /// Number of big cores currently owned (two-cluster boards).
-    pub fn owned_big(&self) -> usize {
-        self.owned(ClusterId::BIG)
-    }
-
-    /// Number of little cores currently owned (two-cluster boards).
-    pub fn owned_little(&self) -> usize {
-        self.owned(ClusterId::LITTLE)
-    }
-
     /// `true` when the app uses any core of `cluster` — i.e. shares that
     /// cluster's frequency with whoever else uses it.
     pub fn uses_cluster(&self, cluster: ClusterId) -> bool {
@@ -157,7 +147,7 @@ mod tests {
     }
 
     fn initial() -> SystemState {
-        SystemState::big_little(0, 0, FreqKhz::from_mhz(1_600), FreqKhz::from_mhz(1_300))
+        SystemState::new(&[(0, FreqKhz::from_mhz(1_300)), (0, FreqKhz::from_mhz(1_600))])
     }
 
     fn data() -> AppData {
@@ -176,8 +166,8 @@ mod tests {
     #[test]
     fn fresh_record_owns_nothing() {
         let d = data();
-        assert_eq!(d.owned_big(), 0);
-        assert_eq!(d.owned_little(), 0);
+        assert_eq!(d.owned(ClusterId::BIG), 0);
+        assert_eq!(d.owned(ClusterId::LITTLE), 0);
         assert!(!d.uses_cluster(ClusterId::BIG));
         assert!(d.perf_class().is_none());
         assert!(!d.allocated);
@@ -189,7 +179,7 @@ mod tests {
         d.owned[ClusterId::BIG.index()][0] = true;
         d.owned[ClusterId::BIG.index()][3] = true;
         d.owned[ClusterId::LITTLE.index()][2] = true;
-        assert_eq!(d.owned_big(), 2);
+        assert_eq!(d.owned(ClusterId::BIG), 2);
         assert_eq!(d.owned(ClusterId::LITTLE), 1);
         assert!(d.uses_cluster(ClusterId::BIG));
     }

@@ -340,15 +340,16 @@ mod tests {
     fn starts_at_the_maximum_state() {
         let m = mk();
         let s = m.state();
-        assert_eq!(s.big_cores(), 4);
-        assert_eq!(s.little_cores(), 4);
-        assert_eq!(s.big_freq(), board().ladder(ClusterId::BIG).max());
-        assert_eq!(s.little_freq(), board().ladder(ClusterId::LITTLE).max());
+        for c in [ClusterId::BIG, ClusterId::LITTLE] {
+            assert_eq!(s.cores(c), 4);
+            assert_eq!(s.freq(c), board().ladder(c).max());
+        }
     }
 
     #[test]
     fn perf_score_matches_paper_formula() {
-        let s = SystemState::big_little(2, 3, FreqKhz::from_mhz(1_200), FreqKhz::from_mhz(1_000));
+        // 2 big cores at 1.2 GHz, 3 little at 1.0 GHz.
+        let s = SystemState::new(&[(3, FreqKhz::from_mhz(1_000)), (2, FreqKhz::from_mhz(1_200))]);
         // 2·1.5·1.2 + 3·1.0 = 6.6
         assert!((perf_score(&s, 1.5, FreqKhz::from_mhz(1_000), &XU3_NOMINALS) - 6.6).abs() < 1e-12);
     }
@@ -481,7 +482,8 @@ mod tests {
     #[test]
     fn allowed_core_set_matches_state() {
         let b = board();
-        let s = SystemState::big_little(2, 3, FreqKhz::from_mhz(800), FreqKhz::from_mhz(800));
+        // 2 big cores, 3 little.
+        let s = SystemState::new(&[(3, FreqKhz::from_mhz(800)), (2, FreqKhz::from_mhz(800))]);
         let set = allowed_core_set(&b, &s);
         assert_eq!(set.len(), 5);
         assert!(set.contains(hmp_sim::CoreId(0)));

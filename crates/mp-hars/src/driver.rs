@@ -2,12 +2,13 @@
 //! plus the per-case statistics the Figure 5.4 harness reports.
 
 use heartbeats::AppId;
-use hmp_sim::{Action, ClusterId, CpuSet, Engine, SimError};
+use hmp_sim::{Action, ClusterId, CpuSet, Engine, FreqKhz, SimError};
 use serde::{Deserialize, Serialize};
 
 use hars_core::driver::BehaviorSample;
 use hars_core::metrics::normalized_performance;
 use hars_core::search::SearchStats;
+use hars_core::SystemState;
 
 use crate::cons::{ConsDecision, ConsIManager};
 use crate::manager::{MpDecision, MpHarsManager};
@@ -187,23 +188,23 @@ fn behavior_sample(
     rate: Option<f64>,
 ) -> BehaviorSample {
     let board = engine.board();
-    let cores: Vec<usize> = match version {
-        MpVersion::Baseline => board.cluster_ids().map(|c| board.cluster_size(c)).collect(),
-        MpVersion::ConsI(m) => {
-            let s = m.state();
-            s.iter().map(|(_, cores, _)| cores).collect()
-        }
-        MpVersion::MpHars(m) => m
-            .app_state(app)
-            .map(|s| s.iter().map(|(_, cores, _)| cores).collect())
-            .unwrap_or_else(|| vec![0; board.n_clusters()]),
+    // The manager's cores (every core under GTS, none once MP-HARS has
+    // released the app) at the engine's frequencies.
+    let cores = |c: ClusterId| match version {
+        MpVersion::Baseline => board.cluster_size(c),
+        MpVersion::ConsI(m) => m.state().cores(c),
+        MpVersion::MpHars(m) => m.app_state(app).map_or(0, |s| s.cores(c)),
     };
+    let per: Vec<(usize, FreqKhz)> = board
+        .cluster_ids()
+        .zip(engine.cluster_freqs())
+        .map(|(c, &freq)| (cores(c), freq))
+        .collect();
     BehaviorSample {
         hb_index,
         time_ns,
         rate,
-        cores,
-        freqs: engine.cluster_freqs().to_vec(),
+        state: SystemState::new(&per),
     }
 }
 

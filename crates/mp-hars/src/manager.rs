@@ -36,8 +36,6 @@ pub struct MpHarsConfig {
     /// Per-app search policy (MP-HARS-I: incremental; MP-HARS-E:
     /// exhaustive `m=4,n=4,d=7`).
     pub policy: SearchPolicy,
-    /// Thread scheduler for realizing assignments.
-    pub scheduler: SchedulerKind,
     /// Per-app adaptation period (heartbeats).
     pub adapt_every: u64,
     /// Freezing-count value armed when a cluster frequency decreases
@@ -57,7 +55,6 @@ impl Default for MpHarsConfig {
     fn default() -> Self {
         Self {
             policy: SearchPolicy::exhaustive_default(),
-            scheduler: SchedulerKind::Chunk,
             adapt_every: 10,
             freeze_heartbeats: 10,
             cost_per_state_ns: 3_000,
@@ -69,8 +66,8 @@ impl Default for MpHarsConfig {
 
 impl MpHarsConfig {
     /// The hot-reloadable half of this config — the manager's version-0
-    /// [`RuntimeConfig`] snapshot. The rest (scheduler, adaptation
-    /// period, freeze count) is construction-time identity.
+    /// [`RuntimeConfig`] snapshot. The rest (adaptation period, freeze
+    /// count) is construction-time identity.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             policy: self.policy.clone(),
@@ -111,18 +108,6 @@ pub struct MpDecision {
     pub overhead_ns: u64,
     /// Search cost accounting of the decision.
     pub stats: SearchStats,
-}
-
-impl MpDecision {
-    /// The big-cluster frequency of a two-cluster decision.
-    pub fn big_freq(&self) -> FreqKhz {
-        self.freqs[ClusterId::BIG.index()]
-    }
-
-    /// The little-cluster frequency of a two-cluster decision.
-    pub fn little_freq(&self) -> FreqKhz {
-        self.freqs[ClusterId::LITTLE.index()]
-    }
 }
 
 /// How a quarantined cluster is constrained in the manager's search
@@ -180,7 +165,7 @@ impl MpHarsManager {
                 board,
                 perf,
                 power,
-                cfg.scheduler,
+                SchedulerKind::Chunk,
                 cfg.adapt_every,
                 cfg.cost_per_heartbeat_ns,
                 cfg.runtime(),
@@ -671,6 +656,9 @@ mod tests {
     use hars_core::power_est::LinearCoeff;
     use hmp_sim::FreqLadder;
 
+    const B: ClusterId = ClusterId::BIG;
+    const L: ClusterId = ClusterId::LITTLE;
+
     /// The golden contract behind `ci/golden_quick.sha256`: default
     /// presets keep the modeled overhead costs — calibrated
     /// coefficients are an explicit opt-in delta, never the default.
@@ -696,7 +684,7 @@ mod tests {
                 beta: 0.55,
             })
             .collect();
-        PowerEstimator::new(little_ladder, big_ladder, little, big)
+        PowerEstimator::from_clusters(vec![(little_ladder, little), (big_ladder, big)])
     }
 
     fn manager(cfg: MpHarsConfig) -> MpHarsManager {
@@ -717,15 +705,11 @@ mod tests {
         let d0 = m.on_heartbeat(AppId(0), 0, None).expect("initial alloc");
         assert_eq!(d0.affinities.len(), 8);
         let s0 = m.app_state(AppId(0)).unwrap();
-        assert_eq!(
-            (s0.big_cores(), s0.little_cores()),
-            (2, 2),
-            "fair half share"
-        );
+        assert_eq!((s0.cores(B), s0.cores(L)), (2, 2), "fair half share");
         let d1 = m.on_heartbeat(AppId(1), 0, None).expect("initial alloc");
         assert_eq!(d1.affinities.len(), 8);
         let s1 = m.app_state(AppId(1)).unwrap();
-        assert_eq!((s1.big_cores(), s1.little_cores()), (2, 2));
+        assert_eq!((s1.cores(B), s1.cores(L)), (2, 2));
     }
 
     #[test]
@@ -770,8 +754,8 @@ mod tests {
         }
         let d = decision.expect("over-performing app must adapt");
         let board = BoardSpec::odroid_xu3();
-        let dropped_big = d.big_freq() < board.ladder(ClusterId::BIG).max();
-        let dropped_little = d.little_freq() < board.ladder(ClusterId::LITTLE).max();
+        let dropped_big = d.freqs[B.index()] < board.ladder(ClusterId::BIG).max();
+        let dropped_little = d.freqs[L.index()] < board.ladder(ClusterId::LITTLE).max();
         if dropped_big {
             assert!(m.cluster_frozen(ClusterId::BIG));
         }
@@ -795,11 +779,11 @@ mod tests {
         let fl_before = m.cluster_freq(ClusterId::LITTLE);
         if let Some(d) = m.on_heartbeat(AppId(0), 10, Some(40.0)) {
             assert!(
-                d.big_freq() >= fb_before,
+                d.freqs[B.index()] >= fb_before,
                 "big freq decreased under interference"
             );
             assert!(
-                d.little_freq() >= fl_before,
+                d.freqs[L.index()] >= fl_before,
                 "little freq decreased under interference"
             );
         }
@@ -811,7 +795,7 @@ mod tests {
         m.register_app(AppId(0), 8, target(9.0, 11.0));
         let _ = m.on_heartbeat(AppId(0), 0, None);
         let s = m.app_state(AppId(0)).unwrap();
-        assert!(s.big_cores() > 0, "initial alloc claims big cores");
+        assert!(s.cores(B) > 0, "initial alloc claims big cores");
         let board = BoardSpec::odroid_xu3();
         let floor = board.ladder(ClusterId::BIG).min();
 
@@ -824,7 +808,7 @@ mod tests {
         assert_eq!(m.cluster_freq(ClusterId::BIG), floor);
         for step in 1..30u64 {
             if let Some(d) = m.on_heartbeat(AppId(0), step * 10, Some(2.0)) {
-                assert_eq!(d.big_freq(), floor, "capped freq must stay pinned");
+                assert_eq!(d.freqs[B.index()], floor, "capped freq must stay pinned");
             }
         }
 
@@ -834,7 +818,7 @@ mod tests {
             let _ = m.on_heartbeat(AppId(0), step * 10, Some(2.0));
         }
         let s = m.app_state(AppId(0)).unwrap();
-        assert_eq!(s.big_cores(), 0, "offline cluster must drain");
+        assert_eq!(s.cores(B), 0, "offline cluster must drain");
         assert_eq!(m.cluster_freq(ClusterId::BIG), floor);
 
         // Restore: the cluster is claimable and movable again.
@@ -844,7 +828,7 @@ mod tests {
         for step in 60..120u64 {
             let _ = m.on_heartbeat(AppId(0), step * 10, Some(2.0));
             let s = m.app_state(AppId(0)).unwrap();
-            if s.big_cores() > 0 || m.cluster_freq(ClusterId::BIG) > floor {
+            if s.cores(B) > 0 || m.cluster_freq(ClusterId::BIG) > floor {
                 regrew = true;
                 break;
             }
@@ -859,8 +843,8 @@ mod tests {
         m.register_app(AppId(0), 8, target(9.0, 11.0));
         let _ = m.on_heartbeat(AppId(0), 0, None).expect("initial alloc");
         let s = m.app_state(AppId(0)).unwrap();
-        assert_eq!(s.big_cores(), 0, "offline cluster must not be claimed");
-        assert!(s.little_cores() > 0);
+        assert_eq!(s.cores(B), 0, "offline cluster must not be claimed");
+        assert!(s.cores(L) > 0);
     }
 
     #[test]
@@ -987,10 +971,7 @@ mod tests {
         // available (none: 2+2 each, 0 free).
         let _ = m.on_heartbeat(AppId(0), 10, Some(1.0));
         let s0 = m.app_state(AppId(0)).unwrap();
-        assert!(
-            s0.big_cores() <= 2 && s0.little_cores() <= 2,
-            "stole cores: {s0}"
-        );
+        assert!(s0.cores(B) <= 2 && s0.cores(L) <= 2, "stole cores: {s0}");
     }
 
     #[test]

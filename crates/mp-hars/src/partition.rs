@@ -29,16 +29,6 @@ impl AllocatedCores {
         &self.per_cluster[cluster.index()]
     }
 
-    /// Big-cluster cores of a two-cluster allocation.
-    pub fn big(&self) -> &[CoreId] {
-        self.cores(ClusterId::BIG)
-    }
-
-    /// Little-cluster cores of a two-cluster allocation.
-    pub fn little(&self) -> &[CoreId] {
-        self.cores(ClusterId::LITTLE)
-    }
-
     /// Total cores allocated.
     pub fn len(&self) -> usize {
         self.per_cluster.iter().map(|c| c.len()).sum()
@@ -145,6 +135,9 @@ mod tests {
     use heartbeats::{AppId, PerfTarget};
     use hmp_sim::FreqKhz;
 
+    const B: ClusterId = ClusterId::BIG;
+    const L: ClusterId = ClusterId::LITTLE;
+
     fn clusters() -> Vec<ClusterData> {
         vec![
             ClusterData::new(ClusterId::LITTLE, 0, 4, FreqKhz::from_mhz(1_300)),
@@ -153,8 +146,10 @@ mod tests {
     }
 
     fn app(id: u64, cb: usize, cl: usize) -> AppData {
-        let state =
-            SystemState::big_little(cb, cl, FreqKhz::from_mhz(1_600), FreqKhz::from_mhz(1_300));
+        let state = SystemState::new(&[
+            (cl, FreqKhz::from_mhz(1_300)),
+            (cb, FreqKhz::from_mhz(1_600)),
+        ]);
         AppData::new(
             AppId(id),
             8,
@@ -173,11 +168,11 @@ mod tests {
         let mut cl = clusters();
         let mut a = app(0, 2, 1);
         let got = get_allocatable_core_set(&mut a, &mut cl);
-        assert_eq!(ids(got.big()), vec![4, 5]);
-        assert_eq!(ids(got.little()), vec![0]);
+        assert_eq!(ids(got.cores(B)), vec![4, 5]);
+        assert_eq!(ids(got.cores(L)), vec![0]);
         assert_eq!(cl[ClusterId::BIG.index()].free_count(), 2);
         assert_eq!(cl[ClusterId::LITTLE.index()].free_count(), 3);
-        assert_eq!(a.owned_big(), 2);
+        assert_eq!(a.owned(B), 2);
     }
 
     #[test]
@@ -188,17 +183,21 @@ mod tests {
         let mut cl = clusters();
         let mut a = app(0, 2, 0);
         let got_a = get_allocatable_core_set(&mut a, &mut cl);
-        assert_eq!(ids(got_a.big()), vec![4, 5]);
+        assert_eq!(ids(got_a.cores(B)), vec![4, 5]);
         let mut b = app(1, 0, 2);
         let got_b = get_allocatable_core_set(&mut b, &mut cl);
-        assert_eq!(ids(got_b.little()), vec![0, 1]);
+        assert_eq!(ids(got_b.cores(L)), vec![0, 1]);
         // B grows into the big cluster.
         b.state.set_cores(ClusterId::BIG, 2);
         let got_b2 = get_allocatable_core_set(&mut b, &mut cl);
-        assert_eq!(ids(got_b2.big()), vec![6, 7], "B gets the free big cores");
-        assert_eq!(ids(got_b2.little()), vec![0, 1], "B keeps its littles");
+        assert_eq!(
+            ids(got_b2.cores(B)),
+            vec![6, 7],
+            "B gets the free big cores"
+        );
+        assert_eq!(ids(got_b2.cores(L)), vec![0, 1], "B keeps its littles");
         // No core owned twice.
-        assert_eq!(a.owned_big() + b.owned_big(), 4);
+        assert_eq!(a.owned(B) + b.owned(B), 4);
         assert_eq!(cl[ClusterId::BIG.index()].free_count(), 0);
     }
 
@@ -207,18 +206,18 @@ mod tests {
         let mut cl = clusters();
         let mut a = app(0, 4, 0);
         let _ = get_allocatable_core_set(&mut a, &mut cl);
-        assert_eq!(a.owned_big(), 4);
+        assert_eq!(a.owned(B), 4);
         // Shrink 4 -> 2: set the decrement like Algorithm 3 does.
         a.state.set_cores(ClusterId::BIG, 2);
         a.dec[ClusterId::BIG.index()] = 2;
         let got = get_allocatable_core_set(&mut a, &mut cl);
-        assert_eq!(got.big().len(), 2);
-        assert_eq!(a.owned_big(), 2);
+        assert_eq!(got.cores(B).len(), 2);
+        assert_eq!(a.owned(B), 2);
         assert_eq!(cl[ClusterId::BIG.index()].free_count(), 2);
         // Released cores are reusable by another app.
         let mut b = app(1, 2, 0);
         let got_b = get_allocatable_core_set(&mut b, &mut cl);
-        assert_eq!(got_b.big().len(), 2);
+        assert_eq!(got_b.cores(B).len(), 2);
         assert_eq!(cl[ClusterId::BIG.index()].free_count(), 0);
     }
 
@@ -230,16 +229,16 @@ mod tests {
         a.state.set_cores(ClusterId::BIG, 1);
         a.dec[ClusterId::BIG.index()] = 2;
         let shrunk = get_allocatable_core_set(&mut a, &mut cl);
-        assert_eq!(shrunk.big().len(), 1);
+        assert_eq!(shrunk.cores(B).len(), 1);
         // The kept core was one of the original three.
-        assert!(first.big().contains(&shrunk.big()[0]));
+        assert!(first.cores(B).contains(&shrunk.cores(B)[0]));
         a.state.set_cores(ClusterId::BIG, 3);
         let regrown = get_allocatable_core_set(&mut a, &mut cl);
         assert!(
-            regrown.big().contains(&shrunk.big()[0]),
+            regrown.cores(B).contains(&shrunk.cores(B)[0]),
             "still-owned core must be reused, not migrated"
         );
-        assert_eq!(regrown.big().len(), 3);
+        assert_eq!(regrown.cores(B).len(), 3);
     }
 
     #[test]

@@ -11,13 +11,16 @@ use mp_hars::cluster_data::ClusterData;
 use mp_hars::freeze::{combine_others, decide, FreezeDecision, StateDecision};
 use mp_hars::partition::get_allocatable_core_set;
 
+const B: ClusterId = ClusterId::BIG;
+const L: ClusterId = ClusterId::LITTLE;
+
 fn mk_app(id: u64) -> AppData {
     AppData::new(
         AppId(id),
         8,
         PerfTarget::new(9.0, 11.0).unwrap(),
         &[4, 4],
-        SystemState::big_little(0, 0, FreqKhz::from_mhz(1_600), FreqKhz::from_mhz(1_300)),
+        SystemState::new(&[(0, FreqKhz::from_mhz(1_300)), (0, FreqKhz::from_mhz(1_600))]),
     )
 }
 
@@ -40,8 +43,8 @@ proptest! {
         for (idx, want_b, want_l) in requests {
             {
                 let app = &mut apps[idx];
-                let owned_b = app.owned_big();
-                let owned_l = app.owned_little();
+                let owned_b = app.owned(B);
+                let owned_l = app.owned(L);
                 if want_b < owned_b {
                     app.dec[ClusterId::BIG.index()] = owned_b - want_b;
                 }
@@ -53,8 +56,8 @@ proptest! {
             }
             let alloc = get_allocatable_core_set(&mut apps[idx], &mut clusters);
             // Grant matches ownership.
-            prop_assert_eq!(alloc.big().len(), apps[idx].owned_big());
-            prop_assert_eq!(alloc.little().len(), apps[idx].owned_little());
+            prop_assert_eq!(alloc.cores(B).len(), apps[idx].owned(B));
+            prop_assert_eq!(alloc.cores(L).len(), apps[idx].owned(L));
             // Global disjointness + free-list consistency.
             for (ci, cluster) in clusters.iter().enumerate() {
                 for i in 0..4 {
@@ -80,11 +83,11 @@ proptest! {
         let mut app = mk_app(0);
         app.state.set_cores(ClusterId::BIG, initial);
         let _ = get_allocatable_core_set(&mut app, &mut clusters);
-        prop_assert_eq!(app.owned_big(), initial);
+        prop_assert_eq!(app.owned(B), initial);
         app.state.set_cores(ClusterId::BIG, initial - dec);
         app.dec[ClusterId::BIG.index()] = dec;
         let alloc = get_allocatable_core_set(&mut app, &mut clusters);
-        prop_assert_eq!(alloc.big().len(), initial - dec);
+        prop_assert_eq!(alloc.cores(B).len(), initial - dec);
         prop_assert_eq!(clusters[ClusterId::BIG.index()].free_count(), 4 - (initial - dec));
     }
 

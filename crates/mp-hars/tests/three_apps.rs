@@ -81,14 +81,10 @@ fn three_apps_partition_and_adapt() {
                 if s0.time_ns.abs_diff(s2.time_ns) > 1_000_000 {
                     continue;
                 }
-                assert!(
-                    s0.big_cores() + s1.big_cores() + s2.big_cores()
-                        <= board.cluster_size(hmp_sim::ClusterId::BIG)
-                );
-                assert!(
-                    s0.little_cores() + s1.little_cores() + s2.little_cores()
-                        <= board.cluster_size(hmp_sim::ClusterId::LITTLE)
-                );
+                for c in board.cluster_ids() {
+                    let held = s0.state.cores(c) + s1.state.cores(c) + s2.state.cores(c);
+                    assert!(held <= board.cluster_size(c));
+                }
             }
         }
     }

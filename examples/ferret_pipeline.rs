@@ -7,8 +7,9 @@
 //! cargo run --release --example ferret_pipeline
 //! ```
 
+use hars::hars_core::assign::{assign_threads_n, ClusterCapacity};
 use hars::hars_core::sched::{plan_affinities, SchedulerKind};
-use hars::hars_core::{assign_threads, StateSpace};
+use hars::hars_core::StateSpace;
 use hars::prelude::*;
 
 fn run_with(scheduler: SchedulerKind) -> Result<(f64, f64), Box<dyn std::error::Error>> {
@@ -19,15 +20,26 @@ fn run_with(scheduler: SchedulerKind) -> Result<(f64, f64), Box<dyn std::error::
     let app = engine.add_app(spec)?;
 
     // A mixed state: 2 big cores at 1.0 GHz + 4 little at 1.3 GHz.
-    let state = SystemState::big_little(2, 4, FreqKhz::from_mhz(1_000), FreqKhz::from_mhz(1_300));
+    let (big, little) = (ClusterId::BIG, ClusterId::LITTLE);
+    let state = SystemState::new(&[(4, FreqKhz::from_mhz(1_300)), (2, FreqKhz::from_mhz(1_000))]);
     assert!(StateSpace::from_board(&board).contains(&state));
-    engine.set_cluster_freq(ClusterId::BIG, state.big_freq())?;
-    engine.set_cluster_freq(ClusterId::LITTLE, state.little_freq())?;
+    engine.set_cluster_freq(big, state.freq(big))?;
+    engine.set_cluster_freq(little, state.freq(little))?;
 
     // Pin threads the way HARS would: Table 3.1 assignment realized by
     // the chosen scheduler.
-    let r = 1.5 * state.big_freq().ghz() / state.little_freq().ghz();
-    let assignment = assign_threads(threads, state.big_cores(), state.little_cores(), r);
+    let r = 1.5 * state.freq(big).ghz() / state.freq(little).ghz();
+    let caps = [
+        ClusterCapacity {
+            cores: state.cores(little),
+            speed: 1.0,
+        },
+        ClusterCapacity {
+            cores: state.cores(big),
+            speed: r,
+        },
+    ];
+    let assignment = assign_threads_n(threads, &caps);
     let cores: Vec<Vec<CoreId>> = board
         .cluster_ids()
         .map(|c| {

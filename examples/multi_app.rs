@@ -74,14 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("\nper-app core ownership over time (every 50th heartbeat of fluidanimate):");
+    let (big, little) = (ClusterId::BIG, ClusterId::LITTLE);
     for s in out.apps[1].trace.iter().step_by(50) {
         println!(
             "  hb {:>4}: {} big + {} little @ B {:.1} GHz / L {:.1} GHz, rate {:>6.2}",
             s.hb_index,
-            s.big_cores(),
-            s.little_cores(),
-            s.big_freq().ghz(),
-            s.little_freq().ghz(),
+            s.state.cores(big),
+            s.state.cores(little),
+            s.state.freq(big).ghz(),
+            s.state.freq(little).ghz(),
             s.rate.unwrap_or(0.0)
         );
     }

@@ -36,7 +36,10 @@ fn main() {
     let board = BoardSpec::odroid_xu3();
     // Figure 3.2's setting: 8 threads, two pipeline stages of 4 threads,
     // 4 big + 4 little cores, T_B = T_L = 4.
-    let assignment = ThreadAssignment::big_little(4, 4, 4, 4);
+    let mut assignment = ThreadAssignment::empty(board.n_clusters());
+    for c in board.cluster_ids() {
+        assignment.set(c, 4, 4);
+    }
     println!("8 threads, two 4-thread pipeline stages, 4B + 4L cores");
     show(SchedulerKind::Chunk, &assignment, &board);
     println!("  -> stage 0 entirely on little cores: it bottlenecks the pipe.");

@@ -72,10 +72,11 @@ fn hars_works_on_a_2_plus_4_board() {
     );
     // The settled state must respect this board's bounds.
     let st = manager.state();
-    assert!(st.big_cores() <= 2);
-    assert!(st.little_cores() <= 4);
-    assert!(board.ladder(ClusterId::BIG).contains(st.big_freq()));
-    assert!(board.ladder(ClusterId::LITTLE).contains(st.little_freq()));
+    let (big, little) = (ClusterId::BIG, ClusterId::LITTLE);
+    assert!(st.cores(big) <= 2);
+    assert!(st.cores(little) <= 4);
+    assert!(board.ladder(big).contains(st.freq(big)));
+    assert!(board.ladder(little).contains(st.freq(little)));
 }
 
 #[test]
@@ -105,11 +106,12 @@ fn mp_hars_partitions_the_asymmetric_board() {
         );
     }
     // Allocations must fit 2 big + 4 little at every aligned instant.
+    let (big, little) = (ClusterId::BIG, ClusterId::LITTLE);
     for s0 in &out.apps[0].trace {
         for s1 in &out.apps[1].trace {
             if s0.time_ns.abs_diff(s1.time_ns) < 1_000_000 {
-                assert!(s0.big_cores() + s1.big_cores() <= 2);
-                assert!(s0.little_cores() + s1.little_cores() <= 4);
+                assert!(s0.state.cores(big) + s1.state.cores(big) <= 2);
+                assert!(s0.state.cores(little) + s1.state.cores(little) <= 4);
             }
         }
     }

@@ -114,7 +114,7 @@ fn blackscholes_settles_suboptimally() {
     // higher power).
     let st = manager.state();
     assert!(
-        st.big_cores() > 0 || out.avg_watts > 0.9,
+        st.cores(ClusterId::BIG) > 0 || out.avg_watts > 0.9,
         "unexpectedly found the all-little optimum: {st} at {} W",
         out.avg_watts
     );
@@ -162,11 +162,9 @@ fn mp_hars_partitions_and_satisfies() {
     for sa in trace_a {
         for sb in trace_b {
             if sa.time_ns.abs_diff(sb.time_ns) < 1_000_000 {
-                assert!(sa.big_cores() + sb.big_cores() <= s.board.cluster_size(ClusterId::BIG));
-                assert!(
-                    sa.little_cores() + sb.little_cores()
-                        <= s.board.cluster_size(ClusterId::LITTLE)
-                );
+                for c in s.board.cluster_ids() {
+                    assert!(sa.state.cores(c) + sb.state.cores(c) <= s.board.cluster_size(c));
+                }
             }
         }
     }
