@@ -12,15 +12,8 @@ const L: ClusterId = ClusterId::LITTLE;
 /// The rule on `cb` big and `cl` little cores at ratio `r = S_B/S_L`:
 /// little cores at speed 1, big cores at speed `r`.
 fn assign(threads: usize, cb: usize, cl: usize, r: f64) -> ThreadAssignment {
-    let little = ClusterCapacity {
-        cores: cl,
-        speed: 1.0,
-    };
-    let big = ClusterCapacity {
-        cores: cb,
-        speed: r,
-    };
-    assign_threads_n(threads, &[little, big])
+    let cluster = |cores, speed| ClusterCapacity { cores, speed };
+    assign_threads_n(threads, &[cluster(cl, 1.0), cluster(cb, r)])
 }
 
 fn main() {

@@ -16,15 +16,8 @@ const L: ClusterId = ClusterId::LITTLE;
 
 /// Table 3.1 on `cb` big and `cl` little cores at ratio `r = S_B/S_L`.
 fn assign(threads: usize, cb: usize, cl: usize, r: f64) -> ThreadAssignment {
-    let little = ClusterCapacity {
-        cores: cl,
-        speed: 1.0,
-    };
-    let big = ClusterCapacity {
-        cores: cb,
-        speed: r,
-    };
-    assign_threads_n(threads, &[little, big])
+    let cluster = |cores, speed| ClusterCapacity { cores, speed };
+    assign_threads_n(threads, &[cluster(cl, 1.0), cluster(cb, r)])
 }
 
 /// The two-cluster state `(C_B, C_L, f_B, f_L)`.

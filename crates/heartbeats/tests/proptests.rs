@@ -43,8 +43,7 @@ proptest! {
         prop_assert_eq!(t.needs_adaptation(rate), trig);
     }
 
-    /// Monitor totals and indices stay consistent for any emission
-    /// pattern.
+    /// The monitor counts every emission, for any emission pattern.
     #[test]
     fn monitor_bookkeeping(intervals in proptest::collection::vec(0u64..10_000, 1..100)) {
         let mut m = HeartbeatMonitor::new(8);

@@ -29,15 +29,10 @@ fn run_with(scheduler: SchedulerKind) -> Result<(f64, f64), Box<dyn std::error::
     // Pin threads the way HARS would: Table 3.1 assignment realized by
     // the chosen scheduler.
     let r = 1.5 * state.freq(big).ghz() / state.freq(little).ghz();
+    let cluster = |cores, speed| ClusterCapacity { cores, speed };
     let caps = [
-        ClusterCapacity {
-            cores: state.cores(little),
-            speed: 1.0,
-        },
-        ClusterCapacity {
-            cores: state.cores(big),
-            speed: r,
-        },
+        cluster(state.cores(little), 1.0),
+        cluster(state.cores(big), r),
     ];
     let assignment = assign_threads_n(threads, &caps);
     let cores: Vec<Vec<CoreId>> = board
