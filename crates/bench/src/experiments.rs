@@ -1,7 +1,6 @@
 //! High-level experiment orchestrators — one function per table/figure
 //! of the paper. Binaries in `src/bin/` are thin wrappers over these.
 
-use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
 use hars_core::driver::BehaviorSample;
@@ -14,7 +13,7 @@ use crate::single::{run_hars_distance, run_version, RunScale, SingleResult, Vers
 /// A full Figure 5.1/5.2 dataset: per-benchmark, per-version
 /// performance/watt normalized to the baseline, plus the geometric mean
 /// row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigurePerfPerWatt {
     /// `(benchmark abbrev, [pp per version in Version::ALL order])`.
     pub rows: Vec<(String, Vec<f64>)>,
@@ -53,7 +52,7 @@ pub fn figure_perf_per_watt(lab: &Lab, target_frac: f64, scale: &RunScale) -> Fi
 
 /// Figure 5.3 dataset: efficiency and manager overhead vs the search
 /// distance `d`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureDistanceSweep {
     /// The swept distances (1, 3, 5, 7, 9).
     pub distances: Vec<i64>,
@@ -108,7 +107,7 @@ pub fn figure_distance_sweep(lab: &Lab, scale: &RunScale) -> FigureDistanceSweep
 }
 
 /// Figure 5.4 dataset: the six multi-app cases × four versions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureMultiApp {
     /// `("BO-SW", [pp per version in MpVersionKind::ALL order])`,
     /// normalized to the baseline per case.
@@ -143,7 +142,7 @@ pub fn figure_multi_app(lab: &Lab, scale: &MpScale) -> FigureMultiApp {
 
 /// Figures 5.5–5.7 dataset: behavior traces of case 4 (BO + FL) under
 /// CONS-I, MP-HARS-I and MP-HARS-E.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BehaviorTraces {
     /// Version label ("CONS-I", ...).
     pub version: String,

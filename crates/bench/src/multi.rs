@@ -2,7 +2,6 @@
 //! of Figure 5.4 and the Figure 5.5–5.7 behavior traces.
 
 use hmp_sim::clock::secs_to_ns;
-use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
 use mp_hars::cons::ConsIManager;
@@ -22,7 +21,7 @@ pub const CASES: [(Benchmark, Benchmark); 6] = [
 ];
 
 /// The four versions of Figure 5.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpVersionKind {
     /// GTS at the maximum state.
     Baseline,
@@ -69,7 +68,7 @@ pub fn hb_budget(bench: Benchmark) -> u64 {
 }
 
 /// Multi-app run sizing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MpScale {
     /// Budget multiplier over [`hb_budget`] (1.0 = paper scale).
     pub budget_factor: f64,

@@ -5,7 +5,6 @@
 use heartbeats::PerfTarget;
 use hmp_sim::clock::secs_to_ns;
 use hmp_sim::{Action, AppId, Engine};
-use serde::{Deserialize, Serialize};
 
 use hars_core::driver::{run_single_app, BehaviorSample};
 use hars_core::metrics::{normalized_performance, perf_per_watt};
@@ -18,7 +17,7 @@ use workloads::Benchmark;
 use crate::setup::{seed_for, Lab};
 
 /// The five single-application versions of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Version {
     /// Linux GTS at maximum cores and frequencies.
     Baseline,
@@ -65,7 +64,7 @@ impl Version {
 }
 
 /// Result of one (benchmark, version) run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SingleResult {
     /// Version label.
     pub version: String,
@@ -87,7 +86,7 @@ pub struct SingleResult {
 }
 
 /// Experiment sizing knobs (full fidelity vs quick CI runs).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunScale {
     /// Heartbeat budget of a measured run.
     pub hb_budget: u64,

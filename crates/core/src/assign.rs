@@ -23,12 +23,11 @@
 //! split in proportion to `S_c·C_c`.
 
 use hmp_sim::{ClusterId, MAX_CLUSTERS};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of Table 3.1: per-cluster thread counts and *used* core
 /// counts (used cores can be fewer than allocated). Stored inline; stays
 /// `Copy` for the search hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadAssignment {
     n: u8,
     threads: [u16; MAX_CLUSTERS],

@@ -16,7 +16,6 @@
 
 use heartbeats::PerfTarget;
 use hmp_sim::{BoardSpec, CpuSet};
-use serde::{Deserialize, Serialize};
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use crate::search::{
 use crate::state::{StateSpace, SystemState};
 
 /// Tunables of one runtime-manager instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HarsConfig {
     /// Search policy (incremental / exhaustive bounds).
     pub policy: SearchPolicy,

@@ -19,15 +19,13 @@
 //! heartbeat rate as `observed_rate · t_f(current) / t_f(candidate)` —
 //! the paper's simple last-period workload predictor.
 
-use serde::{Deserialize, Serialize};
-
 use crate::assign::{assign_threads_n, ClusterCapacity, ThreadAssignment};
 use crate::state::SystemState;
 use hmp_sim::{BoardSpec, ClusterId, FreqKhz, MAX_CLUSTERS};
 
 /// Per-cluster unit times for one state (arbitrary work `W = 1`; only
 /// ratios are ever used).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitTimes {
     n: u8,
     /// Time cluster `c`'s threads need (`t_c`), 0 when unused.
@@ -79,7 +77,7 @@ impl UnitTimes {
 
 /// The performance estimator. Cheap to copy; the search evaluates it for
 /// every candidate state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfEstimator {
     n: u8,
     /// Assumed per-core ratio of each cluster relative to the reference

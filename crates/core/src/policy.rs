@@ -5,8 +5,6 @@
 //! a policy but [`RuntimeConfig::budget_ns`](crate::config::RuntimeConfig),
 //! which bounds whichever strategy a decision runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sched::SchedulerKind;
 use crate::search::{
     BeamSearch, ExhaustiveSweep, GreedyFrontier, SearchParams, SearchStrategy,
@@ -16,7 +14,7 @@ use crate::search::{
 /// How the runtime manager searches for the next state each adaptation
 /// period. The policy is resolved per adaptation into a
 /// [`SearchStrategy`] through its [`SearchStrategyFactory`] impl.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchPolicy {
     /// HARS-I: one incremental step, direction chosen by whether the app
     /// over- or under-performs (`m=1,n=0,d=1` / `m=0,n=1,d=1`).
@@ -114,7 +112,7 @@ impl SearchStrategyFactory for SearchPolicy {
 
 /// A named HARS variant: policy + scheduler, as compared in Figures
 /// 5.1/5.2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarsVariant {
     /// Display name ("HARS-I", "HARS-E", "HARS-EI").
     pub name: &'static str,

@@ -34,8 +34,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::assign::ThreadAssignment;
 use crate::linreg::fit_line;
 use crate::perf_est::PerfEstimator;
@@ -91,7 +89,7 @@ const MIN_SLOPE: f64 = 0.02;
 const MAX_DRIFT: f64 = 3.0;
 
 /// Online refinement mode of the assumed per-cluster ratios.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RatioLearning {
     /// No refinement: ratios stay at their configured values.
     #[default]
@@ -110,7 +108,7 @@ pub enum RatioLearning {
 /// estimator predicted for the new state, plus the per-cluster thread
 /// shares of the new and the replaced state. Consumed (or dropped) at
 /// the *first* adaptation period after the change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingPrediction {
     /// The estimated heartbeat rate of the chosen state.
     pub predicted_rate: f64,

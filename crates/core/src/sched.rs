@@ -15,12 +15,11 @@
 //!   receives a fair mix of fast and slow cores.
 
 use hmp_sim::{BoardSpec, ClusterId, CoreId, CpuSet};
-use serde::{Deserialize, Serialize};
 
 use crate::assign::ThreadAssignment;
 
 /// Which of the two HARS schedulers to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// Chunk-based: consecutive thread ids share a cluster.
     #[default]

@@ -74,7 +74,6 @@ pub use strategy::{
 
 use heartbeats::PerfTarget;
 use hmp_sim::{ClusterId, MAX_CLUSTERS};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::normalized_performance;
 use crate::perf_est::PerfEstimator;
@@ -82,7 +81,7 @@ use crate::power_est::PowerEstimator;
 use crate::state::{StateSpace, SystemState};
 
 /// The `(m, n, d)` exploration bounds of Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchParams {
     /// Steps explored below the current value in each dimension.
     pub m: i64,
@@ -125,7 +124,7 @@ impl SearchParams {
 /// How a cluster's frequency may be changed during a search — MP-HARS's
 /// interference-aware restriction (single-app HARS uses
 /// [`FreqChange::Any`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FreqChange {
     /// Frequency fully controllable.
     #[default]
@@ -151,7 +150,7 @@ impl FreqChange {
 /// Search-time constraints: MP-HARS restricts core growth to free cores
 /// and freq changes to controllable clusters, per cluster. The
 /// single-app defaults allow the whole space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchConstraints {
     n: u8,
     /// Upper bound on candidate core count, indexed by cluster.
@@ -203,7 +202,7 @@ impl SearchConstraints {
 }
 
 /// The estimators' verdict about one state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateEval {
     /// Estimated heartbeat rate.
     pub est_rate: f64,
@@ -243,7 +242,7 @@ impl CandidateEval {
 }
 
 /// The search result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchOutcome {
     /// The chosen next state (possibly the current one).
     pub state: SystemState,

@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 
 use heartbeats::PerfTarget;
-use serde::{Deserialize, Serialize};
 
 use crate::perf_est::PerfEstimator;
 use crate::power_est::PowerEstimator;
@@ -33,7 +32,7 @@ use super::{CandidateEval, SearchConstraints, SearchOutcome};
 /// changed (a convergence diagnostic: a beam whose best never changes
 /// after ring 1 is over-provisioned), the modeled decision time, and
 /// whether an anytime budget cut the search short.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Candidate states considered, including the current state and
     /// cache hits.
@@ -46,24 +45,18 @@ pub struct SearchStats {
     /// `evaluated × cost_per_state_ns` by the managers — monotonic and
     /// deterministic, so overhead reporting reads it directly instead
     /// of re-deriving it from `evaluated` and a config knob.
-    /// (`serde(default)`: stats serialized before this field existed
-    /// deserialize with 0.)
-    #[serde(default)]
     pub wall_ns: u64,
     /// Enumeration nodes walked to *produce* the candidates — the
     /// distance-ball tree nodes (or sweep lattice points) visited,
     /// including interior nodes that never became candidates. A
     /// measured count, reported in telemetry and by the benchmarks;
-    /// `wall_ns` does not charge it. (`serde(default)` for stats
-    /// serialized before this field existed.)
-    #[serde(default)]
+    /// `wall_ns` does not charge it.
     pub nodes: u64,
     /// `true` when the evaluation limit
     /// ([`SearchContext::eval_limit`]) stopped the search before it ran
     /// to completion and the outcome is the best-so-far incumbent. ORs
     /// across merges: a run-level total reports whether *any* decision
     /// was truncated.
-    #[serde(default)]
     pub truncated: bool,
 }
 

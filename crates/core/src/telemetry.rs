@@ -20,8 +20,7 @@
 //! ([`TelemetryEvent::to_json`]) and the strict parser
 //! ([`TelemetryEvent::from_json`], [`parse_capture`]), so the two
 //! directions of the format cannot drift apart. The format is
-//! hand-rolled because the workspace's offline serde shim has no-op
-//! derives.
+//! hand-rolled because the workspace has no serialization dependency.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;

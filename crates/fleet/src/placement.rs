@@ -11,8 +11,6 @@
 //! which is what lets the worker pool run shards in any interleaving
 //! and still reproduce the fleet outcome bit for bit.
 
-use serde::{Deserialize, Serialize};
-
 use hars_core::{TelemetryEvent, TelemetrySink};
 use hars_scenario::{AdmissionDecision, LoadEstimate, TenantSpec};
 use hmp_sim::BoardSpec;
@@ -27,7 +25,7 @@ use crate::spec::FleetSpec;
 pub(crate) const EST_NS_PER_HEARTBEAT: u64 = 200_000_000;
 
 /// How arrivals are routed to boards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
     /// Route to the feasible, admitting board with the lowest projected
     /// load (claimed cores plus this tenant's threads, over capacity).
@@ -107,7 +105,7 @@ impl LedgerSet {
 }
 
 /// The routing decision for every tenant of the global schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Per-tenant board assignment (global schedule order); `None` for
     /// tenants every board's admission policy turned away.

@@ -6,7 +6,7 @@
 //! ([`crate::shard_seed`]), its fault plan
 //! ([`crate::FleetSpec::fault_plan`]), its tenant slice (the placement
 //! tier's routing), its admission policy and runtime (rebuilt fresh
-//! from serializable descriptors) — is fixed *before* the shard runs,
+//! from plain-data descriptors) — is fixed *before* the shard runs,
 //! and the reduction ([`crate::FleetAccum`]) commutes. A fleet run is
 //! therefore bit-identical across worker counts and scheduling
 //! interleavings: `workers = 1` and `workers = 8` produce the same
@@ -53,10 +53,8 @@
 //! pure shard results, it is bit-identical across worker counts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
-
-use parking_lot::Mutex;
 
 use hars_core::{NullSink, TelemetryEvent, TelemetrySink};
 use hars_scenario::{
@@ -89,9 +87,10 @@ const BACKOFF_NS: u64 = 500_000_000;
 ///
 /// # Errors
 ///
-/// Propagates the first [`SimError`] any shard hits (remaining shards
-/// are abandoned). Shard *panics* do not error: they become
-/// [`FleetOutcome::failed_shards`] rows.
+/// Propagates a [`SimError`] that a shard hits; shards not yet started
+/// are abandoned, and when several shards hit one, which error is
+/// returned depends on scheduling. Shard *panics* do not error: they
+/// become [`FleetOutcome::failed_shards`] rows.
 ///
 /// # Panics
 ///
@@ -114,8 +113,7 @@ pub fn run_fleet(
 ///
 /// # Errors
 ///
-/// Propagates the first [`SimError`] any shard hits (remaining shards
-/// are abandoned).
+/// As [`run_fleet`].
 ///
 /// # Panics
 ///
@@ -419,10 +417,13 @@ fn run_fleet_inner(
 
 /// Runs the `wave` shard set on up to `workers` threads, writing each
 /// shard's result (outcome or caught panic) into `results`. Shards are
-/// claimed off an atomic cursor; each result slot is written by
-/// exactly one worker, then applied sequentially after the scope — the
-/// per-shard values are pure functions of their inputs, so the
-/// interleaving never shows.
+/// claimed off an atomic cursor; each worker keeps the results of the
+/// shards it ran and returns them through its join handle, and they are
+/// applied after the scope — the per-shard values are pure functions of
+/// their inputs, so the interleaving never shows. A worker whose shard
+/// hits a [`SimError`] returns it, and the others stop claiming shards;
+/// when several workers return one, the first worker's (in spawn order)
+/// is the wave's error.
 #[allow(clippy::too_many_arguments)]
 fn run_wave(
     spec: &FleetSpec,
@@ -435,49 +436,53 @@ fn run_wave(
     results: &mut [Option<ShardRun>],
 ) -> Result<(), SimError> {
     let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, ShardRun)>> = Mutex::new(Vec::with_capacity(wave.len()));
-    let first_err: Mutex<Option<SimError>> = Mutex::new(None);
-
-    thread::scope(|scope| {
-        for _ in 0..workers.min(wave.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= wave.len() || first_err.lock().is_some() {
-                    break;
+    let failed = AtomicBool::new(false);
+    let worker = || -> Result<Vec<(usize, ShardRun)>, SimError> {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= wave.len() || failed.load(Ordering::Relaxed) {
+                return Ok(done);
+            }
+            let shard = wave[i];
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                run_one_shard(
+                    spec,
+                    shard,
+                    &shard_scheds[shard],
+                    &plans[shard],
+                    shared_cache,
+                    with_metrics,
+                )
+            }));
+            match run {
+                Ok(Ok(out)) => done.push((shard, ShardRun::Done(Box::new(out)))),
+                Ok(Err(e)) => {
+                    failed.store(true, Ordering::Relaxed);
+                    return Err(e);
                 }
-                let shard = wave[i];
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    run_one_shard(
-                        spec,
-                        shard,
-                        &shard_scheds[shard],
-                        &plans[shard],
-                        shared_cache,
-                        with_metrics,
-                    )
-                }));
-                match run {
-                    Ok(Ok(out)) => done.lock().push((shard, ShardRun::Done(Box::new(out)))),
-                    Ok(Err(e)) => {
-                        first_err.lock().get_or_insert(e);
-                    }
-                    Err(payload) => {
-                        let reason = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        done.lock().push((shard, ShardRun::Panicked(reason)));
-                    }
+                Err(payload) => {
+                    let reason = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    done.push((shard, ShardRun::Panicked(reason)));
                 }
-            });
+            }
         }
-    });
+    };
 
-    if let Some(e) = first_err.into_inner() {
-        return Err(e);
-    }
-    for (shard, run) in done.into_inner() {
+    let runs = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(wave.len()))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard panics are caught in the worker"))
+            .collect::<Result<Vec<_>, SimError>>()
+    })?;
+    for (shard, run) in runs.into_iter().flatten() {
         results[shard] = Some(run);
     }
     Ok(())

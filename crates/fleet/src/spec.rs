@@ -1,8 +1,6 @@
 //! Fleet descriptions: which boards serve, under which runtime and
 //! admission policy, fed by which global arrival stream.
 
-use serde::{Deserialize, Serialize};
-
 use hars_core::policy::SearchPolicy;
 use hars_scenario::{AdmissionPolicy, AdmissionSwap, ArrivalProcess, ScenarioRuntime, TemplateSet};
 use hmp_sim::{BoardSpec, ClusterId, EngineConfig, FaultKind, FaultPlan, TimedFault};
@@ -29,9 +27,9 @@ pub fn shard_seed(master: u64, shard_id: u64) -> u64 {
 }
 
 /// Which runtime stack a fleet board serves tenants with — a compact,
-/// serializable descriptor instead of a built [`ScenarioRuntime`]
+/// plain-data descriptor instead of a built [`ScenarioRuntime`]
 /// (which owns estimators and is rebuilt fresh inside each shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetRuntimeKind {
     /// Stock GTS at the maximum state (no manager).
     Gts,
@@ -85,13 +83,13 @@ impl FleetRuntimeKind {
 /// the admission policy guarding it. Each board is one *shard* — an
 /// independent scenario run over the tenants the placement tier routes
 /// to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetBoard {
     /// The simulated hardware.
     pub board: BoardSpec,
     /// The runtime stack serving this board.
     pub runtime: FleetRuntimeKind,
-    /// The board's admission policy (a serializable descriptor; each
+    /// The board's admission policy (a plain-data descriptor; each
     /// shard builds a fresh instance, and the placement tier builds its
     /// own to pre-screen arrivals).
     pub admission: AdmissionSwap,
@@ -114,7 +112,7 @@ impl FleetBoard {
 }
 
 /// How shards share (or don't share) the solo-rate calibration cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetCacheMode {
     /// One fleet-wide [`hars_scenario::SharedSoloRateCache`]: each
     /// unique `(board fingerprint, benchmark, threads, budget)`
@@ -138,7 +136,7 @@ pub enum FleetCacheMode {
 /// fleet size, worker count or which other channels fired. Probability
 /// `0.0` on every channel (or `FleetSpec::faults = None`) yields empty
 /// plans and a bit-identical fault-free run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetFaultSpec {
     /// Fault-plane master seed, independent of the workload seed so
     /// the same tenant stream can be replayed under different fault
@@ -274,7 +272,7 @@ impl FleetFaultSpec {
 /// A complete fleet-serving description: the boards, the global tenant
 /// stream, the placement policy routing arrivals to boards, and the
 /// cache mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetSpec {
     /// The fleet, indexed by shard id.
     pub boards: Vec<FleetBoard>,
@@ -303,7 +301,6 @@ pub struct FleetSpec {
     /// The fleet's fault model; `None` (the default) disables the
     /// fault plane entirely — no plans, no supervision, bit-identical
     /// to pre-fault-plane runs.
-    #[serde(default)]
     pub faults: Option<FleetFaultSpec>,
 }
 

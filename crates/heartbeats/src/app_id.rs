@@ -1,14 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a self-adaptive application.
 ///
 /// Newtype over `u64` so application ids cannot be confused with
 /// heartbeat indices or core ids.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(pub u64);
 
 impl fmt::Display for AppId {

@@ -10,8 +10,6 @@
 //! with its own core count, ladder, power model and nominal per-core
 //! performance ratio.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cpuset::{CoreId, CpuSet};
 use crate::freq::{FreqKhz, FreqLadder};
 
@@ -28,7 +26,7 @@ pub const MAX_CLUSTERS: usize = 16;
 /// Clusters are ordered slowest first, so on every two-cluster preset
 /// [`ClusterId::LITTLE`] (index 0) is the efficiency cluster and
 /// [`ClusterId::BIG`] (index 1) the performance cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub usize);
 
 impl ClusterId {
@@ -61,7 +59,7 @@ impl std::fmt::Display for ClusterId {
 ///           + n_online · σ·V(f)     (leakage, per online core)
 ///           + υ·V(f)²·f_GHz + χ     (uncore, when the cluster is active)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterPowerModel {
     /// Dynamic switching coefficient κ (W per V²·GHz per busy core).
     pub kappa: f64,
@@ -94,7 +92,7 @@ impl ClusterPowerModel {
 /// One cluster of a board: core count, DVFS ladder, ground-truth power
 /// model, and the nominal per-core performance ratio relative to the
 /// board's reference (slowest) cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable cluster name ("little", "big", "mid", "P", ...).
     pub name: String,
@@ -141,7 +139,7 @@ impl ClusterSpec {
 /// Use [`BoardSpec::odroid_xu3`] for the paper's evaluation platform,
 /// one of the other presets for different topologies, or build the
 /// fields directly for custom boards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardSpec {
     /// Human-readable board name.
     pub name: String,

@@ -10,13 +10,11 @@
 //! span) goes to [`EnergyMeter::accumulate_repeated`], which makes the
 //! same additions as one call per interval.
 
-use serde::{Deserialize, Serialize};
-
 use crate::board::ClusterId;
 use crate::clock::ns_to_secs;
 
 /// Exact integrator of cluster energy over simulated time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyMeter {
     /// Joules consumed per cluster (indexed by cluster).
     joules: Vec<f64>,
@@ -145,7 +143,7 @@ impl EnergyMeter {
 }
 
 /// A point-in-time copy of an [`EnergyMeter`]'s totals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergySnapshot {
     joules: f64,
     elapsed_secs: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A CPU frequency in kilohertz.
 ///
 /// Newtype so frequencies cannot be confused with other integers; the
@@ -15,9 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.khz(), 1_600_000);
 /// assert!((f.ghz() - 1.6).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FreqKhz(u32);
 
 impl FreqKhz {
@@ -70,7 +66,7 @@ impl fmt::Display for FreqKhz {
 /// assert_eq!(ladder.max(), FreqKhz::from_mhz(1_600));
 /// assert_eq!(ladder.index_of(FreqKhz::from_mhz(1_200)), Some(4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreqLadder {
     levels: Vec<FreqKhz>,
 }

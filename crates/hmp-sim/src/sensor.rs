@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::board::ClusterId;
 
 /// One sensor sample: per-cluster power at a sample instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerSample {
     /// Sample timestamp (ns).
     pub time_ns: u64,

@@ -12,12 +12,10 @@
 //!   the domain is not frozen — and that decrease freezes the domain
 //!   until every affected application has collected fresh data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::app_data::PerfClass;
 
 /// The shared-state decision (`StateDecision` column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateDecision {
     /// Increase the shared performance state.
     Inc,
@@ -28,7 +26,7 @@ pub enum StateDecision {
 }
 
 /// The freeze-flag decision (`FreezeDecision` column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FreezeDecision {
     /// Set the frozen flag.
     Freeze,

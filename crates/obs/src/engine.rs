@@ -18,8 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use hars_core::TelemetryEvent;
 
 use crate::hist::Log2Histogram;
@@ -35,7 +33,7 @@ pub const SLO_PCT: u8 = 90;
 /// One tenant's lifecycle, reconstructed from the event stream:
 /// admission verdicts → queue wait → heartbeat-rate series and
 /// satisfaction flips → departure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantTimeline {
     /// Tenant index in arrival order (shard-local).
     pub tenant: u64,
@@ -109,7 +107,7 @@ impl TenantTimeline {
 
 /// Per-template-class SLO rollup: how many admitted tenants of this
 /// class met their band, over how many rated heartbeats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SloClass {
     /// Admitted tenants of this class.
     pub tenants: u64,
@@ -134,7 +132,7 @@ impl SloClass {
 
 /// One cluster's power observations (from `cluster_power` events,
 /// which report the running average over `[0, t_ns]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterPowerSeries {
     /// Cluster index.
     pub cluster: usize,
@@ -161,7 +159,7 @@ impl ClusterPowerSeries {
 /// [`MetricsRollup::merge`] is a commutative, associative, bit-stable
 /// fold — shard rollups merged in any order or grouping equal the
 /// rollup of the concatenated event stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRollup {
     /// Events folded. Excludes `cache_hit`/`cache_miss`: which shard
     /// records a shared key's miss depends on thread timing, and a
@@ -191,22 +189,17 @@ pub struct MetricsRollup {
     pub placement_score_micros: Log2Histogram,
     /// Fault-plane injections observed (`fault_injected` events; 0 in
     /// fault-free streams).
-    #[serde(default)]
     pub faults_injected: u64,
     /// Board deaths observed (`board_failed` events).
-    #[serde(default)]
     pub boards_failed: u64,
     /// Cluster quarantines applied (`cluster_quarantined` events).
-    #[serde(default)]
     pub quarantines: u64,
     /// Degraded-mode calibrations served (`degraded_calibration`
     /// events: targets resolved from last-known-good solo rates while
     /// a sensor fault was active).
-    #[serde(default)]
     pub degraded_calibrations: u64,
     /// Tenants the fleet supervisor failed over off dead boards
     /// (`tenant_failed_over` events).
-    #[serde(default)]
     pub tenants_failed_over: u64,
     /// Per-class SLO rollups, keyed by benchmark name.
     pub classes: BTreeMap<String, SloClass>,
@@ -301,7 +294,7 @@ impl MetricsRollup {
 /// The complete summary of one run: the mergeable rollup plus the
 /// per-run detail (timelines, queue-depth series, power series) that
 /// stays shard-local.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSummary {
     /// The fleet-mergeable core.
     pub rollup: MetricsRollup,

@@ -8,8 +8,6 @@
 //! arrivals are first-class outcomes reported in
 //! [`crate::ScenarioOutcome`].
 
-use serde::{Deserialize, Serialize};
-
 /// The driver's estimate of how loaded the platform is at an arrival
 /// instant.
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// manager-less GTS runs the values are the thread-pressure ratio
 /// (runnable tenant threads over board cores, uncapped: values above
 /// 1.0 mean time-sharing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadEstimate {
     /// Per-cluster load estimate, indexed by cluster.
     pub per_cluster: Vec<f64>,
@@ -33,7 +31,7 @@ pub struct LoadEstimate {
 }
 
 /// What to do with one arriving tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
     /// Start the tenant now.
     Admit,
@@ -60,7 +58,7 @@ pub trait AdmissionPolicy: std::fmt::Debug {
 
 /// The null policy: every arrival starts immediately (the closed-world
 /// default, now explicit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AlwaysAdmit;
 
 impl AdmissionPolicy for AlwaysAdmit {
@@ -75,7 +73,7 @@ impl AdmissionPolicy for AlwaysAdmit {
 
 /// Rejects arrivals while the estimated board load exceeds `max_load`
 /// (load shedding: protect the tenants already running).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityGate {
     /// Admission threshold on [`LoadEstimate::total`].
     pub max_load: f64,
@@ -113,7 +111,7 @@ impl AdmissionPolicy for CapacityGate {
 /// FIFO backpressure: arrivals beyond `max_load` wait in a bounded
 /// queue (drained head-first as departures free capacity); arrivals
 /// that find the queue full are rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedQueue {
     /// Admission threshold on [`LoadEstimate::total`].
     pub max_load: f64,

@@ -12,14 +12,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, Engine, EngineConfig, FaultKind, FaultPlan, SimError};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
 use hars_core::metrics::normalized_performance;
@@ -38,7 +36,7 @@ use crate::template::{TemplateSet, TenantSpec};
 
 /// A complete open-system scenario description: who arrives, when, for
 /// how long, under which seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The arrival process.
     pub arrivals: ArrivalProcess,
@@ -70,7 +68,6 @@ pub struct ScenarioSpec {
     /// `at_ns` order (stable for ties) at the first runtime
     /// interaction at or after their instant, before any arrival
     /// sharing it; events at or beyond the horizon never fire.
-    #[serde(default)]
     pub events: Vec<TimedEvent>,
 }
 
@@ -230,6 +227,7 @@ impl SharedSoloRateCache {
     pub fn len(&self) -> usize {
         self.cells
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .values()
             .filter(|c| c.get().is_some())
             .count()
@@ -255,7 +253,13 @@ impl SharedSoloRateCache {
     /// rate a concurrent lookup is calibrating (after waiting for it),
     /// or else `calibrate()`'s result, stored for every later lookup.
     fn get_or_calibrate(&self, key: SoloKey, calibrate: impl FnOnce() -> f64) -> (f64, bool) {
-        let cell = Arc::clone(self.cells.lock().entry(key).or_default());
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_default(),
+        );
         let mut hit = true;
         let rate = *cell.get_or_init(|| {
             hit = false;
@@ -367,7 +371,7 @@ pub fn run_scenario(
 /// explicit tenant schedule — everything a [`ScenarioSpec`] carries
 /// *except* the arrival process, templates and seed (a shard's tenants
 /// are decided upstream, e.g. by a fleet placement tier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     /// Scenario horizon (ns) — same semantics as
     /// [`ScenarioSpec::horizon_ns`].
@@ -378,12 +382,10 @@ pub struct ShardConfig {
     /// SLO guard band ([`ScenarioSpec::target_guard`]).
     pub target_guard: f64,
     /// Control-plane events ([`ScenarioSpec::events`]).
-    #[serde(default)]
     pub events: Vec<TimedEvent>,
     /// The shard's deterministic fault plan, injected into the serving
     /// engine (never into calibration engines). Empty, it leaves the run
     /// bit-identical to a run without the fault plane.
-    #[serde(default)]
     pub faults: FaultPlan,
 }
 

@@ -124,9 +124,8 @@ impl<W: io::Write> JsonlSink<W> {
     }
 }
 
-// Manual Debug: the offline serde/io landscape has no blanket derives
-// for generic writers, and dumping the writer itself is useless —
-// report the counters.
+// Manual Debug: a derive would require `W: Debug`, and dumping the
+// writer itself is useless — report the counters.
 impl<W: io::Write> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hmp_sim::AppSpec;
 use workloads::Benchmark;
@@ -21,7 +20,7 @@ use workloads::Benchmark;
 const SIZE_JITTER: f64 = 0.25;
 
 /// A parameterized tenant blueprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppTemplate {
     /// The PARSEC-analog the tenant runs.
     pub bench: Benchmark,
@@ -101,7 +100,7 @@ impl AppTemplate {
 }
 
 /// A weighted set of templates the arrival process draws tenants from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemplateSet {
     templates: Vec<(f64, AppTemplate)>,
 }

@@ -17,12 +17,11 @@
 //! mismatch is what drives its suboptimal adaptation in Figures 5.1/5.2.
 
 use hmp_sim::{AppSpec, ParallelismModel, SpeedProfile, WorkSource};
-use serde::{Deserialize, Serialize};
 
 use crate::variation::{Phase, VariationSpec};
 
 /// The six PARSEC benchmarks of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// blackscholes (BL) — option pricing; the paper's model-error case.
     Blackscholes,
