@@ -339,22 +339,16 @@ fn probe_state(
     target: &PerfTarget,
     scale: &RunScale,
 ) -> (f64, f64) {
-    let mut engine = lab.engine();
-    let spec = bench.spec_with_budget(8, seed_for(bench), scale.oracle_hb_budget);
-    let app = engine.add_app(spec).expect("preset specs validate");
-    apply_static_state(&mut engine, app, state);
-    engine.run_while_active(secs_to_ns(scale.oracle_deadline_secs));
-    let rate = engine
-        .monitor(app)
-        .expect("registered")
-        .global_rate()
-        .map(|r| r.heartbeats_per_sec())
-        .unwrap_or(0.0);
-    let watts = engine.energy().average_power();
-    (
-        normalized_performance(target, rate),
-        perf_per_watt(target, rate, watts),
-    )
+    let r = run_static(
+        lab,
+        bench,
+        state,
+        target,
+        scale.oracle_hb_budget,
+        scale.oracle_deadline_secs,
+        Version::StaticOptimal,
+    );
+    (r.norm_perf, r.perf_per_watt)
 }
 
 #[cfg(test)]
