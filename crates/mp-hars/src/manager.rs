@@ -320,11 +320,6 @@ impl MpHarsManager {
         self.quarantine[cluster.index()] = None;
     }
 
-    /// The cluster's active quarantine mode, `None` when healthy.
-    pub fn cluster_quarantine(&self, cluster: ClusterId) -> Option<QuarantineMode> {
-        self.quarantine[cluster.index()]
-    }
-
     /// Algorithm 3 for one incoming heartbeat of `app`.
     pub fn on_heartbeat(
         &mut self,
@@ -800,10 +795,7 @@ mod tests {
 
         // Cap: frequency pinned at the floor, cores stay claimable.
         m.set_cluster_quarantine(ClusterId::BIG, QuarantineMode::Cap);
-        assert_eq!(
-            m.cluster_quarantine(ClusterId::BIG),
-            Some(QuarantineMode::Cap)
-        );
+        assert_eq!(m.quarantine[B.index()], Some(QuarantineMode::Cap));
         assert_eq!(m.cluster_freq(ClusterId::BIG), floor);
         for step in 1..30u64 {
             if let Some(d) = m.on_heartbeat(AppId(0), step * 10, Some(2.0)) {
@@ -822,7 +814,7 @@ mod tests {
 
         // Restore: the cluster is claimable and movable again.
         m.clear_cluster_quarantine(ClusterId::BIG);
-        assert_eq!(m.cluster_quarantine(ClusterId::BIG), None);
+        assert_eq!(m.quarantine[B.index()], None);
         let mut regrew = false;
         for step in 60..120u64 {
             let _ = m.on_heartbeat(AppId(0), step * 10, Some(2.0));

@@ -52,11 +52,6 @@ impl<W: io::Write> JsonlSink<W> {
         }
     }
 
-    /// Lines successfully written so far.
-    pub fn events_written(&self) -> u64 {
-        self.written
-    }
-
     /// Events whose write failed (best-effort: the simulation never
     /// sees the error).
     pub fn events_dropped(&self) -> u64 {
@@ -173,7 +168,7 @@ mod tests {
             t_ns: 2,
             reason: "zero-budget".into(),
         });
-        assert_eq!(sink.events_written(), 2);
+        assert_eq!(sink.written, 2);
         assert_eq!(sink.events_dropped(), 0);
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 2);
@@ -202,7 +197,7 @@ mod tests {
             t_ns: 1,
             version: 1,
         });
-        assert_eq!(sink.events_written(), 0);
+        assert_eq!(sink.written, 0);
         assert_eq!(sink.events_dropped(), 1);
     }
 
@@ -275,7 +270,7 @@ mod tests {
                 version: v,
             });
         }
-        assert_eq!(sink.events_written(), 3);
+        assert_eq!(sink.written, 3);
         assert_eq!(sink.events_dropped(), 0);
         let (_, _, writer) = sink.finish();
         let text = String::from_utf8(writer.buf).unwrap();
@@ -291,7 +286,7 @@ mod tests {
             t_ns: 1,
             version: 1,
         });
-        assert_eq!(sink.events_written(), 0);
+        assert_eq!(sink.written, 0);
         assert_eq!(sink.events_dropped(), 1);
         let (_, _, writer) = sink.finish();
         assert_eq!(writer.calls as u32, 1 + MAX_TRANSIENT_RETRIES);
@@ -333,7 +328,7 @@ mod tests {
             version: 7,
         };
         sink.emit(&event);
-        assert_eq!(sink.events_written(), 1);
+        assert_eq!(sink.written, 1);
         assert_eq!(sink.events_dropped(), 0);
         let (_, _, writer) = sink.finish();
         let text = String::from_utf8(writer.buf).unwrap();
@@ -352,7 +347,7 @@ mod tests {
                 version: v,
             });
         }
-        assert_eq!(sink.events_written(), 2);
+        assert_eq!(sink.written, 2);
         assert_eq!(sink.events_dropped(), 3);
         let (written, dropped, writer) = sink.finish();
         assert_eq!((written, dropped), (2, 3));
