@@ -113,7 +113,7 @@ pub fn run_fleet(
 ///
 /// # Errors
 ///
-/// As [`run_fleet`].
+/// Propagates a [`SimError`] that a shard hits, as [`run_fleet`] does.
 ///
 /// # Panics
 ///
@@ -436,6 +436,8 @@ fn run_wave(
     results: &mut [Option<ShardRun>],
 ) -> Result<(), SimError> {
     let next = AtomicUsize::new(0);
+    // Only stops further claims: the error travels through the join
+    // handle, so the flag publishes nothing and Relaxed suffices.
     let failed = AtomicBool::new(false);
     let worker = || -> Result<Vec<(usize, ShardRun)>, SimError> {
         let mut done = Vec::new();

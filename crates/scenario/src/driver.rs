@@ -211,7 +211,9 @@ type SoloKey = (u64, Benchmark, usize, u64);
 #[derive(Debug, Default)]
 pub struct SharedSoloRateCache {
     /// One cell per key, created by the key's first lookup and filled
-    /// by its calibration.
+    /// by its calibration. The lock is never held while a calibration
+    /// runs, and no update can leave the map half-written, so a
+    /// poisoned lock is recovered rather than propagated.
     cells: Mutex<HashMap<SoloKey, Arc<OnceLock<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
