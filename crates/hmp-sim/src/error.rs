@@ -85,7 +85,7 @@ mod tests {
     }
 
     #[test]
-    fn error_is_send_sync() {
+    fn sim_error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SimError>();
     }
