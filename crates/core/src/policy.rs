@@ -105,7 +105,7 @@ impl SearchStrategyFactory for SearchPolicy {
             }
             SearchPolicy::Beam { width, d } => Box::new(BeamSearch::new(*width, *d)),
             SearchPolicy::AdaptiveBeam { width, d } => Box::new(BeamSearch::adaptive(*width, *d)),
-            SearchPolicy::Frontier => Box::new(GreedyFrontier::default()),
+            SearchPolicy::Frontier => Box::new(GreedyFrontier),
         }
     }
 }
@@ -262,7 +262,7 @@ mod tests {
                 SearchPolicy::adaptive_beam_default(),
                 Box::new(BeamSearch::adaptive(8, 7)),
             ),
-            (SearchPolicy::Frontier, Box::new(GreedyFrontier::default())),
+            (SearchPolicy::Frontier, Box::new(GreedyFrontier)),
         ];
         let mut outcomes = Vec::new();
         with_context(|ctx| {

@@ -30,20 +30,14 @@ use crate::state::{StateIndex, SystemState};
 use super::strategy::{BestTracker, EvalCache, SearchContext, SearchStrategy};
 use super::{CandidateEval, FreqChange, SearchOutcome};
 
-/// The coordinate-descent strategy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GreedyFrontier {
-    /// Safety cap on descent rounds (each round moves one dimension).
-    /// Strict improvement already guarantees termination; the cap
-    /// bounds the worst case on adversarial estimator surfaces.
-    pub max_steps: usize,
-}
+/// Safety cap on descent rounds (each round moves one dimension).
+/// Strict improvement already guarantees termination; the cap bounds
+/// the worst case on adversarial estimator surfaces.
+const MAX_STEPS: usize = 4096;
 
-impl Default for GreedyFrontier {
-    fn default() -> Self {
-        Self { max_steps: 4096 }
-    }
-}
+/// The coordinate-descent strategy.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GreedyFrontier;
 
 impl SearchStrategy for GreedyFrontier {
     fn name(&self) -> &'static str {
@@ -69,7 +63,7 @@ impl SearchStrategy for GreedyFrontier {
         let mut pos_idx = cur_idx;
         let mut pos_eval = current_eval;
         let mut truncated = false;
-        'descent: for _ in 0..self.max_steps {
+        'descent: for _ in 0..MAX_STEPS {
             let mut best_move: Option<(StateIndex, SystemState, CandidateEval)> = None;
             for i in (0..n).rev() {
                 let c = ClusterId(i);

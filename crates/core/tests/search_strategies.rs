@@ -230,7 +230,7 @@ proptest! {
         let strategies: Vec<Box<dyn SearchStrategy>> = vec![
             Box::new(ExhaustiveSweep::new(SearchParams::exhaustive())),
             Box::new(BeamSearch::new(4, 5)),
-            Box::new(GreedyFrontier::default()),
+            Box::new(GreedyFrontier),
         ];
         for strategy in &strategies {
             let (state, set) = observed_candidates(strategy.as_ref(), &ctx);
@@ -297,7 +297,7 @@ fn every_strategy_avoids_tabu_states() {
     let strategies: Vec<Box<dyn SearchStrategy>> = vec![
         Box::new(ExhaustiveSweep::new(SearchParams::exhaustive())),
         Box::new(BeamSearch::new(8, 7)),
-        Box::new(GreedyFrontier::default()),
+        Box::new(GreedyFrontier),
     ];
     for strategy in &strategies {
         let mut ctx = SearchContext {
@@ -355,7 +355,7 @@ fn frontier_cache_avoids_re_evaluating_revisited_neighbors() {
         tabu: &[],
         eval_limit: None,
     };
-    let out = GreedyFrontier::default().next_state(&ctx);
+    let out = GreedyFrontier.next_state(&ctx);
     assert!(out.stats.best_rank_changes >= 1, "must walk at least once");
     assert!(
         out.stats.evaluated < out.stats.explored,

@@ -583,12 +583,6 @@ impl Engine {
         self.failed_at
     }
 
-    /// `true` while `cluster` is thermally quarantined (frequency
-    /// clamped to its ladder floor).
-    pub fn cluster_quarantined(&self, cluster: ClusterId) -> bool {
-        self.now_ns < self.quarantined_until[cluster.index()]
-    }
-
     /// `true` while an injected sensor fault (dropout or stuck-at)
     /// window is active.
     pub fn sensor_faulted(&self) -> bool {
