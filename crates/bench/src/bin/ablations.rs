@@ -9,7 +9,7 @@
 //! 4. **chunk vs interleaving scheduler** across the whole suite.
 
 use hars_bench::table::render_table;
-use hars_bench::{measure_max_rate, parse_args, seed_for, target_for, Lab, RunScale};
+use hars_bench::{measure_max_rate, seed_for, target_for, Cli, Lab, RunScale};
 use hars_core::driver::run_single_app;
 use hars_core::policy::{hars_e, hars_ei};
 use hars_core::{HarsConfig, Predictor, RatioLearning, RuntimeManager};
@@ -48,14 +48,9 @@ fn run_with(
 }
 
 fn main() {
-    let scales = parse_args();
-    eprintln!("ablations: calibrating power model...");
-    let lab = if scales.quick {
-        Lab::quick()
-    } else {
-        Lab::new()
-    };
-    let scale = scales.single;
+    let cli = Cli::parse();
+    let lab = cli.lab();
+    let scale = cli.single;
 
     // --- Ablation 1 & 3: blackscholes, the mis-modeled benchmark. ---
     let bl = Benchmark::Blackscholes;

@@ -1,44 +1,36 @@
 //! Runs the complete evaluation — every table and figure of the paper's
-//! Chapter 5 — in order. Pass `--quick` for a reduced-scale pass. Exits
-//! non-zero when any experiment fails or cannot be launched.
+//! Chapter 5 — in order, in this process, over one calibrated lab. Pass
+//! `--quick` for a reduced-scale pass. A failing experiment (one that
+//! panics) does not stop the others; the run then exits non-zero naming
+//! every one that failed.
 
-use std::process::{Command, ExitCode};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 
-/// Runs one experiment bin; `false` when it exits non-zero or cannot be
-/// launched.
-fn run(bin: &str, quick: bool) -> bool {
-    println!("\n================ {bin} ================\n");
-    let mut cmd = Command::new(std::env::current_exe().unwrap().parent().unwrap().join(bin));
-    if quick {
-        cmd.arg("--quick");
-    }
-    match cmd.status() {
-        Ok(s) if s.success() => true,
-        Ok(s) => {
-            eprintln!("{bin} exited with {s}");
-            false
-        }
-        Err(e) => {
-            eprintln!("failed to launch {bin}: {e}");
-            false
-        }
-    }
-}
+use hars_bench::experiments::{fig5_1, fig5_2, fig5_3, fig5_4, fig5_5_6_7, table3_1, table4_3};
+use hars_bench::Cli;
 
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
+    let cli = Cli::parse();
+    let lab = cli.lab();
+    let (single, multi) = (&cli.single, &cli.multi);
+    let experiments: [(&str, &dyn Fn()); 7] = [
+        ("table3_1", &table3_1),
+        ("table4_3", &table4_3),
+        ("fig5_1", &|| fig5_1(&lab, single)),
+        ("fig5_2", &|| fig5_2(&lab, single)),
+        ("fig5_3", &|| fig5_3(&lab, single)),
+        ("fig5_4", &|| fig5_4(&lab, multi)),
+        ("fig5_5_6_7", &|| fig5_5_6_7(&lab, multi)),
+    ];
     let mut failed = Vec::new();
-    for bin in [
-        "table3_1",
-        "table4_3",
-        "fig5_1",
-        "fig5_2",
-        "fig5_3",
-        "fig5_4",
-        "fig5_5_6_7",
-    ] {
-        if !run(bin, quick) {
-            failed.push(bin);
+    for (name, run) in experiments {
+        println!("\n================ {name} ================\n");
+        // The lab and scales are only read, so a panic leaves nothing
+        // half-updated for the experiments after it.
+        if catch_unwind(AssertUnwindSafe(run)).is_err() {
+            eprintln!("{name} failed");
+            failed.push(name);
         }
     }
     if !failed.is_empty() {

@@ -24,12 +24,16 @@
 //! 4. **conservation** — every run's service level lies in [0, 1].
 //!
 //! ```sh
-//! cargo run --release -p hars-bench --bin chaos [-- --quick] [--out BENCH_chaos.json]
+//! cargo run --release -p hars-bench --bin chaos [-- --quick] [--out <path>]
 //! ```
+//!
+//! Without `--out` the report goes to `BENCH_chaos.json`, the committed
+//! full-scale one, or with `--quick` to `BENCH_chaos_quick.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use hars_bench::Cli;
 use hars_core::NullSink;
 use hars_fleet::{
     run_fleet, FleetBoard, FleetFaultSpec, FleetOutcome, FleetRuntimeKind, FleetSpec,
@@ -228,20 +232,9 @@ fn render_json(runs: &[Run], spec: &FleetSpec, faults: &FleetFaultSpec, quick: b
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if quick {
-                "BENCH_chaos_quick.json".to_string()
-            } else {
-                "BENCH_chaos.json".to_string()
-            }
-        });
+    let cli = Cli::parse();
+    let quick = cli.quick;
+    let out_path = cli.out("chaos");
 
     let n_boards = if quick { 6 } else { 12 };
     let base = fleet(n_boards, quick);

@@ -32,8 +32,9 @@
 //! cargo run --release -p hars-bench --bin churn [-- --quick]
 //! ```
 
-use hars_core::policy::SearchPolicy;
+use hars_bench::Cli;
 use hars_core::NullSink;
+use hars_fleet::FleetRuntimeKind;
 use hars_scenario::{
     run_shard, AdmissionPolicy, AlwaysAdmit, AppTemplate, ArrivalProcess, BoundedQueue,
     CapacityGate, ScenarioOutcome, ScenarioRuntime, ScenarioSpec, SharedSoloRateCache,
@@ -41,7 +42,7 @@ use hars_scenario::{
 };
 use hmp_sim::clock::NS_PER_SEC;
 use hmp_sim::{BoardSpec, EngineConfig};
-use mp_hars::{mp_hars_e, mp_hars_i, MpHarsConfig};
+use mp_hars::mp_hars_e;
 use workloads::Benchmark;
 
 /// The mixed-criticality tenant population: a small, demanding
@@ -165,33 +166,21 @@ fn scenarios(quick: bool, per_core_scale: f64) -> Vec<ScenarioDef> {
     defs
 }
 
-/// The runtimes compared on one board. The exhaustive policy only runs
-/// where its sweep is tractable (2 clusters); many-cluster boards get
-/// the adaptive-beam policy instead.
+/// The runtimes compared on one board, built as the fleet builds them:
+/// GTS, MP-HARS-I, and MP-HARS-E where its sweep is tractable (2
+/// clusters) or the adaptive-beam policy beyond. Both MP-HARS variants
+/// adapt every 5 heartbeats: churn punishes the default 10-heartbeat
+/// cadence (tenants live for 40-180 heartbeats, so every adaptation
+/// saved matters twice).
 fn runtimes(board: &BoardSpec) -> Vec<ScenarioRuntime> {
-    // A 5-heartbeat adaptation period: churn punishes the default
-    // 10-heartbeat cadence (tenants live for 40-180 heartbeats, so
-    // every adaptation saved matters twice).
-    let tuned = |cfg: MpHarsConfig| MpHarsConfig {
-        adapt_every: 5,
-        ..cfg
-    };
-    let mut v = vec![
-        ScenarioRuntime::Gts,
-        ScenarioRuntime::mp_hars(board, tuned(mp_hars_i())),
-    ];
-    if board.n_clusters() <= 2 {
-        v.push(ScenarioRuntime::mp_hars(board, tuned(mp_hars_e())));
-    } else {
-        v.push(ScenarioRuntime::mp_hars(
-            board,
-            tuned(MpHarsConfig {
-                policy: SearchPolicy::adaptive_beam_default(),
-                ..mp_hars_e()
-            }),
-        ));
-    }
-    v
+    [
+        FleetRuntimeKind::Gts,
+        FleetRuntimeKind::MpHarsI,
+        FleetRuntimeKind::MpHarsAuto,
+    ]
+    .iter()
+    .map(|kind| kind.build(board))
+    .collect()
 }
 
 fn run_one(
@@ -240,7 +229,7 @@ fn print_row(label: &str, out: &ScenarioOutcome) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
+    let quick = Cli::parse().quick;
     let boards = [BoardSpec::odroid_xu3(), BoardSpec::server_4c_32core()];
     let mut heavy_results: Vec<HeavyResult> = Vec::new();
     // Shared across every scenario, runtime and board (keys carry the

@@ -39,12 +39,16 @@
 //! reported as a measurement and backs no constant.
 //!
 //! ```sh
-//! cargo run --release -p hars-bench --bin decision_perf [-- --quick] [--out BENCH_search.json]
+//! cargo run --release -p hars-bench --bin decision_perf [-- --quick] [--out <path>]
 //! ```
+//!
+//! Without `--out` the report goes to `BENCH_search.json`, the committed
+//! full-scale one, or with `--quick` to `BENCH_search_quick.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use hars_bench::Cli;
 use hars_core::policy::SearchPolicy;
 use hars_core::search::{
     count_enumeration_nodes, count_sweep_candidates, SearchConstraints, SearchContext,
@@ -356,14 +360,9 @@ fn render_json(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_search.json".to_string());
+    let cli = Cli::parse();
+    let quick = cli.quick;
+    let out_path = cli.out("search");
 
     println!(
         "decision_perf ({} mode): decision-loop cost per strategy × board\n",
@@ -481,6 +480,6 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = render_json(&reports, quick, cores, (cal_state, cal_node, points.len()));
-    std::fs::write(&out_path, &json).expect("write BENCH_search.json");
+    std::fs::write(&out_path, &json).expect("write search bench JSON");
     println!("\nwrote {out_path}");
 }

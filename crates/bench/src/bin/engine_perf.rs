@@ -45,12 +45,16 @@
 //! host's `available_parallelism`, next to the wall times.
 //!
 //! ```sh
-//! cargo run --release -p hars-bench --bin engine_perf [-- --quick] [--out BENCH_engine.json]
+//! cargo run --release -p hars-bench --bin engine_perf [-- --quick] [--out <path>]
 //! ```
+//!
+//! Without `--out` the report goes to `BENCH_engine.json`, the committed
+//! full-scale one, or with `--quick` to `BENCH_engine_quick.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use hars_bench::Cli;
 use hars_core::NullSink;
 use hars_scenario::{
     run_shard, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioOutcome, ScenarioRuntime,
@@ -246,14 +250,9 @@ fn render_json(reports: &[CaseReport], quick: bool, cores: usize) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let cli = Cli::parse();
+    let quick = cli.quick;
+    let out_path = cli.out("engine");
     let reps = if quick { 3 } else { 5 };
 
     println!(
@@ -370,6 +369,6 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = render_json(&reports, quick, cores);
-    std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
+    std::fs::write(&out_path, &json).expect("write engine bench JSON");
     println!("\nwrote {out_path}");
 }

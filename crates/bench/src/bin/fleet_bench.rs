@@ -27,12 +27,16 @@
 //! 4. **conservation** — every run's service level lies in [0, 1].
 //!
 //! ```sh
-//! cargo run --release -p hars-bench --bin fleet_bench [-- --quick] [--out BENCH_fleet.json]
+//! cargo run --release -p hars-bench --bin fleet_bench [-- --quick] [--out <path>]
 //! ```
+//!
+//! Without `--out` the report goes to `BENCH_fleet.json`, the committed
+//! full-scale one, or with `--quick` to `BENCH_fleet_quick.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use hars_bench::Cli;
 use hars_core::NullSink;
 use hars_fleet::{
     run_fleet, FleetBoard, FleetCacheMode, FleetOutcome, FleetRuntimeKind, FleetSpec,
@@ -226,20 +230,9 @@ fn render_json(runs: &[Run], spec: &FleetSpec, quick: bool, speedup: f64) -> Str
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if quick {
-                "BENCH_fleet_quick.json".to_string()
-            } else {
-                "BENCH_fleet.json".to_string()
-            }
-        });
+    let cli = Cli::parse();
+    let quick = cli.quick;
+    let out_path = cli.out("fleet");
 
     let n_boards = if quick { 48 } else { 256 };
     let spec = fleet(n_boards, quick);

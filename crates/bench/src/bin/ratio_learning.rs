@@ -21,11 +21,12 @@
 
 use hars_bench::ratio_scenario::{calibrated_power, run_mode, target_bands, ASSUMED_MID, TRUE_MID};
 use hars_bench::table::render_table;
+use hars_bench::Cli;
 use hars_core::RatioLearning;
 use hmp_sim::BoardSpec;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
+    let quick = Cli::parse().quick;
     let board = BoardSpec::dynamiq_1p_3m_4l();
     let budget = if quick { 1_000 } else { 2_400 };
     eprintln!("ratio_learning: calibrating the power model...");

@@ -28,6 +28,7 @@
 
 use std::time::Instant;
 
+use hars_bench::Cli;
 use hars_core::calibrate::run_power_calibration;
 use hars_core::policy::SearchPolicy;
 use hars_core::search::{
@@ -238,7 +239,7 @@ fn quality_runs(board: &BoardSpec, quick: bool) -> Vec<QualityRow> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
+    let quick = Cli::parse().quick;
     println!(
         "search_scaling ({} mode): pluggable strategies across 2/3/4/5-cluster boards\n",
         if quick { "quick" } else { "full" }

@@ -8,7 +8,7 @@
 //! cargo run --release -p hars-bench --bin sweep -- ferret --version hars-ei --target 0.6
 //! ```
 
-use hars_bench::{measure_max_rate, run_version, seed_for, target_for, Lab, RunScale, Version};
+use hars_bench::{measure_max_rate, run_version, seed_for, target_for, Cli, Version};
 use workloads::Benchmark;
 
 fn usage() -> ! {
@@ -29,9 +29,9 @@ fn main() {
         eprintln!("unknown benchmark {:?}", args[0]);
         usage();
     };
+    let cli = Cli::parse();
     let mut version = Version::HarsE;
     let mut target_frac = 0.5f64;
-    let mut quick = false;
     let mut budget: Option<u64> = None;
     let mut i = 1;
     while i < args.len() {
@@ -66,7 +66,8 @@ fn main() {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--quick" | "-q" => quick = true,
+            // Read by `Cli`.
+            "--quick" | "-q" => {}
             other => {
                 eprintln!("unknown flag {other:?}");
                 usage();
@@ -74,16 +75,11 @@ fn main() {
         }
         i += 1;
     }
-    let mut scale = if quick {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+    let mut scale = cli.single;
     if let Some(b) = budget {
         scale.hb_budget = b;
     }
-    eprintln!("calibrating power model...");
-    let lab = if quick { Lab::quick() } else { Lab::new() };
+    let lab = cli.lab();
     let max = measure_max_rate(&lab, bench, 8, seed_for(bench));
     let target = target_for(max, target_frac);
     println!(

@@ -2,71 +2,6 @@
 //! MP-HARS's interference-aware adaptation — by exercising the
 //! implemented decision function over every row.
 
-use mp_hars::{decide, FreezeDecision, PerfClass, StateDecision};
-
-fn class_name(c: PerfClass) -> &'static str {
-    match c {
-        PerfClass::Underperf => "Underperf",
-        PerfClass::Achieve => "Achieve",
-        PerfClass::Overperf => "Overperf",
-    }
-}
-
-fn state_name(s: StateDecision) -> &'static str {
-    match s {
-        StateDecision::Inc => "INC",
-        StateDecision::Keep => "KEEP",
-        StateDecision::Dec => "DEC",
-    }
-}
-
-fn freeze_name(f: FreezeDecision) -> &'static str {
-    match f {
-        FreezeDecision::Freeze => "FREEZE",
-        FreezeDecision::Unfreeze => "UNFREEZE",
-        FreezeDecision::Keep => "KEEP",
-    }
-}
-
 fn main() {
-    println!("Table 4.3: state & freeze decision table\n");
-    println!(
-        "{:<11} {:<11} {:<11} {:<14} {:<10}",
-        "AppInPeriod", "TheOthers", "FrozenState", "StateDecision", "FreezeDecision"
-    );
-    println!("{}", "-".repeat(60));
-    let classes = [
-        PerfClass::Underperf,
-        PerfClass::Achieve,
-        PerfClass::Overperf,
-    ];
-    for app in classes {
-        for others in classes {
-            for frozen in [true, false] {
-                let (s, f) = decide(app, Some(others), frozen);
-                println!(
-                    "{:<11} {:<11} {:<11} {:<14} {:<10}",
-                    class_name(app),
-                    class_name(others),
-                    if frozen { "FREEZE" } else { "UNFREEZE" },
-                    state_name(s),
-                    freeze_name(f)
-                );
-            }
-        }
-    }
-    println!("\nSingle-application domain (no interference):\n");
-    for app in classes {
-        for frozen in [true, false] {
-            let (s, f) = decide(app, None, frozen);
-            println!(
-                "{:<11} {:<11} {:<11} {:<14} {:<10}",
-                class_name(app),
-                "(alone)",
-                if frozen { "FREEZE" } else { "UNFREEZE" },
-                state_name(s),
-                freeze_name(f)
-            );
-        }
-    }
+    hars_bench::experiments::table4_3();
 }

@@ -11,6 +11,7 @@
 //! cargo run --release -p hars-bench --bin tri_cluster [-- --quick]
 //! ```
 
+use hars_bench::Cli;
 use hars_core::calibrate::run_power_calibration;
 use hars_core::policy::hars_e;
 use hars_core::{run_single_app, HarsConfig, PerfEstimator, RuntimeManager};
@@ -20,7 +21,7 @@ use hmp_sim::microbench::CalibrationConfig;
 use hmp_sim::{AppSpec, BoardSpec, Engine, EngineConfig, SpeedProfile};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
+    let quick = Cli::parse().quick;
     let board = BoardSpec::dynamiq_1p_3m_4l();
     println!(
         "board: {} ({} clusters, {} cores)",

@@ -1,7 +1,9 @@
 //! # hars-bench — the evaluation harness
 //!
 //! Reproduces every table and figure of the HARS paper's Chapter 5 on
-//! the simulated ODROID-XU3. The `src/bin/` binaries regenerate:
+//! the simulated ODROID-XU3. Each has one function in [`experiments`]
+//! that computes and prints it, and one `src/bin/` binary that calls
+//! that function:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -12,7 +14,7 @@
 //! | `fig5_3` | Figure 5.3 (distance sweep: efficiency + overhead) |
 //! | `fig5_4` | Figure 5.4 (multi-application perf/watt) |
 //! | `fig5_5_6_7` | Figures 5.5–5.7 (case-4 behavior graphs) |
-//! | `all_experiments` | everything above, in order |
+//! | `all_experiments` | everything above, in order, in one process |
 //!
 //! Beyond the paper, `sweep` runs the sensitivity study, `ablations`
 //! the Section 3.1.4 extension ablations (ratio learning, tabu,
@@ -22,7 +24,8 @@
 //! by 25%; `RatioLearning::PerCluster` converges it onto the truth,
 //! the legacy fastest-only nudge cannot).
 //!
-//! Pass `--quick` to any binary for a reduced-scale run.
+//! Pass `--quick` to any binary for a reduced-scale run; the binaries
+//! that write a `BENCH_*.json` report also take `--out <path>` ([`Cli`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,10 +38,7 @@ pub mod setup;
 pub mod single;
 pub mod table;
 
-pub use cli::{parse_args, CliScales};
-pub use experiments::{
-    behavior_trace, figure_distance_sweep, figure_multi_app, figure_perf_per_watt,
-};
+pub use cli::Cli;
 pub use multi::{hb_budget, run_case, MpScale, MpVersionKind, CASES};
 pub use setup::{measure_max_rate, seed_for, target_for, Lab};
 pub use single::{run_version, RunScale, SingleResult, Version};
